@@ -47,6 +47,7 @@ from .linalg import (
 )
 from .sharpness import (
     ConstructionCase,
+    ConstructionCheckError,
     SharpnessInstance,
     build_construction,
     default_case,
@@ -71,6 +72,7 @@ __all__ = [
     "BoundReport",
     "CapExceededError",
     "ConstructionCase",
+    "ConstructionCheckError",
     "FiniteSpectralMeasure",
     "HaagerupChainRep",
     "HaagerupLikeRep",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -48,7 +49,13 @@ from .integrands import (
 from .linalg import INF, check_exponent, schatten_norm
 from .randominst import random_instance, rng_for
 from .serialize import array_to_json, instance_from_json, instance_to_json
-from .sharpness import REGIMES, growth_sweep, sharp_r, sweep_csv
+from .sharpness import (
+    REGIMES,
+    ConstructionCheckError,
+    growth_sweep,
+    sharp_r,
+    sweep_csv,
+)
 
 DEFAULT_EXPONENTS = (2.0, 3.0, 4.0, INF)
 
@@ -252,6 +259,14 @@ SUITES = (
 )
 
 
+def _worse(value: float, worst: float) -> bool:
+    """Whether a trial's value replaces the worst so far; a NaN is worse than
+    any number and is kept once seen, so it fails the suite's gate."""
+    if math.isnan(worst):
+        return False
+    return math.isnan(value) or value > worst
+
+
 def cmd_verify(args) -> int:
     try:
         if args.trials < 1:
@@ -292,7 +307,7 @@ def cmd_verify(args) -> int:
         worst_trial, worst_inst = None, None
         for k in range(args.trials):
             value, inst = run(config, k)
-            if worst_inst is None or value > worst:
+            if worst_inst is None or _worse(value, worst):
                 worst, worst_trial, worst_inst = value, k, inst
         ok = worst <= threshold[metric]
         print(f"{name:<22} {args.trials:>6} {worst:>18.12e} {'yes' if ok else 'NO'}")
@@ -336,6 +351,8 @@ def cmd_sweep(args) -> int:
             )
     except (ValueError, RangeError) as exc:
         return _fail(f"sweep: invalid case: {exc}", 2)
+    except ConstructionCheckError as exc:
+        return _fail(f"sweep: {exc}", 1)
     text = sweep_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

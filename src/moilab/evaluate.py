@@ -3,10 +3,12 @@ sum over atoms of Psi(x_1..x_m) P_1 T_1 P_2 T_2 ... T_{m-1} P_m
 by several independent computational paths:
 
   - eval_oracle: the exhaustive atomwise sum (test instrument, capped);
-  - eval_projective / eval_haagerup / eval_haagerup_like: production paths
-    that integrate each table and contract over the finite index families;
+  - eval_haagerup: the production chain path, contracted in the measures'
+    eigenbases with batched matmuls over basis columns;
+  - eval_projective / eval_haagerup_like: production paths that integrate
+    each table into operators and contract over the finite index families;
   - eval_haagerup_block: materializes the row/block/column operator matrices
-    and multiplies them in the enlarged space;
+    from the projections and multiplies them in the enlarged space;
   - eval_double_schur: the two-factor entrywise-multiplier sum.
 
 All paths compute the same finite sum; agreement is relative to
@@ -29,7 +31,7 @@ from .integrands import (
     eval_pointwise,
     rep_norm_bound,
 )
-from .linalg import as_matrix, operator_norm
+from .linalg import adjoint, as_matrix, operator_norm
 from .spectral import FiniteSpectralMeasure, integrate_scalar
 
 DEFAULT_TUPLE_CAP = 10**6
@@ -145,40 +147,42 @@ def _integrate_vector_table(table: np.ndarray, e: FiniteSpectralMeasure) -> np.n
     return np.tensordot(table, e.projection_stack(), axes=([0], [0]))
 
 
-def _fold_middle(
-    mid: np.ndarray, e: FiniteSpectralMeasure, stack: np.ndarray, chunk: int = 16
-) -> np.ndarray:
-    """Contract an incoming (L, d, d) stack with a middle table:
-    out_k = sum_{i, j} mid[i, j, k] * stack_j @ P_i."""
-    projs = e.projection_stack()
-    l_out = mid.shape[2]
-    dim = stack.shape[-1]
-    out = np.zeros((l_out, dim, dim), dtype=np.complex128)
-    for start in range(0, mid.shape[0], chunk):
-        sl = slice(start, start + chunk)
-        # (c, L_out, d, d) = sum_j mid[i, j, k] stack_j, then right-multiply P_i
-        c = np.tensordot(mid[sl], stack, axes=([1], [0]))
-        out += np.matmul(c, projs[sl][:, None]).sum(axis=0)
-    return out
+def _columns(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """A per-atom table expanded to one entry per basis column: table[labels]."""
+    if labels.shape[0] == table.shape[0] and np.array_equal(
+        labels, np.arange(labels.shape[0])
+    ):
+        return table
+    return table[labels]
 
 
 def eval_haagerup(inst: MoiInstance) -> np.ndarray:
     """Chain contraction sum_{j..} A_j T_1 B_{jk} T_2 ... over all chain indices.
 
-    Computed by sweeping the chain left to right, folding one factor's atom
-    sum at a time; an exact reassociation of the defining finite sum.
+    Computed in the measures' eigenbases. Integrating a table against a
+    measure with basis U is U diag(table[labels]) U^*, so the value is
+    U_1 C U_m^* with C the same chain over the tables expanded to basis
+    columns and the moved operators T_i' = U_i^* T_i U_{i+1}. C is swept left
+    to right as a stack S[c, a, j] (column c of the current basis, row a of
+    the first, chain index j): each middle is one batched matmul over c and
+    each operator one tensordot over c. An exact reassociation of the
+    defining finite sum; no projection is ever formed.
     """
     rep = inst.integrand
     if not isinstance(rep, HaagerupChainRep):
         raise TypeError("instance does not carry a chain representation")
-    stack = _integrate_vector_table(rep.head, inst.measures[0])
-    for t, op in enumerate(inst.operators):
-        stack = stack @ op
-        if t < len(rep.middles):
-            stack = _fold_middle(rep.middles[t], inst.measures[t + 1], stack)
-    # tail fold: sum_i (sum_k tail[i, k] stack_k) P_i
-    d = np.tensordot(rep.tail, stack, axes=([1], [0]))
-    return np.matmul(d, inst.measures[-1].projection_stack()).sum(axis=0)
+    measures = inst.measures
+    bases = [e.basis for e in measures]
+    moved = [adjoint(u) @ t @ v for u, t, v in zip(bases, inst.operators, bases[1:])]
+    head = _columns(rep.head, measures[0].labels)
+    # S[c, a, j] = head[a, j] T_1'[a, c]
+    stack = moved[0].T[:, :, None] * head[None, :, :]
+    for mid, e, op in zip(rep.middles, measures[1:], moved[1:]):
+        stack = np.matmul(stack, _columns(mid, e.labels))
+        stack = np.tensordot(op, stack, axes=([0], [0]))
+    tail = _columns(rep.tail, measures[-1].labels)
+    core = np.einsum("cak,ck->ac", stack, tail)
+    return bases[0] @ core @ adjoint(bases[-1])
 
 
 def row_block(blocks, t: np.ndarray) -> np.ndarray:

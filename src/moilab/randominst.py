@@ -28,14 +28,9 @@ def random_measure(
         raise ValueError(f"need 1 <= n_atoms <= dim, got {n_atoms} > {dim}")
     sizes = rng.multinomial(dim - n_atoms, [1.0 / n_atoms] * n_atoms) + 1
     u = random_unitary(rng, dim)
-    projections = []
-    start = 0
-    for size in sizes:
-        cols = u[:, start : start + size]
-        projections.append(cols @ cols.conj().T)
-        start += size
-    return FiniteSpectralMeasure(
-        dim, tuple(float(i) for i in range(n_atoms)), tuple(projections)
+    labels = np.repeat(np.arange(n_atoms), sizes)
+    return FiniteSpectralMeasure.from_basis(
+        u, labels, tuple(float(i) for i in range(n_atoms))
     )
 
 

@@ -94,7 +94,9 @@ def measure_from_json(obj) -> FiniteSpectralMeasure:
         z = complex_from_json(atom["point"])
         points.append(z.real if z.imag == 0.0 else z)
         projections.append(array_from_json(atom["projection"], 2))
-    return FiniteSpectralMeasure(dim, tuple(points), tuple(projections))
+    measure = FiniteSpectralMeasure(dim, tuple(points), tuple(projections))
+    measure.basis  # factoring validates the atoms; raises ValueError if invalid
+    return measure
 
 
 def integrand_to_json(rep) -> dict:

@@ -27,6 +27,10 @@ BUILD_CAP = 128
 SWEEP_CAP = 8192
 
 
+class ConstructionCheckError(RuntimeError):
+    """A materialized construction disagrees with its closed form."""
+
+
 def sharp_r(p_first, p_last) -> float:
     """The critical exponent: 1/r = 1/max(p_first, 2) + 1/max(p_last, 2)."""
     return harmonic_exponent([sharp(p_first), sharp(p_last)])
@@ -254,7 +258,8 @@ def growth_sweep(
     rhs = the product of operator norms, ratio = lhs / rhs.
 
     The smallest materializable n is cross-checked against the full chain
-    evaluation. Deterministic; dims must be ascending.
+    evaluation; a mismatch raises ConstructionCheckError. Deterministic; dims
+    must be ascending.
     """
     s = check_exponent(s)
     dims = [int(n) for n in dims]
@@ -275,12 +280,12 @@ def growth_sweep(
     if cross_check and dims[0] <= BUILD_CAP:
         built = build_construction(default_case(arity, regime, p_first, p_last, dims[0]))
         bound = rep_norm_bound(built.instance.integrand)
-        if abs(bound - 1.0) > 1e-12:
-            raise AssertionError(f"construction norm {bound} != 1")
+        if not abs(bound - 1.0) <= 1e-12:
+            raise ConstructionCheckError(f"construction norm {bound} != 1")
         w = eval_haagerup(built.instance)
         err = np.abs(w - built.expected).max()
-        if err > 1e-10 * moi_scale(built.instance):
-            raise AssertionError(
+        if not err <= 1e-10 * moi_scale(built.instance):  # a NaN fails too
+            raise ConstructionCheckError(
                 f"construction cross-check failed at n = {dims[0]}: error {err:.3e}"
             )
     return rows

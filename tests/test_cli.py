@@ -185,3 +185,100 @@ def test_sweep_rejects_inconsistent_exponents():
         "--s", "r", "--dims", "16",
     )
     assert proc.returncode == 2
+
+
+def _one_measure_instance(tmp_path, measure_json, term_first):
+    """A projective instance T R on trivial 3-dim measures, with the first
+    measure replaced by `measure_json` and its table by `term_first`."""
+    from moilab.evaluate import MoiInstance
+    from moilab.integrands import ProjectiveRep
+    from moilab.spectral import FiniteSpectralMeasure
+
+    rng = np.random.default_rng(8)
+    t = rng.standard_normal((3, 3))
+    r = rng.standard_normal((3, 3))
+    e = FiniteSpectralMeasure.trivial(3)
+    rep = ProjectiveRep(3, ((np.ones(1), np.ones(1), np.ones(1)),))
+    payload = instance_to_json(MoiInstance((e, e, e), (t, r), rep))
+    payload["measures"][0] = measure_json
+    payload["integrand"]["projective"]["terms"][0][0] = [[x, 0.0] for x in term_first]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    return path, t @ r
+
+
+def _atoms(*projections):
+    from moilab.serialize import array_to_json
+
+    return {
+        "dim": 3,
+        "atoms": [
+            {"point": float(i), "projection": array_to_json(p)}
+            for i, p in enumerate(projections)
+        ],
+    }
+
+
+def test_eval_rejects_scaled_all_ones_projection(tmp_path):
+    path, _ = _one_measure_instance(tmp_path, _atoms(np.full((3, 3), 0.5)), [1.0])
+    proc = run_cli("eval", "--instance", str(path))
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "projection" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_eval_rejects_overlapping_projections(tmp_path):
+    p = np.zeros((3, 3))
+    p[0, 0] = 1.0
+    path, _ = _one_measure_instance(tmp_path, _atoms(p, p, np.eye(3) - p), [1.0, 1.0, 1.0])
+    proc = run_cli("eval", "--instance", str(path))
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_accepts_zero_rank_atom(tmp_path):
+    path, want = _one_measure_instance(
+        tmp_path, _atoms(np.eye(3), np.zeros((3, 3))), [1.0, 5.0]
+    )
+    out_path = tmp_path / "result.json"
+    proc = run_cli("eval", "--instance", str(path), "--out", str(out_path))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(out_path.read_text())
+    result = np.array([[complex(re, im) for re, im in row] for row in payload["result"]])
+    assert np.allclose(result, want, atol=1e-10)
+
+
+def test_sweep_cross_check_failure_exits_one(monkeypatch, capsys):
+    from moilab import cli, sharpness
+
+    original = sharpness.eval_haagerup
+    monkeypatch.setattr(sharpness, "eval_haagerup", lambda inst: original(inst) * (1 + 1e-6))
+    code = cli.main(
+        ["sweep", "--regime", "mixed-large-small", "--p1", "4", "--pm1", "2",
+         "--s", "r", "--dims", "16,64"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "cross-check" in captured.err
+
+
+def test_verify_counts_nan_as_failure(monkeypatch, capsys, tmp_path):
+    from moilab import cli
+
+    def suite(config, k):
+        inst = random_instance(rng_for(3, k), "chain", dim_range=(2, 3), arity=3)
+        return (float("nan") if k == 1 else 0.0), inst
+
+    monkeypatch.setattr(cli, "SUITES", (("nan-suite", suite, "deviation"),))
+    code = cli.main(["verify", "--trials", "3", "--repro-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    row = next(line for line in out.splitlines() if line.startswith("nan-suite"))
+    assert row.split()[-1] == "NO" and "nan" in row
+    assert out.strip().splitlines()[-1] == "verify: FAIL"
+    repro = tmp_path / "moi-repro-nan-suite-seed0-trial1.json"
+    assert repro.is_file()
+    assert run_cli("eval", "--instance", str(repro)).returncode == 0

@@ -1,5 +1,8 @@
 """Evaluator paths against the exhaustive atomwise oracle, and trace duality."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,8 @@ from moilab.integrands import (
 )
 from moilab.linalg import INF, operator_norm, random_unitary, schatten_norm
 from moilab.randominst import random_instance, random_measure, rng_for
+from moilab.serialize import measure_from_json, measure_to_json
+from moilab.sharpness import build_construction, default_case
 from moilab.spectral import FiniteSpectralMeasure, from_hermitian, integrate_scalar
 
 TOL = 1e-10
@@ -381,3 +386,102 @@ def test_adjoint_symmetry_between_kinds():
 def test_eval_moi_dispatch():
     inst = random_instance(rng_for(27), "projective", dim_range=(2, 3), arity=3)
     assert operator_norm(eval_moi(inst) - eval_projective(inst)) == 0.0
+
+
+# --- the eigenbasis chain path ----------------------------------------------
+
+
+def _measure_built(how, measure):
+    """The same measure from its basis, from its projections, or read back
+    from explicit-atom JSON."""
+    if how == "basis":
+        return measure
+    if how == "projections":
+        return FiniteSpectralMeasure(measure.dim, measure.points, measure.projections)
+    return measure_from_json(json.loads(json.dumps(measure_to_json(measure))))
+
+
+def _chain_instance(rng, measures, widths):
+    counts = [e.n_atoms for e in measures]
+    dim = measures[0].dim
+    head = crandom(rng, (counts[0], widths[0]))
+    middles = tuple(
+        crandom(rng, (counts[i + 1], widths[i], widths[i + 1]))
+        for i in range(len(widths) - 1)
+    )
+    tail = crandom(rng, (counts[-1], widths[-1]))
+    ops = tuple(crandom(rng, (dim, dim)) for _ in range(len(measures) - 1))
+    return MoiInstance(measures, ops, HaagerupChainRep(head, middles, tail))
+
+
+@pytest.mark.parametrize("how", ["basis", "projections", "json"])
+@pytest.mark.parametrize("arity", [3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_eigenbasis_chain_matches_witnesses(how, arity, seed):
+    # atoms of rank > 1: fewer atoms than dimensions
+    rng = rng_for(40, seed, arity)
+    measures = tuple(
+        _measure_built(how, random_measure(rng, 5, int(rng.integers(1, 4))))
+        for _ in range(arity)
+    )
+    inst = _chain_instance(rng, measures, [int(w) for w in rng.integers(1, 4, arity - 1)])
+    w = eval_haagerup(inst)
+    tol = TOL * moi_scale(inst)
+    assert np.abs(w - eval_oracle(inst)).max() <= tol
+    assert np.abs(w - eval_haagerup_block(inst)).max() <= tol
+
+
+@pytest.mark.parametrize("how", ["projections", "json"])
+def test_eigenbasis_chain_zero_rank_atom(how):
+    rng = rng_for(41)
+    u = random_unitary(rng, 4)
+    zero = np.zeros((4, 4), dtype=complex)
+    projs = (u[:, :3] @ u[:, :3].conj().T, zero, np.outer(u[:, 3], u[:, 3].conj()))
+    holed = _measure_built(how, FiniteSpectralMeasure(4, (0.0, 1.0, 2.0), projs))
+    measures = (holed, random_measure(rng, 4), holed)
+    inst = _chain_instance(rng, measures, [2, 3])
+    w = eval_haagerup(inst)
+    tol = TOL * moi_scale(inst)
+    assert np.abs(w - eval_oracle(inst)).max() <= tol
+    assert np.abs(w - eval_haagerup_block(inst)).max() <= tol
+
+
+@pytest.mark.parametrize("how", ["basis", "projections", "json"])
+def test_eigenbasis_chain_arity_two(how):
+    rng = rng_for(42)
+    measures = tuple(_measure_built(how, random_measure(rng, 5, 3)) for _ in range(2))
+    inst = _chain_instance(rng, measures, [3])
+    rep = inst.integrand
+    w = eval_haagerup(inst)
+    tol = TOL * moi_scale(inst)
+    assert np.abs(w - eval_oracle(inst)).max() <= tol
+    table = rep.head @ rep.tail.T
+    schur = eval_double_schur(table, measures[0], measures[1], inst.operators[0])
+    assert np.abs(w - schur).max() <= tol
+
+
+@pytest.mark.parametrize("widths", [[0], [0, 2], [2, 0], [2, 0, 3]])
+def test_eigenbasis_chain_width_zero(widths):
+    rng = rng_for(43, len(widths))
+    measures = tuple(random_measure(rng, 4) for _ in range(len(widths) + 1))
+    inst = _chain_instance(rng, measures, widths)
+    w = eval_haagerup(inst)
+    assert w.shape == (4, 4) and not np.any(w)
+    assert not np.any(eval_oracle(inst))
+
+
+def test_chain_path_never_forms_projections(monkeypatch):
+    built = build_construction(default_case(4, "both-large", 4.0, 4.0, 64))
+
+    def refuse(self):
+        raise AssertionError("the chain path formed a projection stack")
+
+    monkeypatch.setattr(FiniteSpectralMeasure, "projection_stack", refuse)
+    tracemalloc.start()
+    try:
+        w = eval_haagerup(built.instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert np.abs(w - built.expected).max() <= TOL * moi_scale(built.instance)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moilab import sharpness
 from moilab.evaluate import eval_haagerup, eval_oracle, moi_scale
 from moilab.integrands import rep_norm_bound
 from moilab.linalg import operator_norm, sequence_norm
@@ -10,6 +11,7 @@ from moilab.sharpness import (
     BUILD_CAP,
     REGIMES,
     ConstructionCase,
+    ConstructionCheckError,
     build_construction,
     default_case,
     default_sequences,
@@ -284,3 +286,21 @@ def test_regimes_tuple_stable():
         "mixed-large-small",
         "mixed-small-large",
     )
+
+
+@pytest.mark.parametrize(
+    "arity, regime, p1, pm1",
+    [(3, "mixed-large-small", 4.0, 2.0), (4, "both-large", 4.0, 4.0)],
+)
+def test_construction_fidelity_at_build_cap(arity, regime, p1, pm1):
+    built = build_construction(default_case(arity, regime, p1, pm1, BUILD_CAP))
+    err = np.abs(eval_haagerup(built.instance) - expected_output(built.case)).max()
+    assert err <= 1e-10 * moi_scale(built.instance)
+
+
+@pytest.mark.parametrize("perturb", [lambda w: w + 1e-6, lambda w: w * np.nan])
+def test_growth_sweep_cross_check_failure_is_a_domain_error(monkeypatch, perturb):
+    original = sharpness.eval_haagerup
+    monkeypatch.setattr(sharpness, "eval_haagerup", lambda inst: perturb(original(inst)))
+    with pytest.raises(ConstructionCheckError, match="cross-check"):
+        growth_sweep(3, "both-large", 4.0, 4.0, [16], 2.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from moilab.linalg import operator_norm
+from moilab.linalg import operator_norm, random_unitary
 from moilab.spectral import (
     FiniteSpectralMeasure,
     cyclic_model,
@@ -170,3 +170,93 @@ def test_sup_norm_accessors():
     table = np.stack([np.eye(2), 2.0 * np.eye(2)])
     assert abs(matrix_sup(table) - 2.0) < 1e-12
     assert vector_sup(np.zeros((3, 0))) == 0.0
+
+
+def _random_projections(seed, dim, sizes):
+    u = random_unitary(np.random.default_rng(seed), dim)
+    out, start = [], 0
+    for size in sizes:
+        cols = u[:, start : start + size]
+        out.append(cols @ cols.conj().T)
+        start += size
+    return out
+
+
+def test_from_basis_projections_are_column_blocks():
+    u = random_unitary(np.random.default_rng(21), 5)
+    labels = np.array([1, 0, 1, 2, 0])
+    e = FiniteSpectralMeasure.from_basis(u, labels, (0.0, 1.0, 2.0))
+    assert e.dim == 5 and e.n_atoms == 3
+    for i in range(3):
+        cols = u[:, labels == i]
+        assert operator_norm(e.projections[i] - cols @ cols.conj().T) < 1e-14
+    assert validate_spectral_measure(e).ok
+
+
+def test_from_basis_rejects_bad_labels():
+    with pytest.raises(ValueError):
+        FiniteSpectralMeasure.from_basis(np.eye(2), np.array([0, 2]), (0.0, 1.0))
+    with pytest.raises(ValueError):
+        FiniteSpectralMeasure.from_basis(np.eye(2), np.array([0]), (0.0,))
+
+
+def test_projection_views_are_cached_and_read_only():
+    e = from_hermitian(np.diag([1.0, 1.0, 2.0]))
+    stack = e.projection_stack()
+    assert e.projection_stack() is stack
+    assert e.projections is e.projections
+    assert np.shares_memory(e.projections[0], stack)
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 5.0
+
+
+def test_from_basis_leaves_the_caller_basis_writeable():
+    u = np.eye(3, dtype=complex)
+    FiniteSpectralMeasure.from_basis(u, np.zeros(3, dtype=int), (0.0,)).basis
+    u[0, 0] = 1.0
+
+
+def test_projection_measure_factors_into_its_eigenbasis():
+    projs = _random_projections(22, 6, (2, 1, 3))
+    e = FiniteSpectralMeasure(6, (0.0, 1.0, 2.0), tuple(projs))
+    u, labels = e.basis, e.labels
+    assert operator_norm(u.conj().T @ u - np.eye(6)) < 1e-12
+    assert sorted(np.bincount(labels, minlength=3)) == [1, 2, 3]
+    for i, p in enumerate(projs):
+        cols = u[:, labels == i]
+        assert operator_norm(cols @ cols.conj().T - p) < 1e-12
+
+
+def test_factoring_accepts_zero_rank_atom():
+    projs = _random_projections(23, 4, (3, 1))
+    zero = np.zeros((4, 4), dtype=complex)
+    e = FiniteSpectralMeasure(4, (0.0, 1.0, 2.0), (projs[0], zero, projs[1]))
+    assert list(np.bincount(e.labels, minlength=3)) == [3, 0, 1]
+
+
+def test_factoring_rejects_scaled_all_ones():
+    e = FiniteSpectralMeasure(3, (0.0,), (np.full((3, 3), 0.5),))
+    with pytest.raises(ValueError, match="projection"):
+        e.basis
+
+
+def test_factoring_rejects_repeated_projection():
+    p = np.zeros((2, 2), dtype=complex)
+    p[0, 0] = 1.0
+    e = FiniteSpectralMeasure(2, (0.0, 1.0), (p, p))
+    with pytest.raises(ValueError):
+        e.labels
+
+
+def test_factoring_rejects_incomplete_family():
+    # orthogonal projections that do not sum to the identity
+    projs = _random_projections(24, 4, (1, 2))
+    e = FiniteSpectralMeasure(4, (0.0, 1.0), tuple(projs))
+    with pytest.raises(ValueError):
+        e.basis
+
+
+def test_from_basis_atom_without_columns_is_zero():
+    e = FiniteSpectralMeasure.from_basis(np.eye(2), np.array([0, 0]), (0.0, 1.0))
+    assert operator_norm(e.projections[0] - np.eye(2)) == 0.0
+    assert not np.any(e.projections[1])
