@@ -6,8 +6,8 @@ Subcommands:
   sweep   tabulate extremal-family growth ratios to CSV
 
 Exit codes: 0 success, 1 verification failure, 2 input/config error,
-3 resource cap exceeded. The MOI_MAX_TUPLES environment variable overrides
-the atomwise-oracle tuple cap.
+3 resource cap exceeded. The MOI_MAX_TUPLES environment variable (an integer
+>= 1) overrides the atomwise-oracle tuple cap.
 """
 
 from __future__ import annotations
@@ -113,14 +113,45 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _tuple_cap() -> int:
+    """The atomwise-oracle tuple cap: MOI_MAX_TUPLES if set, else the default."""
+    text = os.environ.get("MOI_MAX_TUPLES")
+    if text is None:
+        return DEFAULT_TUPLE_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        raise ValueError(f"MOI_MAX_TUPLES must be an integer, got {text!r}") from None
+    if cap < 1:
+        raise ValueError(f"MOI_MAX_TUPLES must be >= 1, got {cap}")
+    return cap
+
+
+def _check_dir(path: str, what: str) -> None:
+    """Refuse a missing directory before any work is done."""
+    if not os.path.isdir(path):
+        raise ValueError(f"{what} directory {path!r} does not exist")
+
+
+def _check_out_path(path: str | None) -> None:
+    if path:
+        _check_dir(os.path.dirname(path) or ".", "output")
+        if os.path.isdir(path):
+            raise ValueError(f"output path {path!r} is a directory")
+
+
 def cmd_eval(args) -> int:
+    try:
+        cap = _tuple_cap()
+        _check_out_path(args.out)
+    except ValueError as exc:
+        return _fail(f"eval: invalid configuration: {exc}", 2)
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         inst, _ = instance_from_json(payload)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         return _fail(f"eval: cannot load instance: {exc}", 2)
-    cap = int(os.environ.get("MOI_MAX_TUPLES", DEFAULT_TUPLE_CAP))
     try:
         result = eval_oracle(inst, cap=cap) if args.oracle else eval_moi(inst)
     except CapExceededError as exc:
@@ -287,6 +318,9 @@ def cmd_verify(args) -> int:
                     " row bounds; the extremal sweep explores that range instead"
                 )
         tol = float(args.tol)
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {args.tol}")
+        _check_dir(args.repro_dir, "repro")
     except (ValueError, RangeError) as exc:
         return _fail(f"verify: invalid configuration: {exc}", 2)
 
@@ -333,6 +367,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
+        _check_out_path(args.out)
         dims = _parse_int_list(args.dims)
         if not dims:
             raise ValueError("need a nonempty list of truncation dimensions")
@@ -390,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="2,3,4,inf",
         help="Schatten exponents for the chain and row bounds (each >= 2)",
     )
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument(
+        "--tol", type=float, default=1e-9, help="gate tolerance, finite and >= 0"
+    )
     p_verify.add_argument(
         "--repro-dir", default=".", help="directory for failure reproduction files"
     )

@@ -1,15 +1,19 @@
 """Evaluation of multiple operator integrals
 sum over atoms of Psi(x_1..x_m) P_1 T_1 P_2 T_2 ... T_{m-1} P_m
-by several independent computational paths:
+by several independent computational paths.
 
-  - eval_oracle: the exhaustive atomwise sum (test instrument, capped);
-  - eval_haagerup: the production chain path, contracted in the measures'
-    eigenbases with batched matmuls over basis columns;
-  - eval_projective / eval_haagerup_like: production paths that integrate
-    each table into operators and contract over the finite index families;
-  - eval_haagerup_block: materializes the row/block/column operator matrices
-    from the projections and multiplies them in the enlarged space;
-  - eval_double_schur: the two-factor entrywise-multiplier sum.
+The production paths (eval_projective, eval_haagerup, eval_haagerup_like,
+eval_double_schur) work in the measures' eigenbases. Integrating a table
+against a measure with basis U is U diag(table[labels]) U^*, so each value is
+U_1 C U_m^*, with C the same finite sum over the tables expanded to basis
+columns and the moved operators T_i' = U_i^* T_i U_{i+1}, contracted pairwise
+by batched matmuls and two-operand einsums; no projection is ever formed.
+
+Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
+over the projections (capped); eval_haagerup_block, the row/block/column
+operator matrices materialized from the projections and multiplied in the
+enlarged space; duality_functional, the defining functional of a chain-like
+integral cycled into an ordinary chain and traced.
 
 All paths compute the same finite sum; agreement is relative to
 scale = rep_norm_bound * prod of operator norms.
@@ -32,7 +36,7 @@ from .integrands import (
     rep_norm_bound,
 )
 from .linalg import adjoint, as_matrix, operator_norm
-from .spectral import FiniteSpectralMeasure, integrate_scalar
+from .spectral import FiniteSpectralMeasure
 
 DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_BLOCK_CAP = 4096
@@ -128,18 +132,23 @@ def eval_oracle(inst: MoiInstance, cap: int = DEFAULT_TUPLE_CAP) -> np.ndarray:
 
 
 def eval_projective(inst: MoiInstance) -> np.ndarray:
-    """sum_n (int phi_n dE_1) T_1 (int psi_n dE_2) ... for a projective rep."""
+    """sum_n (int phi_n dE_1) T_1 (int psi_n dE_2) ... for a projective rep.
+
+    In the eigenbases, C sums diag(phi_0) T_1' diag(phi_1) ... diag(phi_{m-1})
+    over the terms, each built by broadcasting and m-2 matmuls.
+    """
     rep = inst.integrand
     if not isinstance(rep, ProjectiveRep):
         raise TypeError("instance does not carry a projective representation")
-    dim = inst.dim
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    bases, moved = _eigen_frame(inst.measures, inst.operators)
+    core = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
     for term in rep.terms:
-        block = integrate_scalar(term[0], inst.measures[0])
-        for op, e, factor in zip(inst.operators, inst.measures[1:], term[1:]):
-            block = block @ op @ integrate_scalar(factor, e)
-        out += block
-    return out
+        cols = [_columns(f, e.labels) for f, e in zip(term, inst.measures)]
+        block = cols[0][:, None] * moved[0] * cols[1]
+        for op, col in zip(moved[1:], cols[2:]):
+            block = (block @ op) * col
+        core += block
+    return bases[0] @ core @ adjoint(bases[-1])
 
 
 def _integrate_vector_table(table: np.ndarray, e: FiniteSpectralMeasure) -> np.ndarray:
@@ -156,24 +165,32 @@ def _columns(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return table[labels]
 
 
+def _eigen_frame(measures, operators) -> tuple[list, list]:
+    """The measures' bases U_i and the operators moved into them,
+    T_i' = U_i^* T_i U_{i+1}."""
+    bases = [e.basis for e in measures]
+    moved = [adjoint(u) @ t @ v for u, t, v in zip(bases, operators, bases[1:])]
+    return bases, moved
+
+
+def _sandwich(left: np.ndarray, table: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The (width, dim, dim) stack of left diag(table[:, j]) right."""
+    return np.matmul(left * table.T[:, None, :], right)
+
+
 def eval_haagerup(inst: MoiInstance) -> np.ndarray:
     """Chain contraction sum_{j..} A_j T_1 B_{jk} T_2 ... over all chain indices.
 
-    Computed in the measures' eigenbases. Integrating a table against a
-    measure with basis U is U diag(table[labels]) U^*, so the value is
-    U_1 C U_m^* with C the same chain over the tables expanded to basis
-    columns and the moved operators T_i' = U_i^* T_i U_{i+1}. C is swept left
-    to right as a stack S[c, a, j] (column c of the current basis, row a of
-    the first, chain index j): each middle is one batched matmul over c and
-    each operator one tensordot over c. An exact reassociation of the
-    defining finite sum; no projection is ever formed.
+    Computed in the measures' eigenbases as U_1 C U_m^* (see the module
+    docstring). C is swept left to right as a stack S[c, a, j] (column c of
+    the current basis, row a of the first, chain index j): each middle is one
+    batched matmul over c and each operator one tensordot over c.
     """
     rep = inst.integrand
     if not isinstance(rep, HaagerupChainRep):
         raise TypeError("instance does not carry a chain representation")
     measures = inst.measures
-    bases = [e.basis for e in measures]
-    moved = [adjoint(u) @ t @ v for u, t, v in zip(bases, inst.operators, bases[1:])]
+    bases, moved = _eigen_frame(measures, inst.operators)
     head = _columns(rep.head, measures[0].labels)
     # S[c, a, j] = head[a, j] T_1'[a, c]
     stack = moved[0].T[:, :, None] * head[None, :, :]
@@ -233,21 +250,15 @@ def eval_double_schur(
     """Two-factor integral for a dense atomwise table:
     sum_{i,j} psi[i, j] P_i T Q_j.
 
-    For rank-one projections in a common eigenbasis this is the entrywise
-    product of the table with T expressed in those bases.
+    The Schur multiplier U_1 (psi[L_1][:, L_2] o T') U_2^*, T' = U_1^* T U_2.
     """
     psi = np.asarray(psi_table, dtype=np.complex128)
     if psi.shape != (e1.n_atoms, e2.n_atoms):
         raise ValueError(
             f"table shape {psi.shape} != ({e1.n_atoms}, {e2.n_atoms}) atoms"
         )
-    t = as_matrix(t)
-    q_stack = e2.projection_stack()
-    out = np.zeros_like(t)
-    for i, p in enumerate(e1.projections):
-        mixed = np.einsum("j,jab->ab", psi[i], q_stack)
-        out += p @ t @ mixed
-    return out
+    (u1, u2), (moved,) = _eigen_frame((e1, e2), (as_matrix(t),))
+    return u1 @ (_columns(psi, e1.labels)[:, e2.labels] * moved) @ adjoint(u2)
 
 
 def eval_haagerup_like(inst: MoiInstance) -> np.ndarray:
@@ -261,57 +272,40 @@ def eval_haagerup_like(inst: MoiInstance) -> np.ndarray:
     where each letter is the corresponding table integrated against its
     measure. Matches trace duality: trace(W Q) equals the defining
     functional at Q for every Q.
+
+    In the eigenbases (a[x, l]: table a at column x), each case is a stack
+    T' diag(b_j) T'' of batched matmuls, two-operand einsums coupling the
+    other tables in, and a final diagonal sum.
     """
     rep = inst.integrand
     if not isinstance(rep, HaagerupLikeRep):
         raise TypeError("instance does not carry a chain-like representation")
-    e = inst.measures
-    ops = inst.operators
+    bases, moved = _eigen_frame(inst.measures, inst.operators)
+    tables = [_columns(t, e.labels) for t, e in zip(rep.tables, inst.measures)]
     key = (rep.kind, rep.arity)
     if key == ("first", 3):
-        alpha, beta, gamma = rep.tables
-        x = _integrate_vector_table(alpha, e[0]) @ ops[0]
-        y = _integrate_vector_table(beta, e[1]) @ ops[1]
-        out = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
-        for i, p in enumerate(e[2].projections):
-            out += np.einsum("jk,jab,kbc->ac", gamma[i], x, y) @ p
-        return out
-    if key == ("second", 3):
-        alpha, beta, gamma = rep.tables
-        u = _integrate_vector_table(beta, e[1]) @ ops[1]
-        c = _integrate_vector_table(gamma, e[2])
-        out = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
-        for i, p in enumerate(e[0].projections):
-            out += p @ ops[0] @ np.einsum("jk,jab,kbc->ac", alpha[i], u, c)
-        return out
-    if key == ("first", 4):
-        alpha, beta, gamma, delta = rep.tables
-        x = _integrate_vector_table(beta, e[1]) @ ops[1]  # B_j T_2
-        jj, kk = gamma.shape[1], gamma.shape[2]
-        m = np.zeros((jj, kk, inst.dim, inst.dim), dtype=np.complex128)
-        for i, p in enumerate(e[2].projections):
-            m += np.einsum("jk,jab,bc->jkac", gamma[i], x, p)
-        m = m @ ops[2]  # ... G_jk T_3
-        ll = delta.shape[2]
-        nstack = np.zeros((jj, ll, inst.dim, inst.dim), dtype=np.complex128)
-        for i, p in enumerate(e[3].projections):
-            nstack += np.einsum("kl,jkab,bc->jlac", delta[i], m, p)
-        q = nstack.sum(axis=0)
-        at = _integrate_vector_table(alpha, e[0]) @ ops[0]  # A_l T_1
-        return np.einsum("lab,lbc->ac", at, q)
-    # ("second", 4)
-    alpha, beta, gamma, delta = rep.tables
-    y = ops[1] @ _integrate_vector_table(gamma, e[2]) @ ops[2]  # T_2 G_l T_3
-    kk, ll = beta.shape[1], beta.shape[2]
-    g = np.zeros((kk, inst.dim, inst.dim), dtype=np.complex128)
-    for i, p in enumerate(e[1].projections):
-        g += np.matmul(p, np.einsum("kl,lab->kab", beta[i], y))
-    jj = alpha.shape[1]
-    h = np.zeros((jj, inst.dim, inst.dim), dtype=np.complex128)
-    for i, p in enumerate(e[0].projections):
-        h += np.matmul(p @ ops[0], np.einsum("jk,kab->jab", alpha[i], g))
-    d_stack = _integrate_vector_table(delta, e[3])
-    return np.einsum("jab,jbc->ac", h, d_stack)
+        a, b, g = tables
+        s = _sandwich(moved[0], b, moved[1])  # s[k, x, z]
+        s = np.einsum("kxz,zjk->jxz", s, g)
+        core = np.einsum("xj,jxz->xz", a, s)
+    elif key == ("second", 3):
+        a, b, g = tables
+        s = _sandwich(moved[0], b, moved[1])  # s[j, x, z]
+        s = np.einsum("jxz,xjk->kxz", s, a)
+        core = np.einsum("zk,kxz->xz", g, s)
+    elif key == ("first", 4):
+        a, b, g, d = tables
+        s = _sandwich(moved[0], b, moved[1])  # s[j, x, z]
+        s = np.einsum("jxz,zjk->kxz", s, g) @ moved[2]  # s[k, x, w]
+        s = np.einsum("kxw,wkl->lxw", s, d)
+        core = np.einsum("xl,lxw->xw", a, s)
+    else:  # ("second", 4)
+        a, b, g, d = tables
+        s = _sandwich(moved[1], g, moved[2])  # s[l, y, w]
+        s = moved[0] @ np.einsum("lyw,ykl->kyw", s, b)  # s[k, x, w]
+        s = np.einsum("kxw,xjk->jxw", s, a)
+        core = np.einsum("wj,jxw->xw", d, s)
+    return bases[0] @ core @ adjoint(bases[-1])
 
 
 def _cycled_chain_instance(inst: MoiInstance, q: np.ndarray) -> tuple[MoiInstance, int, np.ndarray]:

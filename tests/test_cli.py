@@ -114,10 +114,11 @@ def test_verify_rejects_zero_trials(tmp_path):
 
 
 def test_verify_failure_dumps_reproduction(tmp_path):
-    # a negative tolerance cannot be met, forcing the failure path
+    # a zero tolerance fails the deviation suites, whose rounding errors are
+    # nonzero for this seed, forcing the failure path
     proc = run_cli(
         "verify", "--seed", "5", "--trials", "2", "--dims", "2-3",
-        "--tol", "-2", "--repro-dir", str(tmp_path),
+        "--tol", "0", "--repro-dir", str(tmp_path),
     )
     assert proc.returncode == 1
     repro_files = sorted(tmp_path.glob("moi-repro-*.json"))
@@ -282,3 +283,57 @@ def test_verify_counts_nan_as_failure(monkeypatch, capsys, tmp_path):
     repro = tmp_path / "moi-repro-nan-suite-seed0-trial1.json"
     assert repro.is_file()
     assert run_cli("eval", "--instance", str(repro)).returncode == 0
+
+
+def _one_line_error(proc):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_eval_rejects_bad_tuple_cap(tmp_path, value):
+    path = tmp_path / "instance.json"
+    write_instance(path)
+    proc = run_cli(
+        "eval", "--instance", str(path), "--oracle", env_extra={"MOI_MAX_TUPLES": value}
+    )
+    _one_line_error(proc)
+    assert "MOI_MAX_TUPLES" in proc.stderr
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_verify_rejects_bad_tolerance(tmp_path, tol):
+    proc = run_cli(
+        "verify", "--seed", "5", "--trials", "2", "--dims", "2-3",
+        "--tol", tol, "--repro-dir", str(tmp_path),
+    )
+    _one_line_error(proc)
+    assert "tolerance" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("out", ["no/r.json", "."])
+def test_eval_rejects_missing_or_directory_out(tmp_path, out):
+    path = tmp_path / "instance.json"
+    write_instance(path)
+    proc = run_cli("eval", "--instance", str(path), "--out", str(tmp_path / out))
+    _one_line_error(proc)
+    assert not (tmp_path / "no").exists()
+
+
+def test_sweep_rejects_missing_out_directory(tmp_path):
+    proc = run_cli(
+        "sweep", "--regime", "both-small", "--p1", "2", "--pm1", "2",
+        "--s", "r", "--dims", "16", "--out", str(tmp_path / "no" / "s.csv"),
+    )
+    _one_line_error(proc)
+    assert not (tmp_path / "no").exists()
+
+
+def test_verify_rejects_missing_repro_directory(tmp_path):
+    # refused before the campaign runs: nothing reaches stdout
+    proc = run_cli("verify", "--trials", "2", "--repro-dir", str(tmp_path / "no"))
+    _one_line_error(proc)
+    assert not (tmp_path / "no").exists()

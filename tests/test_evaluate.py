@@ -26,7 +26,14 @@ from moilab.integrands import (
     embed_projective_in_haagerup,
 )
 from moilab.linalg import INF, operator_norm, random_unitary, schatten_norm
-from moilab.randominst import random_instance, random_measure, rng_for
+from moilab.randominst import (
+    random_instance,
+    random_like_rep,
+    random_measure,
+    random_operator,
+    random_projective_rep,
+    rng_for,
+)
 from moilab.serialize import measure_from_json, measure_to_json
 from moilab.sharpness import build_construction, default_case
 from moilab.spectral import FiniteSpectralMeasure, from_hermitian, integrate_scalar
@@ -485,3 +492,125 @@ def test_chain_path_never_forms_projections(monkeypatch):
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert np.abs(w - built.expected).max() <= TOL * moi_scale(built.instance)
+
+
+# --- the eigenbasis projective, chain-like and double-Schur paths ----------
+
+
+def _zoo_measures(rng, dim, count, shift):
+    """`count` measures drawn in turn, from `shift` on, from: rank > 1 atoms;
+    from_hermitian with repeated eigenvalues; from_basis with unsorted labels
+    and a label no column carries (a zero-rank atom); explicit projections."""
+    u = random_unitary(rng, dim)
+    repeated = u @ np.diag(rng.integers(0, 3, dim).astype(float)) @ u.conj().T
+    explicit = random_measure(rng, dim, 3)
+    zoo = (
+        random_measure(rng, dim, 2),
+        from_hermitian(repeated),
+        FiniteSpectralMeasure.from_basis(
+            random_unitary(rng, dim), rng.permutation(np.arange(dim) % 2) * 2, (0.0, 1.0, 2.0)
+        ),
+        FiniteSpectralMeasure(dim, explicit.points, explicit.projections),
+    )
+    return tuple(zoo[(shift + i) % len(zoo)] for i in range(count))
+
+
+def _operators(rng, dim, count):
+    return tuple(random_operator(rng, dim) for _ in range(count))
+
+
+def _assert_trace_duality(inst, w, rng, probes=3):
+    scale = moi_scale(inst)
+    for _ in range(probes):
+        q = crandom(rng, (inst.dim, inst.dim))
+        gap = abs(complex(np.trace(w @ q)) - duality_functional(inst, q))
+        assert gap <= TOL * scale * schatten_norm(q, 1)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("arity", [3, 4])
+@pytest.mark.parametrize("seed", range(4))
+def test_eigenbasis_like_matches_oracle_and_duality(kind, arity, seed):
+    rng = rng_for(50, seed, arity, kind == "first")
+    measures = _zoo_measures(rng, 5, arity, seed)
+    widths = [int(w) for w in rng.integers(1, 4, arity - 1)]
+    rep = random_like_rep(rng, kind, [e.n_atoms for e in measures], widths)
+    inst = MoiInstance(measures, _operators(rng, 5, arity - 1), rep)
+    w = eval_haagerup_like(inst)
+    assert np.abs(w - eval_oracle(inst)).max() <= TOL * moi_scale(inst)
+    _assert_trace_duality(inst, w, rng)
+
+
+def test_eigenbasis_like_first_eval_file_size():
+    # d = 64, arity 4, 8 atoms per measure, widths 4
+    rng = rng_for(51)
+    measures = tuple(random_measure(rng, 64, 8) for _ in range(4))
+    rep = random_like_rep(rng, "first", [8] * 4, [4, 4, 4])
+    inst = MoiInstance(measures, _operators(rng, 64, 3), rep)
+    w = eval_moi(inst)
+    assert np.abs(w - eval_oracle(inst)).max() <= TOL * moi_scale(inst)
+    _assert_trace_duality(inst, w, rng, probes=2)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+@pytest.mark.parametrize("n_terms", [1, 3])
+def test_eigenbasis_projective_matches_oracle(arity, n_terms):
+    rng = rng_for(52, arity, n_terms)
+    measures = _zoo_measures(rng, 5, arity, arity + n_terms)
+    rep = random_projective_rep(rng, [e.n_atoms for e in measures], n_terms)
+    inst = MoiInstance(measures, _operators(rng, 5, arity - 1), rep)
+    gap = np.abs(eval_projective(inst) - eval_oracle(inst)).max()
+    assert gap <= TOL * moi_scale(inst)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_eigenbasis_projective_zero_terms(arity):
+    rng = rng_for(53, arity)
+    measures = _zoo_measures(rng, 4, arity, arity)
+    inst = MoiInstance(measures, _operators(rng, 4, arity - 1), ProjectiveRep(arity, ()))
+    w = eval_projective(inst)
+    assert w.shape == (4, 4) and not np.any(w)
+    assert not np.any(eval_oracle(inst))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eigenbasis_double_schur_matches_oracle(seed):
+    rng = rng_for(54, seed)
+    e1, e2 = _zoo_measures(rng, 5, 2, seed)
+    psi = crandom(rng, (e1.n_atoms, e2.n_atoms))
+    t = crandom(rng, (5, 5))
+    # the chain psi[i, l] delta[l, j] takes the value psi[i, j] at atoms (i, j)
+    inst = MoiInstance((e1, e2), (t,), HaagerupChainRep(psi, (), np.eye(e2.n_atoms)))
+    gap = np.abs(eval_double_schur(psi, e1, e2, t) - eval_oracle(inst)).max()
+    assert gap <= TOL * moi_scale(inst)
+
+
+def test_production_paths_never_form_projections(monkeypatch):
+    rng = rng_for(55)
+    instances = []
+    for i, cls in enumerate(["projective", "chain", "like-first", "like-second"]):
+        for arity in (3, 4):
+            measures = _zoo_measures(rng, 4, arity, i)
+            counts = [e.n_atoms for e in measures]
+            if cls == "projective":
+                rep = random_projective_rep(rng, counts, 2)
+            elif cls == "chain":
+                rep = _chain_instance(rng, measures, [2] * (arity - 1)).integrand
+            else:
+                rep = random_like_rep(rng, cls.split("-")[1], counts, [2] * (arity - 1))
+            instances.append(MoiInstance(measures, _operators(rng, 4, arity - 1), rep))
+    e1, e2 = _zoo_measures(rng, 4, 2, 1)
+    psi = crandom(rng, (e1.n_atoms, e2.n_atoms))
+    t = crandom(rng, (4, 4))
+    schur_inst = MoiInstance((e1, e2), (t,), HaagerupChainRep(psi, (), np.eye(e2.n_atoms)))
+    references = [eval_oracle(inst) for inst in instances]
+    schur_reference = eval_oracle(schur_inst)
+
+    def refuse(self):
+        raise AssertionError("a production path formed a projection stack")
+
+    monkeypatch.setattr(FiniteSpectralMeasure, "projection_stack", refuse)
+    for inst, ref in zip(instances, references):
+        assert np.abs(eval_moi(inst) - ref).max() <= TOL * moi_scale(inst)
+    schur = eval_double_schur(psi, e1, e2, t)
+    assert np.abs(schur - schur_reference).max() <= TOL * moi_scale(schur_inst)
