@@ -1,19 +1,31 @@
 """JSON forms of the domain objects.
 
-Complex scalars serialize as two-element [re, im] arrays; plain numbers are
-accepted on input as reals. Exponents serialize as numbers, with the string
-"inf" for infinity.
+Array leaves are complex scalars, read as a plain number (a real) or an
+[re, im] pair, mixed freely, and written as pairs. Exponents serialize as
+numbers, with the string "inf" for infinity. A number beyond float range
+(say an integer literal of 400 digits, or a `dim` of 1e999) and a NaN or
+infinite atom point raise ValueError; non-finite array entries are refused
+where the arrays are used.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .evaluate import MoiInstance
-from .integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
+from .integrands import _LIKE_SHAPES, HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
 from .spectral import DEFAULT_MERGE_TOL, FiniteSpectralMeasure, from_hermitian
+
+
+def _in_range(what: str, convert, *args):
+    """`convert(*args)`, reporting a value beyond float range as a ValueError."""
+    try:
+        return convert(*args)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range") from None
 
 
 def complex_to_json(z) -> list:
@@ -23,29 +35,44 @@ def complex_to_json(z) -> list:
 
 def complex_from_json(obj) -> complex:
     if isinstance(obj, (int, float)):
-        return complex(obj)
+        return _in_range("complex scalar", complex, obj)
     if isinstance(obj, list) and len(obj) == 2 and all(
         isinstance(x, (int, float)) for x in obj
     ):
-        return complex(obj[0], obj[1])
+        return _in_range("complex scalar", complex, *obj)
     raise ValueError(f"not a complex scalar (number or [re, im]): {obj!r}")
 
 
 def array_to_json(a: np.ndarray):
     """Nested lists with [re, im] leaves, any number of axes."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim == 0:
-        return complex_to_json(a[()])
-    return [array_to_json(sub) for sub in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def array_from_json(obj, ndim: int) -> np.ndarray:
-    """Parse a nested list with [re, im] (or real number) leaves."""
+    """Parse a nested list of depth `ndim`, as `json.load` returns it, whose
+    leaves are real numbers or [re, im] pairs, into a complex128 array."""
+    try:
+        a = np.asarray(obj)  # no dtype=: float would read the string "1" as 1.0
+    except ValueError:  # ragged
+        return _array_walk(obj, ndim)
+    if a.dtype.kind in "biuf" and 0 not in a.shape:
+        if a.ndim == ndim:
+            return a.astype(np.complex128)
+        if a.ndim == ndim + 1 and a.shape[-1] == 2:
+            # complex128 is laid out as [re, im]; the view keeps every bit
+            return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+    return _array_walk(obj, ndim)
+
+
+def _array_walk(obj, ndim: int) -> np.ndarray:
+    """Leaf-by-leaf parse: decides mixed leaves, integers beyond int64 and
+    malformed input, which one `np.asarray` cannot."""
     if ndim == 0:
         return np.asarray(complex_from_json(obj))
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"expected a non-empty array of depth {ndim}: {obj!r}")
-    parts = [array_from_json(sub, ndim - 1) for sub in obj]
+    parts = [_array_walk(sub, ndim - 1) for sub in obj]
     shapes = {p.shape for p in parts}
     if len(shapes) != 1:
         raise ValueError("ragged array")
@@ -62,7 +89,7 @@ def exponent_from_json(obj) -> float:
             return math.inf
         raise ValueError(f"unknown exponent string {obj!r}")
     if isinstance(obj, (int, float)):
-        return float(obj)
+        return _in_range("exponent", float, obj)
     raise ValueError(f"not an exponent: {obj!r}")
 
 
@@ -84,14 +111,16 @@ def measure_from_json(obj) -> FiniteSpectralMeasure:
     if not isinstance(obj, dict):
         raise ValueError(f"measure must be an object, got {obj!r}")
     if "hermitian" in obj:
-        merge_tol = float(obj.get("merge_tol", DEFAULT_MERGE_TOL))
+        merge_tol = _in_range("merge_tol", float, obj.get("merge_tol", DEFAULT_MERGE_TOL))
         return from_hermitian(array_from_json(obj["hermitian"], 2), merge_tol)
     if "atoms" not in obj or "dim" not in obj:
         raise ValueError("measure needs either 'hermitian' or 'dim' + 'atoms'")
-    dim = int(obj["dim"])
+    dim = _in_range("dim", int, obj["dim"])
     points, projections = [], []
     for atom in obj["atoms"]:
         z = complex_from_json(atom["point"])
+        if not cmath.isfinite(z):
+            raise ValueError(f"atom point is not finite: {atom['point']!r}")
         points.append(z.real if z.imag == 0.0 else z)
         projections.append(array_from_json(atom["projection"], 2))
     measure = FiniteSpectralMeasure(dim, tuple(points), tuple(projections))
@@ -125,15 +154,6 @@ def integrand_to_json(rep) -> dict:
     raise TypeError(f"not an integrand: {type(rep)!r}")
 
 
-# table axis counts per slot for the chain-like kinds
-_LIKE_NDIMS = {
-    ("first", 3): (2, 2, 3),
-    ("second", 3): (3, 2, 2),
-    ("first", 4): (2, 2, 3, 3),
-    ("second", 4): (3, 3, 2, 2),
-}
-
-
 def integrand_from_json(obj, arity: int | None = None):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError("integrand must be a one-key object")
@@ -143,7 +163,7 @@ def integrand_from_json(obj, arity: int | None = None):
         if terms:
             m = len(terms[0])
         else:
-            m = int(body.get("arity") or arity or 0)
+            m = _in_range("arity", int, body.get("arity") or arity or 0)
         if m < 2:
             raise ValueError("cannot infer projective arity; provide 'arity'")
         parsed = tuple(
@@ -158,10 +178,10 @@ def integrand_from_json(obj, arity: int | None = None):
     if key == "haagerup_like":
         kind = body["kind"]
         tables = body["tables"]
-        ndims = _LIKE_NDIMS.get((kind, len(tables)))
-        if ndims is None:
+        ranks = _LIKE_SHAPES.get((kind, len(tables)))
+        if ranks is None:
             raise ValueError(f"unsupported chain-like kind/arity: {kind}/{len(tables)}")
-        parsed = tuple(array_from_json(t, n) for t, n in zip(tables, ndims))
+        parsed = tuple(array_from_json(t, 1 + r) for t, r in zip(tables, ranks))
         return HaagerupLikeRep(kind, parsed)
     raise ValueError(f"unknown integrand class {key!r}")
 

@@ -337,3 +337,66 @@ def test_verify_rejects_missing_repro_directory(tmp_path):
     proc = run_cli("verify", "--trials", "2", "--repro-dir", str(tmp_path / "no"))
     _one_line_error(proc)
     assert not (tmp_path / "no").exists()
+
+
+BIG = "1" + "0" * 400  # an integer literal beyond float range
+
+
+def _set_operator_leaf(o, value):
+    o["operators"][0][0][0] = value
+
+
+def _set_operator_pair_part(o, value):
+    o["operators"][0][0][0][0] = value
+
+
+def _set_point(o, value):
+    o["measures"][0]["atoms"][0]["point"] = value
+
+
+def _set_dim(o, value):
+    o["measures"][0]["dim"] = value
+
+
+def _set_merge_tol(o, value):
+    o["measures"][0] = {"hermitian": np.diag([1.0, 2.0, 3.0]).tolist(), "merge_tol": value}
+
+
+def _set_exponent(o, value):
+    o["exponents"] = {"p": value}
+
+
+def _write_with_literal(path, mutate, literal):
+    """An instance file in which `mutate` puts the raw JSON number `literal`."""
+    write_instance(path)
+    payload = json.loads(path.read_text())
+    mutate(payload, "@LITERAL@")
+    path.write_text(json.dumps(payload).replace('"@LITERAL@"', literal))
+
+
+@pytest.mark.parametrize(
+    "mutate, literal, field",
+    [
+        (_set_operator_leaf, BIG, "complex scalar"),
+        (_set_operator_pair_part, BIG, "complex scalar"),
+        (_set_point, BIG, "complex scalar"),
+        (_set_dim, "1e999", "dim"),
+        (_set_merge_tol, BIG, "merge_tol"),
+        (_set_exponent, BIG, "exponent"),
+    ],
+)
+def test_eval_rejects_out_of_range_numbers(tmp_path, mutate, literal, field):
+    path = tmp_path / "instance.json"
+    _write_with_literal(path, mutate, literal)
+    proc = run_cli("eval", "--instance", str(path))
+    _one_line_error(proc)
+    assert f"{field} is out of range" in proc.stderr
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "[1e999, 0.0]", "[0.0, NaN]"])
+def test_eval_rejects_non_finite_atom_point(tmp_path, literal):
+    path = tmp_path / "instance.json"
+    _write_with_literal(path, _set_point, literal)
+    proc = run_cli("eval", "--instance", str(path))
+    _one_line_error(proc)
+    assert "atom point is not finite" in proc.stderr
