@@ -97,14 +97,18 @@ def _parse_exponent_list(text: str) -> list[float]:
 
 
 def _parse_s_token(tok: str, r: float) -> float:
-    """An s value: a number, 'inf', 'r', '<a>r' (a times r), or 'r/<a>'."""
+    """An s value: a number, 'inf', 'r', '<a>r' (a times r), or 'r/<a>';
+    each must be a Schatten exponent in (0, inf]."""
     tok = tok.strip().lower()
     if tok == "r":
         return r
     if tok.endswith("r") and tok != "r":
-        return float(tok[:-1].rstrip("*")) * r
+        return check_exponent(float(tok[:-1].rstrip("*")) * r)
     if tok.startswith("r/"):
-        return r / float(tok[2:])
+        divisor = float(tok[2:])
+        if divisor == 0.0:
+            raise ValueError(f"s = {tok!r} divides by zero")
+        return check_exponent(r / divisor)
     return _parse_exponent(tok)
 
 
@@ -185,7 +189,7 @@ def _suite_oracle_equivalence(config, k):
     cls = classes[k % len(classes)]
     inst = random_instance(rng, cls, config["dim_range"], config["width_range"])
     scale = moi_scale(inst)
-    reference = eval_oracle(inst)
+    reference = eval_oracle(inst, cap=config["cap"])
     values = [eval_moi(inst)]
     rep = inst.integrand
     if isinstance(rep, ProjectiveRep):
@@ -321,6 +325,7 @@ def cmd_verify(args) -> int:
         if not (math.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"tolerance must be finite and >= 0, got {args.tol}")
         _check_dir(args.repro_dir, "repro")
+        cap = _tuple_cap()
     except (ValueError, RangeError) as exc:
         return _fail(f"verify: invalid configuration: {exc}", 2)
 
@@ -331,6 +336,7 @@ def cmd_verify(args) -> int:
         "exponents": exponents,
         "tol": tol,
         "duality_probes": 5,
+        "cap": cap,
     }
     threshold = {"deviation": tol, "ratio": 1.0 + tol}
     print(f"verify: seed={args.seed} trials={args.trials}")
@@ -340,7 +346,10 @@ def cmd_verify(args) -> int:
         worst = 0.0
         worst_trial, worst_inst = None, None
         for k in range(args.trials):
-            value, inst = run(config, k)
+            try:
+                value, inst = run(config, k)
+            except CapExceededError as exc:
+                return _fail(f"verify: suite {name} trial {k}: {exc}", 3)
             if worst_inst is None or _worse(value, worst):
                 worst, worst_trial, worst_inst = value, k, inst
         ok = worst <= threshold[metric]
@@ -380,9 +389,10 @@ def cmd_sweep(args) -> int:
         if not s_values:
             raise ValueError("need at least one s value")
         rows = []
-        for s in s_values:
+        for i, s in enumerate(s_values):
+            # the cross-check does not depend on s: build it once per command
             rows.extend(
-                growth_sweep(args.arity, args.regime, p1, pm1, dims, s)
+                growth_sweep(args.arity, args.regime, p1, pm1, dims, s, cross_check=i == 0)
             )
     except (ValueError, RangeError) as exc:
         return _fail(f"sweep: invalid case: {exc}", 2)

@@ -100,8 +100,13 @@ class MoiInstance:
 
 def moi_scale(inst: MoiInstance) -> float:
     """rep_norm_bound * prod of operator norms, floored away from zero."""
-    scale = rep_norm_bound(inst.integrand)
-    for t in inst.operators:
+    return _scale(rep_norm_bound(inst.integrand), inst.operators)
+
+
+def _scale(bound: float, operators) -> float:
+    """moi_scale from an already computed rep_norm_bound."""
+    scale = bound
+    for t in operators:
         scale *= operator_norm(t)
     return max(scale, SCALE_FLOOR)
 

@@ -4,8 +4,9 @@ Array leaves are complex scalars, read as a plain number (a real) or an
 [re, im] pair, mixed freely, and written as pairs. Exponents serialize as
 numbers, with the string "inf" for infinity. A number beyond float range
 (say an integer literal of 400 digits, or a `dim` of 1e999) and a NaN or
-infinite atom point raise ValueError; non-finite array entries are refused
-where the arrays are used.
+infinite atom point raise ValueError, and so does any other value where an
+object belongs (a measure, an atom, an integrand body, `exponents`);
+non-finite array entries are refused where the arrays are used.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ def _in_range(what: str, convert, *args):
         return convert(*args)
     except OverflowError:
         raise ValueError(f"{what} is out of range") from None
+
+
+def _object(what: str, obj) -> dict:
+    """`obj` if it is a JSON object, else a ValueError naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {obj!r}")
+    return obj
 
 
 def complex_to_json(z) -> list:
@@ -108,8 +116,7 @@ def measure_to_json(e: FiniteSpectralMeasure) -> dict:
 
 
 def measure_from_json(obj) -> FiniteSpectralMeasure:
-    if not isinstance(obj, dict):
-        raise ValueError(f"measure must be an object, got {obj!r}")
+    _object("measure", obj)
     if "hermitian" in obj:
         merge_tol = _in_range("merge_tol", float, obj.get("merge_tol", DEFAULT_MERGE_TOL))
         return from_hermitian(array_from_json(obj["hermitian"], 2), merge_tol)
@@ -118,7 +125,7 @@ def measure_from_json(obj) -> FiniteSpectralMeasure:
     dim = _in_range("dim", int, obj["dim"])
     points, projections = [], []
     for atom in obj["atoms"]:
-        z = complex_from_json(atom["point"])
+        z = complex_from_json(_object("atom", atom)["point"])
         if not cmath.isfinite(z):
             raise ValueError(f"atom point is not finite: {atom['point']!r}")
         points.append(z.real if z.imag == 0.0 else z)
@@ -158,6 +165,7 @@ def integrand_from_json(obj, arity: int | None = None):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError("integrand must be a one-key object")
     (key, body), = obj.items()
+    _object(f"{key} integrand", body)
     if key == "projective":
         terms = body.get("terms", [])
         if terms:
@@ -209,7 +217,6 @@ def instance_from_json(obj) -> tuple[MoiInstance, dict | None]:
     inst = MoiInstance(measures, operators, integrand)
     exponents = None
     if "exponents" in obj:
-        exponents = {
-            k: exponent_from_json(v) for k, v in obj["exponents"].items()
-        }
+        exponents = _object("exponents", obj["exponents"])
+        exponents = {k: exponent_from_json(v) for k, v in exponents.items()}
     return inst, exponents

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import MoiInstance, eval_haagerup, moi_scale
+from .evaluate import MoiInstance, _scale, eval_haagerup
 from .integrands import HaagerupChainRep, rep_norm_bound
 from .linalg import check_exponent, harmonic_exponent, sequence_norm, sharp
 from .spectral import cyclic_model
@@ -258,8 +258,10 @@ def growth_sweep(
     rhs = the product of operator norms, ratio = lhs / rhs.
 
     The smallest materializable n is cross-checked against the full chain
-    evaluation; a mismatch raises ConstructionCheckError. Deterministic; dims
-    must be ascending.
+    evaluation; a mismatch raises ConstructionCheckError. The cross-check
+    depends only on (arity, regime, p_first, p_last, dims[0]), not on s, so a
+    caller sweeping several s values passes cross_check=True to one call
+    only. Deterministic; dims must be ascending.
     """
     s = check_exponent(s)
     dims = [int(n) for n in dims]
@@ -284,7 +286,7 @@ def growth_sweep(
             raise ConstructionCheckError(f"construction norm {bound} != 1")
         w = eval_haagerup(built.instance)
         err = np.abs(w - built.expected).max()
-        if not err <= 1e-10 * moi_scale(built.instance):  # a NaN fails too
+        if not err <= 1e-10 * _scale(bound, built.instance.operators):  # a NaN fails too
             raise ConstructionCheckError(
                 f"construction cross-check failed at n = {dims[0]}: error {err:.3e}"
             )

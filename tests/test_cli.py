@@ -400,3 +400,168 @@ def test_eval_rejects_non_finite_atom_point(tmp_path, literal):
     proc = run_cli("eval", "--instance", str(path))
     _one_line_error(proc)
     assert "atom point is not finite" in proc.stderr
+
+
+# --- one sweep cross-check per command ---------------------------------------
+
+SWEEP_MULTI_S = [
+    "sweep", "--regime", "mixed-large-small", "--p1", "4", "--pm1", "2",
+    "--s", "r,0.8r,r/2", "--dims", "64,256,1024",
+]
+
+
+def _count_calls(monkeypatch, module, attr, counts):
+    original = getattr(module, attr)
+
+    def counted(*args, **kwargs):
+        counts[attr] = counts.get(attr, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+
+
+def test_sweep_builds_and_contracts_once_for_several_s(monkeypatch, capsys):
+    from moilab import cli, sharpness
+
+    counts = {}
+    _count_calls(monkeypatch, sharpness, "build_construction", counts)
+    _count_calls(monkeypatch, sharpness, "eval_haagerup", counts)
+    assert cli.main(SWEEP_MULTI_S) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 3 * 3
+    assert counts == {"build_construction": 1, "eval_haagerup": 1}
+
+
+def test_sweep_cross_check_failure_with_several_s_exits_one(monkeypatch, capsys):
+    from moilab import cli, sharpness
+
+    original = sharpness.eval_haagerup
+    monkeypatch.setattr(sharpness, "eval_haagerup", lambda inst: original(inst) * (1 + 1e-6))
+    code = cli.main(SWEEP_MULTI_S)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "cross-check" in captured.err
+
+
+@pytest.mark.parametrize(
+    "arity, regime, p1, pm1",
+    [
+        (3, "mixed-large-small", 4.0, 2.0),
+        (3, "both-large", 4.0, 4.0),
+        (4, "both-small", 1.0, 1.5),
+        (4, "mixed-small-large", 1.0, 6.0),
+    ],
+)
+def test_sweep_csv_equals_per_s_cross_checked_sweeps(capsys, arity, regime, p1, pm1):
+    from moilab import cli
+    from moilab.sharpness import growth_sweep, sharp_r, sweep_csv
+
+    dims = [16, 64, 256]
+    r = sharp_r(p1, pm1)
+    rows = []
+    for s in (r, 0.8 * r, r / 2):
+        rows.extend(growth_sweep(arity, regime, p1, pm1, dims, s, cross_check=True))
+    code = cli.main(
+        ["sweep", "--regime", regime, "--arity", str(arity), "--p1", repr(p1),
+         "--pm1", repr(pm1), "--s", "r,0.8r,r/2", "--dims", "16,64,256"]
+    )
+    assert code == 0
+    assert capsys.readouterr().out == sweep_csv(rows)
+
+
+def test_sweep_cross_check_norms_the_integrand_once(monkeypatch):
+    from moilab import evaluate, sharpness
+
+    counts = {}
+    _count_calls(monkeypatch, sharpness, "rep_norm_bound", counts)
+    _count_calls(monkeypatch, evaluate, "rep_norm_bound", counts)
+    sharpness.growth_sweep(3, "mixed-large-small", 4.0, 2.0, [16, 64], 2.0)
+    assert counts == {"rep_norm_bound": 1}
+
+
+@pytest.mark.parametrize("tokens", ["r/0", "0r", "r,0r"])
+def test_sweep_rejects_bad_s_before_any_cross_check(monkeypatch, capsys, tokens):
+    from moilab import cli, sharpness
+
+    counts = {}
+    _count_calls(monkeypatch, sharpness, "build_construction", counts)
+    code = cli.main(
+        ["sweep", "--regime", "mixed-large-small", "--p1", "4", "--pm1", "2",
+         "--s", tokens, "--dims", "64,256"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "invalid case" in captured.err
+    assert counts == {}
+
+
+# --- object fields given as other JSON values -------------------------------
+
+
+def _set_integrand_body(o, value):
+    o["integrand"] = {"projective": value}
+
+
+def _set_exponents(o, value):
+    o["exponents"] = value
+
+
+def _set_integrand(o, value):
+    o["integrand"] = value
+
+
+def _set_measure(o, value):
+    o["measures"][0] = value
+
+
+def _set_atom(o, value):
+    o["measures"][0]["atoms"][0] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, value, message",
+    [
+        (_set_integrand_body, [], "projective integrand must be an object"),
+        (_set_integrand_body, 3, "projective integrand must be an object"),
+        (_set_exponents, [1], "exponents must be an object"),
+        (_set_integrand, [], "integrand must be a one-key object"),
+        (_set_measure, [], "measure must be an object"),
+        (_set_atom, [], "atom must be an object"),
+    ],
+)
+def test_eval_rejects_non_object_field(tmp_path, mutate, value, message):
+    path = tmp_path / "instance.json"
+    write_instance(path)
+    payload = json.loads(path.read_text())
+    mutate(payload, value)
+    path.write_text(json.dumps(payload))
+    proc = run_cli("eval", "--instance", str(path))
+    _one_line_error(proc)
+    assert message in proc.stderr
+
+
+# --- verify honours MOI_MAX_TUPLES --------------------------------------------
+
+
+def test_verify_rejects_bad_tuple_cap(tmp_path):
+    proc = run_cli(
+        "verify", "--trials", "2", "--dims", "2-3", "--repro-dir", str(tmp_path),
+        env_extra={"MOI_MAX_TUPLES": "abc"},
+    )
+    _one_line_error(proc)
+    assert "MOI_MAX_TUPLES" in proc.stderr
+
+
+def test_verify_trial_over_tuple_cap_exits_three(tmp_path):
+    proc = run_cli(
+        "verify", "--trials", "2", "--dims", "2-3", "--repro-dir", str(tmp_path),
+        env_extra={"MOI_MAX_TUPLES": "1"},
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "cap" in proc.stderr and "Traceback" not in proc.stderr
+    assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
+    assert not list(tmp_path.iterdir())

@@ -9,6 +9,7 @@ import pytest
 from moilab.evaluate import (
     CapExceededError,
     MoiInstance,
+    _scale,
     duality_functional,
     eval_double_schur,
     eval_haagerup,
@@ -24,6 +25,7 @@ from moilab.integrands import (
     HaagerupLikeRep,
     ProjectiveRep,
     embed_projective_in_haagerup,
+    rep_norm_bound,
 )
 from moilab.linalg import INF, operator_norm, random_unitary, schatten_norm
 from moilab.randominst import (
@@ -614,3 +616,11 @@ def test_production_paths_never_form_projections(monkeypatch):
         assert np.abs(eval_moi(inst) - ref).max() <= TOL * moi_scale(inst)
     schur = eval_double_schur(psi, e1, e2, t)
     assert np.abs(schur - schur_reference).max() <= TOL * moi_scale(schur_inst)
+
+
+@pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
+def test_scale_from_bound_equals_moi_scale(cls):
+    # the sweep cross-check forms its tolerance from a bound it already has
+    for k in range(5):
+        inst = random_instance(rng_for(21, k), cls, dim_range=(2, 5))
+        assert _scale(rep_norm_bound(inst.integrand), inst.operators) == moi_scale(inst)
