@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 input/config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -144,6 +145,21 @@ def _check_out_path(path: str | None) -> None:
             raise ValueError(f"output path {path!r} is a directory")
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write text to a temporary file in path's directory, then move it into
+    place with os.replace: a write that fails midway leaves any old file at
+    path as it was and no temporary file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def cmd_eval(args) -> int:
     try:
         cap = _tuple_cap()
@@ -171,8 +187,10 @@ def cmd_eval(args) -> int:
     }
     text = json.dumps(out, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            _write_atomic(args.out, text)
+        except OSError as exc:
+            return _fail(f"eval: cannot write output: {exc}", 2)
     else:
         sys.stdout.write(text)
     return 0
@@ -304,6 +322,8 @@ def _worse(value: float, worst: float) -> bool:
 
 def cmd_verify(args) -> int:
     try:
+        if args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         if args.trials < 1:
             raise ValueError(f"trials must be >= 1, got {args.trials}")
         dims = _parse_int_list(args.dims)
@@ -358,9 +378,10 @@ def cmd_verify(args) -> int:
             path = os.path.join(
                 args.repro_dir, f"moi-repro-{name}-seed{args.seed}-trial{worst_trial}.json"
             )
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(instance_to_json(worst_inst), fh, indent=2)
-                fh.write("\n")
+            try:
+                _write_atomic(path, json.dumps(instance_to_json(worst_inst), indent=2) + "\n")
+            except OSError as exc:
+                return _fail(f"verify: cannot write reproduction file: {exc}", 2)
             failures.append((name, worst_trial, path))
     if failures:
         for name, trial, path in failures:
@@ -400,8 +421,10 @@ def cmd_sweep(args) -> int:
         return _fail(f"sweep: {exc}", 1)
     text = sweep_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            _write_atomic(args.out, text)
+        except OSError as exc:
+            return _fail(f"sweep: cannot write output: {exc}", 2)
     else:
         sys.stdout.write(text)
     return 0

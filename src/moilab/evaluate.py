@@ -10,10 +10,12 @@ columns and the moved operators T_i' = U_i^* T_i U_{i+1}, contracted pairwise
 by batched matmuls and two-operand einsums; no projection is ever formed.
 
 Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
-over the projections (capped); eval_haagerup_block, the row/block/column
-operator matrices materialized from the projections and multiplied in the
-enlarged space; duality_functional, the defining functional of a chain-like
-integral cycled into an ordinary chain and traced.
+over the projections (capped), with Psi formed densely from the per-atom
+tables one block of atom tuples at a time and contracted right to left with
+the projection stacks, one matmul per factor; eval_haagerup_block, the
+row/block/column operator matrices materialized from the projections and
+multiplied in the enlarged space; duality_functional, the defining
+functional of a chain-like integral cycled into an ordinary chain and traced.
 
 All paths compute the same finite sum; agreement is relative to
 scale = rep_norm_bound * prod of operator norms.
@@ -21,7 +23,6 @@ scale = rep_norm_bound * prod of operator norms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 
@@ -32,7 +33,7 @@ from .integrands import (
     HaagerupLikeRep,
     Integrand,
     ProjectiveRep,
-    eval_pointwise,
+    _psi_einsum,
     rep_norm_bound,
 )
 from .linalg import adjoint, as_matrix, operator_norm
@@ -40,6 +41,7 @@ from .spectral import FiniteSpectralMeasure
 
 DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_BLOCK_CAP = 4096
+ORACLE_BLOCK = 16  # dim x dim matrices in the oracle's accumulator
 SCALE_FLOOR = 1e-12
 
 
@@ -112,10 +114,20 @@ def _scale(bound: float, operators) -> float:
 
 
 def eval_oracle(inst: MoiInstance, cap: int = DEFAULT_TUPLE_CAP) -> np.ndarray:
-    """Exhaustive sum over all atom tuples, one pointwise Psi value each.
+    """Exhaustive sum over all atom tuples of Psi(x_1..x_m) P_1 T_1 ... P_m.
 
-    Independent of the representation class; refuses instances whose atom
-    tuple count exceeds the cap.
+    Psi is formed densely from the per-atom tables, one block of atom tuples
+    at a time, and contracted right to left with the projection stacks:
+    acc = Psi ._last P_m, then acc = sum_{x_k} P_k[x_k] T_k acc[.., x_k]
+    for k = m-1, ..., 1, each one matmul with the products P_k[x] T_k laid
+    out as a dim x (n_k * dim) row. A Python loop runs only over the fewest
+    leading atom axes that keep the accumulator at ORACLE_BLOCK matrices or
+    fewer.
+
+    Independent of the representation class and of the eigenbasis paths;
+    refuses, before allocating anything, instances whose atom tuple count
+    exceeds the cap or whose arity exceeds 26 (one einsum letter per atom
+    axis).
     """
     counts = [e.n_atoms for e in inst.measures]
     n_tuples = prod(counts)
@@ -123,17 +135,42 @@ def eval_oracle(inst: MoiInstance, cap: int = DEFAULT_TUPLE_CAP) -> np.ndarray:
         raise CapExceededError(
             f"{n_tuples} atom tuples exceed the cap of {cap}; shrink the instance"
         )
-    dim = inst.dim
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for atoms in itertools.product(*(range(n) for n in counts)):
-        coeff = eval_pointwise(inst.integrand, atoms)
-        if coeff == 0:
-            continue
-        block = inst.measures[0].projections[atoms[0]]
-        for op, e, a in zip(inst.operators, inst.measures[1:], atoms[1:]):
-            block = block @ op @ e.projections[a]
-        out += coeff * block
-    return out
+    m, dim = inst.arity, inst.dim
+    if m > 26:
+        raise CapExceededError(f"arity {m} exceeds the oracle's 26 atom axes")
+    spec, tables = _psi_einsum(inst.integrand, counts)
+    last = inst.measures[-1].projection_stack().reshape(counts[-1], dim * dim)
+    rows = [
+        np.matmul(e.projection_stack(), t).transpose(1, 0, 2).reshape(dim, -1)
+        for e, t in zip(inst.measures, inst.operators)
+    ]
+    looped = next(k for k in range(m) if prod(counts[k:-1]) <= ORACLE_BLOCK)
+    return _oracle_fold(spec, tables, rows, last, looped, ())
+
+
+def _oracle_fold(spec: str, tables, rows, last, looped: int, prefix: tuple) -> np.ndarray:
+    """The sum over the atoms after `prefix` of Psi[prefix, ..] P_k T_k ... P_m,
+    with P_k the factor right after the prefix: the looped atoms one at a
+    time, then one block of Psi contracted with `last` and the rows."""
+    k, dim = len(prefix), rows[0].shape[0]
+    if k < looped:
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        for x in range(tables[k].shape[0]):
+            inner = _oracle_fold(spec, tables, rows, last, looped, prefix + (x,))
+            out += rows[k][:, x * dim : (x + 1) * dim] @ inner
+        return out
+    acc = _psi_block(spec, tables, prefix).reshape(-1, last.shape[0]) @ last
+    for row in reversed(rows[k:]):
+        acc = row @ acc.reshape(-1, row.shape[1], dim)
+    return acc.reshape(dim, dim)
+
+
+def _psi_block(spec: str, tables, prefix: tuple) -> np.ndarray:
+    """Psi at the atom tuples that start with `prefix`, shaped by the
+    remaining atom counts: the einsum over tables sliced on the prefix."""
+    k = len(prefix)
+    sliced = [t[x : x + 1] for t, x in zip(tables, prefix)] + list(tables[k:])
+    return np.einsum(spec, *sliced)[(0,) * k]
 
 
 def eval_projective(inst: MoiInstance) -> np.ndarray:

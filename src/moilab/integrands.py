@@ -13,6 +13,7 @@ matrix (n, L, L'). A width-0 chain denotes the zero integrand.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -113,12 +114,18 @@ class HaagerupChainRep:
         )
 
 
+# (kind, arity) -> einsum of Psi over the per-atom tables, atom axis first.
+_LIKE_SPECS = {
+    ("first", 3): "aJ,bK,cJK->abc",
+    ("second", 3): "aJK,bJ,cK->abc",
+    ("first", 4): "aL,bJ,cJK,dKL->abcd",
+    ("second", 4): "aJK,bKL,cL,dJ->abcd",
+}
+
 # (kind, arity) -> number of table axes beyond the atom axis, per factor.
 _LIKE_SHAPES = {
-    ("first", 3): (1, 1, 2),
-    ("second", 3): (2, 1, 1),
-    ("first", 4): (1, 1, 2, 2),
-    ("second", 4): (2, 2, 1, 1),
+    key: tuple(len(op) - 1 for op in spec.split("->")[0].split(","))
+    for key, spec in _LIKE_SPECS.items()
 }
 
 
@@ -236,6 +243,30 @@ def eval_pointwise(rep: Integrand, atoms: Sequence[int]) -> complex:
         if key == ("first", 4):
             return complex(np.einsum("l,j,jk,kl->", t[0], t[1], t[2], t[3]))
         return complex(np.einsum("jk,kl,l,j->", t[0], t[1], t[2], t[3]))
+    raise TypeError(f"not an integrand representation: {type(rep)!r}")
+
+
+def _psi_einsum(rep: Integrand, counts: Sequence[int]) -> tuple[str, list]:
+    """Psi over all atom tuples as one einsum: (subscripts, tables), one table
+    per factor with its atom axis first; the output axes are the atoms in
+    factor order. Projective terms are stacked as (n, terms) tables, so a
+    zero integrand has width-0 tables. Atom axes are lowercase letters, so
+    the arity is at most 26."""
+    m = rep.arity
+    atoms, links = string.ascii_lowercase[:m], string.ascii_uppercase
+    if isinstance(rep, ProjectiveRep):
+        tables = [
+            np.stack([term[i] for term in rep.terms], axis=1)
+            if rep.terms
+            else np.zeros((n, 0), dtype=np.complex128)
+            for i, n in enumerate(counts)
+        ]
+        return ",".join(f"{a}Z" for a in atoms) + "->" + atoms, tables
+    if isinstance(rep, HaagerupChainRep):
+        ops = [a + links[max(i - 1, 0) : min(i + 1, m - 1)] for i, a in enumerate(atoms)]
+        return ",".join(ops) + "->" + atoms, [rep.head, *rep.middles, rep.tail]
+    if isinstance(rep, HaagerupLikeRep):
+        return _LIKE_SPECS[(rep.kind, rep.arity)], list(rep.tables)
     raise TypeError(f"not an integrand representation: {type(rep)!r}")
 
 

@@ -565,3 +565,125 @@ def test_verify_trial_over_tuple_cap_exits_three(tmp_path):
     assert "cap" in proc.stderr and "Traceback" not in proc.stderr
     assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
     assert not list(tmp_path.iterdir())
+
+
+def test_verify_rejects_negative_seed(tmp_path):
+    proc = run_cli("verify", "--seed", "-1", "--trials", "1", "--repro-dir", str(tmp_path))
+    _one_line_error(proc)
+    assert "seed" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+# --- the oracle at the size of the benchmark's instance files -----------------
+
+
+def test_eval_oracle_matches_eval_at_eval_file_size(tmp_path):
+    from moilab.evaluate import MoiInstance, moi_scale
+    from moilab.randominst import random_like_rep, random_measure, random_operator
+
+    rng = rng_for(58)
+    measures = tuple(random_measure(rng, 64, 8) for _ in range(4))
+    rep = random_like_rep(rng, "second", [8] * 4, [4, 4, 4])
+    inst = MoiInstance(measures, tuple(random_operator(rng, 64) for _ in range(3)), rep)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    results = []
+    for extra in ((), ("--oracle",)):
+        out = tmp_path / f"result{len(extra)}.json"
+        proc = run_cli("eval", "--instance", str(path), "--out", str(out), *extra)
+        assert proc.returncode == 0, proc.stderr
+        a = np.asarray(json.loads(out.read_text())["result"])
+        results.append(a[..., 0] + 1j * a[..., 1])
+    assert results[0].shape == (64, 64)
+    assert np.abs(results[0] - results[1]).max() <= 1e-10 * moi_scale(inst)
+
+
+# --- atomic writes -------------------------------------------------------------
+
+
+class _HalfWriter:
+    """A file that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+def _fail_writes_midway(monkeypatch):
+    from moilab import cli
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return fh if "r" in mode else _HalfWriter(fh)
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+
+
+def test_eval_out_write_failing_midway_keeps_old_file(monkeypatch, capsys, tmp_path):
+    from moilab import cli
+
+    path = tmp_path / "instance.json"
+    write_instance(path)
+    out = tmp_path / "result.json"
+    out.write_text("old result\n")
+    _fail_writes_midway(monkeypatch)
+    code = cli.main(["eval", "--instance", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.strip().splitlines()) == 1
+    assert "No space left" in err
+    assert out.read_text() == "old result\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json", "result.json"]
+
+
+def test_sweep_out_write_failing_midway_keeps_old_file(monkeypatch, capsys, tmp_path):
+    from moilab import cli
+
+    out = tmp_path / "sweep.csv"
+    out.write_text("old table\n")
+    _fail_writes_midway(monkeypatch)
+    code = cli.main(
+        ["sweep", "--regime", "both-large", "--p1", "4", "--pm1", "4", "--s", "r",
+         "--dims", "16", "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.strip().splitlines()) == 1
+    assert out.read_text() == "old table\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_verify_repro_write_failing_midway_keeps_old_file(monkeypatch, capsys, tmp_path):
+    from moilab import cli
+
+    def suite(config, k):
+        inst = random_instance(rng_for(3, k), "chain", dim_range=(2, 3), arity=3)
+        return 1.0, inst
+
+    monkeypatch.setattr(cli, "SUITES", (("failing", suite, "deviation"),))
+    repro = tmp_path / "moi-repro-failing-seed0-trial0.json"
+    repro.write_text("old repro\n")
+    _fail_writes_midway(monkeypatch)
+    code = cli.main(["verify", "--trials", "1", "--repro-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.strip().splitlines()) == 1
+    assert repro.read_text() == "old repro\n"
+    assert [p.name for p in tmp_path.iterdir()] == [repro.name]
+
+
+def test_atomic_write_replaces_old_file(tmp_path):
+    from moilab import cli
+
+    out = tmp_path / "result.json"
+    out.write_text("old\n")
+    cli._write_atomic(str(out), "new\n")
+    assert out.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["result.json"]

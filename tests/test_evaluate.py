@@ -1,11 +1,18 @@
 """Evaluator paths against the exhaustive atomwise oracle, and trace duality."""
 
+import gc
+import itertools
 import json
 import tracemalloc
+from math import prod
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moilab import evaluate
 from moilab.evaluate import (
     CapExceededError,
     MoiInstance,
@@ -25,10 +32,12 @@ from moilab.integrands import (
     HaagerupLikeRep,
     ProjectiveRep,
     embed_projective_in_haagerup,
+    eval_pointwise,
     rep_norm_bound,
 )
 from moilab.linalg import INF, operator_norm, random_unitary, schatten_norm
 from moilab.randominst import (
+    random_chain_rep,
     random_instance,
     random_like_rep,
     random_measure,
@@ -624,3 +633,168 @@ def test_scale_from_bound_equals_moi_scale(cls):
     for k in range(5):
         inst = random_instance(rng_for(21, k), cls, dim_range=(2, 5))
         assert _scale(rep_norm_bound(inst.integrand), inst.operators) == moi_scale(inst)
+
+
+# --- the blocked atomwise oracle ---------------------------------------------
+
+
+def _per_tuple_oracle(inst):
+    """The atomwise sum one atom tuple at a time: one pointwise Psi value and
+    m - 1 matmuls per tuple."""
+    counts = [e.n_atoms for e in inst.measures]
+    out = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
+    for atoms in itertools.product(*(range(n) for n in counts)):
+        coeff = eval_pointwise(inst.integrand, atoms)
+        if coeff == 0:
+            continue
+        block = inst.measures[0].projections[atoms[0]]
+        for op, e, a in zip(inst.operators, inst.measures[1:], atoms[1:]):
+            block = block @ op @ e.projections[a]
+        out += coeff * block
+    return out
+
+
+def _oracle_measure(rng, how, dim):
+    """A random measure from its basis, from a basis with a label no column
+    carries (a zero-rank atom), or from explicit projections."""
+    if how == "basis":
+        return random_measure(rng, dim)
+    if how == "unused-label":
+        used = int(rng.integers(1, dim + 1))
+        labels = rng.permutation(np.arange(dim) % used)
+        skip = int(rng.integers(0, used + 1))
+        labels = labels + (labels >= skip)
+        points = tuple(float(i) for i in range(used + 1))
+        return FiniteSpectralMeasure.from_basis(random_unitary(rng, dim), labels, points)
+    e = random_measure(rng, dim)
+    return FiniteSpectralMeasure(dim, e.points, e.projections)
+
+
+@st.composite
+def oracle_instances(draw, cls, arity):
+    dim = draw(st.integers(1, 8))
+    widths = draw(st.lists(st.integers(1, 4), min_size=arity - 1, max_size=arity - 1))
+    hows = draw(
+        st.lists(
+            st.sampled_from(["basis", "unused-label", "projections"]),
+            min_size=arity,
+            max_size=arity,
+        )
+    )
+    n_terms = draw(st.integers(0, 4))
+    rng = rng_for(draw(st.integers(0, 2**32 - 1)))
+    measures = tuple(_oracle_measure(rng, how, dim) for how in hows)
+    counts = [e.n_atoms for e in measures]
+    if cls == "projective":
+        rep = random_projective_rep(rng, counts, n_terms)
+    elif cls == "chain":
+        rep = random_chain_rep(rng, counts, widths)
+    else:
+        rep = random_like_rep(rng, cls.split("-")[1], counts, widths)
+    return MoiInstance(measures, _operators(rng, dim, arity - 1), rep)
+
+
+ORACLE_CASES = [
+    ("projective", 2), ("projective", 3), ("projective", 4),
+    ("chain", 2), ("chain", 3), ("chain", 4),
+    ("like-first", 3), ("like-first", 4), ("like-second", 3), ("like-second", 4),
+]
+
+
+@pytest.mark.parametrize("cls, arity", ORACLE_CASES)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_blocked_oracle_matches_per_tuple_loop(cls, arity, data):
+    inst = data.draw(oracle_instances(cls, arity))
+    blocks = []
+
+    def recording(spec, tables, prefix):
+        block = original(spec, tables, prefix)
+        blocks.append((prefix, block))
+        return block
+
+    original = evaluate._psi_block
+    with mock.patch.object(evaluate, "_psi_block", recording):
+        value = eval_oracle(inst)
+    scale = moi_scale(inst)
+    assert np.abs(value - _per_tuple_oracle(inst)).max() <= 1e-12 * scale
+    # every atom tuple lies in exactly one block, where Psi is its pointwise value
+    rep = inst.integrand
+    assert sum(b.size for _, b in blocks) == prod(e.n_atoms for e in inst.measures)
+    assert len({prefix for prefix, _ in blocks}) == len(blocks)
+    bound = rep_norm_bound(rep)
+    for prefix, block in blocks:
+        assert block.shape == tuple(e.n_atoms for e in inst.measures[len(prefix):])
+        for rest in np.ndindex(block.shape):
+            assert abs(block[rest] - eval_pointwise(rep, prefix + rest)) <= 1e-12 * bound
+
+
+def _eval_file_instance(cls, seed=0):
+    """d = 64, arity 4, 8 atoms per measure, widths (and terms) 4."""
+    rng = rng_for(56, seed, ["projective", "chain", "like-first", "like-second"].index(cls))
+    measures = tuple(random_measure(rng, 64, 8) for _ in range(4))
+    counts = [8] * 4
+    if cls == "projective":
+        rep = random_projective_rep(rng, counts, 4)
+    elif cls == "chain":
+        rep = random_chain_rep(rng, counts, [4, 4, 4])
+    else:
+        rep = random_like_rep(rng, cls.split("-")[1], counts, [4, 4, 4])
+    return MoiInstance(measures, _operators(rng, 64, 3), rep)
+
+
+def _oracle_peak(inst):
+    """tracemalloc peak of eval_oracle, the projection stacks built beforehand."""
+    for e in inst.measures:
+        e.projection_stack()
+    tracemalloc.start()
+    try:
+        eval_oracle(inst)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
+def test_oracle_matches_production_at_eval_file_size(cls):
+    inst = _eval_file_instance(cls)
+    assert np.abs(eval_oracle(inst) - eval_moi(inst)).max() <= TOL * moi_scale(inst)
+
+
+@pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
+def test_oracle_peak_memory_at_eval_file_size(cls):
+    # measured 2.3 MiB: the three dim x (8 * dim) rows of P_k T_k (1.5 MiB)
+    # and one block's accumulator of 8 matrices
+    peak = _oracle_peak(_eval_file_instance(cls))
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_oracle_peak_memory_small():
+    # measured at most 47 KiB over these verify-sized instances with d = 8
+    worst = 0
+    for k in range(40):
+        cls = ["projective", "chain", "like-first", "like-second"][k % 4]
+        inst = random_instance(rng_for(57, k), cls, (8, 8), (1, 4), arity=3 + k % 2)
+        worst = max(worst, _oracle_peak(inst))
+    assert worst < 96 * 2**10, f"peak {worst / 2**10:.0f} KiB"
+
+
+def test_oracle_refuses_arity_beyond_its_einsum_letters():
+    e = FiniteSpectralMeasure.trivial(1)
+    rep = constant_projective(27, [1] * 27)
+    inst = MoiInstance((e,) * 27, (np.eye(1),) * 26, rep)
+    with pytest.raises(CapExceededError, match="arity 27"):
+        eval_oracle(inst)
+
+
+def test_oracle_leaves_no_reference_cycles():
+    # its arrays are freed on return, not at the next cyclic collection, which
+    # would raise the peak memory of a campaign of many small instances
+    inst = random_instance(rng_for(59), "chain", (6, 6), (2, 2), arity=4)
+    gc.collect()
+    gc.disable()
+    try:
+        eval_oracle(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
