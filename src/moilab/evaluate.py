@@ -225,8 +225,9 @@ def eval_haagerup(inst: MoiInstance) -> np.ndarray:
 
     Computed in the measures' eigenbases as U_1 C U_m^* (see the module
     docstring). C is swept left to right as a stack S[c, a, j] (column c of
-    the current basis, row a of the first, chain index j): each middle is one
-    batched matmul over c and each operator one tensordot over c.
+    the current basis, row a of the first, chain index j): each dense middle
+    is one batched matmul over c, each diagonal middle one elementwise
+    product in place, and each operator one tensordot over c.
     """
     rep = inst.integrand
     if not isinstance(rep, HaagerupChainRep):
@@ -237,7 +238,11 @@ def eval_haagerup(inst: MoiInstance) -> np.ndarray:
     # S[c, a, j] = head[a, j] T_1'[a, c]
     stack = moved[0].T[:, :, None] * head[None, :, :]
     for mid, e, op in zip(rep.middles, measures[1:], moved[1:]):
-        stack = np.matmul(stack, _columns(mid, e.labels))
+        cols = _columns(mid, e.labels)
+        if mid.ndim == 3:
+            stack = np.matmul(stack, cols)
+        else:
+            stack *= cols[:, None, :]
         stack = np.tensordot(op, stack, axes=([0], [0]))
     tail = _columns(rep.tail, measures[-1].labels)
     core = np.einsum("cak,ck->ac", stack, tail)
@@ -264,7 +269,7 @@ def eval_haagerup_block(
     if rep.arity < 3:
         raise ValueError("block evaluation needs arity >= 3")
     dim = inst.dim
-    widths = [rep.head.shape[1]] + [m.shape[2] for m in rep.middles]
+    widths = [rep.head.shape[1]] + [m.shape[-1] for m in rep.middles]
     if widths and max(widths) * dim > block_cap:
         raise CapExceededError(
             f"block side {max(widths) * dim} exceeds the cap of {block_cap}"
@@ -275,11 +280,14 @@ def eval_haagerup_block(
     product = row_block(head_ops, inst.operators[0])
     for t, mid in enumerate(rep.middles):
         projs = inst.measures[t + 1].projection_stack()
-        big = sum(np.kron(mid[i], projs[i]) for i in range(mid.shape[0]))
+        big = sum(
+            np.kron(mid[i] if mid.ndim == 3 else np.diag(mid[i]), projs[i])
+            for i in range(mid.shape[0])
+        )
         product = product @ big
         if t < len(rep.middles) - 1:
             product = product @ np.kron(
-                np.eye(mid.shape[2]), inst.operators[t + 1]
+                np.eye(mid.shape[-1]), inst.operators[t + 1]
             )
     tail_ops = _integrate_vector_table(rep.tail, inst.measures[-1])
     column = np.vstack([inst.operators[-1] @ g for g in tail_ops])

@@ -3,12 +3,14 @@
 Three classes, all with finite index families:
   - ProjectiveRep: sum of elementary products, one scalar table per factor.
   - HaagerupChainRep: row-vector x matrix x ... x column-vector chain of
-    tables (widths L_1, ..., L_{m-1} linking the factors).
+    tables (widths L_1, ..., L_{m-1} linking the factors); a middle may be
+    diagonal, stored as its (n, L) diagonal, which passes its width through.
   - HaagerupLikeRep: double/triple-indexed variants where the matrix-indexed
     table sits on the last factor (first kind) or the first (second kind).
 
 Tables are numpy arrays with the atom axis first: scalar (n,), vector (n, L),
-matrix (n, L, L'). A width-0 chain denotes the zero integrand.
+matrix (n, L, L'), and a diagonal chain middle (n, L) whose per-atom matrix
+is diag(table[x]). A width-0 chain denotes the zero integrand.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ class ProjectiveRep:
 class HaagerupChainRep:
     """Psi = sum over chain indices of head_j(x_1) middle_{jk}(x_2) ... tail(x_m).
 
-    head: (n_1, L_1); middles[i]: (n_{i+2}, L_{i+1}, L_{i+2}); tail: (n_m, L_{m-1}).
+    head: (n_1, L_1); middles[i]: (n_{i+2}, L_{i+1}, L_{i+2}), or the diagonal
+    (n_{i+2}, L_{i+1}) with per-atom matrix diag(middles[i][x]) and
+    L_{i+2} = L_{i+1}; tail: (n_m, L_{m-1}). The array's rank selects the form.
     """
 
     head: np.ndarray
@@ -86,13 +90,15 @@ class HaagerupChainRep:
         )
         width = head.shape[1]
         for m in middles:
-            if m.ndim != 3 or m.shape[0] < 1:
-                raise ValueError("middle tables must be (n_atoms, L, L')")
+            if m.ndim not in (2, 3) or m.shape[0] < 1:
+                raise ValueError(
+                    "middle tables must be (n_atoms, L, L') or diagonal (n_atoms, L)"
+                )
             if m.shape[1] != width:
                 raise ValueError(
                     f"chain width mismatch: incoming {width}, middle rows {m.shape[1]}"
                 )
-            width = m.shape[2]
+            width = m.shape[-1]
         if tail.shape[1] != width:
             raise ValueError(
                 f"chain width mismatch: incoming {width}, tail width {tail.shape[1]}"
@@ -190,7 +196,8 @@ def rep_norm_bound(rep: Integrand) -> float:
 
     Projective: sum over terms of the product of factor sup-norms.
     Chain and chain-like: product of the component norms, l2-sup for vector
-    tables and operator-norm-sup for matrix tables.
+    tables and operator-norm-sup for matrix tables, which for a diagonal
+    chain middle is its largest entry modulus.
     """
     if isinstance(rep, ProjectiveRep):
         return float(
@@ -199,7 +206,7 @@ def rep_norm_bound(rep: Integrand) -> float:
     if isinstance(rep, HaagerupChainRep):
         bound = vector_sup(rep.head) * vector_sup(rep.tail)
         for m in rep.middles:
-            bound *= matrix_sup(m)
+            bound *= matrix_sup(m) if m.ndim == 3 else scalar_sup(m)
         return float(bound)
     if isinstance(rep, HaagerupLikeRep):
         ranks = _LIKE_SHAPES[(rep.kind, rep.arity)]
@@ -231,7 +238,7 @@ def eval_pointwise(rep: Integrand, atoms: Sequence[int]) -> complex:
     if isinstance(rep, HaagerupChainRep):
         v = rep.head[atoms[0]]
         for mid, a in zip(rep.middles, atoms[1:-1]):
-            v = v @ mid[a]
+            v = v @ mid[a] if mid.ndim == 3 else v * mid[a]
         return complex(v @ rep.tail[atoms[-1]])
     if isinstance(rep, HaagerupLikeRep):
         t = [tab[a] for tab, a in zip(rep.tables, atoms)]
@@ -250,8 +257,9 @@ def _psi_einsum(rep: Integrand, counts: Sequence[int]) -> tuple[str, list]:
     """Psi over all atom tuples as one einsum: (subscripts, tables), one table
     per factor with its atom axis first; the output axes are the atoms in
     factor order. Projective terms are stacked as (n, terms) tables, so a
-    zero integrand has width-0 tables. Atom axes are lowercase letters, so
-    the arity is at most 26."""
+    zero integrand has width-0 tables; a diagonal chain middle reuses its
+    incoming link letter. Atom axes are lowercase letters, so the arity is
+    at most 26."""
     m = rep.arity
     atoms, links = string.ascii_lowercase[:m], string.ascii_uppercase
     if isinstance(rep, ProjectiveRep):
@@ -263,7 +271,14 @@ def _psi_einsum(rep: Integrand, counts: Sequence[int]) -> tuple[str, list]:
         ]
         return ",".join(f"{a}Z" for a in atoms) + "->" + atoms, tables
     if isinstance(rep, HaagerupChainRep):
-        ops = [a + links[max(i - 1, 0) : min(i + 1, m - 1)] for i, a in enumerate(atoms)]
+        ops, link = [atoms[0] + links[0]], 0
+        for a, mid in zip(atoms[1:-1], rep.middles):
+            if mid.ndim == 3:
+                ops.append(a + links[link : link + 2])
+                link += 1
+            else:
+                ops.append(a + links[link])
+        ops.append(atoms[-1] + links[link])
         return ",".join(ops) + "->" + atoms, [rep.head, *rep.middles, rep.tail]
     if isinstance(rep, HaagerupLikeRep):
         return _LIKE_SPECS[(rep.kind, rep.arity)], list(rep.tables)
@@ -273,8 +288,8 @@ def _psi_einsum(rep: Integrand, counts: Sequence[int]) -> tuple[str, list]:
 def embed_projective_in_haagerup(
     rep: ProjectiveRep, atom_counts: Sequence[int] | None = None
 ) -> HaagerupChainRep:
-    """Rewrite a projective sum as a chain with diagonal middles, one chain
-    index per term.
+    """Rewrite a projective sum as a chain with diagonal (n, terms) middles,
+    one chain index per term.
 
     Each term's factors are sup-normalized; the term weight (the product of
     the sup-norms) is split as sqrt(w) on the head and tail columns, leaving
@@ -289,7 +304,7 @@ def embed_projective_in_haagerup(
     width = len(rep.terms)
     head = np.zeros((counts[0], width), dtype=np.complex128)
     middles = [
-        np.zeros((counts[i], width, width), dtype=np.complex128)
+        np.zeros((counts[i], width), dtype=np.complex128)
         for i in range(1, rep.arity - 1)
     ]
     tail = np.zeros((counts[-1], width), dtype=np.complex128)
@@ -301,6 +316,6 @@ def embed_projective_in_haagerup(
         root = np.sqrt(weight)
         head[:, n] = term[0] / sups[0] * root
         for i, mid in enumerate(middles):
-            mid[:, n, n] = term[i + 1] / sups[i + 1]
+            mid[:, n] = term[i + 1] / sups[i + 1]
         tail[:, n] = term[-1] / sups[-1] * root
     return HaagerupChainRep(head, tuple(middles), tail)

@@ -1,12 +1,16 @@
 """JSON forms of the domain objects.
 
 Array leaves are complex scalars, read as a plain number (a real) or an
-[re, im] pair, mixed freely, and written as pairs. Exponents serialize as
-numbers, with the string "inf" for infinity. A number beyond float range
-(say an integer literal of 400 digits, or a `dim` of 1e999) and a NaN or
-infinite atom point raise ValueError, and so does any other value where an
-object belongs (a measure, an atom, an integrand body, `exponents`);
-non-finite array entries are refused where the arrays are used.
+[re, im] pair, mixed freely, and written as pairs. A chain middle is a
+nested list of depth 3, or {"diagonal": <(n, L) table>} for a diagonal
+middle. Exponents serialize as numbers, with the string "inf" for infinity.
+A number beyond float range (say an integer literal of 400 digits, or a
+`dim` of 1e999) and a NaN or infinite atom point raise ValueError, and so
+does any other value where an object belongs (a measure, an atom, an
+integrand body, `exponents`), an integer field (`dim`, `arity`) that is not
+integral, a `merge_tol` that is not a finite number >= 0, and an exponent
+outside (0, inf]; non-finite array entries are refused where the arrays are
+used.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from .evaluate import MoiInstance
 from .integrands import _LIKE_SHAPES, HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
+from .linalg import check_exponent
 from .spectral import DEFAULT_MERGE_TOL, FiniteSpectralMeasure, from_hermitian
 
 
@@ -27,6 +32,24 @@ def _in_range(what: str, convert, *args):
         return convert(*args)
     except OverflowError:
         raise ValueError(f"{what} is out of range") from None
+
+
+def _number(what: str, obj) -> float:
+    """A JSON number (not a boolean) as a float."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise ValueError(f"{what} must be a number, got {obj!r}")
+    return _in_range(what, float, obj)
+
+
+def _integer(what: str, obj) -> int:
+    """A JSON integer, or a float with an integral value such as 2.0 that
+    older files may hold; strings, booleans and fractions are refused."""
+    value = _number(what, obj)
+    if math.isinf(value):
+        raise ValueError(f"{what} is out of range")
+    if not value.is_integer():
+        raise ValueError(f"{what} must be an integer, got {obj!r}")
+    return int(obj)
 
 
 def _object(what: str, obj) -> dict:
@@ -96,8 +119,8 @@ def exponent_from_json(obj) -> float:
         if obj.lower() in ("inf", "infinity"):
             return math.inf
         raise ValueError(f"unknown exponent string {obj!r}")
-    if isinstance(obj, (int, float)):
-        return _in_range("exponent", float, obj)
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return check_exponent(_in_range("exponent", float, obj))
     raise ValueError(f"not an exponent: {obj!r}")
 
 
@@ -118,11 +141,11 @@ def measure_to_json(e: FiniteSpectralMeasure) -> dict:
 def measure_from_json(obj) -> FiniteSpectralMeasure:
     _object("measure", obj)
     if "hermitian" in obj:
-        merge_tol = _in_range("merge_tol", float, obj.get("merge_tol", DEFAULT_MERGE_TOL))
+        merge_tol = _number("merge_tol", obj.get("merge_tol", DEFAULT_MERGE_TOL))
         return from_hermitian(array_from_json(obj["hermitian"], 2), merge_tol)
     if "atoms" not in obj or "dim" not in obj:
         raise ValueError("measure needs either 'hermitian' or 'dim' + 'atoms'")
-    dim = _in_range("dim", int, obj["dim"])
+    dim = _integer("dim", obj["dim"])
     points, projections = [], []
     for atom in obj["atoms"]:
         z = complex_from_json(_object("atom", atom)["point"])
@@ -147,7 +170,10 @@ def integrand_to_json(rep) -> dict:
         return {
             "haagerup": {
                 "head": array_to_json(rep.head),
-                "middles": [array_to_json(m) for m in rep.middles],
+                "middles": [
+                    array_to_json(m) if m.ndim == 3 else {"diagonal": array_to_json(m)}
+                    for m in rep.middles
+                ],
                 "tail": array_to_json(rep.tail),
             }
         }
@@ -168,10 +194,12 @@ def integrand_from_json(obj, arity: int | None = None):
     _object(f"{key} integrand", body)
     if key == "projective":
         terms = body.get("terms", [])
+        given = body.get("arity")
+        given = None if given is None else _integer("arity", given)
         if terms:
             m = len(terms[0])
         else:
-            m = _in_range("arity", int, body.get("arity") or arity or 0)
+            m = given or arity or 0
         if m < 2:
             raise ValueError("cannot infer projective arity; provide 'arity'")
         parsed = tuple(
@@ -180,7 +208,7 @@ def integrand_from_json(obj, arity: int | None = None):
         return ProjectiveRep(m, parsed)
     if key == "haagerup":
         head = array_from_json(body["head"], 2)
-        middles = tuple(array_from_json(m, 3) for m in body.get("middles", []))
+        middles = tuple(_middle_from_json(m) for m in body.get("middles", []))
         tail = array_from_json(body["tail"], 2)
         return HaagerupChainRep(head, middles, tail)
     if key == "haagerup_like":
@@ -192,6 +220,17 @@ def integrand_from_json(obj, arity: int | None = None):
         parsed = tuple(array_from_json(t, 1 + r) for t, r in zip(tables, ranks))
         return HaagerupLikeRep(kind, parsed)
     raise ValueError(f"unknown integrand class {key!r}")
+
+
+def _middle_from_json(obj) -> np.ndarray:
+    """A dense chain middle (depth-3 list) or {"diagonal": <(n, L) table>}."""
+    if isinstance(obj, dict):
+        if set(obj) != {"diagonal"}:
+            raise ValueError(
+                f'a middle object must be {{"diagonal": table}}, got keys {sorted(obj)}'
+            )
+        return array_from_json(obj["diagonal"], 2)
+    return array_from_json(obj, 3)
 
 
 def instance_to_json(inst: MoiInstance, exponents: dict | None = None) -> dict:

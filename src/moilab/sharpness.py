@@ -21,8 +21,10 @@ from .spectral import cyclic_model
 
 REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 
-# Largest n for which full matrices are materialized (middle tables are
-# (n, n, n) dense); sweeps beyond this use the diagonal closed form only.
+# Largest n for which full matrices are materialized; sweeps beyond this use
+# the diagonal closed form only. The cap is set by the chain sweep's
+# (n, n, n) complex state in eval_haagerup (256 MiB at n = 256), not by the
+# middle tables, which are diagonal (n, n).
 BUILD_CAP = 128
 SWEEP_CAP = 8192
 
@@ -136,22 +138,13 @@ def _delta_system(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
-def _diagonal_middle(values: np.ndarray) -> np.ndarray:
-    """Middle table whose per-atom matrices are diag(values[atom, :])."""
-    n_atoms, width = values.shape
-    mid = np.zeros((n_atoms, width, width), dtype=np.complex128)
-    idx = np.arange(width)
-    mid[:, idx, idx] = values
-    return mid
-
-
 def build_construction(case: ConstructionCase, max_n: int = BUILD_CAP) -> SharpnessInstance:
     """Materialize the extremal family at truncation n = ambient dimension.
 
     The integrand is a chain of representation norm exactly 1: delta-system
-    head and tail on the frequency measure, unimodular diagonal middles on
-    the position measure. The cyclic shifts keep every identity exact, and
-    the compressions P_j . P_j make the value exactly diagonal.
+    head and tail on the frequency measure, unimodular diagonal (n, n)
+    middles on the position measure. The cyclic shifts keep every identity
+    exact, and the compressions P_j . P_j make the value exactly diagonal.
     """
     n = case.n
     if n > max_n:
@@ -183,7 +176,7 @@ def build_construction(case: ConstructionCase, max_n: int = BUILD_CAP) -> Sharpn
         # single constant term; the value is the plain product of the
         # diagonal operators
         chain = HaagerupChainRep(
-            np.ones((n, 1)), (np.ones((n, 1, 1)),), np.ones((n, 1))
+            np.ones((n, 1)), (np.ones((n, 1)),), np.ones((n, 1))
         )
         inst = MoiInstance((fourier, position, fourier), (diag_c, diag_d), chain)
         return SharpnessInstance(inst, expected_output(case), case)
@@ -215,7 +208,7 @@ def build_construction(case: ConstructionCase, max_n: int = BUILD_CAP) -> Sharpn
             mid_vals = (ones, ones)
             ops = (rank_one_first(case.d), p0, rank_one_last(case.d))
         measures = (fourier, position, position, fourier)
-    chain = HaagerupChainRep(head, tuple(_diagonal_middle(v) for v in mid_vals), tail)
+    chain = HaagerupChainRep(head, mid_vals, tail)
     inst = MoiInstance(measures, ops, chain)
     return SharpnessInstance(inst, expected_output(case), case)
 

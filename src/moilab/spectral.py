@@ -5,6 +5,7 @@ integration sum_i f(x_i) P_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +194,10 @@ def from_hermitian(
     m, merge_tol: float = DEFAULT_MERGE_TOL
 ) -> FiniteSpectralMeasure:
     """Spectral measure of a Hermitian matrix, clustering eigenvalues whose
-    consecutive gaps are <= merge_tol into single atoms."""
+    consecutive gaps are <= merge_tol into single atoms. merge_tol must be
+    finite and >= 0: a NaN would merge every eigenvalue into one atom."""
+    if not 0.0 <= merge_tol < math.inf:
+        raise ValueError(f"merge_tol must be a finite number >= 0, got {merge_tol!r}")
     w, v = hermitian_eig(m)
     dim = v.shape[0]
     points = []

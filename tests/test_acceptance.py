@@ -218,7 +218,7 @@ def test_criterion_7_construction_fidelity():
     mid_table = mixed.instance.integrand.middles[0]
     projs = mixed.instance.measures[1].projection_stack()
     for j in (0, 1, 5, n - 1):
-        b_j = np.einsum("i,iab->ab", mid_table[:, j, j], projs)
+        b_j = np.einsum("i,iab->ab", mid_table[:, j], projs)
         assert np.linalg.norm(b_j @ eye[:, 0] - eye[:, j]) < 1e-12
     # second middle of the arity-4 families: unitary in the two-sided case,
     # identity in the mixed case
@@ -226,12 +226,12 @@ def test_criterion_7_construction_fidelity():
     gamma_table = m4.instance.integrand.middles[1]
     projs4 = m4.instance.measures[2].projection_stack()
     for j in (1, 3):
-        g_j = np.einsum("i,iab->ab", gamma_table[:, j, j], projs4)
+        g_j = np.einsum("i,iab->ab", gamma_table[:, j], projs4)
         assert operator_norm(g_j @ g_j.conj().T - eye) < 1e-12
     m4_mixed = build_construction(default_case(4, "mixed-large-small", 4, 1.5, n))
     gamma_mixed = m4_mixed.instance.integrand.middles[1]
     for j in (0, 2):
-        g_j = np.einsum("i,iab->ab", gamma_mixed[:, j, j], projs4)
+        g_j = np.einsum("i,iab->ab", gamma_mixed[:, j], projs4)
         assert operator_norm(g_j - eye) < 1e-12
     # rank-one family: P_j T1 T2 P_j e_j = d_j^2 e_j
     small = build_construction(default_case(3, "both-small", 2, 2, n))

@@ -1,12 +1,17 @@
 """Command-line contract: exit codes, determinism, reproduction files."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moilab.randominst import random_instance, rng_for
 from moilab.serialize import instance_to_json
@@ -366,9 +371,9 @@ def _set_exponent(o, value):
     o["exponents"] = {"p": value}
 
 
-def _write_with_literal(path, mutate, literal):
+def _write_with_literal(path, mutate, literal, cls="chain"):
     """An instance file in which `mutate` puts the raw JSON number `literal`."""
-    write_instance(path)
+    write_instance(path, cls=cls)
     payload = json.loads(path.read_text())
     mutate(payload, "@LITERAL@")
     path.write_text(json.dumps(payload).replace('"@LITERAL@"', literal))
@@ -687,3 +692,169 @@ def test_atomic_write_replaces_old_file(tmp_path):
     cli._write_atomic(str(out), "new\n")
     assert out.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["result.json"]
+
+
+# --- field checks and diagonal middles in instance files ----------------------
+
+
+def _eval_in_process(path):
+    """`moilab eval --instance path` in this process: (code, stdout, stderr)."""
+    from moilab import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "--instance", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_refused(path, *needles):
+    code, out, err = _eval_in_process(path)
+    assert (code, out) == (2, "")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def _set_arity(o, value):
+    o["integrand"]["projective"]["arity"] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, literal, needle, cls",
+    [(_set_merge_tol, v, "merge_tol must be a finite number >= 0", "chain")
+     for v in ("NaN", "-1e-8", "-1", "Infinity")]
+    + [(_set_dim, v, "dim must be", "chain") for v in ("2.7", '"3"', "true", "null")]
+    + [(_set_arity, v, "arity must be", "projective") for v in ("2.5", '"3"', "true")]
+    + [(_set_exponent, v, "exponent", "chain") for v in ("-1", "0", "-0.5", "NaN", "true")],
+)
+def test_eval_rejects_bad_field_value(tmp_path, mutate, literal, needle, cls):
+    path = tmp_path / "instance.json"
+    _write_with_literal(path, mutate, literal, cls)
+    _assert_refused(path, needle)
+
+
+def _diagonal_chain_payload():
+    """A chain instance whose first middle is diagonal, and its JSON."""
+    from moilab.evaluate import MoiInstance
+    from moilab.integrands import HaagerupChainRep
+    from moilab.randominst import random_measure, random_operator
+
+    rng = rng_for(71)
+    measures = tuple(random_measure(rng, 3, 2) for _ in range(4))
+    ops = tuple(random_operator(rng, 3) for _ in range(3))
+    rep = HaagerupChainRep(
+        rng.standard_normal((2, 2)),
+        (rng.standard_normal((2, 2)), rng.standard_normal((2, 2, 3))),
+        rng.standard_normal((2, 3)),
+    )
+    inst = MoiInstance(measures, ops, rep)
+    return inst, instance_to_json(inst, {"p": 2.0, "q": np.inf})
+
+
+def test_eval_reads_diagonal_middles(tmp_path):
+    from moilab.evaluate import eval_haagerup, moi_scale
+
+    inst, payload = _diagonal_chain_payload()
+    assert "diagonal" in payload["integrand"]["haagerup"]["middles"][0]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = _eval_in_process(path)
+    assert code == 0, err
+    result = np.asarray(json.loads(out)["result"])
+    # the measures are read back from explicit atoms and factored anew
+    gap = np.abs(result[..., 0] + 1j * result[..., 1] - eval_haagerup(inst)).max()
+    assert gap <= 1e-10 * moi_scale(inst)
+
+
+@pytest.mark.parametrize(
+    "middle",
+    [
+        {"diagonal": [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]},  # incoming width is 2
+        {"diagonal": [[1.0, 2.0], [1.0, 2.0]], "extra": 1},
+        {"diag": [[1.0, 2.0], [1.0, 2.0]]},
+        {},
+        {"diagonal": [[[1.0, 2.0]], [[1.0, 2.0]]]},
+        {"diagonal": [1.0, 2.0]},
+        {"diagonal": "x"},
+        {"diagonal": []},
+        {"diagonal": [[1.0], [2.0, 3.0]]},
+        {"diagonal": [[1.0, None], [1.0, 2.0]]},
+    ],
+)
+def test_eval_rejects_malformed_diagonal_middle(tmp_path, middle):
+    _, payload = _diagonal_chain_payload()
+    payload["integrand"]["haagerup"]["middles"][0] = middle
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    _assert_refused(path, "cannot load instance")
+
+
+# Fuzz: a wrong type or depth at one field of a valid instance file. Arrays
+# are replaced whole, not entered; their leaves have property tests of their
+# own in test_serialize.py.
+_CONTAINERS = {"measures", "atoms", "operators", "middles", "tables", "terms"}
+_DELETE = object()
+_BAD_VALUES = [
+    None, True, False, 0, 1, 2, -1, 2.5, 2.0, 1e300, float("nan"), float("inf"),
+    "2", "inf", "x", [], {}, [[]], {"diagonal": [[1.0]]}, _DELETE,
+]
+
+
+def _fuzz_base(cls):
+    """A valid instance file of class `cls` with one Hermitian measure (with
+    merge_tol) and exponents; the chain has a diagonal and a dense middle."""
+    if cls == "chain":
+        payload = _diagonal_chain_payload()[1]
+    else:
+        inst = random_instance(rng_for(72, len(cls)), cls, dim_range=(3, 3), arity=3)
+        payload = instance_to_json(inst, {"p": 2.0, "q": np.inf})
+    n_atoms = len(payload["measures"][1]["atoms"])
+    levels = np.minimum(np.arange(3), n_atoms - 1).astype(float)
+    payload["measures"][1] = {"hermitian": np.diag(levels).tolist(), "merge_tol": 1e-8}
+    return payload
+
+
+def _field_paths(obj, path=(), container=False):
+    """Paths to every object member, and to the items of the lists that hold
+    measures, atoms, operators, middles, tables or terms."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path + (key,)
+            yield from _field_paths(value, path + (key,), key in _CONTAINERS)
+    elif isinstance(obj, list) and container:
+        for i, value in enumerate(obj):
+            yield path + (i,)
+            nested = path[-1] == "terms" and isinstance(path[-2], str)
+            yield from _field_paths(value, path + (i,), nested)
+
+
+def _replace(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is _DELETE:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+
+
+@pytest.mark.parametrize("cls", ["chain", "projective", "like-first"])
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_eval_fuzzed_instance_exits_cleanly(cls, data):
+    payload = _fuzz_base(cls)
+    path = data.draw(st.sampled_from(sorted(_field_paths(payload), key=repr)))
+    old = payload
+    for key in path:
+        old = old[key]
+    options = list(_BAD_VALUES) + [[old], {"diagonal": old}]
+    if isinstance(old, list) and old:
+        options.append(old[0])
+    _replace(payload, path, data.draw(st.sampled_from(options)))
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "instance.json")
+        with open(target, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        code, _, err = _eval_in_process(target)
+    assert code in (0, 2, 3)
+    assert len(err.strip().splitlines()) <= 1
+    assert (code == 0) == (err == "")

@@ -798,3 +798,77 @@ def test_oracle_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- diagonal chain middles ---------------------------------------------------
+
+
+def _expand_diagonal(rep):
+    """The same chain with every diagonal (n, L) middle written densely."""
+    middles = tuple(
+        m if m.ndim == 3 else np.einsum("xj,jk->xjk", m, np.eye(m.shape[1]))
+        for m in rep.middles
+    )
+    return HaagerupChainRep(rep.head, middles, rep.tail)
+
+
+def _mixed_chain_instance(rng, arity, seed):
+    """A chain whose middles mix the diagonal and dense forms: at least one
+    diagonal middle, and from arity 4 on at least one dense one."""
+    dim = int(rng.integers(2, 6))
+    measures = tuple(
+        random_measure(rng, dim, int(rng.integers(1, min(dim, 4) + 1)))
+        for _ in range(arity)
+    )
+    counts = [e.n_atoms for e in measures]
+    diagonal = rng.integers(2, size=arity - 2).astype(bool)
+    diagonal[seed % (arity - 2)] = True
+    if arity > 3:
+        diagonal[(seed + 1) % (arity - 2)] = False
+    width = int(rng.integers(1, 4))
+    head, middles = crandom(rng, (counts[0], width)), []
+    for n, diag in zip(counts[1:-1], diagonal):
+        if diag:
+            middles.append(crandom(rng, (n, width)))
+        else:
+            nxt = int(rng.integers(1, 4))
+            middles.append(crandom(rng, (n, width, nxt)))
+            width = nxt
+    tail = crandom(rng, (counts[-1], width))
+    ops = tuple(random_operator(rng, dim) for _ in range(arity - 1))
+    return MoiInstance(measures, ops, HaagerupChainRep(head, tuple(middles), tail))
+
+
+@pytest.mark.parametrize("arity", [3, 4, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_diagonal_middles_match_their_dense_expansion(arity, seed):
+    inst = _mixed_chain_instance(rng_for(46, seed, arity), arity, seed)
+    rep = inst.integrand
+    assert {m.ndim for m in rep.middles} == ({2} if arity == 3 else {2, 3})
+    before = [m.copy() for m in rep.middles]
+    dense = MoiInstance(inst.measures, inst.operators, _expand_diagonal(rep))
+    reference = eval_haagerup(dense)
+    tol = TOL * moi_scale(dense)
+    for path in (eval_haagerup, eval_haagerup_block, eval_oracle):
+        assert np.abs(path(inst) - reference).max() <= tol, path.__name__
+    psi_tol = TOL * max(rep_norm_bound(dense.integrand), evaluate.SCALE_FLOOR)
+    for atoms in itertools.product(*(range(n) for n in rep.atom_counts())):
+        gap = abs(eval_pointwise(rep, atoms) - eval_pointwise(dense.integrand, atoms))
+        assert gap <= psi_tol
+    bound, dense_bound = rep_norm_bound(rep), rep_norm_bound(dense.integrand)
+    assert abs(bound - dense_bound) <= 1e-12 * dense_bound
+    # the in-place product of the sweep never writes into the caller's tables
+    assert all(np.array_equal(a, b) for a, b in zip(rep.middles, before))
+
+
+def test_diagonal_middle_of_wrong_width_is_refused():
+    head, tail = np.ones((2, 3)), np.ones((2, 3))
+    with pytest.raises(ValueError, match="chain width mismatch"):
+        HaagerupChainRep(head, (np.ones((2, 2)),), tail)
+    # a diagonal middle passes its incoming width through to the next table
+    with pytest.raises(ValueError, match="chain width mismatch"):
+        HaagerupChainRep(head, (np.ones((2, 3)),), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="chain width mismatch"):
+        HaagerupChainRep(head, (np.ones((2, 3)), np.ones((2, 2, 4))), tail)
+    with pytest.raises(ValueError, match="middle tables must be"):
+        HaagerupChainRep(head, (np.ones(2),), tail)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from moilab.evaluate import eval_moi, moi_scale
+from moilab.integrands import HaagerupChainRep
 from moilab.linalg import operator_norm
 from moilab.randominst import random_instance, rng_for
 from moilab.serialize import (
@@ -288,3 +289,67 @@ def test_instance_json_text_round_trip(cls, seed):
     assert again["integrand"] == payload["integrand"]
     gap = operator_norm(eval_moi(inst) - eval_moi(back))
     assert gap <= 1e-12 * moi_scale(inst)
+
+
+# --- diagonal chain middles and field checks ----------------------------------
+
+
+def _mixed_chain(seed):
+    """A chain mixing diagonal (n, L) and dense (n, L, L') middles."""
+    rng = rng_for(64, seed)
+
+    def crandom(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    middles = (crandom((4, 2)), crandom((2, 2, 3)), crandom((3, 3)), crandom((2, 3, 1)))
+    return HaagerupChainRep(crandom((3, 2)), middles, crandom((2, 1)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chain_with_diagonal_middles_round_trips_bit_exact(seed):
+    rep = _mixed_chain(seed)
+    payload = integrand_to_json(rep)
+    middles = payload["haagerup"]["middles"]
+    assert [isinstance(m, dict) for m in middles] == [True, False, True, False]
+    assert middles[0] == {"diagonal": array_to_json(rep.middles[0])}
+    back = integrand_from_json(json.loads(json.dumps(payload)))
+    for a, b in zip((rep.head, *rep.middles, rep.tail), (back.head, *back.middles, back.tail)):
+        assert a.shape == b.shape
+        assert _bits(a) == _bits(b)
+
+
+@pytest.mark.parametrize("value", [2, 2.0])
+def test_integral_dim_is_accepted(value):
+    e = measure_from_json({"dim": value, "atoms": [{"point": 0, "projection": np.eye(2).tolist()}]})
+    assert e.dim == 2 and isinstance(e.dim, int)
+
+
+@pytest.mark.parametrize("value", [2.7, "2", True, None, [2], math.nan])
+def test_non_integral_dim_is_refused(value):
+    atoms = [{"point": 0, "projection": np.eye(2).tolist()}]
+    with pytest.raises(ValueError, match="dim must be"):
+        measure_from_json({"dim": value, "atoms": atoms})
+
+
+@pytest.mark.parametrize("value", [2.5, "2", True, [3], math.nan])
+def test_non_integral_projective_arity_is_refused(value):
+    for terms in ([], [[[1.0], [1.0], [1.0]]]):
+        with pytest.raises(ValueError, match="arity must be"):
+            integrand_from_json({"projective": {"terms": terms, "arity": value}})
+
+
+def test_integral_projective_arity_is_accepted():
+    assert integrand_from_json({"projective": {"terms": [], "arity": 3.0}}).arity == 3
+    assert integrand_from_json({"projective": {"terms": [], "arity": 3}}).arity == 3
+
+
+@pytest.mark.parametrize("value", [math.nan, -1e-8, math.inf, "1e-8", True])
+def test_bad_merge_tol_is_refused(value):
+    with pytest.raises(ValueError, match="merge_tol must be"):
+        measure_from_json({"hermitian": np.diag([1.0, 2.0]).tolist(), "merge_tol": value})
+
+
+@pytest.mark.parametrize("value", [-1, 0, -0.5, math.nan, True, None, [2]])
+def test_bad_numeric_exponent_is_refused(value):
+    with pytest.raises(ValueError):
+        exponent_from_json(value)
