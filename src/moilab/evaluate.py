@@ -2,12 +2,20 @@
 sum over atoms of Psi(x_1..x_m) P_1 T_1 P_2 T_2 ... T_{m-1} P_m
 by several independent computational paths.
 
-The production paths (eval_projective, eval_haagerup, eval_haagerup_like,
-eval_double_schur) work in the measures' eigenbases. Integrating a table
+Production: one sweep engine evaluates every class from its bond labels
+(integrands._bonds) in the measures' eigenbases. Integrating a table
 against a measure with basis U is U diag(table[labels]) U^*, so each value is
 U_1 C U_m^*, with C the same finite sum over the tables expanded to basis
-columns and the moved operators T_i' = U_i^* T_i U_{i+1}, contracted pairwise
-by batched matmuls and two-operand einsums; no projection is ever formed.
+columns and the moved operators T_i' = U_i^* T_i U_{i+1}; no projection is
+ever formed. The sweep's state S[c, r, open bonds] holds column c of the
+current basis, row r of the first, and the bonds a later table still closes.
+A table that closes one bond and opens one is a batched matmul over c, a
+table whose bonds all pass through multiplies S in place, any other table is
+a two-operand einsum, and a moved operator is one matmul. The plan, made once
+per signature of labels, is the sweep (left to right, or right to left on
+the transpose, with the first table, diagonal in r, applied after 0..m-1 of
+the others) that holds the fewest bonds at once: one, for every class.
+eval_double_schur is the two-factor Schur multiplier in the same bases.
 
 Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
 over the projections (capped), with Psi formed densely from the per-atom
@@ -23,7 +31,10 @@ scale = rep_norm_bound * prod of operator norms.
 
 from __future__ import annotations
 
+import string
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -33,7 +44,7 @@ from .integrands import (
     HaagerupLikeRep,
     Integrand,
     ProjectiveRep,
-    _psi_einsum,
+    _bonds,
     rep_norm_bound,
 )
 from .linalg import adjoint, as_matrix, operator_norm
@@ -138,7 +149,9 @@ def eval_oracle(inst: MoiInstance, cap: int = DEFAULT_TUPLE_CAP) -> np.ndarray:
     m, dim = inst.arity, inst.dim
     if m > 26:
         raise CapExceededError(f"arity {m} exceeds the oracle's 26 atom axes")
-    spec, tables = _psi_einsum(inst.integrand, counts)
+    labels, tables = _bonds(inst.integrand, counts)
+    atoms = string.ascii_lowercase[:m]  # Psi's axes, one per factor
+    spec = ",".join(a + b for a, b in zip(atoms, labels)) + "->" + atoms
     last = inst.measures[-1].projection_stack().reshape(counts[-1], dim * dim)
     rows = [
         np.matmul(e.projection_stack(), t).transpose(1, 0, 2).reshape(dim, -1)
@@ -174,37 +187,16 @@ def _psi_block(spec: str, tables, prefix: tuple) -> np.ndarray:
 
 
 def eval_projective(inst: MoiInstance) -> np.ndarray:
-    """sum_n (int phi_n dE_1) T_1 (int psi_n dE_2) ... for a projective rep.
-
-    In the eigenbases, C sums diag(phi_0) T_1' diag(phi_1) ... diag(phi_{m-1})
-    over the terms, each built by broadcasting and m-2 matmuls.
-    """
-    rep = inst.integrand
-    if not isinstance(rep, ProjectiveRep):
+    """sum_n (int phi_n dE_1) T_1 (int psi_n dE_2) ... for a projective rep,
+    swept with the terms as one bond."""
+    if not isinstance(inst.integrand, ProjectiveRep):
         raise TypeError("instance does not carry a projective representation")
-    bases, moved = _eigen_frame(inst.measures, inst.operators)
-    core = np.zeros((inst.dim, inst.dim), dtype=np.complex128)
-    for term in rep.terms:
-        cols = [_columns(f, e.labels) for f, e in zip(term, inst.measures)]
-        block = cols[0][:, None] * moved[0] * cols[1]
-        for op, col in zip(moved[1:], cols[2:]):
-            block = (block @ op) * col
-        core += block
-    return bases[0] @ core @ adjoint(bases[-1])
+    return _sweep(inst)
 
 
 def _integrate_vector_table(table: np.ndarray, e: FiniteSpectralMeasure) -> np.ndarray:
     """Stack of integrated operators, one per chain index: (L, dim, dim)."""
     return np.tensordot(table, e.projection_stack(), axes=([0], [0]))
-
-
-def _columns(table: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """A per-atom table expanded to one entry per basis column: table[labels]."""
-    if labels.shape[0] == table.shape[0] and np.array_equal(
-        labels, np.arange(labels.shape[0])
-    ):
-        return table
-    return table[labels]
 
 
 def _eigen_frame(measures, operators) -> tuple[list, list]:
@@ -215,38 +207,83 @@ def _eigen_frame(measures, operators) -> tuple[list, list]:
     return bases, moved
 
 
-def _sandwich(left: np.ndarray, table: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The (width, dim, dim) stack of left diag(table[:, j]) right."""
-    return np.matmul(left * table.T[:, None, :], right)
-
-
 def eval_haagerup(inst: MoiInstance) -> np.ndarray:
-    """Chain contraction sum_{j..} A_j T_1 B_{jk} T_2 ... over all chain indices.
-
-    Computed in the measures' eigenbases as U_1 C U_m^* (see the module
-    docstring). C is swept left to right as a stack S[c, a, j] (column c of
-    the current basis, row a of the first, chain index j): each dense middle
-    is one batched matmul over c, each diagonal middle one elementwise
-    product in place, and each operator one tensordot over c.
-    """
-    rep = inst.integrand
-    if not isinstance(rep, HaagerupChainRep):
+    """Chain contraction sum_{j..} A_j T_1 B_{jk} T_2 ... over all chain indices."""
+    if not isinstance(inst.integrand, HaagerupChainRep):
         raise TypeError("instance does not carry a chain representation")
+    return _sweep(inst)
+
+
+def _sweep(inst: MoiInstance) -> np.ndarray:
+    """U_1 C U_m^*, with C contracted by the plan for the integrand's bonds."""
     measures = inst.measures
+    labels, tables = _bonds(inst.integrand, [e.n_atoms for e in measures])
+    reverse, steps, _ = _plan(labels)
     bases, moved = _eigen_frame(measures, inst.operators)
-    head = _columns(rep.head, measures[0].labels)
-    # S[c, a, j] = head[a, j] T_1'[a, c]
-    stack = moved[0].T[:, :, None] * head[None, :, :]
-    for mid, e, op in zip(rep.middles, measures[1:], moved[1:]):
-        cols = _columns(mid, e.labels)
-        if mid.ndim == 3:
-            stack = np.matmul(stack, cols)
+    cols = [t[e.labels] for t, e in zip(tables, measures)]  # one entry per basis column
+    if reverse:  # the same sweep on the transpose, C^T = ... T_2'^T T_1'^T
+        cols.reverse()
+        moved.reverse()
+    else:  # S[c, r] = T_1'[r, c], and each move multiplies S by T_k'^T from the left
+        moved = [t.T for t in moved]
+    state = moved[0]
+    for kind, k, arg in steps:
+        if kind == "move":
+            state = (moved[k] @ state.reshape(len(state), -1)).reshape(state.shape)
+        elif kind == "mul":
+            state *= cols[k][arg]
+        elif kind == "matmul":
+            state = np.matmul(state, cols[k].swapaxes(1, 2) if arg else cols[k])
         else:
-            stack *= cols[:, None, :]
-        stack = np.tensordot(op, stack, axes=([0], [0]))
-    tail = _columns(rep.tail, measures[-1].labels)
-    core = np.einsum("cak,ck->ac", stack, tail)
-    return bases[0] @ core @ adjoint(bases[-1])
+            state = np.einsum(arg, state, cols[k])
+    return bases[0] @ state @ adjoint(bases[-1])
+
+
+@lru_cache(maxsize=64)
+def _plan(labels: tuple) -> tuple:
+    """(reverse, steps, states) for one signature of bond labels: of the
+    sweeps left to right and then right to left, each with the end table
+    applied after 0..m-1 of the others, the first whose states hold the
+    fewest bonds at once. Each class has a sweep that holds one bond at a
+    time; its peak, the widest bond, is the least any sweep can reach,
+    whatever the widths, so the plan depends on the labels alone."""
+    candidates = (
+        _candidate(labels[::-1] if reverse else labels, place, reverse)
+        for reverse in (False, True)
+        for place in range(len(labels))
+    )
+    return min(candidates, key=lambda plan: max(map(len, plan[2])))
+
+
+def _candidate(order: tuple, place: int, reverse: bool) -> tuple:
+    """(reverse, steps, states) of one sweep over the tables in `order`,
+    whose state S[c, r, open bonds] holds column c of the current basis and
+    row r of the first. Table 0 is diagonal in r, so it may wait for `place`
+    of the others. Steps are (kind, index in sweep order, argument); states
+    are the open bonds after each table."""
+    c, r = [a for a in "cx" + string.ascii_letters if a not in "".join(order)][:2]
+    events = [(k, c) for k in range(1, len(order))]
+    events.insert(place, (0, r))
+    remaining = Counter("".join(order))  # appearances in tables not yet applied
+    open_, steps, states = [], [], []
+    for k, axis in events:
+        bonds = order[k]
+        remaining.subtract(bonds)
+        close = [b for b in bonds if b in open_ and not remaining[b]]
+        opening = [b for b in bonds if b not in open_ and remaining[b]]
+        after = [b for b in open_ if b not in close] + opening
+        if list(bonds) == open_ and not close:  # every bond passes through
+            steps.append(("mul", k, (slice(None), None) if axis == c else None))
+        elif axis == c and len(bonds) == 2 and close == open_ and len(opening) == 1:
+            steps.append(("matmul", k, bonds[0] != close[0]))
+        else:
+            out = c + r + "".join(after) if after else (c + r if reverse else r + c)
+            steps.append(("einsum", k, f"{c}{r}{''.join(open_)},{axis}{bonds}->{out}"))
+        if axis == c and k < len(order) - 1:
+            steps.append(("move", k, None))
+        open_ = after
+        states.append("".join(open_))
+    return reverse, tuple(steps), tuple(states)
 
 
 def row_block(blocks, t: np.ndarray) -> np.ndarray:
@@ -308,7 +345,7 @@ def eval_double_schur(
             f"table shape {psi.shape} != ({e1.n_atoms}, {e2.n_atoms}) atoms"
         )
     (u1, u2), (moved,) = _eigen_frame((e1, e2), (as_matrix(t),))
-    return u1 @ (_columns(psi, e1.labels)[:, e2.labels] * moved) @ adjoint(u2)
+    return u1 @ (psi[e1.labels][:, e2.labels] * moved) @ adjoint(u2)
 
 
 def eval_haagerup_like(inst: MoiInstance) -> np.ndarray:
@@ -322,40 +359,10 @@ def eval_haagerup_like(inst: MoiInstance) -> np.ndarray:
     where each letter is the corresponding table integrated against its
     measure. Matches trace duality: trace(W Q) equals the defining
     functional at Q for every Q.
-
-    In the eigenbases (a[x, l]: table a at column x), each case is a stack
-    T' diag(b_j) T'' of batched matmuls, two-operand einsums coupling the
-    other tables in, and a final diagonal sum.
     """
-    rep = inst.integrand
-    if not isinstance(rep, HaagerupLikeRep):
+    if not isinstance(inst.integrand, HaagerupLikeRep):
         raise TypeError("instance does not carry a chain-like representation")
-    bases, moved = _eigen_frame(inst.measures, inst.operators)
-    tables = [_columns(t, e.labels) for t, e in zip(rep.tables, inst.measures)]
-    key = (rep.kind, rep.arity)
-    if key == ("first", 3):
-        a, b, g = tables
-        s = _sandwich(moved[0], b, moved[1])  # s[k, x, z]
-        s = np.einsum("kxz,zjk->jxz", s, g)
-        core = np.einsum("xj,jxz->xz", a, s)
-    elif key == ("second", 3):
-        a, b, g = tables
-        s = _sandwich(moved[0], b, moved[1])  # s[j, x, z]
-        s = np.einsum("jxz,xjk->kxz", s, a)
-        core = np.einsum("zk,kxz->xz", g, s)
-    elif key == ("first", 4):
-        a, b, g, d = tables
-        s = _sandwich(moved[0], b, moved[1])  # s[j, x, z]
-        s = np.einsum("jxz,zjk->kxz", s, g) @ moved[2]  # s[k, x, w]
-        s = np.einsum("kxw,wkl->lxw", s, d)
-        core = np.einsum("xl,lxw->xw", a, s)
-    else:  # ("second", 4)
-        a, b, g, d = tables
-        s = _sandwich(moved[1], g, moved[2])  # s[l, y, w]
-        s = moved[0] @ np.einsum("lyw,ykl->kyw", s, b)  # s[k, x, w]
-        s = np.einsum("kxw,xjk->jxw", s, a)
-        core = np.einsum("wj,jxw->xw", d, s)
-    return bases[0] @ core @ adjoint(bases[-1])
+    return _sweep(inst)
 
 
 def _cycled_chain_instance(inst: MoiInstance, q: np.ndarray) -> tuple[MoiInstance, int, np.ndarray]:

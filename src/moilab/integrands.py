@@ -15,6 +15,7 @@ is diag(table[x]). A width-0 chain denotes the zero integrand.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -33,6 +34,17 @@ def _table(a, ndim: int, what: str) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError(f"{what} table has non-finite entries")
     return t
+
+
+def _width_clash(labels, tables) -> str | None:
+    """The first bond letter to which two tables give different widths, as
+    a message, or None: a bond has one width."""
+    widths = {}
+    for bonds, t in zip(labels, tables):
+        for b, w in zip(bonds, t.shape[1:]):
+            if widths.setdefault(b, w) != w:
+                return f"bond {b} has widths {widths[b]} and {w}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -88,20 +100,9 @@ class HaagerupChainRep:
         middles = tuple(
             np.asarray(m, dtype=np.complex128) for m in self.middles
         )
-        width = head.shape[1]
-        for m in middles:
-            if m.ndim not in (2, 3) or m.shape[0] < 1:
-                raise ValueError(
-                    "middle tables must be (n_atoms, L, L') or diagonal (n_atoms, L)"
-                )
-            if m.shape[1] != width:
-                raise ValueError(
-                    f"chain width mismatch: incoming {width}, middle rows {m.shape[1]}"
-                )
-            width = m.shape[-1]
-        if tail.shape[1] != width:
+        if any(m.ndim not in (2, 3) or m.shape[0] < 1 for m in middles):
             raise ValueError(
-                f"chain width mismatch: incoming {width}, tail width {tail.shape[1]}"
+                "middle tables must be (n_atoms, L, L') or diagonal (n_atoms, L)"
             )
         for t in (head, *middles, tail):
             if not np.all(np.isfinite(t)):
@@ -109,6 +110,9 @@ class HaagerupChainRep:
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "middles", middles)
         object.__setattr__(self, "tail", tail)
+        clash = _width_clash(*_bonds(self, None))
+        if clash:
+            raise ValueError(f"chain width mismatch: {clash}")
 
     @property
     def arity(self) -> int:
@@ -120,18 +124,15 @@ class HaagerupChainRep:
         )
 
 
-# (kind, arity) -> einsum of Psi over the per-atom tables, atom axis first.
-_LIKE_SPECS = {
-    ("first", 3): "aJ,bK,cJK->abc",
-    ("second", 3): "aJK,bJ,cK->abc",
-    ("first", 4): "aL,bJ,cJK,dKL->abcd",
-    ("second", 4): "aJK,bKL,cL,dJ->abcd",
-}
+# chain bond letters: one per link, an einsum letter each
+_LINKS = string.ascii_uppercase + string.ascii_lowercase
 
-# (kind, arity) -> number of table axes beyond the atom axis, per factor.
-_LIKE_SHAPES = {
-    key: tuple(len(op) - 1 for op in spec.split("->")[0].split(","))
-    for key, spec in _LIKE_SPECS.items()
+# (kind, arity) -> the bond letters of each factor's table, in factor order.
+_LIKE_BONDS = {
+    ("first", 3): ("J", "K", "JK"),
+    ("second", 3): ("JK", "J", "K"),
+    ("first", 4): ("L", "J", "JK", "KL"),
+    ("second", 4): ("JK", "KL", "L", "J"),
 }
 
 
@@ -150,34 +151,22 @@ class HaagerupLikeRep:
 
     def __post_init__(self):
         key = (self.kind, len(self.tables))
-        if key not in _LIKE_SHAPES:
+        if key not in _LIKE_BONDS:
             raise ValueError(
                 f"unsupported kind/arity {key}; kinds are 'first'/'second', arity 3 or 4"
             )
-        ranks = _LIKE_SHAPES[key]
+        labels = _LIKE_BONDS[key]
         tabs = tuple(
-            _table(t, 1 + r, f"factor {i + 1}")
-            for i, (t, r) in enumerate(zip(self.tables, ranks))
+            _table(t, 1 + len(bonds), f"factor {i + 1}")
+            for i, (t, bonds) in enumerate(zip(self.tables, labels))
         )
-        a = tabs
-        if key == ("first", 3):
-            jj, kk = a[0].shape[1], a[1].shape[1]
-            if a[2].shape[1:] != (jj, kk):
-                raise ValueError("matrix table must be indexed (j, k) matching the vectors")
-        elif key == ("second", 3):
-            jj, kk = a[1].shape[1], a[2].shape[1]
-            if a[0].shape[1:] != (jj, kk):
-                raise ValueError("matrix table must be indexed (j, k) matching the vectors")
-        elif key == ("first", 4):
-            ll, jj = a[0].shape[1], a[1].shape[1]
-            kk = a[2].shape[2]
-            if a[2].shape[1] != jj or a[3].shape[1:] != (kk, ll):
-                raise ValueError("index widths must chain as (l), (j), (j,k), (k,l)")
-        else:  # ("second", 4)
-            ll, jj = a[2].shape[1], a[3].shape[1]
-            kk = a[0].shape[2]
-            if a[0].shape[1] != jj or a[1].shape[1:] != (kk, ll):
-                raise ValueError("index widths must chain as (j,k), (k,l), (l), (j)")
+        if _width_clash(labels, tabs):
+            raise ValueError(
+                "matrix table must be indexed (j, k) matching the vectors"
+                if len(labels) == 3
+                else "index widths must chain as "
+                + ", ".join(f"({','.join(b.lower())})" for b in labels)
+            )
         object.__setattr__(self, "tables", tabs)
 
     @property
@@ -191,98 +180,78 @@ class HaagerupLikeRep:
 Integrand = ProjectiveRep | HaagerupChainRep | HaagerupLikeRep
 
 
+def _bonds(rep: Integrand, counts: Sequence[int]) -> tuple[tuple, list]:
+    """The integrand as one index pattern: (labels, tables), one table per
+    factor with its atom axis first and labels[i] the bond letters of its
+    other axes, so that Psi(x_1..x_m) sums the product of tables[i][x_i] over
+    every bond letter. A chain links its factors by A, AB, BC, ..., with a
+    diagonal middle reusing its incoming letter; the projective terms are one
+    bond Z, stacked as (n, terms) tables of width 0 for no terms (`counts`
+    gives their atom counts); a chain-like class uses _LIKE_BONDS."""
+    if isinstance(rep, ProjectiveRep):
+        tables = [
+            np.array([term[i] for term in rep.terms]).T
+            if rep.terms
+            else np.zeros((n, 0), dtype=np.complex128)
+            for i, n in enumerate(counts)
+        ]
+        return ("Z",) * rep.arity, tables
+    if isinstance(rep, HaagerupChainRep):
+        if rep.arity > len(_LINKS) - 1:  # two einsum letters stay free for the sweep
+            raise ValueError(f"chain arity {rep.arity} exceeds {len(_LINKS) - 1}")
+        labels, link = ["A"], 0
+        for mid in rep.middles:
+            if mid.ndim == 3:
+                labels.append(_LINKS[link : link + 2])
+                link += 1
+            else:
+                labels.append(_LINKS[link])
+        labels.append(_LINKS[link])
+        return tuple(labels), [rep.head, *rep.middles, rep.tail]
+    if isinstance(rep, HaagerupLikeRep):
+        return _LIKE_BONDS[(rep.kind, rep.arity)], list(rep.tables)
+    raise TypeError(f"not an integrand representation: {type(rep)!r}")
+
+
 def rep_norm_bound(rep: Integrand) -> float:
     """Norm of the given representation, an upper bound for the tensor norm.
 
     Projective: sum over terms of the product of factor sup-norms.
-    Chain and chain-like: product of the component norms, l2-sup for vector
-    tables and operator-norm-sup for matrix tables, which for a diagonal
-    chain middle is its largest entry modulus.
+    Chain and chain-like: product of the component norms, l2-sup for a table
+    with one bond and operator-norm-sup for one with two, except that a
+    diagonal chain middle, whose bond passes through, gives its largest entry
+    modulus.
     """
     if isinstance(rep, ProjectiveRep):
         return float(
             sum(np.prod([scalar_sup(f) for f in term]) for term in rep.terms)
         )
-    if isinstance(rep, HaagerupChainRep):
-        bound = vector_sup(rep.head) * vector_sup(rep.tail)
-        for m in rep.middles:
-            bound *= matrix_sup(m) if m.ndim == 3 else scalar_sup(m)
-        return float(bound)
-    if isinstance(rep, HaagerupLikeRep):
-        ranks = _LIKE_SHAPES[(rep.kind, rep.arity)]
-        bound = 1.0
-        for t, r in zip(rep.tables, ranks):
-            bound *= vector_sup(t) if r == 1 else matrix_sup(t)
-        return float(bound)
-    raise TypeError(f"not an integrand representation: {type(rep)!r}")
+    labels, tables = _bonds(rep, None)
+    sups = []
+    for i, (bonds, t) in enumerate(zip(labels, tables)):
+        through = 0 < i < len(labels) - 1 and bonds in labels[i - 1] and bonds in labels[i + 1]
+        sups.append(
+            matrix_sup(t) if len(bonds) == 2 else scalar_sup(t) if through else vector_sup(t)
+        )
+    if isinstance(rep, HaagerupChainRep):  # head and tail first: this order fixes the rounding
+        sups[1:] = sups[-1:] + sups[1:-1]
+    return float(math.prod(sups))
 
 
 def eval_pointwise(rep: Integrand, atoms: Sequence[int]) -> complex:
     """Value of Psi at one atom index per factor (the defining finite sum)."""
     atoms = tuple(atoms)
     counts = rep.atom_counts()
-    if counts is not None:
-        if len(atoms) != len(counts):
-            raise ValueError(f"expected {len(counts)} atom indices, got {len(atoms)}")
-        for a, n in zip(atoms, counts):
-            if not 0 <= a < n:
-                raise IndexError(f"atom index {a} out of range [0, {n})")
-    if isinstance(rep, ProjectiveRep):
-        total = 0.0 + 0.0j
-        for term in rep.terms:
-            prod = 1.0 + 0.0j
-            for factor, a in zip(term, atoms):
-                prod *= factor[a]
-            total += prod
-        return complex(total)
-    if isinstance(rep, HaagerupChainRep):
-        v = rep.head[atoms[0]]
-        for mid, a in zip(rep.middles, atoms[1:-1]):
-            v = v @ mid[a] if mid.ndim == 3 else v * mid[a]
-        return complex(v @ rep.tail[atoms[-1]])
-    if isinstance(rep, HaagerupLikeRep):
-        t = [tab[a] for tab, a in zip(rep.tables, atoms)]
-        key = (rep.kind, rep.arity)
-        if key == ("first", 3):
-            return complex(np.einsum("j,k,jk->", t[0], t[1], t[2]))
-        if key == ("second", 3):
-            return complex(np.einsum("jk,j,k->", t[0], t[1], t[2]))
-        if key == ("first", 4):
-            return complex(np.einsum("l,j,jk,kl->", t[0], t[1], t[2], t[3]))
-        return complex(np.einsum("jk,kl,l,j->", t[0], t[1], t[2], t[3]))
-    raise TypeError(f"not an integrand representation: {type(rep)!r}")
-
-
-def _psi_einsum(rep: Integrand, counts: Sequence[int]) -> tuple[str, list]:
-    """Psi over all atom tuples as one einsum: (subscripts, tables), one table
-    per factor with its atom axis first; the output axes are the atoms in
-    factor order. Projective terms are stacked as (n, terms) tables, so a
-    zero integrand has width-0 tables; a diagonal chain middle reuses its
-    incoming link letter. Atom axes are lowercase letters, so the arity is
-    at most 26."""
-    m = rep.arity
-    atoms, links = string.ascii_lowercase[:m], string.ascii_uppercase
-    if isinstance(rep, ProjectiveRep):
-        tables = [
-            np.stack([term[i] for term in rep.terms], axis=1)
-            if rep.terms
-            else np.zeros((n, 0), dtype=np.complex128)
-            for i, n in enumerate(counts)
-        ]
-        return ",".join(f"{a}Z" for a in atoms) + "->" + atoms, tables
-    if isinstance(rep, HaagerupChainRep):
-        ops, link = [atoms[0] + links[0]], 0
-        for a, mid in zip(atoms[1:-1], rep.middles):
-            if mid.ndim == 3:
-                ops.append(a + links[link : link + 2])
-                link += 1
-            else:
-                ops.append(a + links[link])
-        ops.append(atoms[-1] + links[link])
-        return ",".join(ops) + "->" + atoms, [rep.head, *rep.middles, rep.tail]
-    if isinstance(rep, HaagerupLikeRep):
-        return _LIKE_SPECS[(rep.kind, rep.arity)], list(rep.tables)
-    raise TypeError(f"not an integrand representation: {type(rep)!r}")
+    if counts is None:  # a projective integrand without terms
+        return 0j
+    if len(atoms) != len(counts):
+        raise ValueError(f"expected {len(counts)} atom indices, got {len(atoms)}")
+    for a, n in zip(atoms, counts):
+        if not 0 <= a < n:
+            raise IndexError(f"atom index {a} out of range [0, {n})")
+    labels, tables = _bonds(rep, counts)
+    spec = ",".join(labels) + "->"
+    return complex(np.einsum(spec, *(t[a] for t, a in zip(tables, atoms))))
 
 
 def embed_projective_in_haagerup(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluate import MoiInstance
-from .integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
+from .integrands import _LIKE_BONDS, HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
 from .linalg import random_complex, random_unitary
 from .spectral import FiniteSpectralMeasure
 
@@ -67,29 +67,13 @@ def random_like_rep(
     rng: np.random.Generator, kind: str, atom_counts, widths
 ) -> HaagerupLikeRep:
     """widths = (J, K) for arity 3, (J, K, L) for arity 4."""
-    arity = len(atom_counts)
-    if arity == 3:
-        j, k = widths
-        if kind == "first":
-            shapes = [(atom_counts[0], j), (atom_counts[1], k), (atom_counts[2], j, k)]
-        else:
-            shapes = [(atom_counts[0], j, k), (atom_counts[1], j), (atom_counts[2], k)]
-    else:
-        j, k, l = widths
-        if kind == "first":
-            shapes = [
-                (atom_counts[0], l),
-                (atom_counts[1], j),
-                (atom_counts[2], j, k),
-                (atom_counts[3], k, l),
-            ]
-        else:
-            shapes = [
-                (atom_counts[0], j, k),
-                (atom_counts[1], k, l),
-                (atom_counts[2], l),
-                (atom_counts[3], j),
-            ]
+    labels = _LIKE_BONDS.get((kind, len(atom_counts)))
+    if labels is None:
+        raise ValueError(f"unsupported chain-like kind/arity: {kind}/{len(atom_counts)}")
+    if len(widths) != len(atom_counts) - 1:
+        raise ValueError("need one width per bond letter")
+    width = dict(zip("JKL", widths))
+    shapes = [(n, *(width[b] for b in bonds)) for n, bonds in zip(atom_counts, labels)]
     return HaagerupLikeRep(kind, tuple(random_complex(rng, s) for s in shapes))
 
 

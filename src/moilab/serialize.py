@@ -8,20 +8,23 @@ A number beyond float range (say an integer literal of 400 digits, or a
 `dim` of 1e999) and a NaN or infinite atom point raise ValueError, and so
 does any other value where an object belongs (a measure, an atom, an
 integrand body, `exponents`), an integer field (`dim`, `arity`) that is not
-integral, a `merge_tol` that is not a finite number >= 0, and an exponent
-outside (0, inf]; non-finite array entries are refused where the arrays are
-used.
+integral, a projective `arity` that disagrees with its terms, a boolean
+where a number belongs (an array leaf, an atom point), a `merge_tol` that is
+not a finite number >= 0, and an exponent outside (0, inf]; non-finite array
+entries are refused where the arrays are used.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 
 from .evaluate import MoiInstance
-from .integrands import _LIKE_SHAPES, HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
+from .integrands import _LIKE_BONDS, HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
 from .linalg import check_exponent
 from .spectral import DEFAULT_MERGE_TOL, FiniteSpectralMeasure, from_hermitian
 
@@ -34,9 +37,14 @@ def _in_range(what: str, convert, *args):
         raise ValueError(f"{what} is out of range") from None
 
 
+def _is_real(obj) -> bool:
+    """A JSON number: an int or a float, not a boolean."""
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def _number(what: str, obj) -> float:
     """A JSON number (not a boolean) as a float."""
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+    if not _is_real(obj):
         raise ValueError(f"{what} must be a number, got {obj!r}")
     return _in_range(what, float, obj)
 
@@ -65,11 +73,9 @@ def complex_to_json(z) -> list:
 
 
 def complex_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_real(obj):
         return _in_range("complex scalar", complex, obj)
-    if isinstance(obj, list) and len(obj) == 2 and all(
-        isinstance(x, (int, float)) for x in obj
-    ):
+    if isinstance(obj, list) and len(obj) == 2 and all(_is_real(x) for x in obj):
         return _in_range("complex scalar", complex, *obj)
     raise ValueError(f"not a complex scalar (number or [re, im]): {obj!r}")
 
@@ -87,13 +93,20 @@ def array_from_json(obj, ndim: int) -> np.ndarray:
         a = np.asarray(obj)  # no dtype=: float would read the string "1" as 1.0
     except ValueError:  # ragged
         return _array_walk(obj, ndim)
-    if a.dtype.kind in "biuf" and 0 not in a.shape:
+    if a.dtype.kind in "iuf" and 0 not in a.shape and not _has_bool(obj, a):
         if a.ndim == ndim:
             return a.astype(np.complex128)
         if a.ndim == ndim + 1 and a.shape[-1] == 2:
             # complex128 is laid out as [re, im]; the view keeps every bit
             return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
     return _array_walk(obj, ndim)
+
+
+def _has_bool(obj, a: np.ndarray) -> bool:
+    """Whether a leaf is a JSON boolean, which `np.asarray` reads as 0 or 1
+    among numbers: only the leaves read as 0 or 1 are looked up."""
+    leaves = np.argwhere((a == 0) | (a == 1)).tolist()
+    return any(isinstance(reduce(getitem, index, obj), bool) for index in leaves)
 
 
 def _array_walk(obj, ndim: int) -> np.ndarray:
@@ -119,7 +132,7 @@ def exponent_from_json(obj) -> float:
         if obj.lower() in ("inf", "infinity"):
             return math.inf
         raise ValueError(f"unknown exponent string {obj!r}")
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+    if _is_real(obj):
         return check_exponent(_in_range("exponent", float, obj))
     raise ValueError(f"not an exponent: {obj!r}")
 
@@ -198,6 +211,8 @@ def integrand_from_json(obj, arity: int | None = None):
         given = None if given is None else _integer("arity", given)
         if terms:
             m = len(terms[0])
+            if given is not None and given != m:
+                raise ValueError(f"projective arity {given} disagrees with {m}-factor terms")
         else:
             m = given or arity or 0
         if m < 2:
@@ -214,10 +229,10 @@ def integrand_from_json(obj, arity: int | None = None):
     if key == "haagerup_like":
         kind = body["kind"]
         tables = body["tables"]
-        ranks = _LIKE_SHAPES.get((kind, len(tables)))
-        if ranks is None:
+        labels = _LIKE_BONDS.get((kind, len(tables)))
+        if labels is None:
             raise ValueError(f"unsupported chain-like kind/arity: {kind}/{len(tables)}")
-        parsed = tuple(array_from_json(t, 1 + r) for t, r in zip(tables, ranks))
+        parsed = tuple(array_from_json(t, 1 + len(b)) for t, b in zip(tables, labels))
         return HaagerupLikeRep(kind, parsed)
     raise ValueError(f"unknown integrand class {key!r}")
 

@@ -407,6 +407,42 @@ def test_eval_rejects_non_finite_atom_point(tmp_path, literal):
     assert "atom point is not finite" in proc.stderr
 
 
+def _set_real_operator_leaf(o, value):
+    # the operator written with plain real leaves, which one np.asarray reads
+    o["operators"][0] = [[leaf[0] for leaf in row] for row in o["operators"][0]]
+    o["operators"][0][0][0] = value
+
+
+@pytest.mark.parametrize(
+    "mutate, literal",
+    [
+        (_set_operator_leaf, "true"),
+        (_set_operator_leaf, "[true, false]"),
+        (_set_operator_pair_part, "false"),
+        (_set_real_operator_leaf, "true"),
+        (_set_real_operator_leaf, "false"),
+        (_set_point, "true"),
+    ],
+)
+def test_eval_rejects_boolean_leaves(tmp_path, mutate, literal):
+    path = tmp_path / "instance.json"
+    _write_with_literal(path, mutate, literal)
+    proc = run_cli("eval", "--instance", str(path))
+    _one_line_error(proc)
+    assert "not a complex scalar" in proc.stderr
+
+
+def test_eval_rejects_projective_arity_disagreeing_with_terms(tmp_path):
+    path = tmp_path / "instance.json"
+    write_instance(path, cls="projective")
+    payload = json.loads(path.read_text())
+    payload["integrand"]["projective"]["arity"] = 7
+    path.write_text(json.dumps(payload))
+    proc = run_cli("eval", "--instance", str(path))
+    _one_line_error(proc)
+    assert "projective arity 7 disagrees with 3-factor terms" in proc.stderr
+
+
 # --- one sweep cross-check per command ---------------------------------------
 
 SWEEP_MULTI_S = [

@@ -120,12 +120,14 @@ def test_array_to_json_zero_dim_and_empty():
 # --- the array parser against the leaf-by-leaf parser it replaced -------------
 
 
+def _is_number(obj):
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def _reference_complex(obj):
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2 and all(
-        isinstance(x, (int, float)) for x in obj
-    ):
+    if isinstance(obj, list) and len(obj) == 2 and all(_is_number(x) for x in obj):
         return complex(obj[0], obj[1])
     raise ValueError(f"not a complex scalar (number or [re, im]): {obj!r}")
 
@@ -187,10 +189,14 @@ _LEAVES = {
     "real": _plain,
     "pair": _pairs(_plain),
     "mixed": st.one_of(_plain, _pairs(_plain)),
-    "bool": st.one_of(_bools, _pairs(_bools)),
     "wide": st.one_of(_numbers, _pairs(_numbers)),
 }
 _bad_leaves = st.one_of(
+    # JSON true and false, which numpy reads as 1 and 0 among numbers
+    _bools,
+    _pairs(_bools),
+    st.tuples(_bools, _plain).map(list),
+    st.tuples(_plain, _bools).map(list),
     st.sampled_from(["", "1", "1.5", "nan", "x"]),  # strings numpy could read as numbers
     st.none(),
     st.dictionaries(st.sampled_from(["re", "im"]), _numbers, max_size=1),
@@ -201,10 +207,10 @@ _bad_leaves = st.one_of(
 
 
 @st.composite
-def _well_formed(draw):
+def _well_formed(draw, leaves=_LEAVES):
     """(nested list, ndim) of a full array: ndim 1-3, axes 1-3 long."""
     shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    leaf = _LEAVES[draw(st.sampled_from(sorted(_LEAVES)))]
+    leaf = leaves[draw(st.sampled_from(sorted(leaves)))]
 
     def build(axes):
         if not axes:
@@ -224,9 +230,12 @@ def _positions(obj):
 
 @st.composite
 def _malformed(draw):
-    """A well-formed array broken at one place, or read at the wrong depth."""
+    """A well-formed array broken at one place, read at the wrong depth, or
+    built from boolean leaves."""
     obj, ndim = draw(_well_formed())
-    how = draw(st.sampled_from(["empty", "ragged", "leaf", "depth", "top"]))
+    how = draw(st.sampled_from(["empty", "ragged", "leaf", "depth", "top", "bool"]))
+    if how == "bool":
+        return draw(_well_formed({"bool": st.one_of(_bools, _pairs(_bools))}))
     if how == "depth":
         return obj, ndim + draw(st.sampled_from([-1, 1, 2]))
     if how == "top":
@@ -245,6 +254,23 @@ def _malformed(draw):
 _PROPERTY = settings(max_examples=250, deadline=None, derandomize=True)
 
 
+@st.composite
+def _one_bool_leaf(draw):
+    """A real or [re, im] array with one number turned into a boolean, which
+    one np.asarray reads as 0 or 1 among the numbers."""
+    kind = draw(st.sampled_from(["real", "pair"]))
+    obj, ndim = draw(_well_formed({kind: _LEAVES[kind]}))
+    row = obj
+    for _ in range(ndim - 1):
+        row = row[draw(st.integers(0, len(row) - 1))]
+    i = draw(st.integers(0, len(row) - 1))
+    if kind == "real":
+        row[i] = draw(_bools)
+    else:
+        row[i][draw(st.integers(0, 1))] = draw(_bools)
+    return obj, ndim
+
+
 @_PROPERTY
 @given(_well_formed())
 def test_array_parser_matches_reference_on_arrays(case):
@@ -255,6 +281,13 @@ def test_array_parser_matches_reference_on_arrays(case):
 @_PROPERTY
 @given(_malformed())
 def test_array_parser_matches_reference_on_malformed_input(case):
+    obj, ndim = case
+    _assert_same_outcome(obj, ndim)
+
+
+@_PROPERTY
+@given(_one_bool_leaf())
+def test_array_parser_refuses_a_boolean_among_numbers(case):
     obj, ndim = case
     _assert_same_outcome(obj, ndim)
 
