@@ -63,7 +63,6 @@ from .spectral import (
     cyclic_model,
     from_hermitian,
     integrate_scalar,
-    validate_spectral_measure,
 )
 
 __version__ = "0.1.0"
@@ -116,5 +115,4 @@ __all__ = [
     "sharp_r",
     "singular_values",
     "sweep_csv",
-    "validate_spectral_measure",
 ]

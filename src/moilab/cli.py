@@ -57,6 +57,7 @@ from .sharpness import (
     sharp_r,
     sweep_csv,
 )
+from .spectral import integrate_scalar
 
 DEFAULT_EXPONENTS = (2.0, 3.0, 4.0, INF)
 
@@ -170,7 +171,7 @@ def cmd_eval(args) -> int:
         with open(args.instance, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         inst, _ = instance_from_json(payload)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
         return _fail(f"eval: cannot load instance: {exc}", 2)
     try:
         result = eval_oracle(inst, cap=cap) if args.oracle else eval_moi(inst)
@@ -294,8 +295,7 @@ def _suite_lemma_row(config, k):
     normalized = MoiInstance(
         inst.measures, inst.operators, HaagerupChainRep(head, rep.middles, rep.tail)
     )
-    projs = normalized.measures[0].projection_stack()
-    blocks = list(np.tensordot(head, projs, axes=([0], [0])))
+    blocks = list(integrate_scalar(head, normalized.measures[0]))
     exps = config["exponents"]
     p = exps[int(rng.integers(len(exps)))]
     report = check_lemma_row(blocks, normalized.operators[0], p, tol=config["tol"])

@@ -48,7 +48,7 @@ from .integrands import (
     rep_norm_bound,
 )
 from .linalg import adjoint, as_matrix, operator_norm
-from .spectral import FiniteSpectralMeasure
+from .spectral import FiniteSpectralMeasure, integrate_scalar
 
 DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_BLOCK_CAP = 4096
@@ -194,11 +194,6 @@ def eval_projective(inst: MoiInstance) -> np.ndarray:
     return _sweep(inst)
 
 
-def _integrate_vector_table(table: np.ndarray, e: FiniteSpectralMeasure) -> np.ndarray:
-    """Stack of integrated operators, one per chain index: (L, dim, dim)."""
-    return np.tensordot(table, e.projection_stack(), axes=([0], [0]))
-
-
 def _eigen_frame(measures, operators) -> tuple[list, list]:
     """The measures' bases U_i and the operators moved into them,
     T_i' = U_i^* T_i U_{i+1}."""
@@ -313,7 +308,7 @@ def eval_haagerup_block(
         )
     if min(widths) == 0:
         return np.zeros((dim, dim), dtype=np.complex128)
-    head_ops = _integrate_vector_table(rep.head, inst.measures[0])
+    head_ops = integrate_scalar(rep.head, inst.measures[0])
     product = row_block(head_ops, inst.operators[0])
     for t, mid in enumerate(rep.middles):
         projs = inst.measures[t + 1].projection_stack()
@@ -326,7 +321,7 @@ def eval_haagerup_block(
             product = product @ np.kron(
                 np.eye(mid.shape[-1]), inst.operators[t + 1]
             )
-    tail_ops = _integrate_vector_table(rep.tail, inst.measures[-1])
+    tail_ops = integrate_scalar(rep.tail, inst.measures[-1])
     column = np.vstack([inst.operators[-1] @ g for g in tail_ops])
     return product @ column
 

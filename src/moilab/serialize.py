@@ -166,9 +166,7 @@ def measure_from_json(obj) -> FiniteSpectralMeasure:
             raise ValueError(f"atom point is not finite: {atom['point']!r}")
         points.append(z.real if z.imag == 0.0 else z)
         projections.append(array_from_json(atom["projection"], 2))
-    measure = FiniteSpectralMeasure(dim, tuple(points), tuple(projections))
-    measure.basis  # factoring validates the atoms; raises ValueError if invalid
-    return measure
+    return FiniteSpectralMeasure(dim, tuple(points), tuple(projections))
 
 
 def integrand_to_json(rep) -> dict:

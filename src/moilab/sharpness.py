@@ -138,7 +138,7 @@ def _delta_system(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
-def build_construction(case: ConstructionCase, max_n: int = BUILD_CAP) -> SharpnessInstance:
+def build_construction(case: ConstructionCase) -> SharpnessInstance:
     """Materialize the extremal family at truncation n = ambient dimension.
 
     The integrand is a chain of representation norm exactly 1: delta-system
@@ -147,9 +147,9 @@ def build_construction(case: ConstructionCase, max_n: int = BUILD_CAP) -> Sharpn
     exact, and the compressions P_j . P_j make the value exactly diagonal.
     """
     n = case.n
-    if n > max_n:
+    if n > BUILD_CAP:
         raise ValueError(
-            f"n = {n} exceeds the materialization cap {max_n}; "
+            f"n = {n} exceeds the materialization cap {BUILD_CAP}; "
             "use the diagonal closed form for large n"
         )
     fourier, position, characters = cyclic_model(n)
@@ -245,7 +245,6 @@ def growth_sweep(
     dims,
     s,
     cross_check: bool = True,
-    max_n: int = SWEEP_CAP,
 ) -> list[SweepRow]:
     """One row per truncation n: lhs = ||W||_s from the diagonal closed form,
     rhs = the product of operator norms, ratio = lhs / rhs.
@@ -262,8 +261,8 @@ def growth_sweep(
         raise ValueError("need at least one truncation dimension")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("truncation dimensions must be strictly ascending")
-    if dims[-1] > max_n:
-        raise ValueError(f"n = {dims[-1]} exceeds the sweep cap {max_n}")
+    if dims[-1] > SWEEP_CAP:
+        raise ValueError(f"n = {dims[-1]} exceeds the sweep cap {SWEEP_CAP}")
     rows = []
     for n in dims:
         case = default_case(arity, regime, p_first, p_last, n)

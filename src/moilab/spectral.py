@@ -1,16 +1,18 @@
 """Finite spectral measures: orthogonal projection families resolving the
 identity, held in their eigenbasis, tables of functions on their atoms, and
 integration sum_i f(x_i) P_i.
+
+Every measure is valid once built: explicit projections are factored and
+checked at construction, and a basis with column labels is valid by form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, as_matrix, hermitian_eig, operator_norm
+from .linalg import adjoint, as_matrix, hermitian_eig
 
 MEASURE_TOL = 1e-10
 DEFAULT_MERGE_TOL = 1e-8
@@ -21,18 +23,18 @@ class FiniteSpectralMeasure:
     summing to the identity. Points are labels for reporting; evaluation only
     ever indexes tables by atom position.
 
-    The measure is held in its eigenbasis: a unitary `basis` (dim x dim) and
-    `labels`, the atom index of each basis column, so that P_i is the product
-    of the columns labelled i with their adjoint. `projections` and
-    `projection_stack()` are views derived from that form, built at most once
-    and then cached (read-only).
+    The measure is held in its eigenbasis: read-only attributes `basis`, a
+    unitary (dim x dim), and `labels`, the atom index of each basis column,
+    so that P_i is the product of the columns labelled i with their adjoint.
 
-    `FiniteSpectralMeasure(dim, points, projections)` builds a measure from
-    explicit projections and accepts any square matrices; such a measure
-    factors itself on first access to `basis` or `labels`, which raises
-    ValueError unless the projections are orthogonal and resolve the
-    identity within MEASURE_TOL. `from_basis` builds a measure from its
-    eigenbasis directly.
+    `FiniteSpectralMeasure(dim, points, projections)` factors explicit
+    projections at construction, through the eigenbasis of sum_i i P_i, and
+    raises ValueError, naming the first atom that fails, unless they are
+    orthogonal projections resolving the identity within MEASURE_TOL (in the
+    Frobenius norm, an upper bound for the operator norm). It keeps the
+    caller's projections as its stack. `from_basis` builds a measure from its
+    eigenbasis directly and derives the projections on first use.
+    `projections` and `projection_stack()` are cached read-only views.
     """
 
     def __init__(self, dim: int, points, projections):
@@ -46,10 +48,28 @@ class FiniteSpectralMeasure:
         for p in projs:
             if p.shape != (dim, dim):
                 raise ValueError(f"projection shape {p.shape} != ({dim}, {dim})")
+        n = len(points)
+        stack = np.stack(projs)
+        # eigenvalue i marks the range of P_i; each column takes its rounded one
+        w, u = np.linalg.eigh(np.tensordot(np.arange(n), stack, axes=1))
+        labels = np.rint(w).astype(np.intp)
+        if labels.min() < 0 or labels.max() >= n:
+            raise ValueError(
+                "projections do not resolve the identity: sum_i i P_i has "
+                f"eigenvalues outside [0, {n - 1}]"
+            )
+        for i, p in enumerate(_projectors(u, labels, n)):
+            defect = float(np.linalg.norm(stack[i] - p))
+            if not defect <= MEASURE_TOL:
+                raise ValueError(
+                    f"atom {i} is not an orthogonal projection of a family resolving "
+                    f"the identity: defect {defect:.3e} > {MEASURE_TOL:g}"
+                )
         self.dim = dim
         self.points = points
-        self._basis = self._labels = None
-        self._stack = _read_only(np.stack(projs))
+        self.basis = _read_only(u)
+        self.labels = _read_only(labels)
+        self._stack = _read_only(stack)
         self._projections = None
 
     @classmethod
@@ -72,28 +92,14 @@ class FiniteSpectralMeasure:
         measure = cls.__new__(cls)
         measure.dim = dim
         measure.points = points
-        measure._basis = _read_only(u)
-        measure._labels = _read_only(labels)
+        measure.basis = _read_only(u)
+        measure.labels = _read_only(labels)
         measure._stack = measure._projections = None
         return measure
 
     @property
     def n_atoms(self) -> int:
         return len(self.points)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The unitary whose columns span the atoms' ranges."""
-        if self._basis is None:
-            self._factor()
-        return self._basis
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Atom index of each column of `basis`."""
-        if self._labels is None:
-            self._factor()
-        return self._labels
 
     @property
     def projections(self) -> tuple:
@@ -104,44 +110,23 @@ class FiniteSpectralMeasure:
     def projection_stack(self) -> np.ndarray:
         """All projections as one (n_atoms, dim, dim) array."""
         if self._stack is None:
-            u, labels = self._basis, self._labels
-            stack = np.empty((self.n_atoms, self.dim, self.dim), dtype=np.complex128)
-            for i in range(self.n_atoms):
-                cols = u[:, labels == i]
-                np.matmul(cols, adjoint(cols), out=stack[i])
-            self._stack = _read_only(stack)
+            self._stack = _read_only(_projectors(self.basis, self.labels, self.n_atoms))
         return self._stack
-
-    def _factor(self) -> None:
-        """Eigenbasis of sum_i i P_i: eigenvalue i marks the range of P_i.
-
-        Each column is labelled with its rounded eigenvalue, and every atom is
-        checked against the columns labelled with it, in the Frobenius norm
-        (an upper bound for the operator norm)."""
-        stack = self._stack
-        w, u = np.linalg.eigh(np.tensordot(np.arange(self.n_atoms), stack, axes=1))
-        labels = np.rint(w).astype(np.intp)
-        if labels.min() < 0 or labels.max() >= self.n_atoms:
-            raise ValueError(
-                "projections do not resolve the identity: sum_i i P_i has "
-                f"eigenvalues outside [0, {self.n_atoms - 1}]"
-            )
-        for i in range(self.n_atoms):
-            cols = u[:, labels == i]
-            defect = float(np.linalg.norm(stack[i] - cols @ adjoint(cols)))
-            if not defect <= MEASURE_TOL:
-                raise ValueError(
-                    f"atom {i} is not an orthogonal projection of a family resolving "
-                    f"the identity: defect {defect:.3e} > {MEASURE_TOL:g}"
-                )
-        self._basis = _read_only(u)
-        self._labels = _read_only(labels)
 
     @classmethod
     def trivial(cls, dim: int, point=0.0) -> "FiniteSpectralMeasure":
         return cls.from_basis(
             np.eye(dim, dtype=np.complex128), np.zeros(dim, dtype=np.intp), (point,)
         )
+
+
+def _projectors(u: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """(n, dim, dim) stack of P_i = U[:, labels == i] U[:, labels == i]^*."""
+    stack = np.empty((n,) + u.shape, dtype=np.complex128)
+    for i in range(n):
+        cols = u[:, labels == i]
+        np.matmul(cols, adjoint(cols), out=stack[i])
+    return stack
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -151,43 +136,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
-class MeasureValidation:
-    ok: bool
-    worst_hermiticity: float
-    worst_idempotency: float
-    worst_orthogonality: float
-    completeness: float
-    points_distinct: bool
-
-
-def validate_spectral_measure(
-    measure: FiniteSpectralMeasure, tol: float = MEASURE_TOL
-) -> MeasureValidation:
-    """Report-style check of P = P*, P^2 = P, P_i P_j = 0 (i != j),
-    sum P_i = I, and pairwise distinct points."""
-    projs = measure.projections
-    herm = max(operator_norm(p - adjoint(p)) for p in projs)
-    idem = max(operator_norm(p @ p - p) for p in projs)
-    orth = 0.0
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            orth = max(orth, operator_norm(projs[i] @ projs[j]))
-    total = sum(projs)
-    comp = operator_norm(total - np.eye(measure.dim))
-    distinct = len(set(measure.points)) == len(measure.points)
-    ok = herm <= tol and idem <= tol and orth <= tol and comp <= tol and distinct
-    return MeasureValidation(ok, herm, idem, orth, comp, distinct)
-
-
-def integrate_scalar(values, measure: FiniteSpectralMeasure) -> np.ndarray:
-    """sum_i values[i] * P_i for one complex value per atom."""
-    v = np.asarray(values, dtype=np.complex128)
-    if v.shape != (measure.n_atoms,):
+def integrate_scalar(table, measure: FiniteSpectralMeasure) -> np.ndarray:
+    """sum_i table[i] P_i for a table with its atom axis first: one operator
+    (dim, dim) for a scalar table (n_atoms,), a stack of operators
+    (L, dim, dim) for a vector table (n_atoms, L)."""
+    t = np.asarray(table, dtype=np.complex128)
+    if t.ndim == 0 or t.shape[0] != measure.n_atoms:
         raise ValueError(
-            f"table has {v.shape} values for a measure with {measure.n_atoms} atoms"
+            f"table has shape {t.shape} for a measure with {measure.n_atoms} atoms"
         )
-    return np.einsum("i,iab->ab", v, measure.projection_stack())
+    return np.tensordot(t, measure.projection_stack(), axes=([0], [0]))
 
 
 def from_hermitian(

@@ -69,6 +69,15 @@ def test_eval_malformed_json(tmp_path):
     assert proc.stderr.strip()
 
 
+def test_eval_deeply_nested_json_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    proc = run_cli("eval", "--instance", str(path))
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_eval_missing_file(tmp_path):
     proc = run_cli("eval", "--instance", str(tmp_path / "absent.json"))
     assert proc.returncode == 2

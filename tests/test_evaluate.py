@@ -81,6 +81,18 @@ def test_oracle_single_atom_measures():
     assert operator_norm(eval_oracle(inst) - value * t) <= TOL
 
 
+def test_overlapping_family_never_reaches_the_oracle():
+    # the oracle sums projections as given, so a family with P_0 = P_1 must
+    # be refused when the measure is built, before any instance holds it
+    p = np.diag([1.0, 0.0])
+    with pytest.raises(ValueError, match="atom 0"):
+        FiniteSpectralMeasure(2, (0.0, 1.0), (p, p))
+    e = FiniteSpectralMeasure(2, (0.0, 1.0), (p, np.eye(2) - p))
+    rep = ProjectiveRep(2, ((np.ones(2), np.ones(2)),))
+    inst = MoiInstance((e, e), (np.eye(2),), rep)
+    assert operator_norm(eval_oracle(inst) - np.eye(2)) <= TOL
+
+
 def test_oracle_cap():
     rng = rng_for(3)
     inst = random_instance(rng, "chain", dim_range=(4, 4), arity=3)

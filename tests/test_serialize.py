@@ -27,7 +27,7 @@ from moilab.serialize import (
     measure_from_json,
     measure_to_json,
 )
-from moilab.spectral import from_hermitian, validate_spectral_measure
+from moilab.spectral import MEASURE_TOL, from_hermitian
 
 
 def test_complex_pair_round_trip():
@@ -65,7 +65,12 @@ def test_measure_round_trip_explicit():
     assert back.dim == e.dim and back.n_atoms == e.n_atoms
     for p, q in zip(e.projections, back.projections):
         assert operator_norm(p - q) < 1e-12
-    assert validate_spectral_measure(back).ok
+    u, labels = back.basis, back.labels
+    assert operator_norm(u.conj().T @ u - np.eye(back.dim)) <= MEASURE_TOL
+    for i, q in enumerate(back.projections):
+        cols = u[:, labels == i]
+        assert operator_norm(q - cols @ cols.conj().T) <= MEASURE_TOL
+    assert len(set(back.points)) == back.n_atoms
 
 
 def test_measure_from_hermitian_form():

@@ -5,35 +5,36 @@ import pytest
 
 from moilab.linalg import operator_norm, random_unitary
 from moilab.spectral import (
+    MEASURE_TOL,
     FiniteSpectralMeasure,
     cyclic_model,
     from_hermitian,
     integrate_scalar,
     matrix_sup,
     scalar_sup,
-    validate_spectral_measure,
     vector_sup,
 )
 
 
+def assert_valid_measure(e):
+    """A unitary basis within MEASURE_TOL, each projection the product of
+    its labelled basis columns with their adjoint, and distinct points."""
+    u, labels = e.basis, e.labels
+    assert operator_norm(u.conj().T @ u - np.eye(e.dim)) <= MEASURE_TOL
+    for i, p in enumerate(e.projections):
+        cols = u[:, labels == i]
+        assert operator_norm(p - cols @ cols.conj().T) <= MEASURE_TOL
+    assert len(set(e.points)) == e.n_atoms
+
+
 def test_validate_trivial_measure():
-    report = validate_spectral_measure(FiniteSpectralMeasure.trivial(3))
-    assert report.ok
+    assert_valid_measure(FiniteSpectralMeasure.trivial(3))
 
 
 def test_validate_fourier_projections():
     fourier, position, _ = cyclic_model(5)
-    assert validate_spectral_measure(fourier).ok
-    assert validate_spectral_measure(position).ok
-
-
-def test_validate_catches_repeated_projection():
-    p = np.zeros((2, 2), dtype=complex)
-    p[0, 0] = 1.0
-    measure = FiniteSpectralMeasure(2, (0.0, 1.0), (p, p))
-    report = validate_spectral_measure(measure)
-    assert not report.ok
-    assert report.worst_orthogonality > 1e-10
+    assert_valid_measure(fourier)
+    assert_valid_measure(position)
 
 
 def test_integrate_constant_is_identity():
@@ -58,6 +59,21 @@ def test_integrate_rejects_wrong_length():
     e = FiniteSpectralMeasure.trivial(2)
     with pytest.raises(ValueError):
         integrate_scalar(np.ones(3), e)
+
+
+def test_integrate_vector_table_stacks_scalar_integrals():
+    rng = np.random.default_rng(31)
+    h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    e = from_hermitian(h + h.conj().T)
+    table = rng.standard_normal((e.n_atoms, 3)) + 1j * rng.standard_normal((e.n_atoms, 3))
+    ops = integrate_scalar(table, e)
+    assert ops.shape == (3, 5, 5)
+    for k in range(3):
+        assert operator_norm(ops[k] - integrate_scalar(table[:, k], e)) < 1e-12
+    with pytest.raises(ValueError):
+        integrate_scalar(np.ones((e.n_atoms + 1, 3)), e)
+    with pytest.raises(ValueError):
+        integrate_scalar(1.0, e)
 
 
 def test_integrate_linear_and_multiplicative():
@@ -90,7 +106,7 @@ def test_from_hermitian_reconstructs():
     h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = h + h.conj().T
     e = from_hermitian(h, merge_tol=1e-8)
-    assert validate_spectral_measure(e).ok
+    assert_valid_measure(e)
     rebuilt = sum(x * p for x, p in zip(e.points, e.projections))
     assert operator_norm(rebuilt - h) <= 1e-9 * operator_norm(h)
 
@@ -190,7 +206,7 @@ def test_from_basis_projections_are_column_blocks():
     for i in range(3):
         cols = u[:, labels == i]
         assert operator_norm(e.projections[i] - cols @ cols.conj().T) < 1e-14
-    assert validate_spectral_measure(e).ok
+    assert_valid_measure(e)
 
 
 def test_from_basis_rejects_bad_labels():
@@ -235,25 +251,33 @@ def test_factoring_accepts_zero_rank_atom():
 
 
 def test_factoring_rejects_scaled_all_ones():
-    e = FiniteSpectralMeasure(3, (0.0,), (np.full((3, 3), 0.5),))
     with pytest.raises(ValueError, match="projection"):
-        e.basis
+        FiniteSpectralMeasure(3, (0.0,), (np.full((3, 3), 0.5),))
 
 
 def test_factoring_rejects_repeated_projection():
+    # P_0 = P_1 are projections but not orthogonal to each other; the first
+    # atom whose factored projection differs is named
     p = np.zeros((2, 2), dtype=complex)
     p[0, 0] = 1.0
-    e = FiniteSpectralMeasure(2, (0.0, 1.0), (p, p))
-    with pytest.raises(ValueError):
-        e.labels
+    with pytest.raises(ValueError, match="atom 0 is not an orthogonal projection"):
+        FiniteSpectralMeasure(2, (0.0, 1.0), (p, p))
 
 
 def test_factoring_rejects_incomplete_family():
     # orthogonal projections that do not sum to the identity
     projs = _random_projections(24, 4, (1, 2))
-    e = FiniteSpectralMeasure(4, (0.0, 1.0), tuple(projs))
     with pytest.raises(ValueError):
-        e.basis
+        FiniteSpectralMeasure(4, (0.0, 1.0), tuple(projs))
+
+
+def test_explicit_measure_keeps_the_given_projections():
+    projs = _random_projections(25, 5, (2, 3))
+    e = FiniteSpectralMeasure(5, (0.0, 1.0), tuple(projs))
+    assert_valid_measure(e)
+    for p, q in zip(projs, e.projections):
+        assert np.array_equal(p, q)
+    assert not e.basis.flags.writeable and not e.labels.flags.writeable
 
 
 def test_from_basis_atom_without_columns_is_zero():
