@@ -37,6 +37,17 @@ def test_validate_fourier_projections():
     assert_valid_measure(position)
 
 
+def test_validate_catches_repeated_projection():
+    # a family that repeats one projection is refused when it is built, and
+    # the reported defect exceeds MEASURE_TOL
+    p = np.zeros((2, 2), dtype=complex)
+    p[0, 0] = 1.0
+    with pytest.raises(ValueError, match="defect") as info:
+        FiniteSpectralMeasure(2, (0.0, 1.0), (p, p))
+    defect = float(str(info.value).split("defect ")[1].split(" >")[0])
+    assert defect > MEASURE_TOL
+
+
 def test_integrate_constant_is_identity():
     e = from_hermitian(np.diag([1.0, 2.0, 3.0]))
     assert operator_norm(integrate_scalar(np.ones(3), e) - np.eye(3)) < 1e-12
