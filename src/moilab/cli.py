@@ -5,9 +5,10 @@ Subcommands:
   verify  run seeded randomized verification campaigns
   sweep   tabulate extremal-family growth ratios to CSV
 
-Exit codes: 0 success, 1 verification failure, 2 input/config error,
-3 resource cap exceeded. The MOI_MAX_TUPLES environment variable (an integer
->= 1) overrides the atomwise-oracle tuple cap.
+Exit codes: 0 success, 1 verification failure, 2 input/config error or a
+non-finite result, 3 resource cap exceeded or out of memory; only `main` and
+the parser choose them, each with one stderr line. The MOI_MAX_TUPLES
+environment variable (an integer >= 1) overrides the atomwise-oracle tuple cap.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ from .sharpness import (
 )
 from .spectral import integrate_scalar
 
-DEFAULT_EXPONENTS = (2.0, 3.0, 4.0, INF)
-
 # in-range Schatten pairs for the duality-defined integrals; the first-kind
 # hypothesis is q >= 2, the second-kind p >= 2, both with 1/p + 1/q in [1/2, 1]
 LIKE_PAIRS = {
@@ -94,10 +93,6 @@ def _parse_exponent(tok: str) -> float:
     return check_exponent(float(tok))
 
 
-def _parse_exponent_list(text: str) -> list[float]:
-    return [_parse_exponent(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _parse_s_token(tok: str, r: float) -> float:
     """An s value: a number, 'inf', 'r', '<a>r' (a times r), or 'r/<a>';
     each must be a Schatten exponent in (0, inf]."""
@@ -112,11 +107,6 @@ def _parse_s_token(tok: str, r: float) -> float:
             raise ValueError(f"s = {tok!r} divides by zero")
         return check_exponent(r / divisor)
     return _parse_exponent(tok)
-
-
-def _fail(message: str, code: int) -> int:
-    print(message, file=sys.stderr)
-    return code
 
 
 def _tuple_cap() -> int:
@@ -161,22 +151,33 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def cmd_eval(args) -> int:
+@contextlib.contextmanager
+def _stage(label: str, errors: tuple = (ValueError,), kind: type = ValueError):
+    """Re-raise an error of the block that is one of `errors` as a `kind`
+    (a ValueError exits 2) whose message starts with label."""
     try:
+        yield
+    except errors as exc:
+        raise kind(f"{label}: {exc}") from exc
+
+
+def _emit(path: str | None, text: str) -> None:
+    """Write text to the --out path, atomically, or to stdout without one."""
+    if path:
+        with _stage("cannot write output", (OSError,)):
+            _write_atomic(path, text)
+    else:
+        sys.stdout.write(text)
+
+
+def cmd_eval(args) -> int:
+    with _stage("invalid configuration"):
         cap = _tuple_cap()
         _check_out_path(args.out)
-    except ValueError as exc:
-        return _fail(f"eval: invalid configuration: {exc}", 2)
-    try:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        inst, _ = instance_from_json(payload)
-    except (OSError, ValueError, TypeError, KeyError, RecursionError) as exc:
-        return _fail(f"eval: cannot load instance: {exc}", 2)
-    try:
-        result = eval_oracle(inst, cap=cap) if args.oracle else eval_moi(inst)
-    except CapExceededError as exc:
-        return _fail(f"eval: {exc}", 3)
+    unreadable = (OSError, ValueError, TypeError, KeyError, RecursionError)
+    with _stage("cannot load instance", unreadable), open(args.instance, encoding="utf-8") as fh:
+        inst, _ = instance_from_json(json.load(fh))
+    result = eval_oracle(inst, cap=cap) if args.oracle else eval_moi(inst)
     out = {
         "result": array_to_json(result),
         "schatten": {
@@ -186,14 +187,8 @@ def cmd_eval(args) -> int:
         },
         "rep_norm_bound": rep_norm_bound(inst.integrand),
     }
-    text = json.dumps(out, indent=2) + "\n"
-    if args.out:
-        try:
-            _write_atomic(args.out, text)
-        except OSError as exc:
-            return _fail(f"eval: cannot write output: {exc}", 2)
-    else:
-        sys.stdout.write(text)
+    # an overflowing bound is refused: Infinity is not JSON
+    _emit(args.out, json.dumps(out, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -321,7 +316,7 @@ def _worse(value: float, worst: float) -> bool:
 
 
 def cmd_verify(args) -> int:
-    try:
+    with _stage("invalid configuration"):
         if args.seed < 0:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
         if args.trials < 1:
@@ -332,7 +327,7 @@ def cmd_verify(args) -> int:
             raise ValueError("dims and widths must be nonempty")
         if min(dims) < 1 or min(widths) < 1:
             raise ValueError("dims and widths must be >= 1")
-        exponents = tuple(_parse_exponent_list(args.exponents))
+        exponents = tuple(_parse_exponent(t) for t in args.exponents.split(",") if t.strip())
         if not exponents:
             raise ValueError("exponent set must be nonempty")
         for p in exponents:
@@ -346,9 +341,6 @@ def cmd_verify(args) -> int:
             raise ValueError(f"tolerance must be finite and >= 0, got {args.tol}")
         _check_dir(args.repro_dir, "repro")
         cap = _tuple_cap()
-    except (ValueError, RangeError) as exc:
-        return _fail(f"verify: invalid configuration: {exc}", 2)
-
     config = {
         "seed": args.seed,
         "dim_range": (min(dims), max(dims)),
@@ -366,10 +358,8 @@ def cmd_verify(args) -> int:
         worst = 0.0
         worst_trial, worst_inst = None, None
         for k in range(args.trials):
-            try:
+            with _stage(f"suite {name} trial {k}", (CapExceededError,), CapExceededError):
                 value, inst = run(config, k)
-            except CapExceededError as exc:
-                return _fail(f"verify: suite {name} trial {k}: {exc}", 3)
             if worst_inst is None or _worse(value, worst):
                 worst, worst_trial, worst_inst = value, k, inst
         ok = worst <= threshold[metric]
@@ -378,10 +368,8 @@ def cmd_verify(args) -> int:
             path = os.path.join(
                 args.repro_dir, f"moi-repro-{name}-seed{args.seed}-trial{worst_trial}.json"
             )
-            try:
+            with _stage("cannot write reproduction file", (OSError,)):
                 _write_atomic(path, json.dumps(instance_to_json(worst_inst), indent=2) + "\n")
-            except OSError as exc:
-                return _fail(f"verify: cannot write reproduction file: {exc}", 2)
             failures.append((name, worst_trial, path))
     if failures:
         for name, trial, path in failures:
@@ -396,7 +384,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
+    with _stage("invalid case"):
         _check_out_path(args.out)
         dims = _parse_int_list(args.dims)
         if not dims:
@@ -415,23 +403,19 @@ def cmd_sweep(args) -> int:
             rows.extend(
                 growth_sweep(args.arity, args.regime, p1, pm1, dims, s, cross_check=i == 0)
             )
-    except (ValueError, RangeError) as exc:
-        return _fail(f"sweep: invalid case: {exc}", 2)
-    except ConstructionCheckError as exc:
-        return _fail(f"sweep: {exc}", 1)
-    text = sweep_csv(rows)
-    if args.out:
-        try:
-            _write_atomic(args.out, text)
-        except OSError as exc:
-            return _fail(f"sweep: cannot write output: {exc}", 2)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, sweep_csv(rows))
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """One line for a bad command line, without the usage; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moilab",
         description="evaluate multiple operator integrals, verify their Schatten "
         "norm bounds, and sweep the extremal families",
@@ -482,9 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error a command may end with; any other is a defect
+EXIT_CODES = {ValueError: 2, CapExceededError: 3, MemoryError: 3, ConstructionCheckError: 1}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"{args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

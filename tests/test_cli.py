@@ -903,3 +903,143 @@ def test_eval_fuzzed_instance_exits_cleanly(cls, data):
     assert code in (0, 2, 3)
     assert len(err.strip().splitlines()) <= 1
     assert (code == 0) == (err == "")
+
+
+# --- the exact stderr line and exit code of each refusal ---------------------
+
+_SWEEP = ["sweep", "--arity", "3", "--p1", "4", "--pm1", "4", "--s", "r"]
+_REGIMES = "('both-large', 'both-small', 'mixed-large-small', 'mixed-small-large')"
+_CONFIG = "verify: invalid configuration: "
+_CASE = "sweep: invalid case: "
+
+# argv and expected line with {tmp} for the test's directory; every refusal
+# exits 2 and writes nothing to stdout
+REFUSALS = [
+    (["eval", "--instance", "{tmp}/absent.json"],
+     "eval: cannot load instance: [Errno 2] No such file or directory: '{tmp}/absent.json'"),
+    (["eval", "--instance", "{tmp}/broken.json"],
+     "eval: cannot load instance: Expecting property name enclosed in double quotes:"
+     " line 1 column 2 (char 1)"),
+    (["eval", "--instance", "{tmp}/list.json"],
+     "eval: cannot load instance: instance must be a JSON object"),
+    (["eval", "--instance", "{tmp}"], "eval: cannot load instance: [Errno 21] Is a directory: '{tmp}'"),
+    (["eval", "--instance", "{tmp}/instance.json", "--out", "{tmp}/no/r.json"],
+     "eval: invalid configuration: output directory '{tmp}/no' does not exist"),
+    (["eval", "--instance", "{tmp}/instance.json", "--out", "{tmp}"],
+     "eval: invalid configuration: output path '{tmp}' is a directory"),
+    (["verify", "--seed", "-1"], _CONFIG + "seed must be >= 0, got -1"),
+    (["verify", "--trials", "0"], _CONFIG + "trials must be >= 1, got 0"),
+    (["verify", "--dims", "0-3"], _CONFIG + "dims and widths must be >= 1"),
+    (["verify", "--exponents", "0"],
+     _CONFIG + "Schatten exponent must lie in (0, inf], got 0.0"),
+    (["verify", "--exponents", "2,1"],
+     _CONFIG + "exponent 1.0 < 2 is outside the hypotheses of the chain and row bounds;"
+     " the extremal sweep explores that range instead"),
+    (["verify", "--tol", "nan"], _CONFIG + "tolerance must be finite and >= 0, got nan"),
+    (["verify", "--repro-dir", "{tmp}/no"], _CONFIG + "repro directory '{tmp}/no' does not exist"),
+    ([*_SWEEP, "--regime", "tiny", "--dims", "16"],
+     _CASE + f"unknown regime 'tiny'; one of {_REGIMES}"),
+    ([*_SWEEP[:-1], "r/0", "--regime", "both-large", "--dims", "16"],
+     _CASE + "s = 'r/0' divides by zero"),
+    ([*_SWEEP, "--regime", "both-large", "--dims", "64,16"],
+     _CASE + "truncation dimensions must be strictly ascending"),
+    ([*_SWEEP, "--regime", "both-large", "--dims", "16384"],
+     _CASE + "n = 16384 exceeds the sweep cap 8192"),
+    ([*_SWEEP, "--regime", "both-small", "--dims", "16"],
+     _CASE + "regime both-small is inconsistent with p_first = 4.0"),
+    ([*_SWEEP, "--regime", "both-large", "--dims", "16", "--out", "{tmp}/no/s.csv"],
+     _CASE + "output directory '{tmp}/no' does not exist"),
+]
+
+
+@pytest.mark.parametrize("argv, line", REFUSALS, ids=[" ".join(a) for a, _ in REFUSALS])
+def test_refusal_prints_one_exact_line(tmp_path, capsys, argv, line):
+    from moilab import cli
+
+    write_instance(tmp_path / "instance.json")
+    (tmp_path / "broken.json").write_text("{not json")
+    (tmp_path / "list.json").write_text("[1]")
+    tmp = str(tmp_path)
+    code = cli.main([arg.format(tmp=tmp) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", line.format(tmp=tmp) + "\n")
+
+
+# --- errors raised outside their stage still map to one line and a code -------
+
+
+def _two_atom_chain(tmp_path, end, middle, operator):
+    """An arity-3 chain on three 2-dim measures with atoms diag(1,0) and
+    diag(0,1): head and tail `end`, one dense `middle`, both operators
+    `operator`."""
+    measure = {"dim": 2, "atoms": [{"point": 0.0, "projection": [[1, 0], [0, 0]]},
+                                   {"point": 1.0, "projection": [[0, 0], [0, 1]]}]}
+    chain = {"head": end, "middles": [middle], "tail": end}
+    payload = {"measures": [measure] * 3, "operators": [operator] * 2,
+               "integrand": {"haagerup": chain}}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns while overflowing
+def test_eval_overflowing_result_exits_two(tmp_path):
+    path = _two_atom_chain(tmp_path, [[1e300], [1e300]], [[[1]], [[1]]], [[1e300] * 2] * 2)
+    assert _eval_in_process(path) == (2, "", "eval: matrix has non-finite entries\n")
+
+
+def test_eval_refuses_a_non_finite_bound_instead_of_writing_it(tmp_path, capsys):
+    from moilab import cli
+
+    tiny = [[1e-300, 0.0], [0.0, 1e-300]]
+    path = _two_atom_chain(tmp_path, [[1e154], [1e154]], [[[2]], [[2]]], tiny)
+    out = tmp_path / "result.json"
+    code = cli.main(["eval", "--instance", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1
+    assert err.startswith("eval: Out of range float values are not JSON compliant")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json"]
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 74.5 GiB", "verify: Unable to allocate 74.5 GiB"),
+    ("", "verify: MemoryError"),
+])
+def test_verify_out_of_memory_exits_three(monkeypatch, capsys, tmp_path, message, line):
+    from moilab import cli
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "random_instance", no_memory)
+    code = cli.main(["verify", "--dims", "100000", "--trials", "1", "--repro-dir", str(tmp_path)])
+    assert (code, capsys.readouterr().err) == (3, line + "\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "--trials", "1.5"],
+     "moilab verify: error: argument --trials: invalid int value: '1.5'"),
+    (["sweep", "--regime", "both-large", "--arity", "5", "--p1", "4", "--pm1", "4",
+      "--s", "r", "--dims", "16"],
+     "moilab sweep: error: argument --arity: invalid choice: "),
+    (["eval"], "moilab eval: error: the following arguments are required: --instance"),
+    (["frobnicate"], "moilab: error: argument command: invalid choice: "),
+])
+def test_bad_command_line_prints_one_line(capsys, argv, line):
+    from moilab import cli
+
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert captured.err.startswith(line) and captured.err.count("\n") == 1
+
+
+def test_help_still_prints_the_usage(capsys):
+    from moilab import cli
+
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: moilab verify [-h]")
