@@ -36,8 +36,6 @@ from .integrands import (
 )
 from .linalg import (
     INF,
-    conjugate_exponent,
-    factorize_schatten,
     harmonic_exponent,
     hermitian_eig,
     schatten_norm,
@@ -85,7 +83,6 @@ __all__ = [
     "check_haagerup_main",
     "check_lemma_row",
     "check_projective",
-    "conjugate_exponent",
     "cyclic_model",
     "default_case",
     "default_sequences",
@@ -101,7 +98,6 @@ __all__ = [
     "eval_projective",
     "expected_diag",
     "expected_output",
-    "factorize_schatten",
     "from_hermitian",
     "growth_sweep",
     "harmonic_exponent",

@@ -176,9 +176,9 @@ def check_haagerup_like(
     """Chain-like bound: ||W||_r <= rep_norm * ||T||_p * ||R||_q for the two
     Schatten-classed operators, with 1/r = 1/p + 1/q in [1/2, 1].
 
-    First kind requires q >= 2, second kind p >= 2. For arity 4 the Schatten
-    pair is (T_1, T_2) for the first kind and (T_1, T_3) for the second; the
-    remaining operator enters the rhs in operator norm.
+    First kind requires q >= 2, second kind p >= 2. The Schatten pair is
+    (T_1, T_2) for the first kind and (T_1, T_{m-1}) for the second; every
+    other operator enters the rhs in operator norm.
     """
     rep = inst.integrand
     if not isinstance(rep, HaagerupLikeRep):
@@ -195,19 +195,11 @@ def check_haagerup_like(
         raise RangeError(
             f"1/p + 1/q = {inv:.6g} outside [1/2, 1]; r must lie in [1, 2]"
         )
-    if rep.arity == 3:
-        schatten_ops = (inst.operators[0], inst.operators[1])
-        bounded_ops = ()
-    elif rep.kind == "first":
-        schatten_ops = (inst.operators[0], inst.operators[1])
-        bounded_ops = (inst.operators[2],)
-    else:
-        schatten_ops = (inst.operators[0], inst.operators[2])
-        bounded_ops = (inst.operators[1],)
+    b = 1 if rep.kind == "first" else rep.arity - 2  # T_1 takes p, T_{b+1} takes q
     lhs = schatten_norm(eval_haagerup_like(inst), r)
-    rhs = rep_norm_bound(rep) * schatten_norm(schatten_ops[0], p)
-    rhs *= schatten_norm(schatten_ops[1], q)
-    for op in bounded_ops:
+    rhs = rep_norm_bound(rep) * schatten_norm(inst.operators[0], p)
+    rhs *= schatten_norm(inst.operators[b], q)
+    for op in inst.operators[1:b] + inst.operators[b + 1 :]:
         rhs *= operator_norm(op)
     tag = LIKE_TAGS[(rep.kind, rep.arity)]
     return _report(tag, {"p": p, "q": q, "r": r}, lhs, rhs, tol)

@@ -177,7 +177,9 @@ def cmd_eval(args) -> int:
     unreadable = (OSError, ValueError, TypeError, KeyError, RecursionError)
     with _stage("cannot load instance", unreadable), open(args.instance, encoding="utf-8") as fh:
         inst, _ = instance_from_json(json.load(fh))
-    result = eval_oracle(inst, cap=cap) if args.oracle else eval_moi(inst)
+    # numpy stays silent on overflow: the non-finite result is refused below, in one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = eval_oracle(inst, cap=cap) if args.oracle else eval_moi(inst)
     out = {
         "result": array_to_json(result),
         "schatten": {

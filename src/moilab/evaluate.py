@@ -23,7 +23,9 @@ tables one block of atom tuples at a time and contracted right to left with
 the projection stacks, one matmul per factor; eval_haagerup_block, the
 row/block/column operator matrices materialized from the projections and
 multiplied in the enlarged space; duality_functional, the defining
-functional of a chain-like integral cycled into an ordinary chain and traced.
+functional of a chain-like integral: the ordinary chain along the labels'
+cyclic path through the factors, with Q in the gap between factors m and 1,
+traced against the operator in the gap where the path closes.
 
 All paths compute the same finite sum; agreement is relative to
 scale = rep_norm_bound * prod of operator norms.
@@ -360,57 +362,45 @@ def eval_haagerup_like(inst: MoiInstance) -> np.ndarray:
     return _sweep(inst)
 
 
-def _cycled_chain_instance(inst: MoiInstance, q: np.ndarray) -> tuple[MoiInstance, int, np.ndarray]:
-    """The chain instance computing the duality functional's inner integral.
-
-    Returns (chain instance, trace side, trace partner): the functional value
-    is trace(partner @ M) for side 0 or trace(M @ partner) for side 1.
-    """
-    rep = inst.integrand
-    e = inst.measures
-    ops = inst.operators
-    key = (rep.kind, rep.arity)
-    if key == ("first", 3):
-        alpha, beta, gamma = rep.tables
-        chain = HaagerupChainRep(beta, (gamma.transpose(0, 2, 1),), alpha)
-        inner = MoiInstance((e[1], e[2], e[0]), (ops[1], q), chain)
-        return inner, 1, ops[0]
-    if key == ("second", 3):
-        alpha, beta, gamma = rep.tables
-        chain = HaagerupChainRep(gamma, (alpha.transpose(0, 2, 1),), beta)
-        inner = MoiInstance((e[2], e[0], e[1]), (q, ops[0]), chain)
-        return inner, 1, ops[1]
-    if key == ("first", 4):
-        alpha, beta, gamma, delta = rep.tables
-        chain = HaagerupChainRep(beta, (gamma, delta), alpha)
-        inner = MoiInstance((e[1], e[2], e[3], e[0]), (ops[1], ops[2], q), chain)
-        return inner, 1, ops[0]
-    alpha, beta, gamma, delta = rep.tables
-    chain = HaagerupChainRep(delta, (alpha, beta), gamma)
-    inner = MoiInstance((e[3], e[0], e[1], e[2]), (q, ops[0], ops[1]), chain)
-    return inner, 0, ops[2]
-
-
 def duality_functional(inst: MoiInstance, q) -> complex:
-    """The defining linear functional of a chain-like integral, evaluated at Q
-    by cycling the integrand into an ordinary chain and tracing."""
+    """The defining linear functional of a chain-like integral, evaluated at Q:
+    the ordinary chain over the factors along _cyclic_path, with Q in the gap
+    between factors m and 1, traced against the operator in the gap where the
+    path closes. A middle whose first letter is not in the previous factor's
+    label runs against the path and is transposed."""
     rep = inst.integrand
     if not isinstance(rep, HaagerupLikeRep):
         raise TypeError("instance does not carry a chain-like representation")
     q = as_matrix(q)
     if q.shape != (inst.dim, inst.dim):
         raise ValueError(f"Q shape {q.shape} != ({inst.dim}, {inst.dim})")
-    inner, side, partner = _cycled_chain_instance(inst, q)
-    m = eval_haagerup(inner)
-    if side == 0:
-        return complex(np.trace(partner @ m))
-    return complex(np.trace(m @ partner))
+    labels, tables = _bonds(rep, None)
+    path = _cyclic_path(labels)
+    gaps = [*inst.operators, q]  # gaps[k] sits between factors k and k + 1, cyclically
+    middles = [
+        tables[k] if labels[k][0] in labels[prev] else tables[k].transpose(0, 2, 1)
+        for prev, k in zip(path, path[1:-1])
+    ]
+    chain = HaagerupChainRep(tables[path[0]], tuple(middles), tables[path[-1]])
+    measures = tuple(inst.measures[k] for k in path)
+    w = eval_haagerup(MoiInstance(measures, tuple(gaps[k] for k in path[:-1]), chain))
+    partner = gaps[path[0] - 1]
+    # The second kind at arity 4 keeps its old trace order, so that its values
+    # stay bit-identical: trace(w @ partner) agrees only up to rounding (a few
+    # 1e-15 relative) and changes the last bits of many of them.
+    if (rep.kind, rep.arity) == ("second", 4):
+        return complex(np.trace(partner @ w))
+    return complex(np.trace(w @ partner))
+
+
+def _cyclic_path(labels: tuple) -> list:
+    """The factors of a chain-like class in the order of its cycled chain,
+    s, ..., m-1, 0, ..., s-1, from the one factor s whose label and whose
+    cyclic predecessor's label each hold a single bond letter."""
+    (s,) = [k for k in range(len(labels)) if len(labels[k]) == len(labels[k - 1]) == 1]
+    return [*range(s, len(labels)), *range(s)]
 
 
 def eval_moi(inst: MoiInstance) -> np.ndarray:
-    """Production evaluation dispatched on the representation class."""
-    if isinstance(inst.integrand, ProjectiveRep):
-        return eval_projective(inst)
-    if isinstance(inst.integrand, HaagerupChainRep):
-        return eval_haagerup(inst)
-    return eval_haagerup_like(inst)
+    """Production evaluation: the sweep, which every representation class shares."""
+    return _sweep(inst)

@@ -1,5 +1,4 @@
-"""Dense complex matrix core: Schatten (quasi)norms, Hermitian eigensystems,
-and the singular-value-split factorization T = X Y with norm control.
+"""Dense complex matrix core: Schatten (quasi)norms and Hermitian eigensystems.
 
 Exponents live in (0, inf]. Infinity is IEEE ``math.inf`` (exact arithmetic:
 ``1/inf == 0``, ``max(inf, 2) == inf``), never a finite sentinel value.
@@ -44,18 +43,6 @@ def check_exponent(p) -> float:
 def sharp(p) -> float:
     """max(p, 2): the effective exponent for the sharp Schatten class."""
     return max(check_exponent(p), 2.0)
-
-
-def conjugate_exponent(p) -> float:
-    """Holder conjugate: 1/p + 1/p' = 1. Requires p >= 1; 1 <-> inf."""
-    p = check_exponent(p)
-    if p < 1.0:
-        raise ValueError(f"conjugate exponent needs p >= 1, got {p}")
-    if p == 1.0:
-        return INF
-    if p == INF:
-        return 1.0
-    return p / (p - 1.0)
 
 
 def harmonic_exponent(ps: Iterable[float]) -> float:
@@ -116,27 +103,6 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
         )
     w, v = np.linalg.eigh((m + adjoint(m)) / 2.0)
     return w, v
-
-
-def factorize_schatten(t, p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Split T = X Y with ||X||_p * ||Y||_q = ||T||_r, 1/r = 1/p + 1/q.
-
-    Via the SVD T = U S V*: X = U S^(r/p), Y = S^(r/q) V*, with exponent 0
-    whenever the corresponding p or q is infinite and 0^a := 0 on clamped
-    singular values.
-    """
-    p = check_exponent(p)
-    q = check_exponent(q)
-    t = as_matrix(t)
-    u, s, vh = np.linalg.svd(t, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        s = np.where(s < SV_CLAMP_RTOL * s[0], 0.0, s)
-    r = harmonic_exponent([p, q])
-    a = 0.0 if p == INF else r / p
-    b = 0.0 if q == INF else r / q
-    sa = np.where(s > 0.0, s**a, 0.0)
-    sb = np.where(s > 0.0, s**b, 0.0)
-    return u * sa, sb[:, None] * vh
 
 
 def sequence_norm(x, p) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import reduce
+from itertools import chain
 from operator import getitem
 
 import numpy as np
@@ -104,9 +104,13 @@ def array_from_json(obj, ndim: int) -> np.ndarray:
 
 def _has_bool(obj, a: np.ndarray) -> bool:
     """Whether a leaf is a JSON boolean, which `np.asarray` reads as 0 or 1
-    among numbers: only the leaves read as 0 or 1 are looked up."""
-    leaves = np.argwhere((a == 0) | (a == 1)).tolist()
-    return any(isinstance(reduce(getitem, index, obj), bool) for index in leaves)
+    among numbers: the leaves read as 0 or 1 are looked up in one flat list
+    of the innermost lists, without a Python loop over the leaves."""
+    rows = [[obj]]
+    for _ in range(a.ndim):
+        rows = list(chain.from_iterable(rows))
+    r, c = np.nonzero(((a == 0) | (a == 1)).reshape(len(rows), -1))
+    return bool in map(type, map(getitem, map(rows.__getitem__, r.tolist()), c.tolist()))
 
 
 def _array_walk(obj, ndim: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moilab import evaluate
-from moilab.evaluate import MoiInstance, _plan, eval_moi, eval_oracle, moi_scale
+from moilab.evaluate import MoiInstance, _cyclic_path, _plan, eval_moi, eval_oracle, moi_scale
 from moilab.integrands import (
     _LIKE_BONDS,
     HaagerupChainRep,
@@ -189,6 +189,20 @@ def test_only_like_second_of_arity_four_sweeps_right_to_left():
     for (kind, arity), labels in _LIKE_BONDS.items():
         assert _plan(labels)[0] == ((kind, arity) == ("second", 4))
     assert not _plan(("A", "AB", "B", "B"))[0] and not _plan(("Z",) * 4)[0]
+
+
+def test_like_labels_give_one_cyclic_path():
+    """duality_functional's chain starts at the one factor whose label and
+    whose cyclic predecessor's label each hold one letter, visits every
+    factor once in cyclic order, and links consecutive tables by a letter."""
+    for labels in _LIKE_BONDS.values():
+        m = len(labels)
+        starts = [k for k in range(m) if len(labels[k]) == len(labels[k - 1]) == 1]
+        path = _cyclic_path(labels)
+        assert len(starts) == 1 and path[0] == starts[0]
+        assert sorted(path) == list(range(m))
+        assert all(b == (a + 1) % m for a, b in zip(path, path[1:]))
+        assert all(set(labels[a]) & set(labels[b]) for a, b in zip(path, path[1:]))
 
 
 def test_repeated_signature_does_not_plan_again():

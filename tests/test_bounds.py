@@ -11,8 +11,8 @@ from moilab.bounds import (
     check_projective,
 )
 from moilab.evaluate import MoiInstance
-from moilab.integrands import HaagerupChainRep, ProjectiveRep
-from moilab.linalg import INF, adjoint, schatten_norm
+from moilab.integrands import _LIKE_BONDS, HaagerupChainRep, ProjectiveRep, rep_norm_bound
+from moilab.linalg import INF, adjoint, operator_norm, schatten_norm
 from moilab.randominst import (
     random_instance,
     random_measure,
@@ -224,6 +224,21 @@ def test_like_campaign(arity):
             ("second", 4): "hlike-quad-2",
         }[(kind, arity)]
         assert report.tag == expected_tag
+
+
+@pytest.mark.parametrize("kind, arity", sorted(_LIKE_BONDS))
+def test_like_operator_roles(kind, arity):
+    """T_a takes p and T_b takes q, with (a, b) = (0, 1) for the first kind
+    and (0, m-2) for the second; every other operator is in operator norm."""
+    inst = random_instance(rng_for(49, arity), f"like-{kind}", dim_range=(4, 4), arity=arity)
+    p, q = (2, 4) if kind == "first" else (4, 2)
+    a, b = 0, 1 if kind == "first" else arity - 2
+    ops = inst.operators
+    rhs = rep_norm_bound(inst.integrand) * schatten_norm(ops[a], p) * schatten_norm(ops[b], q)
+    for k, op in enumerate(ops):
+        if k not in (a, b):
+            rhs *= operator_norm(op)
+    assert check_haagerup_like(inst, p, q).rhs == rhs
 
 
 def test_report_json_round_trip_fields():

@@ -742,13 +742,13 @@ def test_atomic_write_replaces_old_file(tmp_path):
 # --- field checks and diagonal middles in instance files ----------------------
 
 
-def _eval_in_process(path):
-    """`moilab eval --instance path` in this process: (code, stdout, stderr)."""
+def _eval_in_process(path, *flags):
+    """`moilab eval --instance path [flags]` in this process: (code, stdout, stderr)."""
     from moilab import cli
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["eval", "--instance", str(path)])
+        code = cli.main(["eval", "--instance", str(path), *flags])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -982,10 +982,15 @@ def _two_atom_chain(tmp_path, end, middle, operator):
     return path
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns while overflowing
 def test_eval_overflowing_result_exits_two(tmp_path):
+    """No numpy warning precedes the refusal, in process or as a command,
+    with or without the oracle."""
     path = _two_atom_chain(tmp_path, [[1e300], [1e300]], [[[1]], [[1]]], [[1e300] * 2] * 2)
-    assert _eval_in_process(path) == (2, "", "eval: matrix has non-finite entries\n")
+    expected = (2, "", "eval: matrix has non-finite entries\n")
+    for flags in ((), ("--oracle",)):
+        assert _eval_in_process(path, *flags) == expected
+        proc = run_cli("eval", "--instance", str(path), *flags)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 def test_eval_refuses_a_non_finite_bound_instead_of_writing_it(tmp_path, capsys):

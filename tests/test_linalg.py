@@ -1,4 +1,4 @@
-"""Schatten norms, eigensystems, and the norm-splitting factorization."""
+"""Schatten norms, exponents and Hermitian eigensystems."""
 
 import math
 
@@ -7,8 +7,6 @@ import pytest
 
 from moilab.linalg import (
     INF,
-    conjugate_exponent,
-    factorize_schatten,
     harmonic_exponent,
     hermitian_eig,
     operator_norm,
@@ -129,39 +127,6 @@ def test_hermitian_eig_rejects_bad_input():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_factorize_diag():
-    x, y = factorize_schatten(np.diag([4.0]), 2, 2)
-    assert np.allclose(x, [[2.0]])
-    assert np.allclose(y, [[2.0]])
-
-
-def test_factorize_unitary_infinite_exponents():
-    rng = np.random.default_rng(41)
-    t = random_unitary(rng, 4)
-    x, y = factorize_schatten(t, INF, INF)
-    assert operator_norm(x @ y - t) <= 1e-10
-    assert abs(schatten_norm(x, INF) * schatten_norm(y, INF) - 1.0) <= 1e-10
-
-
-@pytest.mark.parametrize("p,q", [(4, 4), (2, 2), (2, INF), (1, 2), (0.5, 0.5)])
-def test_factorize_round_trip(p, q):
-    for seed in range(200):
-        t = random_matrix(np.random.default_rng([43, seed]), 4)
-        x, y = factorize_schatten(t, p, q)
-        r = harmonic_exponent([p, q])
-        assert operator_norm(x @ y - t) <= 1e-10 * operator_norm(t)
-        lhs = schatten_norm(x, p) * schatten_norm(y, q)
-        rhs = schatten_norm(t, r)
-        assert abs(lhs - rhs) <= 1e-9 * rhs
-
-
-def test_factorize_rank_deficient():
-    t = np.diag([3.0, 0.0])
-    x, y = factorize_schatten(t, 2, 2)
-    assert operator_norm(x @ y - t) <= 1e-12
-    assert abs(schatten_norm(x, 2) * schatten_norm(y, 2) - 3.0) <= 1e-12
-
-
 def test_sharp():
     assert sharp(3.0) == 3.0
     assert sharp(2.0) == 2.0
@@ -169,15 +134,6 @@ def test_sharp():
     assert sharp(INF) == INF
     for p in [0.5, 2.0, 5.0, INF]:
         assert sharp(sharp(p)) == sharp(p)
-
-
-def test_conjugate_exponent():
-    assert conjugate_exponent(1.0) == INF
-    assert conjugate_exponent(INF) == 1.0
-    assert conjugate_exponent(2.0) == 2.0
-    assert abs(conjugate_exponent(4.0) - 4.0 / 3.0) < 1e-15
-    with pytest.raises(ValueError):
-        conjugate_exponent(0.5)
 
 
 def test_harmonic_exponent():
