@@ -11,10 +11,15 @@ ever formed. The sweep's state S[c, r, open bonds] holds column c of the
 current basis, row r of the first, and the bonds a later table still closes.
 A table that closes one bond and opens one is a batched matmul over c, a
 table whose bonds all pass through multiplies S in place, any other table is
-a two-operand einsum, and a moved operator is one matmul. The plan, made once
-per signature of labels, is the sweep (left to right, or right to left on
-the transpose, with the first table, diagonal in r, applied after 0..m-1 of
-the others) that holds the fewest bonds at once: one, for every class.
+a two-operand einsum, and a moved operator multiplies S in place, MOVE_BLOCK
+columns at a time, so that S is held once. The plan, made once per signature
+of labels, is the sweep (left to right, or right to left on the transpose,
+with the first table, diagonal in r, applied after 0..m-1 of the others) that
+holds the fewest bonds at once: one, for every class. S then takes 16 d^2 w
+bytes for the widest bond w; past STATE_BUDGET, that bond is summed in
+chunks that fit, since the value is linear in every table. Only the widest
+bond is cut: the states over other bonds and the column tables are not
+bounded by STATE_BUDGET.
 eval_double_schur is the two-factor Schur multiplier in the same bases.
 
 Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
@@ -56,6 +61,8 @@ DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_BLOCK_CAP = 4096
 ORACLE_BLOCK = 16  # dim x dim matrices in the oracle's accumulator
 SCALE_FLOOR = 1e-12
+STATE_BUDGET = 32 * 2**20  # bytes of the sweep state before its widest bond is cut
+MOVE_BLOCK = 512  # state columns per matmul of an in-place move
 
 
 class CapExceededError(RuntimeError):
@@ -212,35 +219,80 @@ def eval_haagerup(inst: MoiInstance) -> np.ndarray:
 
 
 def _sweep(inst: MoiInstance) -> np.ndarray:
-    """U_1 C U_m^*, with C contracted by the plan for the integrand's bonds."""
+    """U_1 C U_m^*, with C contracted by the plan for the integrand's bonds.
+
+    The state S[c, r, open bond] holds one bond at a time (see _plan), so it
+    takes 16 d^2 w bytes for the widest bond w, which the plan's carriers
+    read off the tables' shapes before any state is allocated. If that is at
+    most STATE_BUDGET, C is one contraction. Otherwise every table carrying
+    that bond is cut along it into chunks of STATE_BUDGET // (16 d^2)
+    columns, C is the sum of the chunks' contractions, taken from the first
+    chunk on rather than from zeros, and the basis change is applied once,
+    to the sum. Only that bond is cut, so a state over a second wide bond,
+    and the column tables themselves, may still exceed STATE_BUDGET. The
+    sweep starts from a C-ordered T_1' (or T_1'^T), so that every state is
+    C-ordered and a move's flat view of S is S itself."""
     measures = inst.measures
     labels, tables = _bonds(inst.integrand, [e.n_atoms for e in measures])
-    reverse, steps, _ = _plan(labels)
+    reverse, steps, _, carriers = _plan(labels)
     bases, moved = _eigen_frame(measures, inst.operators)
-    cols = [t[e.labels] for t, e in zip(tables, measures)]  # one entry per basis column
+    cols = [t.take(e.labels, axis=0) for t, e in zip(tables, measures)]  # one per basis column
     if reverse:  # the same sweep on the transpose, C^T = ... T_2'^T T_1'^T
         cols.reverse()
         moved.reverse()
     else:  # S[c, r] = T_1'[r, c], and each move multiplies S by T_k'^T from the left
         moved = [t.T for t in moved]
+    moved[0] = np.ascontiguousarray(moved[0])
+    per_column = 16 * inst.dim**2  # complex128 bytes of S per bond column
+    widths = [cols[k].shape[axis] for (k, axis), *_ in carriers]
+    width = max(widths)
+    if per_column * width <= STATE_BUDGET:
+        c = _contract(steps, moved, cols)
+    else:
+        carry, step = carriers[widths.index(width)], max(1, STATE_BUDGET // per_column)
+        c = _contract(steps, moved, _cut(cols, carry, slice(0, step)))
+        for j in range(step, width, step):
+            c += _contract(steps, moved, _cut(cols, carry, slice(j, j + step)))
+    return bases[0] @ c @ adjoint(bases[-1])
+
+
+def _cut(cols: list, carry: tuple, bond: slice) -> list:
+    """The column tables with every (table, axis) in `carry` cut to `bond`."""
+    cols = list(cols)
+    for k, axis in carry:
+        cols[k] = cols[k][(slice(None),) * axis + (bond,)]
+    return cols
+
+
+def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
+    """C, or C^T for a reversed plan, from the plan's steps. A move
+    multiplies the state in place, MOVE_BLOCK columns of its flattened
+    (c, r bonds) form at a time, so that the old state and a moved copy of it
+    never coexist. Every other step writes a new C-ordered state or
+    multiplies the state in place. The first step always writes a new
+    state, so moved[0] and the column tables are read, never written."""
     state = moved[0]
     for kind, k, arg in steps:
         if kind == "move":
-            state = (moved[k] @ state.reshape(len(state), -1)).reshape(state.shape)
+            flat = state.reshape(len(state), -1)
+            for j in range(0, flat.shape[1], MOVE_BLOCK):
+                block = flat[:, j : j + MOVE_BLOCK]
+                block[...] = moved[k] @ block
+            state = flat.reshape(state.shape)
         elif kind == "mul":
             state *= cols[k][arg]
         elif kind == "matmul":
             state = np.matmul(state, cols[k].swapaxes(1, 2) if arg else cols[k])
         else:
             state = np.einsum(arg, state, cols[k])
-    return bases[0] @ state @ adjoint(bases[-1])
+    return state
 
 
 @lru_cache(maxsize=64)
 def _plan(labels: tuple) -> tuple:
-    """(reverse, steps, states) for one signature of bond labels: of the
-    sweeps left to right and then right to left, each with the end table
-    applied after 0..m-1 of the others, the first whose states hold the
+    """(reverse, steps, states, carriers) for one signature of bond labels:
+    of the sweeps left to right and then right to left, each with the end
+    table applied after 0..m-1 of the others, the first whose states hold the
     fewest bonds at once. Each class has a sweep that holds one bond at a
     time; its peak, the widest bond, is the least any sweep can reach,
     whatever the widths, so the plan depends on the labels alone."""
@@ -253,11 +305,13 @@ def _plan(labels: tuple) -> tuple:
 
 
 def _candidate(order: tuple, place: int, reverse: bool) -> tuple:
-    """(reverse, steps, states) of one sweep over the tables in `order`,
-    whose state S[c, r, open bonds] holds column c of the current basis and
-    row r of the first. Table 0 is diagonal in r, so it may wait for `place`
-    of the others. Steps are (kind, index in sweep order, argument); states
-    are the open bonds after each table."""
+    """(reverse, steps, states, carriers) of one sweep over the tables in
+    `order`, whose state S[c, r, open bonds] holds column c of the current
+    basis and row r of the first. Table 0 is diagonal in r, so it may wait
+    for `place` of the others. Steps are (kind, index in sweep order,
+    argument); states are the open bonds after each table. Carriers hold,
+    for each bond some state holds, the (index in sweep order, axis) pairs
+    of every table that carries it, its first table first."""
     c, r = [a for a in "cx" + string.ascii_letters if a not in "".join(order)][:2]
     events = [(k, c) for k in range(1, len(order))]
     events.insert(place, (0, r))
@@ -280,7 +334,11 @@ def _candidate(order: tuple, place: int, reverse: bool) -> tuple:
             steps.append(("move", k, None))
         open_ = after
         states.append("".join(open_))
-    return reverse, tuple(steps), tuple(states)
+    carriers = tuple(
+        tuple((k, 1 + bonds.index(b)) for k, bonds in enumerate(order) if b in bonds)
+        for b in dict.fromkeys("".join(states))
+    )
+    return reverse, tuple(steps), tuple(states), carriers
 
 
 def row_block(blocks, t: np.ndarray) -> np.ndarray:

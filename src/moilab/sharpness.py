@@ -22,10 +22,11 @@ from .spectral import cyclic_model
 REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 
 # Largest n for which full matrices are materialized; sweeps beyond this use
-# the diagonal closed form only. The cap is set by the chain sweep's
-# (n, n, n) complex state in eval_haagerup (256 MiB at n = 256), not by the
-# middle tables, which are diagonal (n, n).
-BUILD_CAP = 128
+# the diagonal closed form only. The cap is set by time: the construction's
+# chain has one bond, so its (n, n, n) sweep state is cut into chunks under
+# evaluate.STATE_BUDGET and its memory stays bounded, but its n^4 work takes
+# about 2 s at n = 256 (arity 4) and would take about 40 s at n = 512.
+BUILD_CAP = 256
 SWEEP_CAP = 8192
 
 

@@ -884,3 +884,121 @@ def test_diagonal_middle_of_wrong_width_is_refused():
         HaagerupChainRep(head, (np.ones((2, 3)), np.ones((2, 2, 4))), tail)
     with pytest.raises(ValueError, match="middle tables must be"):
         HaagerupChainRep(head, (np.ones(2),), tail)
+
+
+# --- the in-place sweep and its state budget ----------------------------------
+
+
+def _diagonal_chain(rng, measures, width):
+    """A chain whose middles are all diagonal (n, width) tables."""
+    counts = [e.n_atoms for e in measures]
+    head, tail = crandom(rng, (counts[0], width)), crandom(rng, (counts[-1], width))
+    middles = tuple(crandom(rng, (n, width)) for n in counts[1:-1])
+    return HaagerupChainRep(head, middles, tail)
+
+
+# every class at arity 3 and 4, with widths of 5 to 7, so that a budget of two
+# bond columns cuts the widest bond into at least three chunks
+SWEEP_CLASSES = ("projective", "chain", "diagonal", "like-first", "like-second")
+SWEEP_CASES = list(itertools.product(SWEEP_CLASSES, (3, 4)))
+
+
+def _sweep_instance(cls, arity):
+    rng = rng_for(91, SWEEP_CLASSES.index(cls), arity)
+    dim = 5
+    measures = tuple(random_measure(rng, dim, int(rng.integers(2, 4))) for _ in range(arity))
+    counts = [e.n_atoms for e in measures]
+    widths = [int(w) for w in rng.integers(5, 8, size=arity - 1)]
+    if cls == "projective":
+        rep = random_projective_rep(rng, counts, widths[0])
+    elif cls == "chain":
+        rep = random_chain_rep(rng, counts, widths)
+    elif cls == "diagonal":
+        rep = _diagonal_chain(rng, measures, widths[0])
+    else:
+        rep = random_like_rep(rng, cls.split("-")[1], counts, widths)
+    return MoiInstance(measures, _operators(rng, dim, arity - 1), rep)
+
+
+def _integrand_arrays(rep):
+    if isinstance(rep, ProjectiveRep):
+        return [f for term in rep.terms for f in term]
+    if isinstance(rep, HaagerupChainRep):
+        return [rep.head, *rep.middles, rep.tail]
+    return list(rep.tables)
+
+
+def _chunk_budget(inst):
+    """A state budget of two bond columns."""
+    return 2 * 16 * inst.dim**2
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("cls, arity", SWEEP_CASES)
+def test_sweep_writes_into_nothing_it_is_given(monkeypatch, cls, arity, chunked):
+    inst = _sweep_instance(cls, arity)
+    if chunked:
+        monkeypatch.setattr(evaluate, "STATE_BUDGET", _chunk_budget(inst))
+    given_arrays = [
+        *inst.operators,
+        *_integrand_arrays(inst.integrand),
+        *(e.basis for e in inst.measures),
+        *(e.labels for e in inst.measures),
+    ]
+    before = [a.copy() for a in given_arrays]
+    first = eval_moi(inst)
+    assert all(np.array_equal(a, b) for a, b in zip(given_arrays, before))
+    second = eval_moi(inst)
+    assert first.shape == (inst.dim, inst.dim)
+    assert first.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize("cls, arity", SWEEP_CASES)
+def test_chunked_sweep_matches_one_chunk_and_oracle(monkeypatch, cls, arity):
+    inst = _sweep_instance(cls, arity)
+    whole = eval_moi(inst)
+    monkeypatch.setattr(evaluate, "STATE_BUDGET", _chunk_budget(inst))
+    with mock.patch.object(evaluate, "_contract", wraps=evaluate._contract) as contract:
+        chunked = eval_moi(inst)
+    assert contract.call_count >= 3
+    tol = 1e-12 * moi_scale(inst)
+    assert np.abs(chunked - whole).max() <= tol
+    assert np.abs(chunked - eval_oracle(inst)).max() <= tol
+
+
+def test_chunked_sweep_of_zero_terms_is_the_zero_matrix(monkeypatch):
+    rng = rng_for(92)
+    measures = tuple(random_measure(rng, 4, 3) for _ in range(3))
+    inst = MoiInstance(measures, _operators(rng, 4, 2), ProjectiveRep(3, ()))
+    monkeypatch.setattr(evaluate, "STATE_BUDGET", 1)
+    w = eval_moi(inst)
+    assert w.shape == (4, 4) and not np.any(w)
+
+
+def _sweep_peak(inst):
+    """tracemalloc peak of eval_haagerup."""
+    tracemalloc.start()
+    try:
+        w = eval_haagerup(inst)
+        return w, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_peak_at_n128_stays_near_its_state():
+    # the (128, 128, 128) state is 32 MiB and fits the budget in one chunk;
+    # moved in place, it is no longer held three times (97.8 MiB before)
+    built = build_construction(default_case(4, "both-large", 4.0, 4.0, 128))
+    w, peak = _sweep_peak(built.instance)
+    assert peak <= 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert np.abs(w - built.expected).max() <= TOL * moi_scale(built.instance)
+
+
+def test_sweep_peak_at_n256_stays_under_the_state_budget():
+    # the (256, 256, 256) state would be 256 MiB; cut along its one bond, each
+    # chunk fits STATE_BUDGET, and the operators, tables and temporaries
+    # around it stay within half the budget more (43 MiB measured)
+    built = build_construction(default_case(4, "both-large", 4.0, 4.0, 256))
+    w, peak = _sweep_peak(built.instance)
+    assert peak <= 1.5 * evaluate.STATE_BUDGET, f"peak {peak / 2**20:.1f} MiB"
+    assert np.abs(w - built.expected).max() <= TOL * moi_scale(built.instance)
