@@ -15,11 +15,11 @@ a two-operand einsum, and a moved operator multiplies S in place, MOVE_BLOCK
 columns at a time, so that S is held once. The plan, made once per signature
 of labels, is the sweep (left to right, or right to left on the transpose,
 with the first table, diagonal in r, applied after 0..m-1 of the others) that
-holds the fewest bonds at once: one, for every class. S then takes 16 d^2 w
-bytes for the widest bond w; past STATE_BUDGET, that bond is summed in
-chunks that fit, since the value is linear in every table. Only the widest
-bond is cut: the states over other bonds and the column tables are not
-bounded by STATE_BUDGET.
+holds the fewest bonds at once: one, for every class. No step mixes two rows
+r of the first basis, so C is contracted a slice of rows at a time, with as
+many rows as keep every state, 16 d w bytes per row for the widest table axis
+w, within STATE_BUDGET. The column tables, expanded to basis columns, are
+not bounded by STATE_BUDGET.
 eval_double_schur is the two-factor Schur multiplier in the same bases.
 
 Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
@@ -61,7 +61,7 @@ DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_BLOCK_CAP = 4096
 ORACLE_BLOCK = 16  # dim x dim matrices in the oracle's accumulator
 SCALE_FLOOR = 1e-12
-STATE_BUDGET = 32 * 2**20  # bytes of the sweep state before its widest bond is cut
+STATE_BUDGET = 32 * 2**20  # bytes of a sweep state, which sets the rows per slice
 MOVE_BLOCK = 512  # state columns per matmul of an in-place move
 
 
@@ -221,20 +221,19 @@ def eval_haagerup(inst: MoiInstance) -> np.ndarray:
 def _sweep(inst: MoiInstance) -> np.ndarray:
     """U_1 C U_m^*, with C contracted by the plan for the integrand's bonds.
 
-    The state S[c, r, open bond] holds one bond at a time (see _plan), so it
-    takes 16 d^2 w bytes for the widest bond w, which the plan's carriers
-    read off the tables' shapes before any state is allocated. If that is at
-    most STATE_BUDGET, C is one contraction. Otherwise every table carrying
-    that bond is cut along it into chunks of STATE_BUDGET // (16 d^2)
-    columns, C is the sum of the chunks' contractions, taken from the first
-    chunk on rather than from zeros, and the basis change is applied once,
-    to the sum. Only that bond is cut, so a state over a second wide bond,
-    and the column tables themselves, may still exceed STATE_BUDGET. The
-    sweep starts from a C-ordered T_1' (or T_1'^T), so that every state is
-    C-ordered and a move's flat view of S is S itself."""
-    measures = inst.measures
+    No step mixes two rows r of the first basis (columns of C, for a reversed
+    plan, which sweeps from the last basis), so C is contracted a slice of
+    rows at a time, and the slices are joined: each slice cuts the starting
+    operator and the table diagonal in r to its rows. A state S[c, r, open
+    bond] holds one bond at a time (see _plan), so with w the widest axis of
+    any table it takes at most 16 d w bytes per row; a slice takes as many
+    rows as fit STATE_BUDGET, at least one, or all d when w is 0. The basis
+    change is applied once, to the whole C. Each slice starts from a
+    C-ordered copy of its rows of the starting operator, so that every state
+    is C-ordered and a move's flat view of S is S itself."""
+    measures, dim = inst.measures, inst.dim
     labels, tables = _bonds(inst.integrand, [e.n_atoms for e in measures])
-    reverse, steps, _, carriers = _plan(labels)
+    reverse, steps, _ = _plan(labels)
     bases, moved = _eigen_frame(measures, inst.operators)
     cols = [t.take(e.labels, axis=0) for t, e in zip(tables, measures)]  # one per basis column
     if reverse:  # the same sweep on the transpose, C^T = ... T_2'^T T_1'^T
@@ -242,35 +241,24 @@ def _sweep(inst: MoiInstance) -> np.ndarray:
         moved.reverse()
     else:  # S[c, r] = T_1'[r, c], and each move multiplies S by T_k'^T from the left
         moved = [t.T for t in moved]
-    moved[0] = np.ascontiguousarray(moved[0])
-    per_column = 16 * inst.dim**2  # complex128 bytes of S per bond column
-    widths = [cols[k].shape[axis] for (k, axis), *_ in carriers]
-    width = max(widths)
-    if per_column * width <= STATE_BUDGET:
-        c = _contract(steps, moved, cols)
-    else:
-        carry, step = carriers[widths.index(width)], max(1, STATE_BUDGET // per_column)
-        c = _contract(steps, moved, _cut(cols, carry, slice(0, step)))
-        for j in range(step, width, step):
-            c += _contract(steps, moved, _cut(cols, carry, slice(j, j + step)))
-    return bases[0] @ c @ adjoint(bases[-1])
-
-
-def _cut(cols: list, carry: tuple, bond: slice) -> list:
-    """The column tables with every (table, axis) in `carry` cut to `bond`."""
-    cols = list(cols)
-    for k, axis in carry:
-        cols[k] = cols[k][(slice(None),) * axis + (bond,)]
-    return cols
+    width = max(max(t.shape[1:]) for t in tables)
+    rows = max(1, STATE_BUDGET // (16 * dim * width)) if width else dim
+    start, diagonal, parts = np.ascontiguousarray(moved[0]), cols[0], []
+    for j in range(0, dim, rows):
+        r = slice(j, j + rows)
+        moved[0], cols[0] = np.ascontiguousarray(start[:, r]), diagonal[r]
+        parts.append(_contract(steps, moved, cols))
+    return bases[0] @ np.concatenate(parts, axis=int(reverse)) @ adjoint(bases[-1])
 
 
 def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
-    """C, or C^T for a reversed plan, from the plan's steps. A move
-    multiplies the state in place, MOVE_BLOCK columns of its flattened
-    (c, r bonds) form at a time, so that the old state and a moved copy of it
-    never coexist. Every other step writes a new C-ordered state or
-    multiplies the state in place. The first step always writes a new
-    state, so moved[0] and the column tables are read, never written."""
+    """The rows of C that moved[0] holds (its columns, for a reversed plan),
+    from the plan's steps. A move multiplies the state in place, MOVE_BLOCK
+    columns of its flattened (c, r bonds) form at a time, so that the old
+    state and a moved copy of it never coexist. Every other step writes a
+    new C-ordered state or multiplies the state in place. The first step
+    always writes a new state, so moved[0] and the column tables are read,
+    never written."""
     state = moved[0]
     for kind, k, arg in steps:
         if kind == "move":
@@ -290,7 +278,7 @@ def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _plan(labels: tuple) -> tuple:
-    """(reverse, steps, states, carriers) for one signature of bond labels:
+    """(reverse, steps, states) for one signature of bond labels:
     of the sweeps left to right and then right to left, each with the end
     table applied after 0..m-1 of the others, the first whose states hold the
     fewest bonds at once. Each class has a sweep that holds one bond at a
@@ -305,13 +293,11 @@ def _plan(labels: tuple) -> tuple:
 
 
 def _candidate(order: tuple, place: int, reverse: bool) -> tuple:
-    """(reverse, steps, states, carriers) of one sweep over the tables in
-    `order`, whose state S[c, r, open bonds] holds column c of the current
-    basis and row r of the first. Table 0 is diagonal in r, so it may wait
-    for `place` of the others. Steps are (kind, index in sweep order,
-    argument); states are the open bonds after each table. Carriers hold,
-    for each bond some state holds, the (index in sweep order, axis) pairs
-    of every table that carries it, its first table first."""
+    """(reverse, steps, states) of one sweep over the tables in `order`,
+    whose state S[c, r, open bonds] holds column c of the current basis and
+    row r of the first. Table 0 is diagonal in r, so it may wait for `place`
+    of the others. Steps are (kind, index in sweep order, argument); states
+    are the open bonds after each table."""
     c, r = [a for a in "cx" + string.ascii_letters if a not in "".join(order)][:2]
     events = [(k, c) for k in range(1, len(order))]
     events.insert(place, (0, r))
@@ -334,11 +320,7 @@ def _candidate(order: tuple, place: int, reverse: bool) -> tuple:
             steps.append(("move", k, None))
         open_ = after
         states.append("".join(open_))
-    carriers = tuple(
-        tuple((k, 1 + bonds.index(b)) for k, bonds in enumerate(order) if b in bonds)
-        for b in dict.fromkeys("".join(states))
-    )
-    return reverse, tuple(steps), tuple(states), carriers
+    return reverse, tuple(steps), tuple(states)
 
 
 def row_block(blocks, t: np.ndarray) -> np.ndarray:
@@ -445,7 +427,8 @@ def duality_functional(inst: MoiInstance, q) -> complex:
     partner = gaps[path[0] - 1]
     # The second kind at arity 4 keeps its old trace order, so that its values
     # stay bit-identical: trace(w @ partner) agrees only up to rounding (a few
-    # 1e-15 relative) and changes the last bits of many of them.
+    # 1e-15 relative) and changes the last bits of many of them, among them
+    # the worst duality error that `moilab verify --seed 42` prints.
     if (rep.kind, rep.arity) == ("second", 4):
         return complex(np.trace(partner @ w))
     return complex(np.trace(w @ partner))

@@ -23,8 +23,8 @@ REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 
 # Largest n for which full matrices are materialized; sweeps beyond this use
 # the diagonal closed form only. The cap is set by time: the construction's
-# chain has one bond, so its (n, n, n) sweep state is cut into chunks under
-# evaluate.STATE_BUDGET and its memory stays bounded, but its n^4 work takes
+# (n, n, n) sweep state is contracted a slice of rows at a time under
+# evaluate.STATE_BUDGET, so its memory stays bounded, but its n^4 work takes
 # about 2 s at n = 256 (arity 4) and would take about 40 s at n = 512.
 BUILD_CAP = 256
 SWEEP_CAP = 8192
@@ -59,8 +59,7 @@ class ConstructionCase:
             raise ValueError(f"unknown regime {self.regime!r}; one of {REGIMES}")
         p1 = check_exponent(self.p_first)
         pm = check_exponent(self.p_last)
-        first_large = self.regime in ("both-large", "mixed-large-small")
-        last_large = self.regime in ("both-large", "mixed-small-large")
+        first_large, last_large = self.large_ends
         bad_first = p1 < 2.0 if first_large else p1 > 2.0
         bad_last = pm < 2.0 if last_large else pm > 2.0
         if bad_first:
@@ -79,6 +78,14 @@ class ConstructionCase:
         object.__setattr__(self, "p_last", pm)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
+
+    @property
+    def large_ends(self) -> tuple[bool, bool]:
+        """Whether the first and the last operator are large (diagonal)."""
+        return (
+            self.regime in ("both-large", "mixed-large-small"),
+            self.regime in ("both-large", "mixed-small-large"),
+        )
 
     @property
     def r(self) -> float:
@@ -157,17 +164,6 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
     # char_values[i, j] = value of the j-th character at position atom i
     char_values = np.stack([characters[j] for j in range(n)], axis=1)
     ones = np.ones((n, n), dtype=np.complex128)
-
-    def rank_one_first(v):
-        t = np.zeros((n, n), dtype=np.complex128)
-        t[:, 0] = v
-        return t
-
-    def rank_one_last(v):
-        t = np.zeros((n, n), dtype=np.complex128)
-        t[0, :] = np.conj(v)
-        return t
-
     diag_c = np.diag(case.c.astype(np.complex128))
     diag_d = np.diag(case.d.astype(np.complex128))
     p0 = np.zeros((n, n), dtype=np.complex128)
@@ -182,34 +178,27 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
         inst = MoiInstance((fourier, position, fourier), (diag_c, diag_d), chain)
         return SharpnessInstance(inst, expected_output(case), case)
 
-    head = _delta_system(n)
-    tail = _delta_system(n)
+    first_large, last_large = case.large_ends
+    first, last = diag_c, diag_d
+    if not first_large:  # rank one; in the rank-one-only regime d carries both ends
+        first = np.zeros((n, n), dtype=np.complex128)
+        first[:, 0] = case.c if last_large else case.d
+    if not last_large:
+        last = np.zeros((n, n), dtype=np.complex128)
+        last[0, :] = case.d  # real, so this row is its own conjugate
+    mids = (
+        char_values if first_large else ones,
+        np.conj(char_values) if last_large else ones,
+    )
     if case.arity == 3:
-        if case.regime == "both-small":
-            mid_vals = (ones,)
-            ops = (rank_one_first(case.d), rank_one_last(case.d))
-        elif case.regime == "mixed-large-small":
-            mid_vals = (char_values,)
-            ops = (diag_c, rank_one_last(case.d))
-        else:  # mixed-small-large
-            mid_vals = (np.conj(char_values),)
-            ops = (rank_one_first(case.c), diag_d)
+        mid_vals = (mids[last_large],)
+        ops = (first, last)
         measures = (fourier, position, fourier)
     else:
-        if case.regime == "both-large":
-            mid_vals = (char_values, np.conj(char_values))
-            ops = (diag_c, p0, diag_d)
-        elif case.regime == "mixed-large-small":
-            mid_vals = (char_values, ones)
-            ops = (diag_c, p0, rank_one_last(case.d))
-        elif case.regime == "mixed-small-large":
-            mid_vals = (ones, np.conj(char_values))
-            ops = (rank_one_first(case.c), p0, diag_d)
-        else:  # both-small
-            mid_vals = (ones, ones)
-            ops = (rank_one_first(case.d), p0, rank_one_last(case.d))
+        mid_vals = mids
+        ops = (first, p0, last)
         measures = (fourier, position, position, fourier)
-    chain = HaagerupChainRep(head, mid_vals, tail)
+    chain = HaagerupChainRep(_delta_system(n), mid_vals, _delta_system(n))
     inst = MoiInstance(measures, ops, chain)
     return SharpnessInstance(inst, expected_output(case), case)
 
@@ -217,14 +206,13 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
 def _rhs_norms(case: ConstructionCase) -> float:
     """Product of the operator norms entering the bound: the Schatten norms
     of the first and last operators (interior rank-one projections have
-    operator norm 1)."""
-    if case.regime == "both-large":
-        return sequence_norm(case.c, case.p_first) * sequence_norm(case.d, case.p_last)
-    if case.regime == "mixed-large-small":
-        return sequence_norm(case.c, case.p_first) * sequence_norm(case.d, 2)
-    if case.regime == "mixed-small-large":
-        return sequence_norm(case.c, 2) * sequence_norm(case.d, case.p_last)
-    return sequence_norm(case.d, 2) ** 2
+    operator norm 1): a diagonal end in its own exponent, a rank-one end,
+    whose Schatten norms all equal its l^2 norm, in 2."""
+    first_large, last_large = case.large_ends
+    first = case.c if first_large or last_large else case.d
+    p_first = case.p_first if first_large else 2
+    p_last = case.p_last if last_large else 2
+    return sequence_norm(first, p_first) * sequence_norm(case.d, p_last)
 
 
 @dataclass(frozen=True)

@@ -897,8 +897,8 @@ def _diagonal_chain(rng, measures, width):
     return HaagerupChainRep(head, middles, tail)
 
 
-# every class at arity 3 and 4, with widths of 5 to 7, so that a budget of two
-# bond columns cuts the widest bond into at least three chunks
+# every class at arity 3 and 4, with widths of 5 to 7, so that a budget of
+# 2 d^2 entries slices the d = 5 rows into at least three slices
 SWEEP_CLASSES = ("projective", "chain", "diagonal", "like-first", "like-second")
 SWEEP_CASES = list(itertools.product(SWEEP_CLASSES, (3, 4)))
 
@@ -929,7 +929,8 @@ def _integrand_arrays(rep):
 
 
 def _chunk_budget(inst):
-    """A state budget of two bond columns."""
+    """A state budget of 2 d^2 complex entries: one or two rows per slice
+    for the widest table axis of 5 to 7."""
     return 2 * 16 * inst.dim**2
 
 
@@ -986,7 +987,7 @@ def _sweep_peak(inst):
 
 
 def test_sweep_peak_at_n128_stays_near_its_state():
-    # the (128, 128, 128) state is 32 MiB and fits the budget in one chunk;
+    # the (128, 128, 128) state is 32 MiB and fits the budget in one slice;
     # moved in place, it is no longer held three times (97.8 MiB before)
     built = build_construction(default_case(4, "both-large", 4.0, 4.0, 128))
     w, peak = _sweep_peak(built.instance)
@@ -995,10 +996,33 @@ def test_sweep_peak_at_n128_stays_near_its_state():
 
 
 def test_sweep_peak_at_n256_stays_under_the_state_budget():
-    # the (256, 256, 256) state would be 256 MiB; cut along its one bond, each
-    # chunk fits STATE_BUDGET, and the operators, tables and temporaries
-    # around it stay within half the budget more (43 MiB measured)
+    # the (256, 256, 256) state would be 256 MiB; sliced to 32 rows of the
+    # first basis, each (256, 32, 256) state fits STATE_BUDGET, and the
+    # operators, tables and temporaries around it stay within half the budget
+    # more (42 MiB measured)
     built = build_construction(default_case(4, "both-large", 4.0, 4.0, 256))
     w, peak = _sweep_peak(built.instance)
     assert peak <= 1.5 * evaluate.STATE_BUDGET, f"peak {peak / 2**20:.1f} MiB"
     assert np.abs(w - built.expected).max() <= TOL * moi_scale(built.instance)
+
+
+def test_sweep_slices_bound_a_second_wide_bond(monkeypatch):
+    # a dense chain of widths (64, 48) at d = 32 holds a 1 MiB A-state and a
+    # 768 KiB B-state in one slice; sliced by rows, each state fits the
+    # 256 KiB budget, and only the expanded dense middle, 16 d 64 48 bytes,
+    # is larger (558 KiB above it measured; 1131 KiB when only the widest
+    # bond was cut)
+    rng = rng_for(93)
+    dim = 32
+    measures = tuple(random_measure(rng, dim, 3) for _ in range(3))
+    inst = MoiInstance(
+        measures, _operators(rng, dim, 2), random_chain_rep(rng, [3, 3, 3], (64, 48))
+    )
+    whole = eval_haagerup(inst)
+    monkeypatch.setattr(evaluate, "STATE_BUDGET", 256 * 2**10)
+    w, peak = _sweep_peak(inst)
+    middle = 16 * dim * 64 * 48
+    assert peak - middle <= 3 * evaluate.STATE_BUDGET, f"peak {peak / 2**10:.0f} KiB"
+    tol = 1e-12 * moi_scale(inst)
+    assert np.abs(w - whole).max() <= tol
+    assert np.abs(w - eval_oracle(inst)).max() <= tol
