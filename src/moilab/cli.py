@@ -50,7 +50,7 @@ from .integrands import (
 )
 from .linalg import INF, check_exponent, schatten_norm
 from .randominst import random_instance, rng_for
-from .serialize import array_to_json, instance_from_json, instance_to_json
+from .serialize import array_to_json_text, instance_to_json, load_instance
 from .sharpness import (
     REGIMES,
     ConstructionCheckError,
@@ -176,21 +176,26 @@ def cmd_eval(args) -> int:
         _check_out_path(args.out)
     unreadable = (OSError, ValueError, TypeError, KeyError, RecursionError)
     with _stage("cannot load instance", unreadable), open(args.instance, encoding="utf-8") as fh:
-        inst, _ = instance_from_json(json.load(fh))
+        inst, _ = load_instance(fh)
     # numpy stays silent on overflow: the non-finite result is refused below, in one line
     with np.errstate(over="ignore", invalid="ignore"):
         result = eval_oracle(inst, cap=cap) if args.oracle else eval_moi(inst)
-    out = {
-        "result": array_to_json(result),
-        "schatten": {
-            "1": schatten_norm(result, 1),
-            "2": schatten_norm(result, 2),
-            "inf": schatten_norm(result, INF),
+    # the norms refuse a non-finite result, and json.dumps an overflowing
+    # bound (Infinity is not JSON), before anything is written
+    rest = json.dumps(
+        {
+            "schatten": {
+                "1": schatten_norm(result, 1),
+                "2": schatten_norm(result, 2),
+                "inf": schatten_norm(result, INF),
+            },
+            "rep_norm_bound": rep_norm_bound(inst.integrand),
         },
-        "rep_norm_bound": rep_norm_bound(inst.integrand),
-    }
-    # an overflowing bound is refused: Infinity is not JSON
-    _emit(args.out, json.dumps(out, indent=2, allow_nan=False) + "\n")
+        indent=2,
+        allow_nan=False,
+    )
+    # the bytes of json.dumps({"result": ..., **rest}, indent=2): rest less its "{\n"
+    _emit(args.out, '{\n  "result": ' + array_to_json_text(result, 1) + ",\n" + rest[2:] + "\n")
     return 0
 
 

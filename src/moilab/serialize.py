@@ -12,14 +12,26 @@ integral, a projective `arity` that disagrees with its terms, a boolean
 where a number belongs (an array leaf, an atom point), a `merge_tol` that is
 not a finite number >= 0, and an exponent outside (0, inf]; non-finite array
 entries are refused where the arrays are used.
+
+`load_instance` reads an instance file as `instance_from_json(json.load(fh))`
+does, holding less: the measure arrays, most of a file's bytes, are
+converted inside the decoder as each atom or measure object closes, so one
+array's nested lists are alive at a time next to the file text, not the
+whole tree. Files keep their measures first, so the operators and tables
+that follow are read as before. A file it refuses gets the plain reading's
+error, word for word. `array_to_json_text` writes an array's `indent=2`
+JSON form without Python's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 import math
+from functools import partial
 from itertools import chain
 from operator import getitem
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,20 +98,51 @@ def array_to_json(a: np.ndarray):
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
+def array_to_json_text(a: np.ndarray, level: int = 0) -> str:
+    """`json.dumps(array_to_json(a), indent=2)` as it reads nested `level`
+    containers deep in a document. One layout per shape, built by string
+    multiplication, takes every leaf's repr (JSON's form of a finite float)
+    in one `%`. A non-finite entry is the caller's to refuse."""
+    a = np.asarray(a, dtype=np.complex128)
+    leaves = np.stack([a.real, a.imag], axis=-1)
+    return _layout(leaves.shape, level) % tuple(leaves.ravel().tolist())
+
+
+def _layout(shape: tuple, level: int) -> str:
+    """The `indent=2` text of a nested list of `shape` at nesting `level`,
+    with `%r` at each leaf."""
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    inner = _layout(shape[1:], level + 1)
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + (inner + "," + pad) * (shape[0] - 1) + inner + "\n" + "  " * level + "]"
+
+
 def array_from_json(obj, ndim: int) -> np.ndarray:
     """Parse a nested list of depth `ndim`, as `json.load` returns it, whose
     leaves are real numbers or [re, im] pairs, into a complex128 array."""
+    if isinstance(obj, _Parsed):
+        return obj.array
+    a = _fast_array(obj, ndim)
+    return _array_walk(obj, ndim) if a is None else a
+
+
+def _fast_array(obj, ndim: int) -> np.ndarray | None:
+    """The array of a full nested list of numbers, or of [re, im] pairs, read
+    with one `np.asarray`; None for anything else, which `_array_walk` decides."""
     try:
         a = np.asarray(obj)  # no dtype=: float would read the string "1" as 1.0
     except ValueError:  # ragged
-        return _array_walk(obj, ndim)
+        return None
     if a.dtype.kind in "iuf" and 0 not in a.shape and not _has_bool(obj, a):
         if a.ndim == ndim:
             return a.astype(np.complex128)
         if a.ndim == ndim + 1 and a.shape[-1] == 2:
             # complex128 is laid out as [re, im]; the view keeps every bit
             return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
-    return _array_walk(obj, ndim)
+    return None
 
 
 def _has_bool(obj, a: np.ndarray) -> bool:
@@ -259,6 +302,66 @@ def instance_to_json(inst: MoiInstance, exponents: dict | None = None) -> dict:
     if exponents:
         out["exponents"] = {k: exponent_to_json(v) for k, v in exponents.items()}
     return out
+
+
+class _Parsed(NamedTuple):
+    """A measure array that `load_instance`'s decoder has converted already."""
+
+    array: np.ndarray
+
+
+# the keys whose value, in an atom or a measure, is one depth-2 array
+_MEASURE_ARRAYS = {"projection": 2, "hermitian": 2}
+
+
+def _decode_object(made: list, pairs: list) -> dict:
+    """`json.load`'s object hook: a measure array of the object that just
+    closed is converted now, its lists dropped and its marker added to
+    `made`. It never raises: a value the fast path does not take stays a
+    list, for `instance_from_json` to refuse in schema order."""
+    for i, (key, value) in enumerate(pairs):
+        ndim = _MEASURE_ARRAYS.get(key)
+        if ndim is not None and isinstance(value, list):
+            a = _fast_array(value, ndim)
+            if a is not None:
+                pairs[i] = key, _Parsed(a)
+                made.append(pairs[i][1])
+    return dict(pairs)
+
+
+def _placed(obj) -> int:
+    """The converted arrays where `instance_from_json` reads measure arrays
+    or reads nothing: a measure's "hermitian", an atom's "projection"."""
+    measures = obj.get("measures") if isinstance(obj, dict) else None
+    if not isinstance(measures, list):
+        return 0
+    measures = [e for e in measures if isinstance(e, dict)]
+    atoms = [
+        a for e in measures if isinstance(e.get("atoms"), list)
+        for a in e["atoms"] if isinstance(a, dict)
+    ]
+    return sum(isinstance(e.get("hermitian"), _Parsed) for e in measures) + sum(
+        isinstance(a.get("projection"), _Parsed) for a in atoms
+    )
+
+
+def load_instance(fh) -> tuple[MoiInstance, dict | None]:
+    """`instance_from_json(json.load(fh))`, converting the measure arrays as
+    the decoder closes them."""
+    text = fh.read()
+    made = []
+    try:
+        obj = json.loads(text, object_pairs_hook=partial(_decode_object, made))
+        # elsewhere ("exponents": {"projection": ...}) a converted array would
+        # show in an error message: such a file is read plainly, so that it is
+        # refused word for word as before
+        plain = len(made) != _placed(obj)
+    except RecursionError:  # the hook's frame can cross the limit the plain decoder stays under
+        plain = True
+    if plain:
+        obj = json.loads(text)
+    del text  # the file text is not held while the arrays are checked and factored
+    return instance_from_json(obj)
 
 
 def instance_from_json(obj) -> tuple[MoiInstance, dict | None]:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moilab.randominst import random_instance, rng_for
-from moilab.serialize import instance_to_json
+from moilab.serialize import array_to_json, instance_to_json
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -223,8 +224,6 @@ def _one_measure_instance(tmp_path, measure_json, term_first):
 
 
 def _atoms(*projections):
-    from moilab.serialize import array_to_json
-
     return {
         "dim": 3,
         "atoms": [
@@ -646,6 +645,65 @@ def test_eval_oracle_matches_eval_at_eval_file_size(tmp_path):
         results.append(a[..., 0] + 1j * a[..., 1])
     assert results[0].shape == (64, 64)
     assert np.abs(results[0] - results[1]).max() <= 1e-10 * moi_scale(inst)
+
+
+# --- what eval holds and what it writes --------------------------------------
+
+
+def _eval_file_payload(cls):
+    """An instance file like the benchmark's eval-file ones: d = 64, arity 4,
+    8 atoms per measure, widths 4, every other measure written as the
+    Hermitian matrix sum_i i P_i and the others as explicit atoms."""
+    from moilab.evaluate import MoiInstance
+    from moilab.randominst import (
+        random_chain_rep,
+        random_like_rep,
+        random_measure,
+        random_operator,
+        random_projective_rep,
+    )
+
+    rng = rng_for(73, len(cls))
+    measures = tuple(random_measure(rng, 64, 8) for _ in range(4))
+    operators = tuple(random_operator(rng, 64) for _ in range(3))
+    if cls == "projective":
+        rep = random_projective_rep(rng, [8] * 4, 4)
+    elif cls == "chain":
+        rep = random_chain_rep(rng, [8] * 4, [4] * 3)
+    else:
+        rep = random_like_rep(rng, cls.split("-")[1], [8] * 4, [4] * 3)
+    payload = instance_to_json(MoiInstance(measures, operators, rep))
+    for k in (0, 2):
+        h = sum(i * p for i, p in enumerate(measures[k].projections))
+        payload["measures"][k] = {"hermitian": array_to_json(h)}
+    return payload
+
+
+@pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
+def test_eval_peak_memory_stays_within_two_and_a_half_file_sizes(tmp_path, cls):
+    # json.load's whole list tree next to the text measured 4.2 file sizes;
+    # converting each measure array as its object closes leaves about 2
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_eval_file_payload(cls)))
+    tracemalloc.start()
+    try:
+        code, _, err = _eval_in_process(path, "--out", str(tmp_path / "result.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert peak <= 2.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
+@pytest.mark.parametrize("flags", [(), ("--oracle",)])
+def test_eval_writes_the_bytes_of_json_dumps_indent_two(tmp_path, cls, flags):
+    path = tmp_path / "instance.json"
+    write_instance(path, cls)
+    code, out, err = _eval_in_process(path, *flags)
+    assert code == 0, err
+    # floats read back as themselves, so dumping them again gives json.dumps's bytes
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 # --- atomic writes -------------------------------------------------------------

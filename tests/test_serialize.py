@@ -1,5 +1,6 @@
 """JSON round trips for matrices, measures, integrands, and instances."""
 
+import io
 import json
 import math
 
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from moilab.evaluate import eval_moi, moi_scale
-from moilab.integrands import HaagerupChainRep
+from moilab.integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
 from moilab.linalg import operator_norm
 from moilab.randominst import random_instance, rng_for
 from moilab.serialize import (
     array_from_json,
     array_to_json,
+    array_to_json_text,
     complex_from_json,
     complex_to_json,
     exponent_from_json,
@@ -24,6 +26,7 @@ from moilab.serialize import (
     instance_to_json,
     integrand_from_json,
     integrand_to_json,
+    load_instance,
     measure_from_json,
     measure_to_json,
 )
@@ -391,3 +394,196 @@ def test_bad_merge_tol_is_refused(value):
 def test_bad_numeric_exponent_is_refused(value):
     with pytest.raises(ValueError):
         exponent_from_json(value)
+
+
+# --- the loader that converts measure arrays while decoding ------------------
+
+_CLASSES = ["projective", "chain", "like-first", "like-second"]
+# small integers, and int64's ends with a few just past them
+_EDGE_INTS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-_INT64 - 2, -_INT64 + 2),
+    st.integers(_INT64 - 2, _INT64 + 2),
+)
+# Hermitian eigenvalues at int64's ends that stay distinct as floats
+_EDGE_POINTS = [-_INT64, -1, 0, 2**53 + 1, _INT64 - 1]
+
+
+def _leaf(draw, re, im, style):
+    """An [re, im] leaf, or the plain number where im is 0 and the style
+    allows it; an integral float may be written as an int."""
+    if isinstance(re, float) and re.is_integer() and abs(re) < 2**53 and draw(st.booleans()):
+        re = int(re)
+    if im == 0 and (style == "real" or style == "mixed" and draw(st.booleans())):
+        return re
+    return [re, im]
+
+
+def _restyle(draw, obj, style):
+    """`obj` with every [re, im] leaf that array_to_json wrote rewritten by
+    `_leaf`: only such a leaf is a list of two floats."""
+    if isinstance(obj, dict):
+        return {k: _restyle(draw, v, style) for k, v in obj.items()}
+    if isinstance(obj, list):
+        if len(obj) == 2 and all(type(x) is float for x in obj):
+            return _leaf(draw, *obj, style)
+        return [_restyle(draw, x, style) for x in obj]
+    return obj
+
+
+def _edge_measure(draw, dim, n, style):
+    """A measure with n atoms on dim coordinates, the projections diagonal
+    0/1 matrices, written explicitly or as a diagonal Hermitian matrix whose
+    entries are integers at int64's ends."""
+    labels = [min(j, n - 1) for j in range(dim)]
+    if draw(st.booleans()):
+        masks = [np.diag([float(lab == i) for lab in labels]) for i in range(n)]
+        atoms = [
+            {"point": float(i), "projection": _restyle(draw, array_to_json(m), style)}
+            for i, m in enumerate(masks)
+        ]
+        return {"dim": dim, "atoms": atoms}
+    distinct = st.lists(st.sampled_from(_EDGE_POINTS), min_size=n, max_size=n, unique=True)
+    points = sorted(draw(distinct))
+    rows = [[points[labels[j]] if j == k else 0 for k in range(dim)] for j in range(dim)]
+    return {"hermitian": [[_leaf(draw, x, 0, style) for x in row] for row in rows]}
+
+
+@st.composite
+def _instance_payload(draw):
+    """A valid instance file of any class. Its measures are written
+    explicitly, as Hermitian matrices, or as 0/1 and int64-edge matrices;
+    its operators are random or integers at int64's ends; its leaves are
+    all pairs, all plain where real, or mixed."""
+    cls = draw(st.sampled_from(_CLASSES))
+    inst = random_instance(rng_for(67, draw(st.integers(0, 2**16))), cls, dim_range=(2, 3))
+    style = draw(st.sampled_from(["pair", "real", "mixed"]))
+    payload = _restyle(draw, instance_to_json(inst, {"p": 2.0, "q": math.inf}), style)
+    for k, e in enumerate(inst.measures):
+        form = draw(st.sampled_from(["explicit", "hermitian", "edge"]))
+        if form == "hermitian":
+            h = sum((i + 1) * p for i, p in enumerate(e.projections))
+            payload["measures"][k] = {"hermitian": _restyle(draw, array_to_json(h), style)}
+        elif form == "edge":
+            payload["measures"][k] = _edge_measure(draw, e.dim, e.n_atoms, style)
+    for k, t in enumerate(inst.operators):
+        if draw(st.booleans()):
+            payload["operators"][k] = [
+                [_leaf(draw, draw(_EDGE_INTS), draw(st.one_of(st.just(0), _EDGE_INTS)), style)
+                 for _ in row] for row in t
+            ]
+    return payload
+
+
+def _plain_load(fh):
+    return instance_from_json(json.load(fh))
+
+
+def _load_outcome(load, payload):
+    """What `load` makes of the file: every measure's points, basis and
+    labels, the operators and the integrand's tables, bit for bit; or the
+    class and message of its refusal."""
+    try:
+        inst, exponents = load(io.StringIO(json.dumps(payload)))
+    except Exception as exc:
+        return type(exc), str(exc)
+    rep = inst.integrand
+    if isinstance(rep, ProjectiveRep):
+        tables = [rep.arity, *(f for term in rep.terms for f in term)]
+    elif isinstance(rep, HaagerupChainRep):
+        tables = [rep.head, *rep.middles, rep.tail]
+    else:
+        assert isinstance(rep, HaagerupLikeRep)
+        tables = [rep.kind, *rep.tables]
+    arrays = [
+        *(x for e in inst.measures for x in (e.dim, e.points, e.basis, e.labels)),
+        *inst.operators,
+        *tables,
+    ]
+    bits = [(x.dtype, x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x for x in arrays]
+    return type(rep), bits, exponents
+
+
+@_PROPERTY
+@given(_instance_payload())
+def test_loader_matches_the_plain_reading_on_valid_files(payload):
+    outcome = _load_outcome(load_instance, payload)
+    assert outcome == _load_outcome(_plain_load, payload)
+    assert not issubclass(outcome[0], Exception)
+
+
+def _measure_arrays(payload):
+    """(object, key) of every "hermitian" and "projection" array."""
+    for e in payload["measures"]:
+        if "hermitian" in e:
+            yield e, "hermitian"
+        else:
+            yield from ((atom, "projection") for atom in e["atoms"])
+
+
+@st.composite
+def _broken_payload(draw):
+    """A valid file broken inside one measure array: a boolean, a string
+    leaf, a ragged row, an empty axis or a wrong depth; or a valid array
+    under a "projection" or "hermitian" key of an object that is not an
+    atom or a measure."""
+    payload = draw(_instance_payload())
+    owner, key = draw(st.sampled_from(list(_measure_arrays(payload))))
+    array = owner[key]
+    how = draw(st.sampled_from(["bool", "string", "ragged", "empty", "depth", "elsewhere"]))
+    if how == "depth":
+        owner[key] = draw(st.sampled_from([[array], array[0], array[0][0]]))
+    elif how == "elsewhere":
+        elsewhere = {draw(st.sampled_from(["projection", "hermitian"])): array}
+        places = ["exponents", "integrand", "point", "dim", "extra", "operators"]
+        where = draw(st.sampled_from(places))
+        if where == "exponents":
+            payload["exponents"].update(elsewhere)
+        elif where == "integrand":
+            payload["integrand"] = elsewhere
+        elif where == "operators":
+            payload["operators"][0] = elsewhere
+        elif where == "extra":  # ignored: both readings accept the file
+            payload["extra"] = elsewhere
+        else:
+            payload["measures"][0] = {"dim": elsewhere, "atoms": [{"point": elsewhere}]}
+    else:
+        positions = list(_positions(array))
+        if how in ("bool", "string"):
+            numbers = [(parent, i) for parent, i in positions if not isinstance(parent[i], list)]
+            parent, i = draw(st.sampled_from(numbers))
+            parent[i] = draw(_bools) if how == "bool" else draw(st.sampled_from(["1", "x"]))
+        else:
+            rows = [(parent, i) for parent, i in positions if isinstance(parent[i], list)]
+            parent, i = draw(st.sampled_from(rows))
+            parent[i] = [] if how == "empty" else parent[i] + parent[i][:1]
+    return payload
+
+
+@_PROPERTY
+@given(_broken_payload())
+def test_loader_refuses_as_the_plain_reading_does(payload):
+    assert _load_outcome(load_instance, payload) == _load_outcome(_plain_load, payload)
+
+
+# --- the indent=2 writer -------------------------------------------------------
+
+_SPECIAL = [-0.0, 0.0, 1e300, -1e300, 1e-300, -1e-300, 5e-324, 1.0, 2.0**60, 0.1]
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (3, 5), (1, 1), (2,), (2, 3, 4), (0, 3)])
+def test_array_text_is_json_dumps_indent_two(shape):
+    rng = rng_for(68, len(shape))
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = a.reshape(-1)
+    k = min(len(flat), len(_SPECIAL))
+    flat.real[:k], flat.imag[:k] = _SPECIAL[:k], _SPECIAL[::-1][:k]
+    payload = array_to_json(a)
+    assert "-0.0" in json.dumps(payload) or not a.size
+    assert array_to_json_text(a) == json.dumps(payload, indent=2)
+    assert '{\n  "result": ' + array_to_json_text(a, 1) + "\n}" == json.dumps(
+        {"result": payload}, indent=2
+    )
+    assert "[\n  [\n    " + array_to_json_text(a, 2) + "\n  ]\n]" == json.dumps(
+        [[payload]], indent=2
+    )
