@@ -17,7 +17,6 @@ from .evaluate import (
     CapExceededError,
     MoiInstance,
     duality_functional,
-    eval_double_schur,
     eval_haagerup,
     eval_haagerup_block,
     eval_haagerup_like,
@@ -88,7 +87,6 @@ __all__ = [
     "default_sequences",
     "duality_functional",
     "embed_projective_in_haagerup",
-    "eval_double_schur",
     "eval_haagerup",
     "eval_haagerup_block",
     "eval_haagerup_like",

@@ -40,6 +40,8 @@ DEFAULT_TOL = 1e-9
 HARMONIC_GATE_SLACK = 1e-12
 ROW_NORMALIZATION_SLACK = 1e-10
 
+# report tags of the chain-like bound at arity 3 and 4; any other arity m is
+# tagged "hlike-m<m>-1" (first kind) or "hlike-m<m>-2" (second kind)
 LIKE_TAGS = {
     ("first", 3): "hlike-first",
     ("second", 3): "hlike-second",
@@ -201,5 +203,6 @@ def check_haagerup_like(
     rhs *= schatten_norm(inst.operators[b], q)
     for op in inst.operators[1:b] + inst.operators[b + 1 :]:
         rhs *= operator_norm(op)
-    tag = LIKE_TAGS[(rep.kind, rep.arity)]
+    derived = f"hlike-m{rep.arity}-{1 if rep.kind == 'first' else 2}"
+    tag = LIKE_TAGS.get((rep.kind, rep.arity), derived)
     return _report(tag, {"p": p, "q": q, "r": r}, lhs, rhs, tol)

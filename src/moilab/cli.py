@@ -34,7 +34,6 @@ from .evaluate import (
     CapExceededError,
     MoiInstance,
     duality_functional,
-    eval_double_schur,
     eval_haagerup,
     eval_haagerup_block,
     eval_haagerup_like,
@@ -216,14 +215,8 @@ def _suite_oracle_equivalence(config, k):
     if isinstance(rep, ProjectiveRep):
         embedded = embed_projective_in_haagerup(rep)
         values.append(eval_haagerup(MoiInstance(inst.measures, inst.operators, embedded)))
-    if isinstance(rep, HaagerupChainRep):
-        if inst.arity >= 3:
-            values.append(eval_haagerup_block(inst))
-        else:
-            table = np.einsum("il,jl->ij", rep.head, rep.tail)
-            values.append(
-                eval_double_schur(table, inst.measures[0], inst.measures[1], inst.operators[0])
-            )
+    if isinstance(rep, HaagerupChainRep) and inst.arity >= 3:
+        values.append(eval_haagerup_block(inst))
     worst = max(_relative_deviation(v, reference, scale) for v in values)
     return worst, inst
 

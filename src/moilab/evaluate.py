@@ -19,8 +19,8 @@ holds the fewest bonds at once: one, for every class. No step mixes two rows
 r of the first basis, so C is contracted a slice of rows at a time, with as
 many rows as keep every state, 16 d w bytes per row for the widest table axis
 w, within STATE_BUDGET. The column tables, expanded to basis columns, are
-not bounded by STATE_BUDGET.
-eval_double_schur is the two-factor Schur multiplier in the same bases.
+not bounded by STATE_BUDGET. The two-factor Schur multiplier of a dense
+table psi is the chain with head psi and tail the identity.
 
 Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
 over the projections (capped), with Psi formed densely from the per-atom
@@ -28,9 +28,10 @@ tables one block of atom tuples at a time and contracted right to left with
 the projection stacks, one matmul per factor; eval_haagerup_block, the
 row/block/column operator matrices materialized from the projections and
 multiplied in the enlarged space; duality_functional, the defining
-functional of a chain-like integral: the ordinary chain along the labels'
-cyclic path through the factors, with Q in the gap between factors m and 1,
-traced against the operator in the gap where the path closes.
+functional of a chain-like integral: the chain that the class rotates
+(integrands._like_bonds), taken in its own factor order, with Q in the gap
+between factors m and 1, traced against the operator in the gap where that
+chain closes.
 
 All paths compute the same finite sum; agreement is relative to
 scale = rep_norm_bound * prod of operator norms.
@@ -203,14 +204,6 @@ def eval_projective(inst: MoiInstance) -> np.ndarray:
     return _sweep(inst)
 
 
-def _eigen_frame(measures, operators) -> tuple[list, list]:
-    """The measures' bases U_i and the operators moved into them,
-    T_i' = U_i^* T_i U_{i+1}."""
-    bases = [e.basis for e in measures]
-    moved = [adjoint(u) @ t @ v for u, t, v in zip(bases, operators, bases[1:])]
-    return bases, moved
-
-
 def eval_haagerup(inst: MoiInstance) -> np.ndarray:
     """Chain contraction sum_{j..} A_j T_1 B_{jk} T_2 ... over all chain indices."""
     if not isinstance(inst.integrand, HaagerupChainRep):
@@ -234,7 +227,8 @@ def _sweep(inst: MoiInstance) -> np.ndarray:
     measures, dim = inst.measures, inst.dim
     labels, tables = _bonds(inst.integrand, [e.n_atoms for e in measures])
     reverse, steps, _ = _plan(labels)
-    bases, moved = _eigen_frame(measures, inst.operators)
+    bases = [e.basis for e in measures]
+    moved = [adjoint(u) @ t @ v for u, t, v in zip(bases, inst.operators, bases[1:])]
     cols = [t.take(e.labels, axis=0) for t, e in zip(tables, measures)]  # one per basis column
     if reverse:  # the same sweep on the transpose, C^T = ... T_2'^T T_1'^T
         cols.reverse()
@@ -368,34 +362,15 @@ def eval_haagerup_block(
     return product @ column
 
 
-def eval_double_schur(
-    psi_table, e1: FiniteSpectralMeasure, e2: FiniteSpectralMeasure, t
-) -> np.ndarray:
-    """Two-factor integral for a dense atomwise table:
-    sum_{i,j} psi[i, j] P_i T Q_j.
-
-    The Schur multiplier U_1 (psi[L_1][:, L_2] o T') U_2^*, T' = U_1^* T U_2.
-    """
-    psi = np.asarray(psi_table, dtype=np.complex128)
-    if psi.shape != (e1.n_atoms, e2.n_atoms):
-        raise ValueError(
-            f"table shape {psi.shape} != ({e1.n_atoms}, {e2.n_atoms}) atoms"
-        )
-    (u1, u2), (moved,) = _eigen_frame((e1, e2), (as_matrix(t),))
-    return u1 @ (psi[e1.labels][:, e2.labels] * moved) @ adjoint(u2)
-
-
 def eval_haagerup_like(inst: MoiInstance) -> np.ndarray:
-    """Closed-form value of the duality-defined integral.
+    """Value of the duality-defined integral: the sum over the bond letters of
+    integrands._like_bonds of the tables integrated against their measures,
+    in factor order with T_1, ..., T_{m-1} between them, e.g.
 
-    first, m=3:  W = sum_{jk}  A_j T B_k R G_jk
-    second, m=3: W = sum_{jk}  A_jk T B_j R G_k
     first, m=4:  W = sum_{jkl} A_l T_1 B_j T_2 G_jk T_3 D_kl
-    second, m=4: W = sum_{jkl} A_jk T_1 B_kl T_2 G_l T_3 D_j
 
-    where each letter is the corresponding table integrated against its
-    measure. Matches trace duality: trace(W Q) equals the defining
-    functional at Q for every Q.
+    Matches trace duality: trace(W Q) equals the defining functional at Q
+    for every Q.
     """
     if not isinstance(inst.integrand, HaagerupLikeRep):
         raise TypeError("instance does not carry a chain-like representation")
@@ -415,7 +390,7 @@ def duality_functional(inst: MoiInstance, q) -> complex:
     if q.shape != (inst.dim, inst.dim):
         raise ValueError(f"Q shape {q.shape} != ({inst.dim}, {inst.dim})")
     labels, tables = _bonds(rep, None)
-    path = _cyclic_path(labels)
+    path = _cyclic_path(rep.kind, rep.arity)
     gaps = [*inst.operators, q]  # gaps[k] sits between factors k and k + 1, cyclically
     middles = [
         tables[k] if labels[k][0] in labels[prev] else tables[k].transpose(0, 2, 1)
@@ -434,12 +409,12 @@ def duality_functional(inst: MoiInstance, q) -> complex:
     return complex(np.trace(w @ partner))
 
 
-def _cyclic_path(labels: tuple) -> list:
+def _cyclic_path(kind: str, arity: int) -> list:
     """The factors of a chain-like class in the order of its cycled chain,
-    s, ..., m-1, 0, ..., s-1, from the one factor s whose label and whose
-    cyclic predecessor's label each hold a single bond letter."""
-    (s,) = [k for k in range(len(labels)) if len(labels[k]) == len(labels[k - 1]) == 1]
-    return [*range(s, len(labels)), *range(s)]
+    s, ..., m-1, 0, ..., s-1: the chain that _like_bonds rotates starts at
+    s = 1 for the first kind and at s = m - 1 for the second."""
+    s = 1 if kind == "first" else arity - 1
+    return [*range(s, arity), *range(s)]
 
 
 def eval_moi(inst: MoiInstance) -> np.ndarray:

@@ -5,8 +5,9 @@ Three classes, all with finite index families:
   - HaagerupChainRep: row-vector x matrix x ... x column-vector chain of
     tables (widths L_1, ..., L_{m-1} linking the factors); a middle may be
     diagonal, stored as its (n, L) diagonal, which passes its width through.
-  - HaagerupLikeRep: double/triple-indexed variants where the matrix-indexed
-    table sits on the last factor (first kind) or the first (second kind).
+  - HaagerupLikeRep: a chain with one factor rotated to the other end, its
+    last factor moved to the front (first kind) or its first to the end
+    (second kind); see _like_bonds.
 
 Tables are numpy arrays with the atom axis first: scalar (n,), vector (n, L),
 matrix (n, L, L'), and a diagonal chain middle (n, L) whose per-atom matrix
@@ -127,21 +128,36 @@ class HaagerupChainRep:
 # chain bond letters: one per link, an einsum letter each
 _LINKS = string.ascii_uppercase + string.ascii_lowercase
 
-# (kind, arity) -> the bond letters of each factor's table, in factor order.
-_LIKE_BONDS = {
-    ("first", 3): ("J", "K", "JK"),
-    ("second", 3): ("JK", "J", "K"),
-    ("first", 4): ("L", "J", "JK", "KL"),
-    ("second", 4): ("JK", "KL", "L", "J"),
-}
+# the links of the chain-like classes' chain, one bond letter per gap
+_LIKE_LINKS = string.ascii_uppercase[9:]  # J, K, ..., Z
+
+
+def _like_bonds(kind: str, arity: int) -> tuple:
+    """The bond letters of each factor's table of a chain-like class. With
+    links J, K, L, ... (one per gap), take the chain (J, JK, KL, ..., L) of
+    `arity` factors; the first kind moves its last factor to the front, the
+    second kind its first factor to the end. At arity 3 the chain is written
+    (K, JK, J), so that the matrix table stays indexed (j, k). An unknown
+    kind, or an arity below 3 or beyond the links, is refused here, before
+    any table is read."""
+    if kind not in ("first", "second"):
+        raise ValueError(f"unknown chain-like kind {kind!r}; kinds are 'first' and 'second'")
+    if not 3 <= arity <= len(_LIKE_LINKS) + 1:
+        top = len(_LIKE_LINKS) + 1
+        raise ValueError(f"chain-like arity {arity} is outside [3, {top}], one bond letter per gap")
+    links = _LIKE_LINKS[: arity - 1]
+    chain = [links[0], *map(str.__add__, links, links[1:]), links[-1]]
+    if arity == 3:
+        chain.reverse()
+    return tuple(chain[-1:] + chain[:-1] if kind == "first" else chain[1:] + chain[:1])
 
 
 @dataclass(frozen=True)
 class HaagerupLikeRep:
-    """Double/triple-indexed integrands defined by trace duality.
+    """A chain-like integrand, whose integral is defined by trace duality:
+    Psi(x_1..x_m) sums the product of tables[i][x_i] over the bond letters of
+    _like_bonds(kind, m). For example
 
-    kind "first", arity 3:  Psi = sum_{jk} a_j(x1) b_k(x2) g_{jk}(x3)
-    kind "second", arity 3: Psi = sum_{jk} a_{jk}(x1) b_j(x2) g_k(x3)
     kind "first", arity 4:  Psi = sum_{jkl} a_l(x1) b_j(x2) g_{jk}(x3) d_{kl}(x4)
     kind "second", arity 4: Psi = sum_{jkl} a_{jk}(x1) b_{kl}(x2) g_l(x3) d_j(x4)
     """
@@ -150,12 +166,7 @@ class HaagerupLikeRep:
     tables: tuple
 
     def __post_init__(self):
-        key = (self.kind, len(self.tables))
-        if key not in _LIKE_BONDS:
-            raise ValueError(
-                f"unsupported kind/arity {key}; kinds are 'first'/'second', arity 3 or 4"
-            )
-        labels = _LIKE_BONDS[key]
+        labels = _like_bonds(self.kind, len(self.tables))
         tabs = tuple(
             _table(t, 1 + len(bonds), f"factor {i + 1}")
             for i, (t, bonds) in enumerate(zip(self.tables, labels))
@@ -187,7 +198,7 @@ def _bonds(rep: Integrand, counts: Sequence[int]) -> tuple[tuple, list]:
     every bond letter. A chain links its factors by A, AB, BC, ..., with a
     diagonal middle reusing its incoming letter; the projective terms are one
     bond Z, stacked as (n, terms) tables of width 0 for no terms (`counts`
-    gives their atom counts); a chain-like class uses _LIKE_BONDS."""
+    gives their atom counts); a chain-like class uses _like_bonds."""
     if isinstance(rep, ProjectiveRep):
         tables = [
             np.array([term[i] for term in rep.terms]).T
@@ -209,7 +220,7 @@ def _bonds(rep: Integrand, counts: Sequence[int]) -> tuple[tuple, list]:
         labels.append(_LINKS[link])
         return tuple(labels), [rep.head, *rep.middles, rep.tail]
     if isinstance(rep, HaagerupLikeRep):
-        return _LIKE_BONDS[(rep.kind, rep.arity)], list(rep.tables)
+        return _like_bonds(rep.kind, rep.arity), list(rep.tables)
     raise TypeError(f"not an integrand representation: {type(rep)!r}")
 
 

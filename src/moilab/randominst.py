@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluate import MoiInstance
-from .integrands import _LIKE_BONDS, HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
+from .integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep, _like_bonds
 from .linalg import random_complex, random_unitary
 from .spectral import FiniteSpectralMeasure
 
@@ -66,13 +66,12 @@ def random_projective_rep(
 def random_like_rep(
     rng: np.random.Generator, kind: str, atom_counts, widths
 ) -> HaagerupLikeRep:
-    """widths = (J, K) for arity 3, (J, K, L) for arity 4."""
-    labels = _LIKE_BONDS.get((kind, len(atom_counts)))
-    if labels is None:
-        raise ValueError(f"unsupported chain-like kind/arity: {kind}/{len(atom_counts)}")
+    """widths: one per bond letter of _like_bonds(kind, arity), in
+    alphabetical order (J, K, L, ...), one fewer than the factors."""
+    labels = _like_bonds(kind, len(atom_counts))
     if len(widths) != len(atom_counts) - 1:
         raise ValueError("need one width per bond letter")
-    width = dict(zip("JKL", widths))
+    width = dict(zip(sorted(set("".join(labels))), widths))
     shapes = [(n, *(width[b] for b in bonds)) for n, bonds in zip(atom_counts, labels)]
     return HaagerupLikeRep(kind, tuple(random_complex(rng, s) for s in shapes))
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .evaluate import MoiInstance
-from .integrands import _LIKE_BONDS, HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
+from .integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep, _like_bonds
 from .linalg import check_exponent
 from .spectral import DEFAULT_MERGE_TOL, FiniteSpectralMeasure, from_hermitian
 
@@ -274,9 +274,7 @@ def integrand_from_json(obj, arity: int | None = None):
     if key == "haagerup_like":
         kind = body["kind"]
         tables = body["tables"]
-        labels = _LIKE_BONDS.get((kind, len(tables)))
-        if labels is None:
-            raise ValueError(f"unsupported chain-like kind/arity: {kind}/{len(tables)}")
+        labels = _like_bonds(kind, len(tables))  # refuses before any array is parsed
         parsed = tuple(array_from_json(t, 1 + len(b)) for t, b in zip(tables, labels))
         return HaagerupLikeRep(kind, parsed)
     raise ValueError(f"unknown integrand class {key!r}")

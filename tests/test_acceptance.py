@@ -17,7 +17,6 @@ from moilab.bounds import check_haagerup_like, check_haagerup_main, check_lemma_
 from moilab.evaluate import (
     MoiInstance,
     duality_functional,
-    eval_double_schur,
     eval_haagerup,
     eval_haagerup_block,
     eval_haagerup_like,
@@ -81,13 +80,10 @@ def test_criterion_1_oracle_equivalence():
         if isinstance(rep, HaagerupChainRep):
             if inst.arity >= 3:
                 values.append(eval_haagerup_block(inst))
-            else:
+            else:  # the dense table psi as the chain with head psi and tail I
                 table = np.einsum("il,jl->ij", rep.head, rep.tail)
-                values.append(
-                    eval_double_schur(
-                        table, inst.measures[0], inst.measures[1], inst.operators[0]
-                    )
-                )
+                schur = HaagerupChainRep(table, (), np.eye(inst.measures[1].n_atoms))
+                values.append(eval_moi(MoiInstance(inst.measures, inst.operators, schur)))
         for value in values:
             worst = max(worst, operator_norm(value - reference) / scale)
     elapsed = time.monotonic() - start

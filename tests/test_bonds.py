@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from moilab import evaluate
 from moilab.evaluate import MoiInstance, _cyclic_path, _plan, eval_moi, eval_oracle, moi_scale
 from moilab.integrands import (
-    _LIKE_BONDS,
     HaagerupChainRep,
     ProjectiveRep,
     _bonds,
+    _like_bonds,
     eval_pointwise,
     rep_norm_bound,
 )
@@ -185,9 +185,22 @@ def test_plan_peak_equals_the_hand_paths(inst):
         assert _peak(inst) == _hand_peak(inst.integrand)
 
 
-def test_only_like_second_of_arity_four_sweeps_right_to_left():
-    for (kind, arity), labels in _LIKE_BONDS.items():
-        assert _plan(labels)[0] == ((kind, arity) == ("second", 4))
+# the chain-like classes at arities 3-6, which the rule derives alike
+_LIKE_KEYS = [(kind, arity) for arity in range(3, 7) for kind in ("first", "second")]
+
+
+def test_like_bonds_keep_the_four_old_patterns():
+    assert _like_bonds("first", 3) == ("J", "K", "JK")
+    assert _like_bonds("second", 3) == ("JK", "J", "K")
+    assert _like_bonds("first", 4) == ("L", "J", "JK", "KL")
+    assert _like_bonds("second", 4) == ("JK", "KL", "L", "J")
+
+
+def test_only_like_second_from_arity_four_sweeps_right_to_left():
+    for kind, arity in _LIKE_KEYS:
+        labels = _like_bonds(kind, arity)
+        assert _plan(labels)[0] == (kind == "second" and arity >= 4)
+        assert max(map(len, _plan(labels)[2])) == 1  # one bond at a time
     assert not _plan(("A", "AB", "B", "B"))[0] and not _plan(("Z",) * 4)[0]
 
 
@@ -195,10 +208,11 @@ def test_like_labels_give_one_cyclic_path():
     """duality_functional's chain starts at the one factor whose label and
     whose cyclic predecessor's label each hold one letter, visits every
     factor once in cyclic order, and links consecutive tables by a letter."""
-    for labels in _LIKE_BONDS.values():
+    for kind, arity in _LIKE_KEYS:
+        labels = _like_bonds(kind, arity)
         m = len(labels)
         starts = [k for k in range(m) if len(labels[k]) == len(labels[k - 1]) == 1]
-        path = _cyclic_path(labels)
+        path = _cyclic_path(kind, arity)
         assert len(starts) == 1 and path[0] == starts[0]
         assert sorted(path) == list(range(m))
         assert all(b == (a + 1) % m for a, b in zip(path, path[1:]))

@@ -11,7 +11,7 @@ from moilab.bounds import (
     check_projective,
 )
 from moilab.evaluate import MoiInstance
-from moilab.integrands import _LIKE_BONDS, HaagerupChainRep, ProjectiveRep, rep_norm_bound
+from moilab.integrands import HaagerupChainRep, ProjectiveRep, rep_norm_bound
 from moilab.linalg import INF, adjoint, operator_norm, schatten_norm
 from moilab.randominst import (
     random_instance,
@@ -226,7 +226,7 @@ def test_like_campaign(arity):
         assert report.tag == expected_tag
 
 
-@pytest.mark.parametrize("kind, arity", sorted(_LIKE_BONDS))
+@pytest.mark.parametrize("kind, arity", [(k, m) for k in ("first", "second") for m in range(3, 7)])
 def test_like_operator_roles(kind, arity):
     """T_a takes p and T_b takes q, with (a, b) = (0, 1) for the first kind
     and (0, m-2) for the second; every other operator is in operator norm."""
@@ -239,6 +239,12 @@ def test_like_operator_roles(kind, arity):
         if k not in (a, b):
             rhs *= operator_norm(op)
     assert check_haagerup_like(inst, p, q).rhs == rhs
+
+
+def test_like_tags_beyond_arity_four_are_derived():
+    for kind, arity, tag in [("first", 5, "hlike-m5-1"), ("second", 6, "hlike-m6-2")]:
+        inst = random_instance(rng_for(50, arity), f"like-{kind}", dim_range=(3, 3), arity=arity)
+        assert check_haagerup_like(inst, 2, 2).tag == tag
 
 
 def test_report_json_round_trip_fields():

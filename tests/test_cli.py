@@ -892,6 +892,39 @@ def test_eval_rejects_malformed_diagonal_middle(tmp_path, middle):
     _assert_refused(path, "cannot load instance")
 
 
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_eval_arity_five_like_agrees_with_the_oracle(tmp_path, kind):
+    from moilab.evaluate import moi_scale
+
+    inst = random_instance(rng_for(66), f"like-{kind}", dim_range=(3, 3), arity=5)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    results = []
+    for flags in ((), ("--oracle",)):
+        code, out, err = _eval_in_process(path, *flags)
+        assert (code, err) == (0, "")
+        a = np.asarray(json.loads(out)["result"])
+        results.append(a[..., 0] + 1j * a[..., 1])
+    assert np.abs(results[0] - results[1]).max() <= 1e-10 * moi_scale(inst)
+
+
+@pytest.mark.parametrize(
+    "kind, count, message",
+    [
+        ("third", 3, "unknown chain-like kind 'third'; kinds are 'first' and 'second'"),
+        ("first", 2, "chain-like arity 2 is outside [3, 18], one bond letter per gap"),
+        ("second", 19, "chain-like arity 19 is outside [3, 18], one bond letter per gap"),
+    ],
+)
+def test_eval_refuses_a_bad_like_kind_or_arity_in_one_line(tmp_path, kind, count, message):
+    payload = instance_to_json(random_instance(rng_for(67), "like-first", (3, 3), arity=3))
+    # the tables are not arrays: parsing one would give another message
+    payload["integrand"] = {"haagerup_like": {"kind": kind, "tables": ["x"] * count}}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    assert _eval_in_process(path) == (2, "", f"eval: cannot load instance: {message}\n")
+
+
 # Fuzz: a wrong type or depth at one field of a valid instance file. Arrays
 # are replaced whole, not entered; their leaves have property tests of their
 # own in test_serialize.py.

@@ -194,6 +194,31 @@ def test_like_rep_rejects_bad_kind_and_widths():
         HaagerupLikeRep("third", (np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1, 1))))
     with pytest.raises(ValueError):
         HaagerupLikeRep("first", (np.ones((2, 2)), np.ones((2, 1)), np.ones((2, 1, 1))))
+    with pytest.raises(ValueError, match="chain-like arity 2 is outside"):
+        HaagerupLikeRep("first", (np.ones((2, 1)), np.ones((2, 1))))
+    with pytest.raises(ValueError, match="chain-like arity 19 is outside"):
+        HaagerupLikeRep("second", (np.ones((2, 1)),) * 19)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("arity", [5, 6])
+def test_like_pointwise_is_the_rotated_chain_product(kind, arity):
+    """A chain-like integrand is a chain (vector, matrices, vector) with its
+    last factor moved to the front (first kind) or its first factor moved to
+    the end (second kind): Psi is the chain's product in chain order."""
+    rng = np.random.default_rng(arity + 10 * (kind == "second"))
+    counts, widths = [2, 3, 1, 2, 3, 2][:arity], [1, 2, 3, 2, 1][: arity - 1]
+    chain = [crandom(rng, (counts[0], widths[0]))]
+    chain += [crandom(rng, (n, a, b)) for n, a, b in zip(counts[1:-1], widths, widths[1:])]
+    chain.append(crandom(rng, (counts[-1], widths[-1])))
+    s = arity - 1 if kind == "first" else 1  # the rep's factor i is the chain's (i + s) mod m
+    rep = HaagerupLikeRep(kind, tuple(chain[(i + s) % arity] for i in range(arity)))
+    for atoms in itertools.product(*(range(n) for n in rep.atom_counts())):
+        y = [atoms[(k - s) % arity] for k in range(arity)]  # the atoms in chain order
+        v = chain[0][y[0]]
+        for t, x in zip(chain[1:], y[1:]):
+            v = v @ t[x]
+        assert abs(eval_pointwise(rep, atoms) - complex(v)) <= 1e-12 * max(1.0, abs(v))
 
 
 def test_embed_single_term():

@@ -39,16 +39,22 @@ def test_readme_quick_start_runs():
 
 
 def test_readme_instance_format_blocks_evaluate():
-    full, fragment = _blocks("Instance file format", "json")
+    full, fragment, like_fragment = _blocks("Instance file format", "json")
     inst, exponents = instance_from_json(json.loads(full))
     assert exponents == {"p": 2.0, "q": float("inf")}
-    # the second block is an integrand on four measures of two atoms each
+    # the second block is an integrand on four measures of two atoms each,
+    # the third one on five
     obj = json.loads(full)
-    integrand = json.loads("{" + fragment + "}")["integrand"]
-    measures, operators = [obj["measures"][0]] * 4, obj["operators"] * 2
-    chain, _ = instance_from_json(
-        {"measures": measures, "operators": operators[:3], "integrand": integrand}
-    )
+    cases = [inst]
+    for block, arity in ((fragment, 4), (like_fragment, 5)):
+        integrand = json.loads("{" + block + "}")["integrand"]
+        measures, operators = [obj["measures"][0]] * arity, obj["operators"] * 2
+        case, _ = instance_from_json(
+            {"measures": measures, "operators": operators[: arity - 1], "integrand": integrand}
+        )
+        cases.append(case)
+    chain, like = cases[1:]
     assert [m.ndim for m in chain.integrand.middles] == [2, 3]
-    for case in (inst, chain):
+    assert (like.integrand.kind, like.integrand.arity) == ("first", 5)
+    for case in cases:
         assert np.abs(eval_moi(case) - eval_oracle(case)).max() <= 1e-10 * moi_scale(case)

@@ -332,6 +332,19 @@ def test_instance_json_text_round_trip(cls, seed):
     assert gap <= 1e-12 * moi_scale(inst)
 
 
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("arity", [5, 6])
+def test_like_instance_round_trip_beyond_arity_four(kind, arity):
+    inst = random_instance(rng_for(65, arity), f"like-{kind}", dim_range=(2, 4), arity=arity)
+    payload = instance_to_json(inst)
+    back, _ = load_instance(io.StringIO(json.dumps(payload)))
+    again = instance_to_json(back)
+    assert again["operators"] == payload["operators"]
+    assert again["integrand"] == payload["integrand"]
+    gap = operator_norm(eval_moi(inst) - eval_moi(back))
+    assert gap <= 1e-12 * moi_scale(inst)
+
+
 # --- diagonal chain middles and field checks ----------------------------------
 
 
