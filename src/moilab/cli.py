@@ -397,12 +397,7 @@ def cmd_sweep(args) -> int:
         s_values = [_parse_s_token(tok, r) for tok in args.s.split(",") if tok.strip()]
         if not s_values:
             raise ValueError("need at least one s value")
-        rows = []
-        for i, s in enumerate(s_values):
-            # the cross-check does not depend on s: build it once per command
-            rows.extend(
-                growth_sweep(args.arity, args.regime, p1, pm1, dims, s, cross_check=i == 0)
-            )
+        rows = growth_sweep(args.arity, args.regime, p1, pm1, dims, s_values)
     _emit(args.out, sweep_csv(rows))
     return 0
 

@@ -28,10 +28,11 @@ tables one block of atom tuples at a time and contracted right to left with
 the projection stacks, one matmul per factor; eval_haagerup_block, the
 row/block/column operator matrices materialized from the projections and
 multiplied in the enlarged space; duality_functional, the defining
-functional of a chain-like integral: the chain that the class rotates
-(integrands._like_bonds), taken in its own factor order, with Q in the gap
-between factors m and 1, traced against the operator in the gap where that
-chain closes.
+functional of a chain-like integral: the class's bond network
+(integrands._like_bonds) swept with its factors in the order of the chain
+that the class rotates (_cyclic_path), with Q in the gap between factors m
+and 1, traced against the operator in the gap where that chain closes. It
+shares the sweep, not the order of the factors.
 
 All paths compute the same finite sum; agreement is relative to
 scale = rep_norm_bound * prod of operator norms.
@@ -201,18 +202,20 @@ def eval_projective(inst: MoiInstance) -> np.ndarray:
     swept with the terms as one bond."""
     if not isinstance(inst.integrand, ProjectiveRep):
         raise TypeError("instance does not carry a projective representation")
-    return _sweep(inst)
+    return eval_moi(inst)
 
 
 def eval_haagerup(inst: MoiInstance) -> np.ndarray:
     """Chain contraction sum_{j..} A_j T_1 B_{jk} T_2 ... over all chain indices."""
     if not isinstance(inst.integrand, HaagerupChainRep):
         raise TypeError("instance does not carry a chain representation")
-    return _sweep(inst)
+    return eval_moi(inst)
 
 
-def _sweep(inst: MoiInstance) -> np.ndarray:
-    """U_1 C U_m^*, with C contracted by the plan for the integrand's bonds.
+def _sweep(measures, operators, labels, tables) -> np.ndarray:
+    """U_1 C U_m^* of one bond network: factor k integrates tables[k], whose
+    bond letters are labels[k], against measures[k], and operators[k] sits
+    between factors k and k + 1. C is contracted by the plan for the labels.
 
     No step mixes two rows r of the first basis (columns of C, for a reversed
     plan, which sweeps from the last basis), so C is contracted a slice of
@@ -224,11 +227,10 @@ def _sweep(inst: MoiInstance) -> np.ndarray:
     change is applied once, to the whole C. Each slice starts from a
     C-ordered copy of its rows of the starting operator, so that every state
     is C-ordered and a move's flat view of S is S itself."""
-    measures, dim = inst.measures, inst.dim
-    labels, tables = _bonds(inst.integrand, [e.n_atoms for e in measures])
-    reverse, steps, _ = _plan(labels)
+    dim = measures[0].dim
+    reverse, steps, _ = _plan(tuple(labels))
     bases = [e.basis for e in measures]
-    moved = [adjoint(u) @ t @ v for u, t, v in zip(bases, inst.operators, bases[1:])]
+    moved = [adjoint(u) @ t @ v for u, t, v in zip(bases, operators, bases[1:])]
     cols = [t.take(e.labels, axis=0) for t, e in zip(tables, measures)]  # one per basis column
     if reverse:  # the same sweep on the transpose, C^T = ... T_2'^T T_1'^T
         cols.reverse()
@@ -374,15 +376,15 @@ def eval_haagerup_like(inst: MoiInstance) -> np.ndarray:
     """
     if not isinstance(inst.integrand, HaagerupLikeRep):
         raise TypeError("instance does not carry a chain-like representation")
-    return _sweep(inst)
+    return eval_moi(inst)
 
 
 def duality_functional(inst: MoiInstance, q) -> complex:
     """The defining linear functional of a chain-like integral, evaluated at Q:
     the ordinary chain over the factors along _cyclic_path, with Q in the gap
     between factors m and 1, traced against the operator in the gap where the
-    path closes. A middle whose first letter is not in the previous factor's
-    label runs against the path and is transposed."""
+    path closes. That chain is the class's own bond network, swept in path
+    order."""
     rep = inst.integrand
     if not isinstance(rep, HaagerupLikeRep):
         raise TypeError("instance does not carry a chain-like representation")
@@ -392,13 +394,12 @@ def duality_functional(inst: MoiInstance, q) -> complex:
     labels, tables = _bonds(rep, None)
     path = _cyclic_path(rep.kind, rep.arity)
     gaps = [*inst.operators, q]  # gaps[k] sits between factors k and k + 1, cyclically
-    middles = [
-        tables[k] if labels[k][0] in labels[prev] else tables[k].transpose(0, 2, 1)
-        for prev, k in zip(path, path[1:-1])
-    ]
-    chain = HaagerupChainRep(tables[path[0]], tuple(middles), tables[path[-1]])
-    measures = tuple(inst.measures[k] for k in path)
-    w = eval_haagerup(MoiInstance(measures, tuple(gaps[k] for k in path[:-1]), chain))
+    w = _sweep(
+        [inst.measures[k] for k in path],
+        [gaps[k] for k in path[:-1]],
+        [labels[k] for k in path],
+        [tables[k] for k in path],
+    )
     partner = gaps[path[0] - 1]
     # The second kind at arity 4 keeps its old trace order, so that its values
     # stay bit-identical: trace(w @ partner) agrees only up to rounding (a few
@@ -419,4 +420,5 @@ def _cyclic_path(kind: str, arity: int) -> list:
 
 def eval_moi(inst: MoiInstance) -> np.ndarray:
     """Production evaluation: the sweep, which every representation class shares."""
-    return _sweep(inst)
+    counts = [e.n_atoms for e in inst.measures]
+    return _sweep(inst.measures, inst.operators, *_bonds(inst.integrand, counts))

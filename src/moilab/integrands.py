@@ -26,10 +26,14 @@ import numpy as np
 from .spectral import matrix_sup, scalar_sup, vector_sup
 
 
-def _table(a, ndim: int, what: str) -> np.ndarray:
+def _table(a, ndim, what: str) -> np.ndarray:
+    """`a` as a complex table with `ndim` axes (one of them, for a tuple),
+    at least one atom and finite entries; `what` names it in a refusal."""
     t = np.asarray(a, dtype=np.complex128)
-    if t.ndim != ndim:
-        raise ValueError(f"{what} table must have {ndim} axes, got shape {t.shape}")
+    ranks = ndim if isinstance(ndim, tuple) else (ndim,)
+    if t.ndim not in ranks:
+        axes = " or ".join(map(str, ranks))
+        raise ValueError(f"{what} table must have {axes} axes, got shape {t.shape}")
     if t.shape[0] < 1:
         raise ValueError(f"{what} table has no atoms")
     if not np.all(np.isfinite(t)):
@@ -37,15 +41,16 @@ def _table(a, ndim: int, what: str) -> np.ndarray:
     return t
 
 
-def _width_clash(labels, tables) -> str | None:
-    """The first bond letter to which two tables give different widths, as
-    a message, or None: a bond has one width."""
+def _width_clash(labels, tables) -> None:
+    """Refuse two tables that give one bond letter different widths: a bond
+    has one width. The refusal names the later table by its factor."""
     widths = {}
-    for bonds, t in zip(labels, tables):
+    for i, (bonds, t) in enumerate(zip(labels, tables)):
         for b, w in zip(bonds, t.shape[1:]):
             if widths.setdefault(b, w) != w:
-                return f"bond {b} has widths {widths[b]} and {w}"
-    return None
+                raise ValueError(
+                    f"factor {i + 1} table gives bond {b} width {w}, an earlier table {widths[b]}"
+                )
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,9 @@ class HaagerupChainRep:
     head: (n_1, L_1); middles[i]: (n_{i+2}, L_{i+1}, L_{i+2}), or the diagonal
     (n_{i+2}, L_{i+1}) with per-atom matrix diag(middles[i][x]) and
     L_{i+2} = L_{i+1}; tail: (n_m, L_{m-1}). The array's rank selects the form.
+    Every table is checked as the chain-like ones are: its rank, at least one
+    atom and finite entries (_table), and one width per bond (_width_clash);
+    a refusal names the table by its factor, 1 to m.
     """
 
     head: np.ndarray
@@ -92,28 +100,14 @@ class HaagerupChainRep:
     tail: np.ndarray = None
 
     def __post_init__(self):
-        head = np.asarray(self.head, dtype=np.complex128)
-        tail = np.asarray(self.tail, dtype=np.complex128)
-        if head.ndim != 2 or tail.ndim != 2:
-            raise ValueError("head and tail must be (n_atoms, width) tables")
-        if head.shape[0] < 1 or tail.shape[0] < 1:
-            raise ValueError("head/tail tables need at least one atom")
+        head, tail = _table(self.head, 2, "factor 1"), _table(self.tail, 2, f"factor {self.arity}")
         middles = tuple(
-            np.asarray(m, dtype=np.complex128) for m in self.middles
+            _table(t, (2, 3), f"factor {i + 2}") for i, t in enumerate(self.middles)
         )
-        if any(m.ndim not in (2, 3) or m.shape[0] < 1 for m in middles):
-            raise ValueError(
-                "middle tables must be (n_atoms, L, L') or diagonal (n_atoms, L)"
-            )
-        for t in (head, *middles, tail):
-            if not np.all(np.isfinite(t)):
-                raise ValueError("chain table has non-finite entries")
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "middles", middles)
         object.__setattr__(self, "tail", tail)
-        clash = _width_clash(*_bonds(self, None))
-        if clash:
-            raise ValueError(f"chain width mismatch: {clash}")
+        _width_clash(*_bonds(self, None))
 
     @property
     def arity(self) -> int:
@@ -171,13 +165,7 @@ class HaagerupLikeRep:
             _table(t, 1 + len(bonds), f"factor {i + 1}")
             for i, (t, bonds) in enumerate(zip(self.tables, labels))
         )
-        if _width_clash(labels, tabs):
-            raise ValueError(
-                "matrix table must be indexed (j, k) matching the vectors"
-                if len(labels) == 3
-                else "index widths must chain as "
-                + ", ".join(f"({','.join(b.lower())})" for b in labels)
-            )
+        _width_clash(labels, tabs)
         object.__setattr__(self, "tables", tabs)
 
     @property

@@ -79,6 +79,13 @@ def _object(what: str, obj) -> dict:
     return obj
 
 
+def _field(owner: str, obj: dict, key: str):
+    """obj[key], else a ValueError naming the key and its owner."""
+    if key not in obj:
+        raise ValueError(f"{owner} is missing {key!r}")
+    return obj[key]
+
+
 def complex_to_json(z) -> list:
     z = complex(z)
     return [z.real, z.imag]
@@ -208,11 +215,12 @@ def measure_from_json(obj) -> FiniteSpectralMeasure:
     dim = _integer("dim", obj["dim"])
     points, projections = [], []
     for atom in obj["atoms"]:
-        z = complex_from_json(_object("atom", atom)["point"])
+        point = _field("atom", _object("atom", atom), "point")
+        z = complex_from_json(point)
         if not cmath.isfinite(z):
-            raise ValueError(f"atom point is not finite: {atom['point']!r}")
+            raise ValueError(f"atom point is not finite: {point!r}")
         points.append(z.real if z.imag == 0.0 else z)
-        projections.append(array_from_json(atom["projection"], 2))
+        projections.append(array_from_json(_field("atom", atom, "projection"), 2))
     return FiniteSpectralMeasure(dim, tuple(points), tuple(projections))
 
 
@@ -267,13 +275,13 @@ def integrand_from_json(obj, arity: int | None = None):
         )
         return ProjectiveRep(m, parsed)
     if key == "haagerup":
-        head = array_from_json(body["head"], 2)
+        head = array_from_json(_field("haagerup integrand", body, "head"), 2)
         middles = tuple(_middle_from_json(m) for m in body.get("middles", []))
-        tail = array_from_json(body["tail"], 2)
+        tail = array_from_json(_field("haagerup integrand", body, "tail"), 2)
         return HaagerupChainRep(head, middles, tail)
     if key == "haagerup_like":
-        kind = body["kind"]
-        tables = body["tables"]
+        kind = _field("haagerup_like integrand", body, "kind")
+        tables = _field("haagerup_like integrand", body, "tables")
         labels = _like_bonds(kind, len(tables))  # refuses before any array is parsed
         parsed = tuple(array_from_json(t, 1 + len(b)) for t, b in zip(tables, labels))
         return HaagerupLikeRep(kind, parsed)
@@ -366,8 +374,7 @@ def instance_from_json(obj) -> tuple[MoiInstance, dict | None]:
     if not isinstance(obj, dict):
         raise ValueError("instance must be a JSON object")
     for field in ("measures", "operators", "integrand"):
-        if field not in obj:
-            raise ValueError(f"instance is missing {field!r}")
+        _field("instance", obj, field)
     measures = tuple(measure_from_json(e) for e in obj["measures"])
     operators = tuple(array_from_json(t, 2) for t in obj["operators"])
     integrand = integrand_from_json(obj["integrand"], arity=len(measures))

@@ -226,25 +226,15 @@ class SweepRow:
     ratio: float
 
 
-def growth_sweep(
-    arity: int,
-    regime: str,
-    p_first,
-    p_last,
-    dims,
-    s,
-    cross_check: bool = True,
-) -> list[SweepRow]:
-    """One row per truncation n: lhs = ||W||_s from the diagonal closed form,
-    rhs = the product of operator norms, ratio = lhs / rhs.
+def growth_sweep(arity: int, regime: str, p_first, p_last, dims, s_values) -> list[SweepRow]:
+    """One row per s value and truncation n, s-major: lhs = ||W||_s from the
+    diagonal closed form, rhs = the product of operator norms, ratio = lhs / rhs.
 
-    The smallest materializable n is cross-checked against the full chain
-    evaluation; a mismatch raises ConstructionCheckError. The cross-check
-    depends only on (arity, regime, p_first, p_last, dims[0]), not on s, so a
-    caller sweeping several s values passes cross_check=True to one call
-    only. Deterministic; dims must be ascending.
+    The smallest materializable n is cross-checked once against the full
+    chain evaluation, which does not depend on s; a mismatch raises
+    ConstructionCheckError. Deterministic; dims must be ascending.
     """
-    s = check_exponent(s)
+    s_values = [check_exponent(s) for s in s_values]
     dims = [int(n) for n in dims]
     if not dims:
         raise ValueError("need at least one truncation dimension")
@@ -252,15 +242,7 @@ def growth_sweep(
         raise ValueError("truncation dimensions must be strictly ascending")
     if dims[-1] > SWEEP_CAP:
         raise ValueError(f"n = {dims[-1]} exceeds the sweep cap {SWEEP_CAP}")
-    rows = []
-    for n in dims:
-        case = default_case(arity, regime, p_first, p_last, n)
-        lhs = sequence_norm(expected_diag(case), s)
-        rhs = _rhs_norms(case)
-        rows.append(
-            SweepRow(n, s, case.p_first, case.p_last, lhs, rhs, lhs / rhs)
-        )
-    if cross_check and dims[0] <= BUILD_CAP:
+    if dims[0] <= BUILD_CAP:  # before the closed forms, which its peak need not hold
         built = build_construction(default_case(arity, regime, p_first, p_last, dims[0]))
         bound = rep_norm_bound(built.instance.integrand)
         if not abs(bound - 1.0) <= 1e-12:
@@ -271,6 +253,12 @@ def growth_sweep(
             raise ConstructionCheckError(
                 f"construction cross-check failed at n = {dims[0]}: error {err:.3e}"
             )
+    cases = [default_case(arity, regime, p_first, p_last, n) for n in dims]
+    rows = []
+    for s in s_values:
+        for case in cases:
+            lhs, rhs = sequence_norm(expected_diag(case), s), _rhs_norms(case)
+            rows.append(SweepRow(case.n, s, case.p_first, case.p_last, lhs, rhs, lhs / rhs))
     return rows
 
 

@@ -174,11 +174,11 @@ def test_criterion_6_sharpness_sweeps():
     grid = [64, 256, 1024, 4096]
     for (arity, regime, p1, pm1), frozen in FROZEN_GROWTH_FACTORS.items():
         r = sharp_r(p1, pm1)
-        at_r = growth_sweep(arity, regime, p1, pm1, grid, r, cross_check=False)
+        at_r = growth_sweep(arity, regime, p1, pm1, grid, [r])
         ratios = [row.ratio for row in at_r]
         variation = max(ratios) / min(ratios) - 1.0
         assert variation <= 0.10, f"{regime}: s=r variation {variation:.3e}"
-        below = growth_sweep(arity, regime, p1, pm1, grid, 0.8 * r, cross_check=False)
+        below = growth_sweep(arity, regime, p1, pm1, grid, [0.8 * r])
         growth = [row.ratio for row in below]
         assert all(b > a for a, b in zip(growth, growth[1:])), f"{regime}: not increasing"
         factor = growth[-1] / growth[0]

@@ -219,6 +219,33 @@ def test_like_labels_give_one_cyclic_path():
         assert all(set(labels[a]) & set(labels[b]) for a, b in zip(path, path[1:]))
 
 
+def test_duality_sweeps_the_like_network_in_path_order():
+    """duality_functional hands the sweep the class's own bond network, its
+    factors and gaps taken along _cyclic_path, and builds no instance."""
+    seen = []
+
+    def sweep(measures, operators, labels, tables):
+        seen.append((measures, operators, labels, tables))
+        return np.zeros((measures[0].dim,) * 2, dtype=np.complex128)
+
+    for kind, arity in _LIKE_KEYS:
+        rng = rng_for(84, arity, kind == "second")
+        measures = tuple(random_measure(rng, 3) for _ in range(arity))
+        ops = tuple(random_operator(rng, 3) for _ in range(arity - 1))
+        rep = random_like_rep(rng, kind, [e.n_atoms for e in measures], [2] * (arity - 1))
+        inst, q = MoiInstance(measures, ops, rep), random_operator(rng, 3)
+        seen.clear()
+        with mock.patch.object(evaluate, "MoiInstance", side_effect=AssertionError), \
+                mock.patch.object(evaluate, "_sweep", sweep):
+            evaluate.duality_functional(inst, q)
+        [(got_measures, got_ops, labels, tables)] = seen
+        path, gaps = _cyclic_path(kind, arity), [*ops, q]
+        assert list(labels) == [_like_bonds(kind, arity)[k] for k in path]
+        assert all(a is rep.tables[k] for a, k in zip(tables, path))
+        assert all(a is measures[k] for a, k in zip(got_measures, path))
+        assert all(np.array_equal(a, gaps[k]) for a, k in zip(got_ops, path[:-1]))
+
+
 def test_repeated_signature_does_not_plan_again():
     rng = rng_for(81)
     measures = tuple(random_measure(rng, 5, 3) for _ in range(4))

@@ -510,7 +510,7 @@ def test_sweep_csv_equals_per_s_cross_checked_sweeps(capsys, arity, regime, p1, 
     r = sharp_r(p1, pm1)
     rows = []
     for s in (r, 0.8 * r, r / 2):
-        rows.extend(growth_sweep(arity, regime, p1, pm1, dims, s, cross_check=True))
+        rows.extend(growth_sweep(arity, regime, p1, pm1, dims, [s]))
     code = cli.main(
         ["sweep", "--regime", regime, "--arity", str(arity), "--p1", repr(p1),
          "--pm1", repr(pm1), "--s", "r,0.8r,r/2", "--dims", "16,64,256"]
@@ -525,7 +525,7 @@ def test_sweep_cross_check_norms_the_integrand_once(monkeypatch):
     counts = {}
     _count_calls(monkeypatch, sharpness, "rep_norm_bound", counts)
     _count_calls(monkeypatch, evaluate, "rep_norm_bound", counts)
-    sharpness.growth_sweep(3, "mixed-large-small", 4.0, 2.0, [16, 64], 2.0)
+    sharpness.growth_sweep(3, "mixed-large-small", 4.0, 2.0, [16, 64], [2.0])
     assert counts == {"rep_norm_bound": 1}
 
 
@@ -920,6 +920,39 @@ def test_eval_refuses_a_bad_like_kind_or_arity_in_one_line(tmp_path, kind, count
     payload = instance_to_json(random_instance(rng_for(67), "like-first", (3, 3), arity=3))
     # the tables are not arrays: parsing one would give another message
     payload["integrand"] = {"haagerup_like": {"kind": kind, "tables": ["x"] * count}}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    assert _eval_in_process(path) == (2, "", f"eval: cannot load instance: {message}\n")
+
+
+def _drop(*path):
+    """A payload edit that deletes the key at the end of `path`."""
+
+    def edit(o):
+        for k in path[:-1]:
+            o = o[k]
+        del o[path[-1]]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "cls, drop, message",
+    [
+        ("like-first", _drop("integrand", "haagerup_like", "kind"),
+         "haagerup_like integrand is missing 'kind'"),
+        ("like-second", _drop("integrand", "haagerup_like", "tables"),
+         "haagerup_like integrand is missing 'tables'"),
+        ("chain", _drop("integrand", "haagerup", "head"), "haagerup integrand is missing 'head'"),
+        ("chain", _drop("integrand", "haagerup", "tail"), "haagerup integrand is missing 'tail'"),
+        ("projective", _drop("measures", 1, "atoms", 0, "point"), "atom is missing 'point'"),
+        ("projective", _drop("measures", 1, "atoms", 0, "projection"),
+         "atom is missing 'projection'"),
+    ],
+)
+def test_eval_names_a_missing_key_and_its_owner(tmp_path, cls, drop, message):
+    payload = instance_to_json(random_instance(rng_for(68), cls, (3, 3), arity=3))
+    drop(payload)
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(payload))
     assert _eval_in_process(path) == (2, "", f"eval: cannot load instance: {message}\n")

@@ -280,12 +280,15 @@ def test_like_constant_first_kind_is_plain_product():
     assert operator_norm(eval_haagerup_like(inst) - t @ r) <= TOL * moi_scale(inst)
 
 
-@pytest.mark.parametrize("kind", ["first", "second"])
+KINDS = ("first", "second")
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("arity", [3, 4, 5, 6])
 @pytest.mark.parametrize("seed", range(4))
 def test_like_matches_oracle(kind, arity, seed):
     inst = random_instance(
-        rng_for(17, seed, arity, hash(kind) % 1000), f"like-{kind}", dim_range=(2, 4), arity=arity
+        rng_for(17, seed, arity, KINDS.index(kind)), f"like-{kind}", dim_range=(2, 4), arity=arity
     )
     gap = operator_norm(eval_haagerup_like(inst) - eval_oracle(inst))
     assert gap <= TOL * moi_scale(inst)
@@ -311,10 +314,10 @@ def test_duality_identity_probe_constant_integrand():
     assert abs(value - np.trace(t @ r)) <= 1e-9 * max(abs(np.trace(t @ r)), 1.0)
 
 
-@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("arity", [3, 4, 5, 6])
 def test_duality_matches_trace_pairing(kind, arity):
-    rng = rng_for(20, arity, hash(kind) % 1000)
+    rng = rng_for(20, arity, KINDS.index(kind))
     inst = random_instance(rng, f"like-{kind}", dim_range=(4, 4), arity=arity)
     w = eval_haagerup_like(inst)
     scale = moi_scale(inst)
@@ -878,16 +881,24 @@ def test_diagonal_middles_match_their_dense_expansion(arity, seed):
 
 
 def test_diagonal_middle_of_wrong_width_is_refused():
+    """A chain's tables are checked as the chain-like ones are, each refusal
+    one line that names the table by its factor."""
     head, tail = np.ones((2, 3)), np.ones((2, 3))
-    with pytest.raises(ValueError, match="chain width mismatch"):
+    with pytest.raises(ValueError, match="^factor 2 table gives bond A width 2, an earlier table 3$"):
         HaagerupChainRep(head, (np.ones((2, 2)),), tail)
     # a diagonal middle passes its incoming width through to the next table
-    with pytest.raises(ValueError, match="chain width mismatch"):
+    with pytest.raises(ValueError, match="^factor 3 table gives bond A width 2, an earlier table 3$"):
         HaagerupChainRep(head, (np.ones((2, 3)),), np.ones((2, 2)))
-    with pytest.raises(ValueError, match="chain width mismatch"):
+    with pytest.raises(ValueError, match="^factor 3 table gives bond A width 2, an earlier table 3$"):
         HaagerupChainRep(head, (np.ones((2, 3)), np.ones((2, 2, 4))), tail)
-    with pytest.raises(ValueError, match="middle tables must be"):
+    with pytest.raises(ValueError, match=r"^factor 2 table must have 2 or 3 axes, got shape \(2,\)$"):
         HaagerupChainRep(head, (np.ones(2),), tail)
+    with pytest.raises(ValueError, match=r"^factor 1 table must have 2 axes, got shape \(2, 3, 1\)$"):
+        HaagerupChainRep(np.ones((2, 3, 1)), (), tail)
+    with pytest.raises(ValueError, match="^factor 2 table has no atoms$"):
+        HaagerupChainRep(head, (np.ones((0, 3)),), tail)
+    with pytest.raises(ValueError, match="^factor 3 table has non-finite entries$"):
+        HaagerupChainRep(head, (np.ones((2, 3)),), np.full((2, 3), np.nan))
 
 
 # --- the in-place sweep and its state budget ----------------------------------

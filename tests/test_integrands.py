@@ -192,8 +192,14 @@ def test_chain_width_mismatch_rejected():
 def test_like_rep_rejects_bad_kind_and_widths():
     with pytest.raises(ValueError):
         HaagerupLikeRep("third", (np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1, 1))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^factor 3 table gives bond J width 1, an earlier table 2$"):
         HaagerupLikeRep("first", (np.ones((2, 2)), np.ones((2, 1)), np.ones((2, 1, 1))))
+    with pytest.raises(ValueError, match=r"^factor 3 table must have 3 axes, got shape \(2, 1\)$"):
+        HaagerupLikeRep("first", (np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1))))
+    with pytest.raises(ValueError, match="^factor 2 table has no atoms$"):
+        HaagerupLikeRep("first", (np.ones((2, 1)), np.ones((0, 1)), np.ones((2, 1, 1))))
+    with pytest.raises(ValueError, match="^factor 1 table has non-finite entries$"):
+        HaagerupLikeRep("second", (np.full((2, 1, 1), np.inf), np.ones((2, 1)), np.ones((2, 1))))
     with pytest.raises(ValueError, match="chain-like arity 2 is outside"):
         HaagerupLikeRep("first", (np.ones((2, 1)), np.ones((2, 1))))
     with pytest.raises(ValueError, match="chain-like arity 19 is outside"):

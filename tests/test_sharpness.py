@@ -183,22 +183,20 @@ def test_build_cap():
 def test_growth_sweep_ratio_is_one_at_critical_exponent():
     for arity, regime, p1, pm1 in ALL_CASES:
         r = sharp_r(p1, pm1)
-        rows = growth_sweep(arity, regime, p1, pm1, [16, 64, 256], r, cross_check=False)
+        rows = growth_sweep(arity, regime, p1, pm1, [16, 64, 256], [r])
         for row in rows:
             assert abs(row.ratio - 1.0) <= 1e-12
 
 
 def test_growth_sweep_single_point_ratio():
-    rows = growth_sweep(3, "mixed-large-small", 4, 2, [1], 1.0, cross_check=False)
+    rows = growth_sweep(3, "mixed-large-small", 4, 2, [1], [1.0])
     assert abs(rows[0].ratio - 1.0) <= 1e-12
 
 
 def test_growth_sweep_strictly_increasing_below_critical():
     r = sharp_r(4, 2)
     for s in [0.8 * r, r / 2.0]:
-        rows = growth_sweep(
-            3, "mixed-large-small", 4, 2, [64, 256, 1024, 4096], s, cross_check=False
-        )
+        rows = growth_sweep(3, "mixed-large-small", 4, 2, [64, 256, 1024, 4096], [s])
         ratios = [row.ratio for row in rows]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
@@ -207,9 +205,7 @@ def test_growth_sweep_half_critical_doubles():
     # computed beforehand from the closed-form diagonals: the factor is about
     # 6.28 for this family, far above the doubling threshold
     r = sharp_r(4, 2)
-    rows = growth_sweep(
-        3, "mixed-large-small", 4, 2, [64, 4096], r / 2.0, cross_check=False
-    )
+    rows = growth_sweep(3, "mixed-large-small", 4, 2, [64, 4096], [r / 2.0])
     factor = rows[1].ratio / rows[0].ratio
     assert factor >= 2.0
     assert abs(factor / 6.283800712808853 - 1.0) <= 0.01
@@ -229,17 +225,15 @@ def test_growth_factor_matches_independent_series():
         rhs = np.sum(c[:n] ** 4) ** 0.25 * np.sum(d[:n] ** 2) ** 0.5
         return lhs / rhs
     expected_factor = ratio(4096) / ratio(64)
-    rows = growth_sweep(
-        3, "mixed-large-small", 4, 2, [64, 4096], s, cross_check=False
-    )
+    rows = growth_sweep(3, "mixed-large-small", 4, 2, [64, 4096], [s])
     got_factor = rows[1].ratio / rows[0].ratio
     assert abs(got_factor - expected_factor) <= 1e-10 * expected_factor
 
 
 def test_adjoint_regime_sweeps_coincide():
     r = sharp_r(4, 2)
-    a = growth_sweep(3, "mixed-large-small", 4, 2, [16, 64, 256], 0.8 * r, cross_check=False)
-    b = growth_sweep(3, "mixed-small-large", 2, 4, [16, 64, 256], 0.8 * r, cross_check=False)
+    a = growth_sweep(3, "mixed-large-small", 4, 2, [16, 64, 256], [0.8 * r])
+    b = growth_sweep(3, "mixed-small-large", 2, 4, [16, 64, 256], [0.8 * r])
     for ra, rb in zip(a, b):
         assert abs(ra.ratio - rb.ratio) <= 1e-12 * ra.ratio
 
@@ -247,9 +241,7 @@ def test_adjoint_regime_sweeps_coincide():
 def test_growth_sweep_monotone_divergence_on_grid():
     for arity, regime, p1, pm1 in ALL_CASES:
         r = sharp_r(p1, pm1)
-        rows = growth_sweep(
-            arity, regime, p1, pm1, [32, 128, 512, 2048], r / 2.0, cross_check=False
-        )
+        rows = growth_sweep(arity, regime, p1, pm1, [32, 128, 512, 2048], [r / 2.0])
         ratios = [row.ratio for row in rows]
         for a, b in zip(ratios, ratios[1:]):
             assert b > a
@@ -257,20 +249,20 @@ def test_growth_sweep_monotone_divergence_on_grid():
 
 def test_growth_sweep_validation():
     with pytest.raises(ValueError, match="ascending"):
-        growth_sweep(3, "both-small", 2, 2, [64, 64], 1.0)
+        growth_sweep(3, "both-small", 2, 2, [64, 64], [1.0])
     with pytest.raises(ValueError, match="cap"):
-        growth_sweep(3, "both-small", 2, 2, [16384], 1.0)
+        growth_sweep(3, "both-small", 2, 2, [16384], [1.0])
     with pytest.raises(ValueError):
-        growth_sweep(3, "both-small", 2, 2, [], 1.0)
+        growth_sweep(3, "both-small", 2, 2, [], [1.0])
 
 
 def test_growth_sweep_cross_check_runs():
-    rows = growth_sweep(3, "mixed-large-small", 4, 2, [8, 16], 1.0, cross_check=True)
+    rows = growth_sweep(3, "mixed-large-small", 4, 2, [8, 16], [1.0])
     assert len(rows) == 2
 
 
 def test_sweep_csv_format_and_determinism():
-    rows = growth_sweep(3, "mixed-large-small", 4, 2, [8, 16], 1.0, cross_check=False)
+    rows = growth_sweep(3, "mixed-large-small", 4, 2, [8, 16], [1.0])
     text = sweep_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "n,s,p1,pm1,lhs,rhs,ratio"
@@ -303,4 +295,4 @@ def test_growth_sweep_cross_check_failure_is_a_domain_error(monkeypatch, perturb
     original = sharpness.eval_haagerup
     monkeypatch.setattr(sharpness, "eval_haagerup", lambda inst: perturb(original(inst)))
     with pytest.raises(ConstructionCheckError, match="cross-check"):
-        growth_sweep(3, "both-large", 4.0, 4.0, [16], 2.0)
+        growth_sweep(3, "both-large", 4.0, 4.0, [16], [2.0])
