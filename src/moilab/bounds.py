@@ -32,6 +32,7 @@ from .linalg import (
     harmonic_exponent,
     operator_norm,
     schatten_norm,
+    schatten_norms,
 )
 
 DEFAULT_TOL = 1e-9
@@ -115,10 +116,8 @@ def check_projective(
         )
     finite = sum(1 for p in exps if p != INF)
     tag = "proj-op-norm" if finite == 0 else ("proj-sp" if finite == 1 else "proj-pq")
-    lhs = schatten_norm(eval_projective(inst), r)
-    rhs = rep_norm_bound(rep)
-    for op, p in zip(inst.operators, exps):
-        rhs *= schatten_norm(op, p)
+    lhs, *norms = schatten_norms([eval_projective(inst), *inst.operators], [r, *exps])
+    rhs = math.prod([rep_norm_bound(rep), *norms])
     expd = {f"p{i + 1}": p for i, p in enumerate(exps)}
     expd["r"] = r
     return _report(tag, expd, lhs, rhs, tol)
@@ -142,11 +141,9 @@ def check_haagerup_main(
     if q < 2.0:
         raise RangeError(f"q = {q} < 2; the bound requires p, q in [2, inf]")
     r = harmonic_exponent([p, q])
-    lhs = schatten_norm(eval_haagerup(inst), r)
-    rhs = rep_norm_bound(rep) * schatten_norm(inst.operators[0], p)
-    for op in inst.operators[1:-1]:
-        rhs *= operator_norm(op)
-    rhs *= schatten_norm(inst.operators[-1], q)
+    inner = [INF] * (inst.arity - 3)  # the interior operators in operator norm
+    lhs, *norms = schatten_norms([eval_haagerup(inst), *inst.operators], [r, p, *inner, q])
+    rhs = math.prod([rep_norm_bound(rep), *norms])
     return _report("haagerup-main", {"p": p, "q": q, "r": r}, lhs, rhs, tol)
 
 
@@ -198,11 +195,12 @@ def check_haagerup_like(
             f"1/p + 1/q = {inv:.6g} outside [1/2, 1]; r must lie in [1, 2]"
         )
     b = 1 if rep.kind == "first" else rep.arity - 2  # T_1 takes p, T_{b+1} takes q
-    lhs = schatten_norm(eval_haagerup_like(inst), r)
-    rhs = rep_norm_bound(rep) * schatten_norm(inst.operators[0], p)
-    rhs *= schatten_norm(inst.operators[b], q)
-    for op in inst.operators[1:b] + inst.operators[b + 1 :]:
-        rhs *= operator_norm(op)
+    ops = inst.operators
+    others = ops[1:b] + ops[b + 1 :]  # in operator norm
+    lhs, *norms = schatten_norms(
+        [eval_haagerup_like(inst), ops[0], ops[b], *others], [r, p, q, *[INF] * len(others)]
+    )
+    rhs = math.prod([rep_norm_bound(rep), *norms])
     derived = f"hlike-m{rep.arity}-{1 if rep.kind == 'first' else 2}"
     tag = LIKE_TAGS.get((rep.kind, rep.arity), derived)
     return _report(tag, {"p": p, "q": q, "r": r}, lhs, rhs, tol)

@@ -33,7 +33,7 @@ from .evaluate import (
     DEFAULT_TUPLE_CAP,
     CapExceededError,
     MoiInstance,
-    duality_functional,
+    duality_functionals,
     eval_haagerup,
     eval_haagerup_block,
     eval_haagerup_like,
@@ -47,7 +47,7 @@ from .integrands import (
     embed_projective_in_haagerup,
     rep_norm_bound,
 )
-from .linalg import INF, check_exponent, schatten_norm
+from .linalg import INF, check_exponent, random_complex, schatten_norms
 from .randominst import random_instance, rng_for
 from .serialize import array_to_json_text, instance_to_json, load_instance
 from .sharpness import (
@@ -179,15 +179,12 @@ def cmd_eval(args) -> int:
     # numpy stays silent on overflow: the non-finite result is refused below, in one line
     with np.errstate(over="ignore", invalid="ignore"):
         result = eval_oracle(inst, cap=cap) if args.oracle else eval_moi(inst)
-    # the norms refuse a non-finite result, and json.dumps an overflowing
-    # bound (Infinity is not JSON), before anything is written
+    # the norms, from one SVD, refuse a non-finite result, and json.dumps an
+    # overflowing bound (Infinity is not JSON), before anything is written
+    norms = schatten_norms(result[None], [1, 2, INF])
     rest = json.dumps(
         {
-            "schatten": {
-                "1": schatten_norm(result, 1),
-                "2": schatten_norm(result, 2),
-                "inf": schatten_norm(result, INF),
-            },
+            "schatten": dict(zip(("1", "2", "inf"), norms)),
             "rep_norm_bound": rep_norm_bound(inst.integrand),
         },
         indent=2,
@@ -198,16 +195,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _relative_deviation(a: np.ndarray, b: np.ndarray, scale: float) -> float:
-    return float(np.abs(a - b).max() / scale)
+def _trial(config, suite: int, k: int, rep_class: str, arity=None):
+    """Trial k of a suite: its generator, and the random instance drawn first."""
+    rng = rng_for(config["seed"], suite, k)
+    return rng, random_instance(rng, rep_class, config["dim_range"], config["width_range"], arity)
 
 
 def _suite_oracle_equivalence(config, k):
     """All evaluation paths against the exhaustive atomwise sum."""
-    rng = rng_for(config["seed"], 1, k)
     classes = ("projective", "chain", "like-first", "like-second")
-    cls = classes[k % len(classes)]
-    inst = random_instance(rng, cls, config["dim_range"], config["width_range"])
+    _, inst = _trial(config, 1, k, classes[k % len(classes)])
     scale = moi_scale(inst)
     reference = eval_oracle(inst, cap=config["cap"])
     values = [eval_moi(inst)]
@@ -217,37 +214,29 @@ def _suite_oracle_equivalence(config, k):
         values.append(eval_haagerup(MoiInstance(inst.measures, inst.operators, embedded)))
     if isinstance(rep, HaagerupChainRep) and inst.arity >= 3:
         values.append(eval_haagerup_block(inst))
-    worst = max(_relative_deviation(v, reference, scale) for v in values)
+    worst = max(float(np.abs(v - reference).max() / scale) for v in values)
     return worst, inst
 
 
 def _suite_duality(config, k):
     """trace(W Q) against the defining functional, both kinds, arity 3 and 4."""
-    rng = rng_for(config["seed"], 2, k)
     kind = ("first", "second")[k % 2]
-    arity = (3, 4)[(k // 2) % 2]
-    inst = random_instance(
-        rng, f"like-{kind}", config["dim_range"], config["width_range"], arity=arity
-    )
+    rng, inst = _trial(config, 2, k, f"like-{kind}", (3, 4)[(k // 2) % 2])
     w = eval_haagerup_like(inst)
     scale = moi_scale(inst)
+    probes = [random_complex(rng, (inst.dim,) * 2) for _ in range(config["duality_probes"])]
+    values = duality_functionals(inst, probes)
+    norms = schatten_norms(probes, [1] * len(probes))
     worst = 0.0
-    for _ in range(config["duality_probes"]):
-        q = rng.standard_normal((inst.dim, inst.dim)) + 1j * rng.standard_normal(
-            (inst.dim, inst.dim)
-        )
-        denom = max(scale * schatten_norm(q, 1), 1e-12)
-        gap = abs(complex(np.trace(w @ q)) - duality_functional(inst, q)) / denom
+    for q, value, norm in zip(probes, values, norms):
+        gap = abs(complex(np.trace(w @ q)) - value) / max(scale * norm, 1e-12)
         worst = max(worst, gap)
     return worst, inst
 
 
 def _suite_bound_projective(config, k):
-    rng = rng_for(config["seed"], 3, k)
     arity = (3, 4)[k % 2]
-    inst = random_instance(
-        rng, "projective", config["dim_range"], config["width_range"], arity=arity
-    )
+    rng, inst = _trial(config, 3, k, "projective", arity)
     options = PROJECTIVE_EXPONENTS[arity]
     exps = options[int(rng.integers(len(options)))]
     report = check_projective(inst, exps, tol=config["tol"])
@@ -255,11 +244,7 @@ def _suite_bound_projective(config, k):
 
 
 def _suite_bound_haagerup(config, k):
-    rng = rng_for(config["seed"], 4, k)
-    arity = (3, 4)[k % 2]
-    inst = random_instance(
-        rng, "chain", config["dim_range"], config["width_range"], arity=arity
-    )
+    rng, inst = _trial(config, 4, k, "chain", (3, 4)[k % 2])
     exps = config["exponents"]
     p = exps[int(rng.integers(len(exps)))]
     q = exps[int(rng.integers(len(exps)))]
@@ -268,12 +253,8 @@ def _suite_bound_haagerup(config, k):
 
 
 def _suite_bound_like(config, k):
-    rng = rng_for(config["seed"], 5, k)
     kind = ("first", "second")[k % 2]
-    arity = (3, 4)[(k // 2) % 2]
-    inst = random_instance(
-        rng, f"like-{kind}", config["dim_range"], config["width_range"], arity=arity
-    )
+    rng, inst = _trial(config, 5, k, f"like-{kind}", (3, 4)[(k // 2) % 2])
     pairs = LIKE_PAIRS[kind]
     p, q = pairs[int(rng.integers(len(pairs)))]
     report = check_haagerup_like(inst, p, q, tol=config["tol"])
@@ -282,8 +263,7 @@ def _suite_bound_like(config, k):
 
 def _suite_lemma_row(config, k):
     """Row-matrix bound with blocks integrated from a sup-normalized head."""
-    rng = rng_for(config["seed"], 6, k)
-    inst = random_instance(rng, "chain", config["dim_range"], config["width_range"], arity=3)
+    rng, inst = _trial(config, 6, k, "chain", 3)
     rep = inst.integrand
     sup = float(np.linalg.norm(rep.head, axis=1).max())
     head = rep.head / sup

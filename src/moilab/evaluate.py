@@ -32,7 +32,8 @@ functional of a chain-like integral: the class's bond network
 (integrands._like_bonds) swept with its factors in the order of the chain
 that the class rotates (_cyclic_path), with Q in the gap between factors m
 and 1, traced against the operator in the gap where that chain closes. It
-shares the sweep, not the order of the factors.
+shares the sweep, not the order of the factors; one frame of the sweep
+serves many probes Q, each moved and swept on its own.
 
 All paths compute the same finite sum; agreement is relative to
 scale = rep_norm_bound * prod of operator norms.
@@ -56,7 +57,7 @@ from .integrands import (
     _bonds,
     rep_norm_bound,
 )
-from .linalg import adjoint, as_matrix, operator_norm
+from .linalg import INF, adjoint, as_matrix, schatten_norms
 from .spectral import FiniteSpectralMeasure, integrate_scalar
 
 DEFAULT_TUPLE_CAP = 10**6
@@ -129,10 +130,7 @@ def moi_scale(inst: MoiInstance) -> float:
 
 def _scale(bound: float, operators) -> float:
     """moi_scale from an already computed rep_norm_bound."""
-    scale = bound
-    for t in operators:
-        scale *= operator_norm(t)
-    return max(scale, SCALE_FLOOR)
+    return max(prod([bound, *schatten_norms(operators, [INF] * len(operators))]), SCALE_FLOOR)
 
 
 def eval_oracle(inst: MoiInstance, cap: int = DEFAULT_TUPLE_CAP) -> np.ndarray:
@@ -212,10 +210,12 @@ def eval_haagerup(inst: MoiInstance) -> np.ndarray:
     return eval_moi(inst)
 
 
-def _sweep(measures, operators, labels, tables) -> np.ndarray:
-    """U_1 C U_m^* of one bond network: factor k integrates tables[k], whose
-    bond letters are labels[k], against measures[k], and operators[k] sits
-    between factors k and k + 1. C is contracted by the plan for the labels.
+def _sweep(measures, operators, labels, tables, probes=(None,)):
+    """U_1 C U_m^* of one bond network, once per probe: factor k integrates
+    tables[k], whose bond letters are labels[k], against measures[k], and
+    operators[k] sits between factors k and k + 1; each probe in turn fills
+    the gap whose operator is None. The frame (bases, plan, tables expanded
+    to basis columns, rows per slice, moved operators) is made once.
 
     No step mixes two rows r of the first basis (columns of C, for a reversed
     plan, which sweeps from the last basis), so C is contracted a slice of
@@ -225,26 +225,34 @@ def _sweep(measures, operators, labels, tables) -> np.ndarray:
     any table it takes at most 16 d w bytes per row; a slice takes as many
     rows as fit STATE_BUDGET, at least one, or all d when w is 0. The basis
     change is applied once, to the whole C. Each slice starts from a
-    C-ordered copy of its rows of the starting operator, so that every state
-    is C-ordered and a move's flat view of S is S itself."""
+    C-ordered copy of its rows of the C-ordered starting operator, so that
+    every state is C-ordered and a move's flat view of S is S itself."""
     dim = measures[0].dim
     reverse, steps, _ = _plan(tuple(labels))
     bases = [e.basis for e in measures]
-    moved = [adjoint(u) @ t @ v for u, t, v in zip(bases, operators, bases[1:])]
+
+    def move(k, t):  # T_k' = U_k^* T_k U_{k+1}, as the sweep reads it
+        t = adjoint(bases[k]) @ t @ bases[k + 1]
+        # a reversed plan sweeps C^T = ... T_2'^T T_1'^T; else S[c, r] = T_1'[r, c],
+        # and each move multiplies S by T_k'^T from the left
+        return t if reverse else t.T
+
+    moved = [t if t is None else move(k, t) for k, t in enumerate(operators)]
+    gaps = [k for k, t in enumerate(operators) if t is None]
     cols = [t.take(e.labels, axis=0) for t, e in zip(tables, measures)]  # one per basis column
-    if reverse:  # the same sweep on the transpose, C^T = ... T_2'^T T_1'^T
-        cols.reverse()
-        moved.reverse()
-    else:  # S[c, r] = T_1'[r, c], and each move multiplies S by T_k'^T from the left
-        moved = [t.T for t in moved]
+    cols = cols[::-1] if reverse else cols
     width = max(max(t.shape[1:]) for t in tables)
     rows = max(1, STATE_BUDGET // (16 * dim * width)) if width else dim
-    start, diagonal, parts = np.ascontiguousarray(moved[0]), cols[0], []
-    for j in range(0, dim, rows):
-        r = slice(j, j + rows)
-        moved[0], cols[0] = np.ascontiguousarray(start[:, r]), diagonal[r]
-        parts.append(_contract(steps, moved, cols))
-    return bases[0] @ np.concatenate(parts, axis=int(reverse)) @ adjoint(bases[-1])
+    for probe in probes:
+        for k in gaps:
+            moved[k] = move(k, probe)
+        start, *rest = moved[::-1] if reverse else moved
+        start = moved[-1 if reverse else 0] = np.ascontiguousarray(start)
+        parts = [
+            _contract(steps, [np.ascontiguousarray(start[:, r]), *rest], [cols[0][r], *cols[1:]])
+            for r in (slice(j, j + rows) for j in range(0, dim, rows))
+        ]
+        yield bases[0] @ np.concatenate(parts, axis=int(reverse)) @ adjoint(bases[-1])
 
 
 def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
@@ -380,25 +388,34 @@ def eval_haagerup_like(inst: MoiInstance) -> np.ndarray:
 
 
 def duality_functional(inst: MoiInstance, q) -> complex:
-    """The defining linear functional of a chain-like integral, evaluated at Q:
-    the ordinary chain over the factors along _cyclic_path, with Q in the gap
-    between factors m and 1, traced against the operator in the gap where the
-    path closes. That chain is the class's own bond network, swept in path
-    order."""
+    """The defining linear functional of a chain-like integral at Q: the
+    one-probe case of `duality_functionals`."""
+    [value] = duality_functionals(inst, [q])
+    return value
+
+
+def duality_functionals(inst: MoiInstance, qs) -> list:
+    """The defining linear functional of a chain-like integral at each Q of
+    qs: the ordinary chain over the factors along _cyclic_path, with Q in the
+    gap between factors m and 1, traced against the operator in the gap where
+    the path closes. That chain is the class's own bond network, swept in
+    path order, with one frame for all of qs (see _sweep)."""
     rep = inst.integrand
     if not isinstance(rep, HaagerupLikeRep):
         raise TypeError("instance does not carry a chain-like representation")
-    q = as_matrix(q)
-    if q.shape != (inst.dim, inst.dim):
-        raise ValueError(f"Q shape {q.shape} != ({inst.dim}, {inst.dim})")
+    qs = [as_matrix(q) for q in qs]
+    for q in qs:
+        if q.shape != (inst.dim, inst.dim):
+            raise ValueError(f"Q shape {q.shape} != ({inst.dim}, {inst.dim})")
     labels, tables = _bonds(rep, None)
     path = _cyclic_path(rep.kind, rep.arity)
-    gaps = [*inst.operators, q]  # gaps[k] sits between factors k and k + 1, cyclically
-    w = _sweep(
+    gaps = [*inst.operators, None]  # gaps[k] sits between factors k and k + 1, cyclically
+    ws = _sweep(
         [inst.measures[k] for k in path],
         [gaps[k] for k in path[:-1]],
         [labels[k] for k in path],
         [tables[k] for k in path],
+        qs,
     )
     partner = gaps[path[0] - 1]
     # The second kind at arity 4 keeps its old trace order, so that its values
@@ -406,8 +423,8 @@ def duality_functional(inst: MoiInstance, q) -> complex:
     # 1e-15 relative) and changes the last bits of many of them, among them
     # the worst duality error that `moilab verify --seed 42` prints.
     if (rep.kind, rep.arity) == ("second", 4):
-        return complex(np.trace(partner @ w))
-    return complex(np.trace(w @ partner))
+        return [complex(np.trace(partner @ w)) for w in ws]
+    return [complex(np.trace(w @ partner)) for w in ws]
 
 
 def _cyclic_path(kind: str, arity: int) -> list:
@@ -421,4 +438,5 @@ def _cyclic_path(kind: str, arity: int) -> list:
 def eval_moi(inst: MoiInstance) -> np.ndarray:
     """Production evaluation: the sweep, which every representation class shares."""
     counts = [e.n_atoms for e in inst.measures]
-    return _sweep(inst.measures, inst.operators, *_bonds(inst.integrand, counts))
+    [value] = _sweep(inst.measures, inst.operators, *_bonds(inst.integrand, counts))
+    return value

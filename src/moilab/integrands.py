@@ -36,7 +36,7 @@ def _table(a, ndim, what: str) -> np.ndarray:
         raise ValueError(f"{what} table must have {axes} axes, got shape {t.shape}")
     if t.shape[0] < 1:
         raise ValueError(f"{what} table has no atoms")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError(f"{what} table has non-finite entries")
     return t
 

@@ -20,14 +20,16 @@ HERM_RTOL = 1e-10
 SV_CLAMP_RTOL = 1e-13
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array, rejecting empty or non-finite input."""
+def as_matrix(a, stacked: bool = False) -> np.ndarray:
+    """Coerce to a 2-d complex128 array, or with `stacked` to a (k, rows, cols)
+    stack of k >= 1 of them, rejecting empty or non-finite input."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if m.ndim != 2 + stacked:
+        what = "stack of matrices" if stacked else "2-d matrix"
+        raise ValueError(f"expected a {what}, got ndim={m.ndim}")
+    if 0 in m.shape:
         raise ValueError(f"matrix must be at least 1x1, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -64,11 +66,21 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
-def _clamped_singular_values(m) -> np.ndarray:
-    s = singular_values(m)
-    if s.size and s[0] > 0.0:
-        s = np.where(s < SV_CLAMP_RTOL * s[0], 0.0, s)
-    return s
+def schatten_norms(ms, ps) -> list[float]:
+    """The Schatten (quasi)norm of each matrix of a stack in its own exponent:
+    ms holds k matrices of one shape, ps k exponents, or ms one matrix and
+    ps every exponent wanted of it. One SVD call covers the stack; each row of
+    singular values is clamped (SV_CLAMP_RTOL) and summed by itself, so every
+    norm equals the one-matrix `schatten_norm` bit for bit."""
+    ps = [check_exponent(p) for p in ps]
+    s = np.linalg.svd(as_matrix(ms, stacked=True), compute_uv=False)
+    s = np.where(s < SV_CLAMP_RTOL * s[:, :1], 0.0, s)  # a zero row stays as it is
+    if len(s) != len(ps):  # one matrix to every exponent
+        s = np.broadcast_to(s, (len(ps), s.shape[1]))
+    return [
+        float(row[0]) if p == INF else float(np.sum(row**p) ** (1.0 / p))
+        for row, p in zip(s, ps)
+    ]
 
 
 def schatten_norm(m, p) -> float:
@@ -77,10 +89,7 @@ def schatten_norm(m, p) -> float:
     For p < 1 this is only a quasinorm (no triangle inequality).
     """
     p = check_exponent(p)
-    s = _clamped_singular_values(m)
-    if p == INF:
-        return float(s[0]) if s.size else 0.0
-    return float(np.sum(s**p) ** (1.0 / p))
+    return schatten_norms(as_matrix(m)[None], [p])[0]
 
 
 def operator_norm(m) -> float:
@@ -118,9 +127,15 @@ def sequence_norm(x, p) -> float:
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish unitary from the QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return haar_unitaries(random_complex(rng, (dim, dim)))
+
+
+def haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """The Q of the QR of each (..., d, d) matrix of z, with its columns'
+    phases fixed by R's diagonal; one QR call for the whole stack."""
     q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_complex(rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:

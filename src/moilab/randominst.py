@@ -10,7 +10,7 @@ import numpy as np
 
 from .evaluate import MoiInstance
 from .integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep, _like_bonds
-from .linalg import random_complex, random_unitary
+from .linalg import haar_unitaries, random_complex
 from .spectral import FiniteSpectralMeasure
 
 
@@ -21,16 +21,26 @@ def rng_for(seed: int, *path: int) -> np.random.Generator:
 def random_measure(
     rng: np.random.Generator, dim: int, n_atoms: int | None = None
 ) -> FiniteSpectralMeasure:
-    """Random projection family from the column blocks of a random unitary."""
-    if n_atoms is None:
-        n_atoms = int(rng.integers(1, dim + 1))
-    if not 1 <= n_atoms <= dim:
-        raise ValueError(f"need 1 <= n_atoms <= dim, got {n_atoms} > {dim}")
-    sizes = rng.multinomial(dim - n_atoms, [1.0 / n_atoms] * n_atoms) + 1
-    u = random_unitary(rng, dim)
-    labels = np.repeat(np.arange(n_atoms), sizes)
-    return FiniteSpectralMeasure.from_basis(
-        u, labels, tuple(float(i) for i in range(n_atoms))
+    """The one-measure case of `random_measures`."""
+    return random_measures(rng, dim, 1, n_atoms)[0]
+
+
+def random_measures(rng: np.random.Generator, dim: int, count: int, n_atoms=None) -> tuple:
+    """`count` random projection families, from the column blocks of random
+    unitaries. Each measure draws in turn its atom count (unless given), its
+    block sizes and its complex Gaussian matrix; then one stacked QR makes
+    the unitaries, bit for bit as one QR per matrix would."""
+    draws = []
+    for _ in range(count):
+        n = int(rng.integers(1, dim + 1)) if n_atoms is None else n_atoms
+        if not 1 <= n <= dim:
+            raise ValueError(f"need 1 <= n_atoms <= dim = {dim}, got {n}")
+        sizes = rng.multinomial(dim - n, [1.0 / n] * n) + 1
+        draws.append((n, sizes, random_complex(rng, (dim, dim))))
+    unitaries = haar_unitaries(np.stack([z for _, _, z in draws]))
+    return tuple(
+        FiniteSpectralMeasure.from_basis(u, np.repeat(np.arange(n), sizes), map(float, range(n)))
+        for (n, sizes, _), u in zip(draws, unitaries)
     )
 
 
@@ -92,7 +102,7 @@ def random_instance(
         arity = int(rng.integers(3, 5)) if rep_class.startswith("like") else int(
             rng.integers(2, 5)
         )
-    measures = tuple(random_measure(rng, dim) for _ in range(arity))
+    measures = random_measures(rng, dim, arity)
     operators = tuple(random_operator(rng, dim) for _ in range(arity - 1))
     counts = [e.n_atoms for e in measures]
     lo, hi = width_range

@@ -276,7 +276,7 @@ def integrand_from_json(obj, arity: int | None = None):
         return ProjectiveRep(m, parsed)
     if key == "haagerup":
         head = array_from_json(_field("haagerup integrand", body, "head"), 2)
-        middles = tuple(_middle_from_json(m) for m in body.get("middles", []))
+        middles = tuple(_middle_from_json(m, i) for i, m in enumerate(body.get("middles", [])))
         tail = array_from_json(_field("haagerup integrand", body, "tail"), 2)
         return HaagerupChainRep(head, middles, tail)
     if key == "haagerup_like":
@@ -288,15 +288,21 @@ def integrand_from_json(obj, arity: int | None = None):
     raise ValueError(f"unknown integrand class {key!r}")
 
 
-def _middle_from_json(obj) -> np.ndarray:
-    """A dense chain middle (depth-3 list) or {"diagonal": <(n, L) table>}."""
-    if isinstance(obj, dict):
+def _middle_from_json(obj, i: int) -> np.ndarray:
+    """Chain middle i: a dense (n, L, L') table (depth-3 list) or
+    {"diagonal": <(n, L) table>}. Anything else is refused in one message
+    that names the middle and both forms."""
+    try:
+        if not isinstance(obj, dict):
+            return array_from_json(obj, 3)
         if set(obj) != {"diagonal"}:
-            raise ValueError(
-                f'a middle object must be {{"diagonal": table}}, got keys {sorted(obj)}'
-            )
+            raise ValueError(f"got an object with keys {sorted(obj)}")
         return array_from_json(obj["diagonal"], 2)
-    return array_from_json(obj, 3)
+    except ValueError as exc:
+        raise ValueError(
+            f"middles[{i}] must be an (n, L, L') list of depth 3 or"
+            f' {{"diagonal": <(n, L) list>}}: {exc}'
+        ) from exc
 
 
 def instance_to_json(inst: MoiInstance, exponents: dict | None = None) -> dict:

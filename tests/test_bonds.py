@@ -221,12 +221,13 @@ def test_like_labels_give_one_cyclic_path():
 
 def test_duality_sweeps_the_like_network_in_path_order():
     """duality_functional hands the sweep the class's own bond network, its
-    factors and gaps taken along _cyclic_path, and builds no instance."""
+    factors and gaps taken along _cyclic_path, with Q as the one probe of
+    the gap left open, and builds no instance."""
     seen = []
 
-    def sweep(measures, operators, labels, tables):
-        seen.append((measures, operators, labels, tables))
-        return np.zeros((measures[0].dim,) * 2, dtype=np.complex128)
+    def sweep(measures, operators, labels, tables, probes):
+        seen.append((measures, operators, labels, tables, probes))
+        return [np.zeros((measures[0].dim,) * 2, dtype=np.complex128) for _ in probes]
 
     for kind, arity in _LIKE_KEYS:
         rng = rng_for(84, arity, kind == "second")
@@ -238,12 +239,14 @@ def test_duality_sweeps_the_like_network_in_path_order():
         with mock.patch.object(evaluate, "MoiInstance", side_effect=AssertionError), \
                 mock.patch.object(evaluate, "_sweep", sweep):
             evaluate.duality_functional(inst, q)
-        [(got_measures, got_ops, labels, tables)] = seen
-        path, gaps = _cyclic_path(kind, arity), [*ops, q]
+        [(got_measures, got_ops, labels, tables, [got_q])] = seen
+        path, gaps = _cyclic_path(kind, arity), [*ops, None]
         assert list(labels) == [_like_bonds(kind, arity)[k] for k in path]
         assert all(a is rep.tables[k] for a, k in zip(tables, path))
         assert all(a is measures[k] for a, k in zip(got_measures, path))
-        assert all(np.array_equal(a, gaps[k]) for a, k in zip(got_ops, path[:-1]))
+        assert [a is None for a in got_ops] == [gaps[k] is None for k in path[:-1]]
+        assert all(np.array_equal(a, gaps[k]) for a, k in zip(got_ops, path[:-1]) if a is not None)
+        assert np.array_equal(got_q, q)
 
 
 def test_repeated_signature_does_not_plan_again():

@@ -892,6 +892,17 @@ def test_eval_rejects_malformed_diagonal_middle(tmp_path, middle):
     _assert_refused(path, "cannot load instance")
 
 
+@pytest.mark.parametrize("middle", [[[[[1.0]]]], [[1.0]], [1.0], 5, "x", None])
+def test_eval_names_a_middle_of_the_wrong_depth(tmp_path, middle):
+    """A list middle of four or two axes, or no list at all, is refused in one
+    line that names the middle and both accepted forms."""
+    _, payload = _diagonal_chain_payload()
+    payload["integrand"]["haagerup"]["middles"][1] = middle
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    _assert_refused(path, "cannot load instance: middles[1] must be", "depth 3", '{"diagonal"')
+
+
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_eval_arity_five_like_agrees_with_the_oracle(tmp_path, kind):
     from moilab.evaluate import moi_scale

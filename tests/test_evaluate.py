@@ -18,6 +18,7 @@ from moilab.evaluate import (
     MoiInstance,
     _scale,
     duality_functional,
+    duality_functionals,
     eval_haagerup,
     eval_haagerup_block,
     eval_haagerup_like,
@@ -326,6 +327,24 @@ def test_duality_matches_trace_pairing(kind, arity):
         expected = complex(np.trace(w @ q))
         got = duality_functional(inst, q)
         assert abs(got - expected) <= 1e-9 * max(scale * schatten_norm(q, 1), 1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("arity", [3, 4, 5, 6])
+@pytest.mark.parametrize("budget", [evaluate.STATE_BUDGET, 1])
+def test_duality_functionals_equal_one_probe_calls(kind, arity, budget):
+    """One frame for several probes gives each probe's one-probe value bit for
+    bit, also when every row of the sweep is a slice of its own."""
+    with mock.patch.object(evaluate, "STATE_BUDGET", budget):
+        for seed in range(6):
+            rng = rng_for(22, seed, arity, KINDS.index(kind))
+            inst = random_instance(rng, f"like-{kind}", (2, 7), (1, 4), arity=arity)
+            probes = [crandom(rng, (inst.dim, inst.dim)) for _ in range(1 + seed % 5)]
+            values = duality_functionals(inst, probes)
+            assert values == [duality_functional(inst, q) for q in probes]
+    assert duality_functionals(inst, []) == []
+    with pytest.raises(ValueError, match="Q shape"):
+        duality_functionals(inst, [probes[0], np.eye(inst.dim + 1)])
 
 
 def test_moi_instance_validation_errors():

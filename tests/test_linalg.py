@@ -7,11 +7,13 @@ import pytest
 
 from moilab.linalg import (
     INF,
+    SV_CLAMP_RTOL,
     harmonic_exponent,
     hermitian_eig,
     operator_norm,
     random_unitary,
     schatten_norm,
+    schatten_norms,
     sharp,
     singular_values,
 )
@@ -141,3 +143,62 @@ def test_harmonic_exponent():
     assert harmonic_exponent([4, 4]) == 2.0
     assert harmonic_exponent([INF, INF]) == INF
     assert harmonic_exponent([INF, 3]) == 3.0
+
+
+def _reference_norm(m, p):
+    """The Schatten norm of one matrix as its own SVD, clamp and sum."""
+    s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
+    if s[0] > 0.0:
+        s = np.where(s < SV_CLAMP_RTOL * s[0], 0.0, s)
+    return float(s[0]) if p == INF else float(np.sum(s**p) ** (1.0 / p))
+
+
+STACK_EXPONENTS = [0.5, 0.8, 1.0, 4.0 / 3.0, 2.0, 3.0, INF]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 2), (2, 6), (8, 8)])
+def test_stacked_schatten_norms_match_one_svd_per_matrix(shape):
+    rng = np.random.default_rng(41)
+    for k in (1, 2, 7):
+        ms = [random_matrix(rng, *shape) for _ in range(k)]
+        ms[0] = ms[0] * 0.0  # a zero matrix
+        if k > 1:  # a singular value below the clamp
+            u, s, vh = np.linalg.svd(ms[1], full_matrices=False)
+            s[-1] = s[0] * 1e-15
+            ms[1] = (u * s) @ vh
+        ps = [STACK_EXPONENTS[(i * 3 + k) % len(STACK_EXPONENTS)] for i in range(k)]
+        norms = schatten_norms(np.stack(ms), ps)
+        assert norms == schatten_norms(ms, ps)
+        assert norms == [_reference_norm(m, p) for m, p in zip(ms, ps)]
+        assert norms == [schatten_norm(m, p) for m, p in zip(ms, ps)]
+
+
+def test_stacked_schatten_norms_clamp_each_row_by_its_own_largest():
+    small = np.diag([1.0, 1e-15])
+    big = np.diag([1e20, 1.0])
+    p = 0.5
+    norms = schatten_norms([small, big], [p, p])
+    assert norms == [1.0, 1e20]  # both second singular values fall under the clamp
+    assert norms == [_reference_norm(small, p), _reference_norm(big, p)]
+
+
+def test_one_matrix_gives_every_exponent():
+    m = random_matrix(np.random.default_rng(42), 6)
+    ps = STACK_EXPONENTS
+    assert schatten_norms(m[None], ps) == [_reference_norm(m, p) for p in ps]
+
+
+def test_stacked_schatten_norms_refuse_bad_stacks():
+    good = np.eye(2)
+    for bad in ([good, np.array([[np.nan, 0.0], [0.0, 1.0]])], [good, np.full((2, 2), np.inf)]):
+        with pytest.raises(ValueError, match="non-finite"):
+            schatten_norms(bad, [1.0, 1.0])
+    for bad in (np.zeros((0, 2, 2)), np.zeros((1, 0, 2))):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            schatten_norms(bad, [1.0])
+    with pytest.raises(ValueError, match="stack of matrices"):
+        schatten_norms(good, [1.0])
+    with pytest.raises(ValueError, match="exponent"):
+        schatten_norms([good], [0.0])
+    with pytest.raises(ValueError):  # three matrices, two exponents
+        schatten_norms([good] * 3, [1.0, 2.0])
