@@ -30,7 +30,6 @@ from .linalg import (
     as_matrix,
     check_exponent,
     harmonic_exponent,
-    operator_norm,
     schatten_norm,
     schatten_norms,
 )
@@ -151,21 +150,23 @@ def check_lemma_row(
     blocks: Sequence[np.ndarray], t, p, tol: float = DEFAULT_TOL
 ) -> BoundReport:
     """Row-matrix bound: with ||sum A_j* A_j|| <= 1 and p in [2, inf],
-    ||(A_0 T  A_1 T  ...)||_p <= ||T||_p."""
+    ||(A_0 T  A_1 T  ...)||_p <= ||T||_p, for T of the shape of sum A_j* A_j."""
     p = check_exponent(p)
     if p < 2.0:
         raise RangeError(f"p = {p} < 2; the row bound requires p in [2, inf]")
     blocks = [as_matrix(a) for a in blocks]
     if not blocks:
         raise ValueError("need at least one block")
+    t = as_matrix(t)
     gram = sum(adjoint(a) @ a for a in blocks)
-    gram_norm = operator_norm(gram)
+    if t.shape != gram.shape:
+        raise ValueError(f"T shape {t.shape} != {gram.shape}, the shape of sum A_j* A_j")
+    gram_norm, rhs = schatten_norms([gram, t], [INF, p])  # one SVD call
     if gram_norm > 1.0 + ROW_NORMALIZATION_SLACK:
         raise ValueError(
             f"blocks are not normalized: ||sum A_j* A_j|| = {gram_norm:.12g} > 1"
         )
     lhs = schatten_norm(row_block(blocks, t), p)
-    rhs = schatten_norm(t, p)
     return _report("lemma-row", {"p": p}, lhs, rhs, tol)
 
 

@@ -18,9 +18,11 @@ with the first table, diagonal in r, applied after 0..m-1 of the others) that
 holds the fewest bonds at once: one, for every class. No step mixes two rows
 r of the first basis, so C is contracted a slice of rows at a time, with as
 many rows as keep every state, 16 d w bytes per row for the widest table axis
-w, within STATE_BUDGET. The column tables, expanded to basis columns, are
-not bounded by STATE_BUDGET. The two-factor Schur multiplier of a dense
-table psi is the chain with head psi and tail the identity.
+w, within STATE_BUDGET, rounded down to a multiple of ROW_ALIGN and never
+fewer than ROW_ALIGN, so that the slices give C bit for bit as one slice
+does. The column tables, expanded to basis columns, are not bounded by
+STATE_BUDGET. The two-factor Schur multiplier of a dense table psi is the
+chain with head psi and tail the identity.
 
 Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
 over the projections (capped), with Psi formed densely from the per-atom
@@ -64,8 +66,26 @@ DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_BLOCK_CAP = 4096
 ORACLE_BLOCK = 16  # dim x dim matrices in the oracle's accumulator
 SCALE_FLOOR = 1e-12
-STATE_BUDGET = 32 * 2**20  # bytes of a sweep state, which sets the rows per slice
+# Bytes of a sweep state, which set the rows per slice: one core's L2 cache on
+# the 2-vCPU OpenBLAS (Haswell kernels) machine it was measured on, so that a
+# slice's state stays in cache from step to step. Arity-4 both-large
+# construction, 32 MiB -> 2 MiB, tracemalloc peak of eval_haagerup (of
+# `moilab sweep ... --dims n`), time of the sweep command, one BLAS thread:
+#   n =  64:  4.95 -> 3.01 MiB ( 5.8 ->  3.8 MiB), time unchanged
+#   n = 128: 34.8  -> 5.01 MiB (37.3 ->  7.6 MiB), time unchanged or lower
+#   n = 256: 42.0  -> 18.0 MiB (52.1 -> 28.1 MiB), time unchanged (8-row slices)
+# A 1 MiB budget would save another 1 MiB at n = 64, and cost time at n = 256.
+STATE_BUDGET = 2 * 2**20
 MOVE_BLOCK = 512  # state columns per matmul of an in-place move
+# Rows per slice are a multiple of ROW_ALIGN, and at least ROW_ALIGN. A BLAS
+# matmul rounds the last few rows and columns of a call (N mod 4, M mod 4 on
+# OpenBLAS's zgemm) in its edge kernel, differently from the rest; aligned
+# slices leave the same rows and columns to the edge kernels as one slice
+# does, so C is bit-identical however it is sliced (unaligned, 53 of 98 sliced
+# random instances differed in their last bits). The floor also keeps each
+# n = 256 state at 8 MiB, above numpy's 4 MiB huge-page threshold: its 2-row,
+# 2 MiB states took the cross-check from 2.6 to 3.0 s.
+ROW_ALIGN = 8
 
 
 class CapExceededError(RuntimeError):
@@ -223,10 +243,11 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
     operator and the table diagonal in r to its rows. A state S[c, r, open
     bond] holds one bond at a time (see _plan), so with w the widest axis of
     any table it takes at most 16 d w bytes per row; a slice takes as many
-    rows as fit STATE_BUDGET, at least one, or all d when w is 0. The basis
-    change is applied once, to the whole C. Each slice starts from a
-    C-ordered copy of its rows of the C-ordered starting operator, so that
-    every state is C-ordered and a move's flat view of S is S itself."""
+    rows as fit STATE_BUDGET, or all d when w is 0, rounded down to a
+    multiple of ROW_ALIGN and at least ROW_ALIGN. The basis change is applied
+    once, to the whole C. Each slice starts from a C-ordered copy of its rows
+    of the C-ordered starting operator, so that every state is C-ordered and
+    a move's flat view of S is S itself."""
     dim = measures[0].dim
     reverse, steps, _ = _plan(tuple(labels))
     bases = [e.basis for e in measures]
@@ -242,7 +263,8 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
     cols = [t.take(e.labels, axis=0) for t, e in zip(tables, measures)]  # one per basis column
     cols = cols[::-1] if reverse else cols
     width = max(max(t.shape[1:]) for t in tables)
-    rows = max(1, STATE_BUDGET // (16 * dim * width)) if width else dim
+    rows = STATE_BUDGET // (16 * dim * width) if width else dim
+    rows = max(rows - rows % ROW_ALIGN, ROW_ALIGN)
     for probe in probes:
         for k in gaps:
             moved[k] = move(k, probe)

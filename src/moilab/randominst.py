@@ -29,7 +29,8 @@ def random_measures(rng: np.random.Generator, dim: int, count: int, n_atoms=None
     """`count` random projection families, from the column blocks of random
     unitaries. Each measure draws in turn its atom count (unless given), its
     block sizes and its complex Gaussian matrix; then one stacked QR makes
-    the unitaries, bit for bit as one QR per matrix would."""
+    the unitaries, bit for bit as one QR per matrix would, and `from_bases`
+    validates them as one stack."""
     draws = []
     for _ in range(count):
         n = int(rng.integers(1, dim + 1)) if n_atoms is None else n_atoms
@@ -37,10 +38,10 @@ def random_measures(rng: np.random.Generator, dim: int, count: int, n_atoms=None
             raise ValueError(f"need 1 <= n_atoms <= dim = {dim}, got {n}")
         sizes = rng.multinomial(dim - n, [1.0 / n] * n) + 1
         draws.append((n, sizes, random_complex(rng, (dim, dim))))
-    unitaries = haar_unitaries(np.stack([z for _, _, z in draws]))
-    return tuple(
-        FiniteSpectralMeasure.from_basis(u, np.repeat(np.arange(n), sizes), map(float, range(n)))
-        for (n, sizes, _), u in zip(draws, unitaries)
+    return FiniteSpectralMeasure.from_bases(
+        haar_unitaries(np.stack([z for _, _, z in draws])),
+        [np.repeat(np.arange(n), sizes) for n, sizes, _ in draws],
+        [map(float, range(n)) for n, _, _ in draws],
     )
 
 

@@ -33,7 +33,8 @@ class FiniteSpectralMeasure:
     orthogonal projections resolving the identity within MEASURE_TOL (in the
     Frobenius norm, an upper bound for the operator norm). It keeps the
     caller's projections as its stack. `from_basis` builds a measure from its
-    eigenbasis directly and derives the projections on first use.
+    eigenbasis directly, and `from_bases` one per basis of a stack, and each
+    derives the projections on first use.
     `projections` and `projection_stack()` are cached read-only views.
     """
 
@@ -75,27 +76,43 @@ class FiniteSpectralMeasure:
     @classmethod
     def from_basis(cls, basis, labels, points) -> "FiniteSpectralMeasure":
         """Measure with P_i = U[:, labels == i] U[:, labels == i]^* for a
-        unitary U; an atom whose label no column carries has P_i = 0."""
-        u = as_matrix(basis)
+        unitary U; an atom whose label no column carries has P_i = 0. The
+        one-measure case of `from_bases`."""
+        [measure] = cls.from_bases(as_matrix(basis)[None], [labels], [points])
+        return measure
+
+    @classmethod
+    def from_bases(cls, bases, labels, points) -> tuple:
+        """One measure per unitary of a (k, dim, dim) stack, as `from_basis`
+        builds it from bases[j], labels[j] and points[j]; the shapes, atoms
+        and label ranges of all k are checked at once."""
+        us = as_matrix(bases, stacked=True)
         labels = np.asarray(labels, dtype=np.intp)
-        points = tuple(points)
-        dim = u.shape[0]
-        if u.shape != (dim, dim) or labels.shape != (dim,):
+        points = [tuple(p) for p in points]
+        k, dim = us.shape[:2]
+        if us.shape != (k, dim, dim) or labels.shape != (k, dim):
             raise ValueError(
                 f"need a square basis and one label per column, got basis "
-                f"{u.shape} and labels {labels.shape}"
+                f"{us.shape[1:]} and labels {labels.shape[1:]}"
             )
-        if not points:
+        if len(points) != k:
+            raise ValueError(f"need one point sequence per basis, got {len(points)} for {k}")
+        counts = np.array([len(p) for p in points])
+        if not counts.all():
             raise ValueError("need at least one atom")
-        if labels.min() < 0 or labels.max() >= len(points):
-            raise ValueError(f"column labels must lie in [0, {len(points)})")
-        measure = cls.__new__(cls)
-        measure.dim = dim
-        measure.points = points
-        measure.basis = _read_only(u)
-        measure.labels = _read_only(labels)
-        measure._stack = measure._projections = None
-        return measure
+        bad = (labels.min(axis=1) < 0) | (labels.max(axis=1) >= counts)
+        if bad.any():
+            raise ValueError(f"column labels must lie in [0, {counts[bad.argmax()]})")
+        measures = []
+        for u, row, pts in zip(us, labels, points):
+            measure = cls.__new__(cls)
+            measure.dim = dim
+            measure.points = pts
+            measure.basis = _read_only(u)
+            measure.labels = _read_only(row)
+            measure._stack = measure._projections = None
+            measures.append(measure)
+        return tuple(measures)
 
     @property
     def n_atoms(self) -> int:

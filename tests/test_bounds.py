@@ -1,5 +1,7 @@
 """Inequality reports: equality cases, exponent gates, randomized campaigns."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,24 @@ def test_lemma_row_normalization_gate():
         check_lemma_row(blocks, crandom(rng, (3, 3)), 2)
     with pytest.raises(RangeError):
         check_lemma_row([np.eye(3)], crandom(rng, (3, 3)), 1.5)
+
+
+def test_lemma_row_takes_gram_and_t_in_one_svd_call():
+    rng = rng_for(44)
+    blocks, t = random_row_blocks(rng, 4, 3), crandom(rng, (4, 4))
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        report = check_lemma_row(blocks, t, 3)
+    assert svd.call_count == 2  # the stack of the Gram matrix and T, then the row
+    assert report.rhs == schatten_norm(t, 3)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        with pytest.raises(ValueError, match="not normalized"):
+            check_lemma_row([2.0 * b for b in blocks], t, 3)
+    assert svd.call_count == 1  # refused before the row's SVD
+
+
+def test_lemma_row_refuses_t_of_another_shape():
+    with pytest.raises(ValueError, match=r"T shape \(3, 2\) != \(3, 3\)"):
+        check_lemma_row([np.eye(3)], np.ones((3, 2)), 2)
 
 
 def test_like_equality_case():

@@ -295,3 +295,48 @@ def test_from_basis_atom_without_columns_is_zero():
     e = FiniteSpectralMeasure.from_basis(np.eye(2), np.array([0, 0]), (0.0, 1.0))
     assert operator_norm(e.projections[0] - np.eye(2)) == 0.0
     assert not np.any(e.projections[1])
+
+
+def test_from_bases_equals_from_basis_one_at_a_time():
+    rng = np.random.default_rng(26)
+    bases = np.stack([random_unitary(rng, 4) for _ in range(3)])
+    labels = [np.array([0, 0, 1, 2]), np.array([1, 0, 1, 0]), np.zeros(4, dtype=int)]
+    points = [(0.0, 1.0, 2.0), (5.0, 6.0), (7.0,)]
+    measures = FiniteSpectralMeasure.from_bases(bases, labels, points)
+    for e, u, lab, pts in zip(measures, bases, labels, points):
+        one = FiniteSpectralMeasure.from_basis(u, lab, pts)
+        assert e.basis.tobytes() == one.basis.tobytes() == u.tobytes()
+        assert np.array_equal(e.labels, one.labels) and e.points == one.points
+        assert not e.basis.flags.writeable and not e.labels.flags.writeable
+        assert_valid_measure(e)
+    assert bases.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "bases, labels, points, message",
+    [
+        (np.full((2, 2, 2), np.nan), [[0, 0], [0, 0]], [(0.0,), (0.0,)], "non-finite"),
+        (np.ones((2, 2, 3)), [[0, 0], [0, 0]], [(0.0,), (0.0,)], "square basis"),
+        (np.ones((2, 2, 2)), [[0, 0, 0], [0, 0, 0]], [(0.0,), (0.0,)], "one label per column"),
+        (np.ones((2, 2, 2)), [[0, 0], [0, 0]], [(0.0,)], "one point sequence per basis"),
+        (np.ones((2, 2, 2)), [[0, 0], [0, 0]], [(0.0,), ()], "at least one atom"),
+        (np.ones((2, 2, 2)), [[0, 0], [0, 2]], [(0.0,), (0.0, 1.0)], r"\[0, 2\)"),
+        (np.ones((2, 2, 2)), [[-1, 0], [0, 0]], [(0.0,), (0.0,)], r"\[0, 1\)"),
+    ],
+)
+def test_from_bases_checks_every_measure_of_the_stack(bases, labels, points, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteSpectralMeasure.from_bases(bases, labels, points)
+
+
+def test_from_basis_keeps_its_messages():
+    with pytest.raises(ValueError, match="expected a 2-d matrix, got ndim=3"):
+        FiniteSpectralMeasure.from_basis(np.ones((1, 2, 2)), [0, 0], (0.0,))
+    with pytest.raises(ValueError, match=r"got basis \(2, 3\) and labels \(2,\)"):
+        FiniteSpectralMeasure.from_basis(np.ones((2, 3)), [0, 0], (0.0,))
+    with pytest.raises(ValueError, match=r"got basis \(2, 2\) and labels \(1,\)"):
+        FiniteSpectralMeasure.from_basis(np.eye(2), [0], (0.0,))
+    with pytest.raises(ValueError, match="need at least one atom"):
+        FiniteSpectralMeasure.from_basis(np.eye(2), [0, 0], ())
+    with pytest.raises(ValueError, match=r"column labels must lie in \[0, 2\)"):
+        FiniteSpectralMeasure.from_basis(np.eye(2), [0, 2], (0.0, 1.0))
