@@ -173,7 +173,7 @@ def cmd_eval(args) -> int:
     with _stage("invalid configuration"):
         cap = _tuple_cap()
         _check_out_path(args.out)
-    unreadable = (OSError, ValueError, TypeError, KeyError, RecursionError)
+    unreadable = (OSError, ValueError, RecursionError)
     with _stage("cannot load instance", unreadable), open(args.instance, encoding="utf-8") as fh:
         inst, _ = load_instance(fh)
     # numpy stays silent on overflow: the non-finite result is refused below, in one line

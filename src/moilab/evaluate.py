@@ -355,13 +355,12 @@ def row_block(blocks, t: np.ndarray) -> np.ndarray:
     return np.hstack([as_matrix(a) @ t for a in blocks])
 
 
-def eval_haagerup_block(
-    inst: MoiInstance, block_cap: int = DEFAULT_BLOCK_CAP
-) -> np.ndarray:
+def eval_haagerup_block(inst: MoiInstance) -> np.ndarray:
     """Chain value via materialized block matrices:
     row(A_j T_1) x {B_jk} x diag(T_2) x ... x col(T_{m-1} Delta_l).
 
-    Requires arity >= 3; block sides are capped at block_cap rows/columns.
+    Requires arity >= 3; block sides are capped at DEFAULT_BLOCK_CAP
+    rows/columns, and a larger one raises CapExceededError.
     """
     rep = inst.integrand
     if not isinstance(rep, HaagerupChainRep):
@@ -370,9 +369,9 @@ def eval_haagerup_block(
         raise ValueError("block evaluation needs arity >= 3")
     dim = inst.dim
     widths = [rep.head.shape[1]] + [m.shape[-1] for m in rep.middles]
-    if widths and max(widths) * dim > block_cap:
+    if max(widths) * dim > DEFAULT_BLOCK_CAP:
         raise CapExceededError(
-            f"block side {max(widths) * dim} exceeds the cap of {block_cap}"
+            f"block side {max(widths) * dim} exceeds the cap of {DEFAULT_BLOCK_CAP}"
         )
     if min(widths) == 0:
         return np.zeros((dim, dim), dtype=np.complex128)

@@ -104,8 +104,7 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"Hermitian eigensystem needs a square matrix, got {m.shape}")
-    scale = operator_norm(m)
-    defect = operator_norm(m - adjoint(m))
+    scale, defect = schatten_norms([m, m - adjoint(m)], [INF, INF])
     if defect > HERM_RTOL * max(scale, 1e-300):
         raise ValueError(
             f"matrix is not Hermitian: ||M - M*|| = {defect:.3e} > {HERM_RTOL:.0e} * ||M||"

@@ -7,8 +7,10 @@ middle. Exponents serialize as numbers, with the string "inf" for infinity.
 A number beyond float range (say an integer literal of 400 digits, or a
 `dim` of 1e999) and a NaN or infinite atom point raise ValueError, and so
 does any other value where an object belongs (a measure, an atom, an
-integrand body, `exponents`), an integer field (`dim`, `arity`) that is not
-integral, a projective `arity` that disagrees with its terms, a boolean
+integrand body, `exponents`) or a list belongs (`measures`, `operators`,
+`atoms`, `middles`, `tables`, `terms` and each term), an integer field
+(`dim`, `arity`) that is not integral, a projective `arity` below 2 or one
+that disagrees with its terms, a boolean
 where a number belongs (an array leaf, an atom point), a `merge_tol` that is
 not a finite number >= 0, and an exponent outside (0, inf]; non-finite array
 entries are refused where the arrays are used.
@@ -76,6 +78,13 @@ def _object(what: str, obj) -> dict:
     """`obj` if it is a JSON object, else a ValueError naming the field."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be an object, got {obj!r}")
+    return obj
+
+
+def _list(what: str, obj) -> list:
+    """`obj` if it is a JSON list, else a ValueError naming the field."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a list, got {obj!r}")
     return obj
 
 
@@ -214,7 +223,7 @@ def measure_from_json(obj) -> FiniteSpectralMeasure:
         raise ValueError("measure needs either 'hermitian' or 'dim' + 'atoms'")
     dim = _integer("dim", obj["dim"])
     points, projections = [], []
-    for atom in obj["atoms"]:
+    for atom in _list("atoms", obj["atoms"]):
         point = _field("atom", _object("atom", atom), "point")
         z = complex_from_json(point)
         if not cmath.isfinite(z):
@@ -259,15 +268,15 @@ def integrand_from_json(obj, arity: int | None = None):
     (key, body), = obj.items()
     _object(f"{key} integrand", body)
     if key == "projective":
-        terms = body.get("terms", [])
-        given = body.get("arity")
-        given = None if given is None else _integer("arity", given)
-        if terms:
-            m = len(terms[0])
-            if given is not None and given != m:
+        terms = [_list("term", t) for t in _list("terms", body.get("terms", []))]
+        m = len(terms[0]) if terms else arity or 0
+        if body.get("arity") is not None:  # a given arity is used as given
+            given = _integer("arity", body["arity"])
+            if given < 2:
+                raise ValueError(f"projective arity must be >= 2, got {given}")
+            if terms and given != m:
                 raise ValueError(f"projective arity {given} disagrees with {m}-factor terms")
-        else:
-            m = given or arity or 0
+            m = given
         if m < 2:
             raise ValueError("cannot infer projective arity; provide 'arity'")
         parsed = tuple(
@@ -276,12 +285,13 @@ def integrand_from_json(obj, arity: int | None = None):
         return ProjectiveRep(m, parsed)
     if key == "haagerup":
         head = array_from_json(_field("haagerup integrand", body, "head"), 2)
-        middles = tuple(_middle_from_json(m, i) for i, m in enumerate(body.get("middles", [])))
+        middles = _list("middles", body.get("middles", []))
+        middles = tuple(_middle_from_json(m, i) for i, m in enumerate(middles))
         tail = array_from_json(_field("haagerup integrand", body, "tail"), 2)
         return HaagerupChainRep(head, middles, tail)
     if key == "haagerup_like":
         kind = _field("haagerup_like integrand", body, "kind")
-        tables = _field("haagerup_like integrand", body, "tables")
+        tables = _list("tables", _field("haagerup_like integrand", body, "tables"))
         labels = _like_bonds(kind, len(tables))  # refuses before any array is parsed
         parsed = tuple(array_from_json(t, 1 + len(b)) for t, b in zip(tables, labels))
         return HaagerupLikeRep(kind, parsed)
@@ -381,8 +391,8 @@ def instance_from_json(obj) -> tuple[MoiInstance, dict | None]:
         raise ValueError("instance must be a JSON object")
     for field in ("measures", "operators", "integrand"):
         _field("instance", obj, field)
-    measures = tuple(measure_from_json(e) for e in obj["measures"])
-    operators = tuple(array_from_json(t, 2) for t in obj["operators"])
+    measures = tuple(measure_from_json(e) for e in _list("measures", obj["measures"]))
+    operators = tuple(array_from_json(t, 2) for t in _list("operators", obj["operators"]))
     integrand = integrand_from_json(obj["integrand"], arity=len(measures))
     inst = MoiInstance(measures, operators, integrand)
     exponents = None

@@ -142,11 +142,6 @@ class SharpnessInstance:
     case: ConstructionCase
 
 
-def _delta_system(n: int) -> np.ndarray:
-    """Head/tail table alpha_j(m) = 1 if j = m else 0 on the frequency atoms."""
-    return np.eye(n, dtype=np.complex128)
-
-
 def build_construction(case: ConstructionCase) -> SharpnessInstance:
     """Materialize the extremal family at truncation n = ambient dimension.
 
@@ -199,7 +194,8 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
         mid_vals = mids
         ops = (first, p0, last)
         measures = (fourier, position, position, fourier)
-    chain = HaagerupChainRep(_delta_system(n), mid_vals, _delta_system(n))
+    delta = np.eye(n, dtype=np.complex128)  # alpha_j(m) = 1 if j = m else 0
+    chain = HaagerupChainRep(delta, mid_vals, delta)
     inst = MoiInstance(measures, ops, chain)
     return SharpnessInstance(inst, expected_output(case), case)
 

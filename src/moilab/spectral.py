@@ -66,20 +66,14 @@ class FiniteSpectralMeasure:
                     f"atom {i} is not an orthogonal projection of a family resolving "
                     f"the identity: defect {defect:.3e} > {MEASURE_TOL:g}"
                 )
-        self.dim = dim
-        self.points = points
-        self.basis = _read_only(u)
-        self.labels = _read_only(labels)
-        self._stack = _read_only(stack)
-        self._projections = None
+        self._assemble(dim, points, u, labels, stack)
 
     @classmethod
     def from_basis(cls, basis, labels, points) -> "FiniteSpectralMeasure":
         """Measure with P_i = U[:, labels == i] U[:, labels == i]^* for a
         unitary U; an atom whose label no column carries has P_i = 0. The
         one-measure case of `from_bases`."""
-        [measure] = cls.from_bases(as_matrix(basis)[None], [labels], [points])
-        return measure
+        return cls.from_bases(as_matrix(basis)[None], [labels], [points])[0]
 
     @classmethod
     def from_bases(cls, bases, labels, points) -> tuple:
@@ -103,16 +97,18 @@ class FiniteSpectralMeasure:
         bad = (labels.min(axis=1) < 0) | (labels.max(axis=1) >= counts)
         if bad.any():
             raise ValueError(f"column labels must lie in [0, {counts[bad.argmax()]})")
-        measures = []
-        for u, row, pts in zip(us, labels, points):
-            measure = cls.__new__(cls)
-            measure.dim = dim
-            measure.points = pts
-            measure.basis = _read_only(u)
-            measure.labels = _read_only(row)
-            measure._stack = measure._projections = None
-            measures.append(measure)
-        return tuple(measures)
+        return tuple(
+            cls.__new__(cls)._assemble(dim, pts, u, row, None)
+            for u, row, pts in zip(us, labels, points)
+        )
+
+    def _assemble(self, dim, points, basis, labels, stack):
+        """Set every field of a validated measure, its arrays read-only; a
+        stack of None is derived from the basis on first use."""
+        self.dim, self.points, self._projections = dim, points, None
+        self.basis, self.labels = _read_only(basis), _read_only(labels)
+        self._stack = None if stack is None else _read_only(stack)
+        return self
 
     @property
     def n_atoms(self) -> int:
@@ -131,10 +127,8 @@ class FiniteSpectralMeasure:
         return self._stack
 
     @classmethod
-    def trivial(cls, dim: int, point=0.0) -> "FiniteSpectralMeasure":
-        return cls.from_basis(
-            np.eye(dim, dtype=np.complex128), np.zeros(dim, dtype=np.intp), (point,)
-        )
+    def trivial(cls, dim: int) -> "FiniteSpectralMeasure":
+        return cls.from_basis(np.eye(dim, dtype=np.complex128), np.zeros(dim, np.intp), (0.0,))
 
 
 def _projectors(u: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:

@@ -12,7 +12,14 @@ from moilab.bounds import (
     check_lemma_row,
     check_projective,
 )
-from moilab.evaluate import MoiInstance
+from moilab.evaluate import (
+    MoiInstance,
+    duality_functionals,
+    eval_haagerup,
+    eval_haagerup_block,
+    eval_haagerup_like,
+    eval_projective,
+)
 from moilab.integrands import HaagerupChainRep, ProjectiveRep, rep_norm_bound
 from moilab.linalg import INF, adjoint, operator_norm, schatten_norm
 from moilab.randominst import (
@@ -285,3 +292,36 @@ def test_zero_instance_ratio_convention():
     assert report.lhs == 0.0 and report.rhs == 0.0
     assert report.ratio == 0.0
     assert report.holds
+
+
+# --- each typed entry point refuses an instance of another class --------------
+
+_CLASSES = ("projective", "chain", "like-first", "like-second")
+_LIKE = {"like-first", "like-second"}
+# (name, call, the classes it takes); a check_* call is given exponents of 0,
+# which check_exponent refuses, so that its class guard must come first
+_TYPED = [
+    ("eval_projective", eval_projective, {"projective"}),
+    ("eval_haagerup", eval_haagerup, {"chain"}),
+    ("eval_haagerup_like", eval_haagerup_like, _LIKE),
+    ("eval_haagerup_block", eval_haagerup_block, {"chain"}),
+    ("duality_functionals", lambda inst: duality_functionals(inst, [np.eye(inst.dim)]), _LIKE),
+    ("check_projective", lambda inst: check_projective(inst, (0, 0)), {"projective"}),
+    ("check_haagerup_main", lambda inst: check_haagerup_main(inst, 0, 0), {"chain"}),
+    ("check_haagerup_like", lambda inst: check_haagerup_like(inst, 0, 0), _LIKE),
+]
+
+
+@pytest.mark.parametrize(
+    "call, cls",
+    [
+        pytest.param(call, cls, id=f"{name}-{cls}")
+        for name, call, takes in _TYPED
+        for cls in _CLASSES
+        if cls not in takes
+    ],
+)
+def test_typed_entry_point_refuses_another_class(call, cls):
+    inst = random_instance(rng_for(73, len(cls)), cls, dim_range=(3, 3), arity=3)
+    with pytest.raises(TypeError):
+        call(inst)

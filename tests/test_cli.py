@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -590,6 +591,75 @@ def test_eval_rejects_non_object_field(tmp_path, mutate, value, message):
     proc = run_cli("eval", "--instance", str(path))
     _one_line_error(proc)
     assert message in proc.stderr
+
+
+# --- list fields given as other JSON values, and projective arities ---------
+
+
+def _set(*path):
+    """A payload edit that sets the value at the end of `path`."""
+
+    def edit(o, value):
+        for k in path[:-1]:
+            o = o[k]
+        o[path[-1]] = value
+
+    return edit
+
+
+_LOAD = "eval: cannot load instance: "
+_TERMS = _set("integrand", "projective", "terms")
+
+
+@pytest.mark.parametrize(
+    "cls, mutate, value, line",
+    [
+        ("chain", _set("measures"), 5, "measures must be a list, got 5"),
+        ("chain", _set("operators"), 5, "operators must be a list, got 5"),
+        ("chain", _set("measures", 0, "atoms"), 5, "atoms must be a list, got 5"),
+        ("chain", _set("integrand", "haagerup", "middles"), 5, "middles must be a list, got 5"),
+        ("like-first", _set("integrand", "haagerup_like", "tables"), 5,
+         "tables must be a list, got 5"),
+        ("projective", _TERMS, [5], "term must be a list, got 5"),
+        ("projective", _TERMS, {"x": 1}, "terms must be a list, got {'x': 1}"),
+        ("projective", _TERMS, "abc", "terms must be a list, got 'abc'"),
+        # a given projective arity is used as given, and one below 2 is refused
+        ("projective", _set("integrand"), {"projective": {"arity": 0, "terms": []}},
+         "projective arity must be >= 2, got 0"),
+        ("projective", _set("integrand"), {"projective": {"arity": 1}},
+         "projective arity must be >= 2, got 1"),
+    ],
+)
+def test_eval_refusal_names_the_field(tmp_path, cls, mutate, value, line):
+    path = tmp_path / "instance.json"
+    write_instance(path, cls)
+    payload = json.loads(path.read_text())
+    mutate(payload, value)
+    path.write_text(json.dumps(payload))
+    assert _eval_in_process(path) == (2, "", _LOAD + line + "\n")
+
+
+def test_eval_type_error_while_loading_propagates(tmp_path):
+    """Loading refuses bad input as a ValueError; a TypeError is a defect,
+    which no exit code hides."""
+    from moilab import cli
+
+    path = tmp_path / "instance.json"
+    write_instance(path)
+    with mock.patch.object(cli, "load_instance", side_effect=TypeError("defect")):
+        with pytest.raises(TypeError, match="defect"):
+            cli.main(["eval", "--instance", str(path)])
+
+
+def test_eval_given_projective_arity_of_no_terms_is_the_zero_integral(tmp_path):
+    path = tmp_path / "instance.json"
+    write_instance(path, "projective")
+    payload = json.loads(path.read_text())
+    payload["integrand"] = {"projective": {"arity": 3, "terms": []}}
+    path.write_text(json.dumps(payload))
+    code, out, err = _eval_in_process(path)
+    assert (code, err) == (0, "")
+    assert not np.any(json.loads(out)["result"])
 
 
 # --- verify honours MOI_MAX_TUPLES --------------------------------------------

@@ -188,10 +188,11 @@ def test_block_path_matches_direct(arity, seed):
     assert gap <= TOL * moi_scale(inst)
 
 
-def test_block_cap():
+def test_block_cap(monkeypatch):
+    monkeypatch.setattr(evaluate, "DEFAULT_BLOCK_CAP", 1)
     inst = random_instance(rng_for(10), "chain", dim_range=(4, 4), arity=3)
     with pytest.raises(CapExceededError):
-        eval_haagerup_block(inst, block_cap=1)
+        eval_haagerup_block(inst)
 
 
 def test_double_schur_constant_is_identity_map():
