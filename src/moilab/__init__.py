@@ -22,7 +22,6 @@ from .evaluate import (
     eval_haagerup_like,
     eval_moi,
     eval_oracle,
-    eval_projective,
     moi_scale,
 )
 from .integrands import (
@@ -40,7 +39,6 @@ from .linalg import (
     schatten_norm,
     sequence_norm,
     sharp,
-    singular_values,
 )
 from .sharpness import (
     ConstructionCase,
@@ -93,7 +91,6 @@ __all__ = [
     "eval_moi",
     "eval_oracle",
     "eval_pointwise",
-    "eval_projective",
     "expected_diag",
     "expected_output",
     "from_hermitian",
@@ -107,6 +104,5 @@ __all__ = [
     "sequence_norm",
     "sharp",
     "sharp_r",
-    "singular_values",
     "sweep_csv",
 ]

@@ -20,7 +20,7 @@ from .evaluate import (
     MoiInstance,
     eval_haagerup,
     eval_haagerup_like,
-    eval_projective,
+    eval_moi,
     row_block,
 )
 from .integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep, rep_norm_bound
@@ -115,7 +115,7 @@ def check_projective(
         )
     finite = sum(1 for p in exps if p != INF)
     tag = "proj-op-norm" if finite == 0 else ("proj-sp" if finite == 1 else "proj-pq")
-    lhs, *norms = schatten_norms([eval_projective(inst), *inst.operators], [r, *exps])
+    lhs, *norms = schatten_norms([eval_moi(inst), *inst.operators], [r, *exps])
     rhs = math.prod([rep_norm_bound(rep), *norms])
     expd = {f"p{i + 1}": p for i, p in enumerate(exps)}
     expd["r"] = r

@@ -55,7 +55,6 @@ from .integrands import (
     HaagerupChainRep,
     HaagerupLikeRep,
     Integrand,
-    ProjectiveRep,
     _bonds,
     rep_norm_bound,
 )
@@ -213,14 +212,6 @@ def _psi_block(spec: str, tables, prefix: tuple) -> np.ndarray:
     k = len(prefix)
     sliced = [t[x : x + 1] for t, x in zip(tables, prefix)] + list(tables[k:])
     return np.einsum(spec, *sliced)[(0,) * k]
-
-
-def eval_projective(inst: MoiInstance) -> np.ndarray:
-    """sum_n (int phi_n dE_1) T_1 (int psi_n dE_2) ... for a projective rep,
-    swept with the terms as one bond."""
-    if not isinstance(inst.integrand, ProjectiveRep):
-        raise TypeError("instance does not carry a projective representation")
-    return eval_moi(inst)
 
 
 def eval_haagerup(inst: MoiInstance) -> np.ndarray:

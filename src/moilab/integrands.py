@@ -17,6 +17,7 @@ is diag(table[x]). A width-0 chain denotes the zero integrand.
 from __future__ import annotations
 
 import math
+import reprlib
 import string
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -135,7 +136,9 @@ def _like_bonds(kind: str, arity: int) -> tuple:
     kind, or an arity below 3 or beyond the links, is refused here, before
     any table is read."""
     if kind not in ("first", "second"):
-        raise ValueError(f"unknown chain-like kind {kind!r}; kinds are 'first' and 'second'")
+        raise ValueError(
+            f"unknown chain-like kind {reprlib.repr(kind)}; kinds are 'first' and 'second'"
+        )
     if not 3 <= arity <= len(_LIKE_LINKS) + 1:
         top = len(_LIKE_LINKS) + 1
         raise ValueError(f"chain-like arity {arity} is outside [3, {top}], one bond letter per gap")

@@ -61,11 +61,6 @@ def adjoint(m: np.ndarray) -> np.ndarray:
     return np.conjugate(np.swapaxes(m, -1, -2))
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values in descending order (length min(rows, cols))."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
-
-
 def schatten_norms(ms, ps) -> list[float]:
     """The Schatten (quasi)norm of each matrix of a stack in its own exponent:
     ms holds k matrices of one shape, ps k exponents, or ms one matrix and
@@ -90,10 +85,6 @@ def schatten_norm(m, p) -> float:
     """
     p = check_exponent(p)
     return schatten_norms(as_matrix(m)[None], [p])[0]
-
-
-def operator_norm(m) -> float:
-    return schatten_norm(m, INF)
 
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
@@ -122,11 +113,6 @@ def sequence_norm(x, p) -> float:
     if p == INF:
         return float(ax.max())
     return float(np.sum(ax**p) ** (1.0 / p))
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-ish unitary from the QR of a complex Gaussian matrix."""
-    return haar_unitaries(random_complex(rng, (dim, dim)))
 
 
 def haar_unitaries(z: np.ndarray) -> np.ndarray:

@@ -13,16 +13,19 @@ integrand body, `exponents`) or a list belongs (`measures`, `operators`,
 that disagrees with its terms, a boolean
 where a number belongs (an array leaf, an atom point), a `merge_tol` that is
 not a finite number >= 0, and an exponent outside (0, inf]; non-finite array
-entries are refused where the arrays are used.
+entries are refused where the arrays are used. A refusal shows a list or an
+object by its kind and length (`a list of 64`, `an object of 1 keys`) and
+any other value by a repr cut short (`got 5`, `got 'abc'`).
 
 `load_instance` reads an instance file as `instance_from_json(json.load(fh))`
 does, holding less: the measure arrays, most of a file's bytes, are
 converted inside the decoder as each atom or measure object closes, so one
 array's nested lists are alive at a time next to the file text, not the
 whole tree. Files keep their measures first, so the operators and tables
-that follow are read as before. A file it refuses gets the plain reading's
-error, word for word. `array_to_json_text` writes an array's `indent=2`
-JSON form without Python's pure-Python encoder.
+that follow are read as before. A converted array is shown as the list it
+came from, so a file it refuses gets the plain reading's error, word for
+word. `array_to_json_text` writes an array's `indent=2` JSON form without
+Python's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from functools import partial
+import reprlib
 from itertools import chain
 from operator import getitem
 from typing import NamedTuple
@@ -51,6 +54,17 @@ def _in_range(what: str, convert, *args):
         raise ValueError(f"{what} is out of range") from None
 
 
+def _shown(obj) -> str:
+    """A file value as a refusal shows it: a list, or the array the decoder
+    converted from one, and an object by kind and length, so no message
+    holds a whole array; anything else by a repr cut short."""
+    if isinstance(obj, (list, _Parsed)):
+        return f"a list of {len(obj.array if isinstance(obj, _Parsed) else obj)}"
+    if isinstance(obj, dict):
+        return f"an object of {len(obj)} keys"
+    return reprlib.repr(obj)
+
+
 def _is_real(obj) -> bool:
     """A JSON number: an int or a float, not a boolean."""
     return isinstance(obj, (int, float)) and not isinstance(obj, bool)
@@ -59,7 +73,7 @@ def _is_real(obj) -> bool:
 def _number(what: str, obj) -> float:
     """A JSON number (not a boolean) as a float."""
     if not _is_real(obj):
-        raise ValueError(f"{what} must be a number, got {obj!r}")
+        raise ValueError(f"{what} must be a number, got {_shown(obj)}")
     return _in_range(what, float, obj)
 
 
@@ -70,21 +84,21 @@ def _integer(what: str, obj) -> int:
     if math.isinf(value):
         raise ValueError(f"{what} is out of range")
     if not value.is_integer():
-        raise ValueError(f"{what} must be an integer, got {obj!r}")
+        raise ValueError(f"{what} must be an integer, got {_shown(obj)}")
     return int(obj)
 
 
 def _object(what: str, obj) -> dict:
     """`obj` if it is a JSON object, else a ValueError naming the field."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be an object, got {obj!r}")
+        raise ValueError(f"{what} must be an object, got {_shown(obj)}")
     return obj
 
 
 def _list(what: str, obj) -> list:
     """`obj` if it is a JSON list, else a ValueError naming the field."""
     if not isinstance(obj, list):
-        raise ValueError(f"{what} must be a list, got {obj!r}")
+        raise ValueError(f"{what} must be a list, got {_shown(obj)}")
     return obj
 
 
@@ -105,7 +119,7 @@ def complex_from_json(obj) -> complex:
         return _in_range("complex scalar", complex, obj)
     if isinstance(obj, list) and len(obj) == 2 and all(_is_real(x) for x in obj):
         return _in_range("complex scalar", complex, *obj)
-    raise ValueError(f"not a complex scalar (number or [re, im]): {obj!r}")
+    raise ValueError(f"not a complex scalar (number or [re, im]): {_shown(obj)}")
 
 
 def array_to_json(a: np.ndarray):
@@ -178,7 +192,7 @@ def _array_walk(obj, ndim: int) -> np.ndarray:
     if ndim == 0:
         return np.asarray(complex_from_json(obj))
     if not isinstance(obj, list) or not obj:
-        raise ValueError(f"expected a non-empty array of depth {ndim}: {obj!r}")
+        raise ValueError(f"expected a non-empty array of depth {ndim}: {_shown(obj)}")
     parts = [_array_walk(sub, ndim - 1) for sub in obj]
     shapes = {p.shape for p in parts}
     if len(shapes) != 1:
@@ -194,10 +208,10 @@ def exponent_from_json(obj) -> float:
     if isinstance(obj, str):
         if obj.lower() in ("inf", "infinity"):
             return math.inf
-        raise ValueError(f"unknown exponent string {obj!r}")
+        raise ValueError(f"unknown exponent string {_shown(obj)}")
     if _is_real(obj):
         return check_exponent(_in_range("exponent", float, obj))
-    raise ValueError(f"not an exponent: {obj!r}")
+    raise ValueError(f"not an exponent: {_shown(obj)}")
 
 
 def measure_to_json(e: FiniteSpectralMeasure) -> dict:
@@ -291,11 +305,13 @@ def integrand_from_json(obj, arity: int | None = None):
         return HaagerupChainRep(head, middles, tail)
     if key == "haagerup_like":
         kind = _field("haagerup_like integrand", body, "kind")
+        if not isinstance(kind, str):
+            raise ValueError(f"kind must be a string, got {_shown(kind)}")
         tables = _list("tables", _field("haagerup_like integrand", body, "tables"))
         labels = _like_bonds(kind, len(tables))  # refuses before any array is parsed
         parsed = tuple(array_from_json(t, 1 + len(b)) for t, b in zip(tables, labels))
         return HaagerupLikeRep(kind, parsed)
-    raise ValueError(f"unknown integrand class {key!r}")
+    raise ValueError(f"unknown integrand class {_shown(key)}")
 
 
 def _middle_from_json(obj, i: int) -> np.ndarray:
@@ -306,7 +322,7 @@ def _middle_from_json(obj, i: int) -> np.ndarray:
         if not isinstance(obj, dict):
             return array_from_json(obj, 3)
         if set(obj) != {"diagonal"}:
-            raise ValueError(f"got an object with keys {sorted(obj)}")
+            raise ValueError(f"got an object with keys {reprlib.repr(sorted(obj))}")
         return array_from_json(obj["diagonal"], 2)
     except ValueError as exc:
         raise ValueError(
@@ -336,51 +352,27 @@ class _Parsed(NamedTuple):
 _MEASURE_ARRAYS = {"projection": 2, "hermitian": 2}
 
 
-def _decode_object(made: list, pairs: list) -> dict:
+def _decode_object(pairs: list) -> dict:
     """`json.load`'s object hook: a measure array of the object that just
-    closed is converted now, its lists dropped and its marker added to
-    `made`. It never raises: a value the fast path does not take stays a
-    list, for `instance_from_json` to refuse in schema order."""
+    closed is converted now and its lists dropped. It never raises: a value
+    the fast path does not take stays a list, for `instance_from_json` to
+    refuse in schema order."""
     for i, (key, value) in enumerate(pairs):
         ndim = _MEASURE_ARRAYS.get(key)
         if ndim is not None and isinstance(value, list):
             a = _fast_array(value, ndim)
             if a is not None:
                 pairs[i] = key, _Parsed(a)
-                made.append(pairs[i][1])
     return dict(pairs)
-
-
-def _placed(obj) -> int:
-    """The converted arrays where `instance_from_json` reads measure arrays
-    or reads nothing: a measure's "hermitian", an atom's "projection"."""
-    measures = obj.get("measures") if isinstance(obj, dict) else None
-    if not isinstance(measures, list):
-        return 0
-    measures = [e for e in measures if isinstance(e, dict)]
-    atoms = [
-        a for e in measures if isinstance(e.get("atoms"), list)
-        for a in e["atoms"] if isinstance(a, dict)
-    ]
-    return sum(isinstance(e.get("hermitian"), _Parsed) for e in measures) + sum(
-        isinstance(a.get("projection"), _Parsed) for a in atoms
-    )
 
 
 def load_instance(fh) -> tuple[MoiInstance, dict | None]:
     """`instance_from_json(json.load(fh))`, converting the measure arrays as
     the decoder closes them."""
     text = fh.read()
-    made = []
     try:
-        obj = json.loads(text, object_pairs_hook=partial(_decode_object, made))
-        # elsewhere ("exponents": {"projection": ...}) a converted array would
-        # show in an error message: such a file is read plainly, so that it is
-        # refused word for word as before
-        plain = len(made) != _placed(obj)
+        obj = json.loads(text, object_pairs_hook=_decode_object)
     except RecursionError:  # the hook's frame can cross the limit the plain decoder stays under
-        plain = True
-    if plain:
         obj = json.loads(text)
     del text  # the file text is not held while the arrays are checked and factored
     return instance_from_json(obj)

@@ -22,7 +22,6 @@ from moilab.evaluate import (
     eval_haagerup_like,
     eval_moi,
     eval_oracle,
-    eval_projective,
     moi_scale,
 )
 from moilab.integrands import (
@@ -31,7 +30,7 @@ from moilab.integrands import (
     embed_projective_in_haagerup,
     eval_pointwise,
 )
-from moilab.linalg import INF, adjoint, operator_norm, random_unitary, schatten_norm
+from moilab.linalg import INF, adjoint, haar_unitaries, random_complex, schatten_norm
 from moilab.randominst import random_instance, random_row_blocks, rng_for
 from moilab.serialize import instance_to_json
 from moilab.sharpness import build_construction, default_case, growth_sweep, sharp_r
@@ -85,7 +84,7 @@ def test_criterion_1_oracle_equivalence():
                 schur = HaagerupChainRep(table, (), np.eye(inst.measures[1].n_atoms))
                 values.append(eval_moi(MoiInstance(inst.measures, inst.operators, schur)))
         for value in values:
-            worst = max(worst, operator_norm(value - reference) / scale)
+            worst = max(worst, schatten_norm(value - reference, INF) / scale)
     elapsed = time.monotonic() - start
     assert worst <= REL_TOL, f"worst path deviation {worst:.3e}"
     assert elapsed < 60.0, f"criterion 1 took {elapsed:.1f}s"
@@ -205,7 +204,7 @@ def test_criterion_7_construction_fidelity():
     for arity, regime, p1, pm1 in cases:
         built = build_construction(default_case(arity, regime, p1, pm1, n))
         w = eval_haagerup(built.instance)
-        err = operator_norm(w - built.expected)
+        err = schatten_norm(w - built.expected, INF)
         assert err <= 1e-10 * moi_scale(built.instance), f"{regime} m={arity}: {err:.3e}"
 
     eye = np.eye(n)
@@ -223,12 +222,12 @@ def test_criterion_7_construction_fidelity():
     projs4 = m4.instance.measures[2].projection_stack()
     for j in (1, 3):
         g_j = np.einsum("i,iab->ab", gamma_table[:, j], projs4)
-        assert operator_norm(g_j @ g_j.conj().T - eye) < 1e-12
+        assert schatten_norm(g_j @ g_j.conj().T - eye, INF) < 1e-12
     m4_mixed = build_construction(default_case(4, "mixed-large-small", 4, 1.5, n))
     gamma_mixed = m4_mixed.instance.integrand.middles[1]
     for j in (0, 2):
         g_j = np.einsum("i,iab->ab", gamma_mixed[:, j], projs4)
-        assert operator_norm(g_j - eye) < 1e-12
+        assert schatten_norm(g_j - eye, INF) < 1e-12
     # rank-one family: P_j T1 T2 P_j e_j = d_j^2 e_j
     small = build_construction(default_case(3, "both-small", 2, 2, n))
     t1, t2 = small.instance.operators
@@ -249,7 +248,8 @@ def test_criterion_8_representation_independence():
             inst = random_instance(rng, "chain", dim_range=(2, 5), arity=3)
             rep = inst.integrand
             if variant == 0:
-                g = random_unitary(rng, rep.head.shape[1])
+                width = rep.head.shape[1]
+                g = haar_unitaries(random_complex(rng, (width, width)))
                 other_rep = HaagerupChainRep(
                     rep.head @ g,
                     (np.einsum("ab,ibc->iac", g.conj().T, rep.middles[0]),),
@@ -281,15 +281,15 @@ def test_criterion_8_representation_independence():
                 split = (0.5 * head_term[0],) + head_term[1:]
                 other_rep = ProjectiveRep(3, (split, split) + rep.terms[1:])
                 other = MoiInstance(inst.measures, inst.operators, other_rep)
-                w2_val = eval_projective(other)
-            w1_val = eval_projective(inst)
+                w2_val = eval_moi(other)
+            w1_val = eval_moi(inst)
         counts = [e.n_atoms for e in inst.measures]
         for atoms in itertools.product(*(range(c) for c in counts)):
             a = eval_pointwise(inst.integrand, atoms)
             b = eval_pointwise(other.integrand, atoms)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
         scale = max(moi_scale(inst), moi_scale(other))
-        worst = max(worst, operator_norm(w1_val - w2_val) / scale)
+        worst = max(worst, schatten_norm(w1_val - w2_val, INF) / scale)
     assert worst <= REL_TOL, f"worst representation gap {worst:.3e}"
     _passed(8, f"representation independence, 100 pairs, worst {worst:.2e}")
 

@@ -18,10 +18,9 @@ from moilab.evaluate import (
     eval_haagerup,
     eval_haagerup_block,
     eval_haagerup_like,
-    eval_projective,
 )
 from moilab.integrands import HaagerupChainRep, ProjectiveRep, rep_norm_bound
-from moilab.linalg import INF, adjoint, operator_norm, schatten_norm
+from moilab.linalg import INF, adjoint, schatten_norm
 from moilab.randominst import (
     random_instance,
     random_measure,
@@ -264,7 +263,7 @@ def test_like_operator_roles(kind, arity):
     rhs = rep_norm_bound(inst.integrand) * schatten_norm(ops[a], p) * schatten_norm(ops[b], q)
     for k, op in enumerate(ops):
         if k not in (a, b):
-            rhs *= operator_norm(op)
+            rhs *= schatten_norm(op, INF)
     assert check_haagerup_like(inst, p, q).rhs == rhs
 
 
@@ -301,7 +300,6 @@ _LIKE = {"like-first", "like-second"}
 # (name, call, the classes it takes); a check_* call is given exponents of 0,
 # which check_exponent refuses, so that its class guard must come first
 _TYPED = [
-    ("eval_projective", eval_projective, {"projective"}),
     ("eval_haagerup", eval_haagerup, {"chain"}),
     ("eval_haagerup_like", eval_haagerup_like, _LIKE),
     ("eval_haagerup_block", eval_haagerup_block, {"chain"}),

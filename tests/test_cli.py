@@ -609,6 +609,10 @@ def _set(*path):
 
 _LOAD = "eval: cannot load instance: "
 _TERMS = _set("integrand", "projective", "terms")
+_KIND = _set("integrand", "haagerup_like", "kind")
+_LONG = "x" * 100_000
+_CUT = "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"  # _LONG, cut short
+_MIDDLE = "middles[0] must be an (n, L, L') list of depth 3 or {\"diagonal\": <(n, L) list>}: "
 
 
 @pytest.mark.parametrize(
@@ -621,13 +625,31 @@ _TERMS = _set("integrand", "projective", "terms")
         ("like-first", _set("integrand", "haagerup_like", "tables"), 5,
          "tables must be a list, got 5"),
         ("projective", _TERMS, [5], "term must be a list, got 5"),
-        ("projective", _TERMS, {"x": 1}, "terms must be a list, got {'x': 1}"),
+        ("projective", _TERMS, {"x": 1}, "terms must be a list, got an object of 1 keys"),
         ("projective", _TERMS, "abc", "terms must be a list, got 'abc'"),
         # a given projective arity is used as given, and one below 2 is refused
         ("projective", _set("integrand"), {"projective": {"arity": 0, "terms": []}},
          "projective arity must be >= 2, got 0"),
         ("projective", _set("integrand"), {"projective": {"arity": 1}},
          "projective arity must be >= 2, got 1"),
+        # a list or an object is shown by kind and length, anything else cut short
+        pytest.param("chain", _set("operators", 0, 0, 0), _LONG,
+                     f"not a complex scalar (number or [re, im]): {_CUT}", id="operator-leaf"),
+        pytest.param("chain", _set("measures", 0, "atoms", 0, "projection", 0, 0), _LONG,
+                     f"not a complex scalar (number or [re, im]): {_CUT}", id="projection-leaf"),
+        pytest.param("like-first", _KIND, [[[1, 0]] * 3] * 3,
+                     "kind must be a string, got a list of 3", id="list-kind"),
+        pytest.param("like-first", _KIND, {"projection": [[1]]},
+                     "kind must be a string, got an object of 1 keys", id="object-kind"),
+        pytest.param("like-first", _KIND, _LONG,
+                     f"unknown chain-like kind {_CUT}; kinds are 'first' and 'second'",
+                     id="long-kind"),
+        pytest.param("chain", _set("integrand"), {_LONG: {}},
+                     f"unknown integrand class {_CUT}", id="long-class"),
+        pytest.param("chain", _set("exponents"), {"p": _LONG},
+                     f"unknown exponent string {_CUT}", id="long-exponent"),
+        pytest.param("chain", _set("integrand", "haagerup", "middles", 0), {_LONG: 1},
+                     _MIDDLE + f"got an object with keys [{_CUT}]", id="long-middle-key"),
     ],
 )
 def test_eval_refusal_names_the_field(tmp_path, cls, mutate, value, line):
@@ -637,6 +659,20 @@ def test_eval_refusal_names_the_field(tmp_path, cls, mutate, value, line):
     mutate(payload, value)
     path.write_text(json.dumps(payload))
     assert _eval_in_process(path) == (2, "", _LOAD + line + "\n")
+
+
+def test_eval_refusal_of_a_wrapped_operator_list_is_short(tmp_path):
+    """A d = 32 instance whose operators sit in an object: the refusal shows
+    the object by kind and length, not the 32 x 32 arrays it holds."""
+    path = tmp_path / "instance.json"
+    inst = random_instance(rng_for(100), "chain", dim_range=(32, 32))
+    payload = instance_to_json(inst)
+    payload["operators"] = {"x": payload["operators"]}
+    path.write_text(json.dumps(payload))
+    code, out, err = _eval_in_process(path)
+    line = "operators must be a list, got an object of 1 keys"
+    assert (code, out, err) == (2, "", _LOAD + line + "\n")
+    assert len(err) < 200
 
 
 def test_eval_type_error_while_loading_propagates(tmp_path):

@@ -24,7 +24,6 @@ from moilab.evaluate import (
     eval_haagerup_like,
     eval_moi,
     eval_oracle,
-    eval_projective,
     moi_scale,
 )
 from moilab.integrands import (
@@ -35,7 +34,7 @@ from moilab.integrands import (
     eval_pointwise,
     rep_norm_bound,
 )
-from moilab.linalg import INF, operator_norm, random_unitary, schatten_norm
+from moilab.linalg import INF, haar_unitaries, random_complex, schatten_norm
 from moilab.randominst import (
     random_chain_rep,
     random_instance,
@@ -77,7 +76,7 @@ def test_oracle_constant_integrand_collapses_to_product():
     t1, t2 = crandom(rng, (dim, dim)), crandom(rng, (dim, dim))
     rep = constant_projective(3, [e.n_atoms for e in measures])
     inst = MoiInstance(measures, (t1, t2), rep)
-    assert operator_norm(eval_oracle(inst) - t1 @ t2) <= TOL * moi_scale(inst)
+    assert schatten_norm(eval_oracle(inst) - t1 @ t2, INF) <= TOL * moi_scale(inst)
 
 
 def test_oracle_single_atom_measures():
@@ -88,7 +87,7 @@ def test_oracle_single_atom_measures():
     value = 0.7 - 0.2j
     rep = ProjectiveRep(2, ((np.array([value]), np.array([1.0])),))
     inst = MoiInstance((e, e), (t,), rep)
-    assert operator_norm(eval_oracle(inst) - value * t) <= TOL
+    assert schatten_norm(eval_oracle(inst) - value * t, INF) <= TOL
 
 
 def test_overlapping_family_never_reaches_the_oracle():
@@ -100,7 +99,7 @@ def test_overlapping_family_never_reaches_the_oracle():
     e = FiniteSpectralMeasure(2, (0.0, 1.0), (p, np.eye(2) - p))
     rep = ProjectiveRep(2, ((np.ones(2), np.ones(2)),))
     inst = MoiInstance((e, e), (np.eye(2),), rep)
-    assert operator_norm(eval_oracle(inst) - np.eye(2)) <= TOL
+    assert schatten_norm(eval_oracle(inst) - np.eye(2), INF) <= TOL
 
 
 def test_oracle_cap():
@@ -124,7 +123,7 @@ def test_projective_single_term_is_integral_product():
         @ r
         @ integrate_scalar(tables[2], measures[2])
     )
-    assert operator_norm(eval_projective(inst) - direct) <= TOL * moi_scale(inst)
+    assert schatten_norm(eval_moi(inst) - direct, INF) <= TOL * moi_scale(inst)
 
 
 def test_projective_constant_arity_four():
@@ -134,13 +133,13 @@ def test_projective_constant_arity_four():
     ops = tuple(crandom(rng, (dim, dim)) for _ in range(3))
     rep = constant_projective(4, [e.n_atoms for e in measures])
     inst = MoiInstance(measures, ops, rep)
-    assert operator_norm(eval_projective(inst) - ops[0] @ ops[1] @ ops[2]) <= TOL * moi_scale(inst)
+    assert schatten_norm(eval_moi(inst) - ops[0] @ ops[1] @ ops[2], INF) <= TOL * moi_scale(inst)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_projective_matches_oracle(seed):
     inst = random_instance(rng_for(6, seed), "projective", dim_range=(2, 4))
-    gap = operator_norm(eval_projective(inst) - eval_oracle(inst))
+    gap = schatten_norm(eval_moi(inst) - eval_oracle(inst), INF)
     assert gap <= TOL * moi_scale(inst)
 
 
@@ -160,14 +159,14 @@ def test_haagerup_width_one_chain():
         @ r
         @ integrate_scalar(c[:, 0], measures[2])
     )
-    assert operator_norm(eval_haagerup(inst) - direct) <= TOL * moi_scale(inst)
+    assert schatten_norm(eval_haagerup(inst) - direct, INF) <= TOL * moi_scale(inst)
 
 
 @pytest.mark.parametrize("arity", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(5))
 def test_haagerup_matches_oracle(arity, seed):
     inst = random_instance(rng_for(8, seed, arity), "chain", dim_range=(2, 5), arity=arity)
-    gap = operator_norm(eval_haagerup(inst) - eval_oracle(inst))
+    gap = schatten_norm(eval_haagerup(inst) - eval_oracle(inst), INF)
     assert gap <= TOL * moi_scale(inst)
 
 
@@ -176,15 +175,15 @@ def test_haagerup_zero_width_chain():
     e = FiniteSpectralMeasure.trivial(dim)
     rep = HaagerupChainRep(np.zeros((1, 0)), (np.zeros((1, 0, 0)),), np.zeros((1, 0)))
     inst = MoiInstance((e, e, e), (np.eye(dim), np.eye(dim)), rep)
-    assert operator_norm(eval_haagerup(inst)) == 0.0
-    assert operator_norm(eval_haagerup_block(inst)) == 0.0
+    assert schatten_norm(eval_haagerup(inst), INF) == 0.0
+    assert schatten_norm(eval_haagerup_block(inst), INF) == 0.0
 
 
 @pytest.mark.parametrize("arity", [3, 4])
 @pytest.mark.parametrize("seed", range(5))
 def test_block_path_matches_direct(arity, seed):
     inst = random_instance(rng_for(9, seed, arity), "chain", dim_range=(2, 4), arity=arity)
-    gap = operator_norm(eval_haagerup_block(inst) - eval_haagerup(inst))
+    gap = schatten_norm(eval_haagerup_block(inst) - eval_haagerup(inst), INF)
     assert gap <= TOL * moi_scale(inst)
 
 
@@ -202,7 +201,7 @@ def test_double_schur_constant_is_identity_map():
     e2 = random_measure(rng, dim)
     t = crandom(rng, (dim, dim))
     psi = np.ones((e1.n_atoms, e2.n_atoms))
-    assert operator_norm(double_schur(psi, e1, e2, t) - t) <= TOL * operator_norm(t)
+    assert schatten_norm(double_schur(psi, e1, e2, t) - t, INF) <= TOL * schatten_norm(t, INF)
 
 
 def test_double_schur_sum_function_gives_anticommutator():
@@ -215,7 +214,7 @@ def test_double_schur_sum_function_gives_anticommutator():
     psi = pts[:, None] + pts[None, :]
     got = double_schur(psi, e, e, t)
     want = a @ t + t @ a
-    assert operator_norm(got - want) <= 1e-9 * operator_norm(want)
+    assert schatten_norm(got - want, INF) <= 1e-9 * schatten_norm(want, INF)
 
 
 def test_double_schur_divided_difference_of_square():
@@ -232,7 +231,7 @@ def test_double_schur_divided_difference_of_square():
         for j, y in enumerate(pts):
             psi[i, j] = 2.0 * x if i == j else (x**2 - y**2) / (x - y)
     want = a @ t + t @ a
-    assert operator_norm(double_schur(psi, e, e, t) - want) <= 1e-9 * operator_norm(want)
+    assert schatten_norm(double_schur(psi, e, e, t) - want, INF) <= 1e-9 * schatten_norm(want, INF)
 
 
 def test_double_schur_hadamard_identity_for_eigenbasis_measures():
@@ -240,8 +239,8 @@ def test_double_schur_hadamard_identity_for_eigenbasis_measures():
     # entrywise product of the table with T moved into the eigenbases
     rng = rng_for(14)
     dim = 4
-    u = random_unitary(rng, dim)
-    w = random_unitary(rng, dim)
+    u = haar_unitaries(random_complex(rng, (dim, dim)))
+    w = haar_unitaries(random_complex(rng, (dim, dim)))
     e1 = FiniteSpectralMeasure(
         dim, tuple(range(dim)), tuple(np.outer(u[:, i], u[:, i].conj()) for i in range(dim))
     )
@@ -252,7 +251,7 @@ def test_double_schur_hadamard_identity_for_eigenbasis_measures():
     psi = crandom(rng, (dim, dim))
     got = double_schur(psi, e1, e2, t)
     want = u @ (psi * (u.conj().T @ t @ w)) @ w.conj().T
-    assert operator_norm(got - want) <= 1e-10 * max(operator_norm(want), 1.0)
+    assert schatten_norm(got - want, INF) <= 1e-10 * max(schatten_norm(want, INF), 1.0)
 
 
 def test_like_all_widths_one_matches_projective():
@@ -267,8 +266,8 @@ def test_like_all_widths_one_matches_projective():
     )
     proj = ProjectiveRep(3, ((a, b, g),))
     w_like = eval_haagerup_like(MoiInstance(measures, ops, like))
-    w_proj = eval_projective(MoiInstance(measures, ops, proj))
-    assert operator_norm(w_like - w_proj) <= TOL * max(operator_norm(w_proj), 1.0)
+    w_proj = eval_moi(MoiInstance(measures, ops, proj))
+    assert schatten_norm(w_like - w_proj, INF) <= TOL * max(schatten_norm(w_proj, INF), 1.0)
 
 
 def test_like_constant_first_kind_is_plain_product():
@@ -282,7 +281,7 @@ def test_like_constant_first_kind_is_plain_product():
     )
     t, r = crandom(rng, (dim, dim)), crandom(rng, (dim, dim))
     inst = MoiInstance(measures, (t, r), rep)
-    assert operator_norm(eval_haagerup_like(inst) - t @ r) <= TOL * moi_scale(inst)
+    assert schatten_norm(eval_haagerup_like(inst) - t @ r, INF) <= TOL * moi_scale(inst)
 
 
 KINDS = ("first", "second")
@@ -295,7 +294,7 @@ def test_like_matches_oracle(kind, arity, seed):
     inst = random_instance(
         rng_for(17, seed, arity, KINDS.index(kind)), f"like-{kind}", dim_range=(2, 4), arity=arity
     )
-    gap = operator_norm(eval_haagerup_like(inst) - eval_oracle(inst))
+    gap = schatten_norm(eval_haagerup_like(inst) - eval_oracle(inst), INF)
     assert gap <= TOL * moi_scale(inst)
 
 
@@ -373,7 +372,7 @@ def test_representation_independence_under_link_rotation():
     rng = rng_for(22)
     inst = random_instance(rng, "chain", dim_range=(3, 4), arity=3)
     rep = inst.integrand
-    g = random_unitary(rng, rep.head.shape[1])
+    g = haar_unitaries(random_complex(rng, (rep.head.shape[1], rep.head.shape[1])))
     rotated = HaagerupChainRep(
         rep.head @ g,
         (np.einsum("ab,ibc->iac", g.conj().T, rep.middles[0]),),
@@ -381,7 +380,7 @@ def test_representation_independence_under_link_rotation():
     )
     other = MoiInstance(inst.measures, inst.operators, rotated)
     scale = max(moi_scale(inst), moi_scale(other))
-    assert operator_norm(eval_haagerup(inst) - eval_haagerup(other)) <= 1e-9 * scale
+    assert schatten_norm(eval_haagerup(inst) - eval_haagerup(other), INF) <= 1e-9 * scale
 
 
 def test_multilinearity_in_each_operator():
@@ -397,15 +396,15 @@ def test_multilinearity_in_each_operator():
         w_x = eval_haagerup(MoiInstance(inst.measures, tuple(ops_x), inst.integrand))
         w_y = eval_haagerup(MoiInstance(inst.measures, tuple(ops_y), inst.integrand))
         w_c = eval_haagerup(MoiInstance(inst.measures, tuple(ops_c), inst.integrand))
-        scale = max(operator_norm(w_x), operator_norm(w_y), 1e-12)
-        assert operator_norm(w_c - a * w_x - b * w_y) <= 1e-10 * scale
+        scale = max(schatten_norm(w_x, INF), schatten_norm(w_y, INF), 1e-12)
+        assert schatten_norm(w_c - a * w_x - b * w_y, INF) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_path_equivalence_projective_chain_block_oracle(seed):
     inst = random_instance(rng_for(24, seed), "projective", dim_range=(2, 4), arity=3)
     scale = moi_scale(inst)
-    w_proj = eval_projective(inst)
+    w_proj = eval_moi(inst)
     w_oracle = eval_oracle(inst)
     embedded = MoiInstance(
         inst.measures, inst.operators, embed_projective_in_haagerup(inst.integrand)
@@ -413,7 +412,7 @@ def test_path_equivalence_projective_chain_block_oracle(seed):
     w_chain = eval_haagerup(embedded)
     w_block = eval_haagerup_block(embedded)
     for w in (w_chain, w_block, w_oracle):
-        assert operator_norm(w_proj - w) <= 1e-9 * scale
+        assert schatten_norm(w_proj - w, INF) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("cls", ["projective", "chain"])
@@ -442,12 +441,12 @@ def test_adjoint_symmetry_between_kinds():
     )
     w = eval_haagerup_like(inst)
     w_mirror = eval_haagerup_like(mirrored)
-    assert operator_norm(w_mirror - w.conj().T) <= 1e-10 * max(operator_norm(w), 1.0)
+    assert schatten_norm(w_mirror - w.conj().T, INF) <= 1e-10 * max(schatten_norm(w, INF), 1.0)
 
 
 def test_eval_moi_dispatch():
     inst = random_instance(rng_for(27), "projective", dim_range=(2, 3), arity=3)
-    assert operator_norm(eval_moi(inst) - eval_projective(inst)) == 0.0
+    assert schatten_norm(eval_moi(inst) - eval_moi(inst), INF) == 0.0
 
 
 # --- the eigenbasis chain path ----------------------------------------------
@@ -496,7 +495,7 @@ def test_eigenbasis_chain_matches_witnesses(how, arity, seed):
 @pytest.mark.parametrize("how", ["projections", "json"])
 def test_eigenbasis_chain_zero_rank_atom(how):
     rng = rng_for(41)
-    u = random_unitary(rng, 4)
+    u = haar_unitaries(random_complex(rng, (4, 4)))
     zero = np.zeros((4, 4), dtype=complex)
     projs = (u[:, :3] @ u[:, :3].conj().T, zero, np.outer(u[:, 3], u[:, 3].conj()))
     holed = _measure_built(how, FiniteSpectralMeasure(4, (0.0, 1.0, 2.0), projs))
@@ -556,14 +555,16 @@ def _zoo_measures(rng, dim, count, shift):
     """`count` measures drawn in turn, from `shift` on, from: rank > 1 atoms;
     from_hermitian with repeated eigenvalues; from_basis with unsorted labels
     and a label no column carries (a zero-rank atom); explicit projections."""
-    u = random_unitary(rng, dim)
+    u = haar_unitaries(random_complex(rng, (dim, dim)))
     repeated = u @ np.diag(rng.integers(0, 3, dim).astype(float)) @ u.conj().T
     explicit = random_measure(rng, dim, 3)
     zoo = (
         random_measure(rng, dim, 2),
         from_hermitian(repeated),
         FiniteSpectralMeasure.from_basis(
-            random_unitary(rng, dim), rng.permutation(np.arange(dim) % 2) * 2, (0.0, 1.0, 2.0)
+            haar_unitaries(random_complex(rng, (dim, dim))),
+            rng.permutation(np.arange(dim) % 2) * 2,
+            (0.0, 1.0, 2.0),
         ),
         FiniteSpectralMeasure(dim, explicit.points, explicit.projections),
     )
@@ -614,7 +615,7 @@ def test_eigenbasis_projective_matches_oracle(arity, n_terms):
     measures = _zoo_measures(rng, 5, arity, arity + n_terms)
     rep = random_projective_rep(rng, [e.n_atoms for e in measures], n_terms)
     inst = MoiInstance(measures, _operators(rng, 5, arity - 1), rep)
-    gap = np.abs(eval_projective(inst) - eval_oracle(inst)).max()
+    gap = np.abs(eval_moi(inst) - eval_oracle(inst)).max()
     assert gap <= TOL * moi_scale(inst)
 
 
@@ -623,7 +624,7 @@ def test_eigenbasis_projective_zero_terms(arity):
     rng = rng_for(53, arity)
     measures = _zoo_measures(rng, 4, arity, arity)
     inst = MoiInstance(measures, _operators(rng, 4, arity - 1), ProjectiveRep(arity, ()))
-    w = eval_projective(inst)
+    w = eval_moi(inst)
     assert w.shape == (4, 4) and not np.any(w)
     assert not np.any(eval_oracle(inst))
 
@@ -707,7 +708,8 @@ def _oracle_measure(rng, how, dim):
         skip = int(rng.integers(0, used + 1))
         labels = labels + (labels >= skip)
         points = tuple(float(i) for i in range(used + 1))
-        return FiniteSpectralMeasure.from_basis(random_unitary(rng, dim), labels, points)
+        basis = haar_unitaries(random_complex(rng, (dim, dim)))
+        return FiniteSpectralMeasure.from_basis(basis, labels, points)
     e = random_measure(rng, dim)
     return FiniteSpectralMeasure(dim, e.points, e.projections)
 

@@ -9,13 +9,12 @@ from moilab.linalg import (
     INF,
     SV_CLAMP_RTOL,
     harmonic_exponent,
+    haar_unitaries,
     hermitian_eig,
-    operator_norm,
-    random_unitary,
+    random_complex,
     schatten_norm,
     schatten_norms,
     sharp,
-    singular_values,
 )
 
 EXPONENTS = [1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, INF]
@@ -26,9 +25,12 @@ def random_matrix(rng, n, m=None):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
+# the singular values, as the Schatten norms read them: p = inf, 1 and 2 give
+# the largest, their sum and their root sum of squares
+
+
 def test_singular_values_diagonal():
-    s = singular_values(np.diag([3.0, 0.0, 4.0]))
-    assert np.allclose(s, [4.0, 3.0, 0.0])
+    assert np.allclose(schatten_norms(np.diag([3.0, 0.0, 4.0])[None], [INF, 1, 2]), [4.0, 7.0, 5.0])
 
 
 def test_singular_values_rank_one():
@@ -37,24 +39,26 @@ def test_singular_values_rank_one():
     v = random_matrix(rng, 4, 1)[:, 0]
     u *= 2.0 / np.linalg.norm(u)
     v *= 3.0 / np.linalg.norm(v)
-    s = singular_values(np.outer(u, v.conj()))
-    assert abs(s[0] - 6.0) < 1e-12
-    assert np.all(s[1:] < 1e-12)
+    s_inf, s_1 = schatten_norms(np.outer(u, v.conj())[None], [INF, 1])
+    assert abs(s_inf - 6.0) < 1e-12
+    assert abs(s_1 - 6.0) < 1e-12  # the other three vanish
 
 
 def test_singular_values_match_gram_eigenvalues():
     # independent oracle: eigenvalues of the Hermitian product M*M
     rng = np.random.default_rng(11)
     m = random_matrix(rng, 4)
-    expected = np.sqrt(np.maximum(np.linalg.eigvalsh(m.conj().T @ m), 0.0))[::-1]
-    assert np.max(np.abs(singular_values(m) - expected)) <= 1e-10 * operator_norm(m)
+    s = np.sqrt(np.maximum(np.linalg.eigvalsh(m.conj().T @ m), 0.0))
+    expected = [s.max(), s.sum(), np.sqrt(np.sum(s**2))]
+    got = schatten_norms(m[None], [INF, 1, 2])
+    assert np.max(np.abs(np.subtract(got, expected))) <= 1e-10 * s.max()
 
 
 def test_singular_values_reject_nonfinite():
     with pytest.raises(ValueError):
-        singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        schatten_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), INF)
     with pytest.raises(ValueError):
-        singular_values(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        schatten_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]), INF)
 
 
 def test_schatten_norm_values():
@@ -75,8 +79,8 @@ def test_schatten_norm_rejects_bad_exponent():
 def test_schatten_unitary_invariance():
     rng = np.random.default_rng(23)
     m = random_matrix(rng, 5)
-    u = random_unitary(rng, 5)
-    w = random_unitary(rng, 5)
+    u = haar_unitaries(random_complex(rng, (5, 5)))
+    w = haar_unitaries(random_complex(rng, (5, 5)))
     for p in EXPONENTS:
         a = schatten_norm(m, p)
         b = schatten_norm(u @ m @ w, p)
@@ -116,9 +120,9 @@ def test_hermitian_eig_reconstruction():
     m = random_matrix(rng, 5)
     m = m + m.conj().T
     w, v = hermitian_eig(m)
-    scale = operator_norm(m)
-    assert operator_norm(m - (v * w) @ v.conj().T) <= 1e-10 * scale
-    assert operator_norm(v.conj().T @ v - np.eye(5)) <= 1e-10
+    scale = schatten_norm(m, INF)
+    assert schatten_norm(m - (v * w) @ v.conj().T, INF) <= 1e-10 * scale
+    assert schatten_norm(v.conj().T @ v - np.eye(5), INF) <= 1e-10
     assert np.all(np.diff(w) >= 0.0)
 
 

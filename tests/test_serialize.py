@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import reprlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from moilab.evaluate import eval_moi, moi_scale
 from moilab.integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
-from moilab.linalg import operator_norm
+from moilab.linalg import INF, schatten_norm
 from moilab.randominst import random_instance, rng_for
 from moilab.serialize import (
     array_from_json,
@@ -67,12 +68,12 @@ def test_measure_round_trip_explicit():
     back = measure_from_json(measure_to_json(e))
     assert back.dim == e.dim and back.n_atoms == e.n_atoms
     for p, q in zip(e.projections, back.projections):
-        assert operator_norm(p - q) < 1e-12
+        assert schatten_norm(p - q, INF) < 1e-12
     u, labels = back.basis, back.labels
-    assert operator_norm(u.conj().T @ u - np.eye(back.dim)) <= MEASURE_TOL
+    assert schatten_norm(u.conj().T @ u - np.eye(back.dim), INF) <= MEASURE_TOL
     for i, q in enumerate(back.projections):
         cols = u[:, labels == i]
-        assert operator_norm(q - cols @ cols.conj().T) <= MEASURE_TOL
+        assert schatten_norm(q - cols @ cols.conj().T, INF) <= MEASURE_TOL
     assert len(set(back.points)) == back.n_atoms
 
 
@@ -92,7 +93,7 @@ def test_instance_round_trip_preserves_value(cls):
     inst = random_instance(rng_for(62, _CLASSES.index(cls)), cls, dim_range=(2, 4))
     back, exponents = instance_from_json(instance_to_json(inst, {"p": 2.0, "q": math.inf}))
     assert exponents == {"p": 2.0, "q": math.inf}
-    gap = operator_norm(eval_moi(inst) - eval_moi(back))
+    gap = schatten_norm(eval_moi(inst) - eval_moi(back), INF)
     assert gap <= 1e-12 * moi_scale(inst)
 
 
@@ -133,19 +134,29 @@ def _is_number(obj):
     return isinstance(obj, (int, float)) and not isinstance(obj, bool)
 
 
+def _reference_shown(obj):
+    """A refused value as the loader shows it: a list or an object by kind
+    and length, anything else by a repr cut short."""
+    if isinstance(obj, list):
+        return f"a list of {len(obj)}"
+    if isinstance(obj, dict):
+        return f"an object of {len(obj)} keys"
+    return reprlib.repr(obj)
+
+
 def _reference_complex(obj):
     if _is_number(obj):
         return complex(obj)
     if isinstance(obj, list) and len(obj) == 2 and all(_is_number(x) for x in obj):
         return complex(obj[0], obj[1])
-    raise ValueError(f"not a complex scalar (number or [re, im]): {obj!r}")
+    raise ValueError(f"not a complex scalar (number or [re, im]): {_reference_shown(obj)}")
 
 
 def _reference_parse(obj, ndim):
     if ndim == 0:
         return np.asarray(_reference_complex(obj))
     if not isinstance(obj, list) or not obj:
-        raise ValueError(f"expected a non-empty array of depth {ndim}: {obj!r}")
+        raise ValueError(f"expected a non-empty array of depth {ndim}: {_reference_shown(obj)}")
     parts = [_reference_parse(sub, ndim - 1) for sub in obj]
     shapes = {p.shape for p in parts}
     if len(shapes) != 1:
@@ -329,7 +340,7 @@ def test_instance_json_text_round_trip(cls, seed):
     again = instance_to_json(back)
     assert again["operators"] == payload["operators"]
     assert again["integrand"] == payload["integrand"]
-    gap = operator_norm(eval_moi(inst) - eval_moi(back))
+    gap = schatten_norm(eval_moi(inst) - eval_moi(back), INF)
     assert gap <= 1e-12 * moi_scale(inst)
 
 
@@ -342,7 +353,7 @@ def test_like_instance_round_trip_beyond_arity_four(kind, arity):
     again = instance_to_json(back)
     assert again["operators"] == payload["operators"]
     assert again["integrand"] == payload["integrand"]
-    gap = operator_norm(eval_moi(inst) - eval_moi(back))
+    gap = schatten_norm(eval_moi(inst) - eval_moi(back), INF)
     assert gap <= 1e-12 * moi_scale(inst)
 
 
@@ -577,6 +588,17 @@ def _broken_payload(draw):
 @given(_broken_payload())
 def test_loader_refuses_as_the_plain_reading_does(payload):
     assert _load_outcome(load_instance, payload) == _load_outcome(_plain_load, payload)
+
+
+@pytest.mark.parametrize("leaf", [[1.0, 0.0], 1.0])
+def test_a_converted_array_is_shown_as_the_list_it_came_from(leaf):
+    from moilab.serialize import _decode_object, _Parsed, _shown
+
+    rows = [[leaf] * 3] * 4
+    converted = json.loads(json.dumps({"projection": rows}), object_pairs_hook=_decode_object)
+    assert isinstance(converted["projection"], _Parsed)
+    assert _shown(converted["projection"]) == _shown(rows) == "a list of 4"
+    assert _shown(converted) == _shown({"projection": rows}) == "an object of 1 keys"
 
 
 # --- the indent=2 writer -------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from moilab import sharpness
 from moilab.evaluate import eval_haagerup, eval_oracle, moi_scale
 from moilab.integrands import rep_norm_bound
-from moilab.linalg import operator_norm, sequence_norm
+from moilab.linalg import INF, schatten_norm, sequence_norm
 from moilab.sharpness import (
     BUILD_CAP,
     REGIMES,
@@ -102,7 +102,7 @@ def test_expected_output_both_small_single_mass():
     expected = expected_output(case)
     p0 = np.zeros((3, 3))
     p0[0, 0] = 1.0
-    assert operator_norm(expected - p0) < 1e-15
+    assert schatten_norm(expected - p0, INF) < 1e-15
 
 
 def test_expected_output_mixed_indicator():
@@ -111,7 +111,7 @@ def test_expected_output_mixed_indicator():
     case = ConstructionCase(3, "mixed-large-small", 4, 2, 3, c, d)
     expected = expected_output(case)
     assert abs(expected[1, 1] - 1.0) < 1e-15
-    assert operator_norm(expected) == pytest.approx(1.0)
+    assert schatten_norm(expected, INF) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("arity,regime,p1,pm1", ALL_CASES)
@@ -124,14 +124,14 @@ def test_construction_norm_is_one(arity, regime, p1, pm1):
 def test_construction_fidelity_small(arity, regime, p1, pm1):
     built = build_construction(default_case(arity, regime, p1, pm1, 8))
     w = eval_haagerup(built.instance)
-    assert operator_norm(w - built.expected) <= 1e-10 * moi_scale(built.instance)
+    assert schatten_norm(w - built.expected, INF) <= 1e-10 * moi_scale(built.instance)
 
 
 @pytest.mark.parametrize("arity,regime,p1,pm1", ALL_CASES)
 def test_construction_matches_atomwise_oracle(arity, regime, p1, pm1):
     built = build_construction(default_case(arity, regime, p1, pm1, 4))
     w = eval_oracle(built.instance)
-    assert operator_norm(w - built.expected) <= 1e-10 * moi_scale(built.instance)
+    assert schatten_norm(w - built.expected, INF) <= 1e-10 * moi_scale(built.instance)
 
 
 def test_both_small_paper_identity():
@@ -153,14 +153,14 @@ def test_mixed_closed_form_any_n():
     diag = np.diag(w)
     assert np.allclose(diag, built.case.c * built.case.d, atol=1e-12)
     off = w - np.diag(diag)
-    assert operator_norm(off) < 1e-12
+    assert schatten_norm(off, INF) < 1e-12
 
 
 def test_m4_both_large_all_ones_gives_projection():
     case = ConstructionCase(4, "both-large", 4, 4, 3, np.ones(3), np.ones(3))
     built = build_construction(case)
     w = eval_oracle(built.instance)
-    assert operator_norm(w - np.eye(3)) < 1e-10
+    assert schatten_norm(w - np.eye(3), INF) < 1e-10
 
 
 def test_m4_middle_operators_unitary_or_identity():
@@ -169,10 +169,10 @@ def test_m4_middle_operators_unitary_or_identity():
     for j in range(n):
         shift = integrate_scalar(characters[j], position)
         anti = integrate_scalar(np.conj(characters[j]), position)
-        assert operator_norm(shift @ shift.conj().T - np.eye(n)) < 1e-12
-        assert operator_norm(anti - shift.conj().T) < 1e-12
+        assert schatten_norm(shift @ shift.conj().T - np.eye(n), INF) < 1e-12
+        assert schatten_norm(anti - shift.conj().T, INF) < 1e-12
     ident = integrate_scalar(np.ones(n), position)
-    assert operator_norm(ident - np.eye(n)) < 1e-12
+    assert schatten_norm(ident - np.eye(n), INF) < 1e-12
 
 
 def test_build_cap():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from moilab.linalg import operator_norm, random_unitary
+from moilab.linalg import INF, haar_unitaries, random_complex, schatten_norm
 from moilab.spectral import (
     MEASURE_TOL,
     FiniteSpectralMeasure,
@@ -20,10 +20,10 @@ def assert_valid_measure(e):
     """A unitary basis within MEASURE_TOL, each projection the product of
     its labelled basis columns with their adjoint, and distinct points."""
     u, labels = e.basis, e.labels
-    assert operator_norm(u.conj().T @ u - np.eye(e.dim)) <= MEASURE_TOL
+    assert schatten_norm(u.conj().T @ u - np.eye(e.dim), INF) <= MEASURE_TOL
     for i, p in enumerate(e.projections):
         cols = u[:, labels == i]
-        assert operator_norm(p - cols @ cols.conj().T) <= MEASURE_TOL
+        assert schatten_norm(p - cols @ cols.conj().T, INF) <= MEASURE_TOL
     assert len(set(e.points)) == e.n_atoms
 
 
@@ -50,20 +50,20 @@ def test_validate_catches_repeated_projection():
 
 def test_integrate_constant_is_identity():
     e = from_hermitian(np.diag([1.0, 2.0, 3.0]))
-    assert operator_norm(integrate_scalar(np.ones(3), e) - np.eye(3)) < 1e-12
+    assert schatten_norm(integrate_scalar(np.ones(3), e) - np.eye(3), INF) < 1e-12
 
 
 def test_integrate_indicator_picks_projection():
     e = from_hermitian(np.diag([1.0, 2.0, 3.0]))
     phi = np.zeros(3)
     phi[1] = 1.0
-    assert operator_norm(integrate_scalar(phi, e) - e.projections[1]) < 1e-12
+    assert schatten_norm(integrate_scalar(phi, e) - e.projections[1], INF) < 1e-12
 
 
 def test_integrate_square_function():
     e = from_hermitian(np.diag([1.0, 2.0, 3.0]))
     phi = np.array([x**2 for x in e.points])
-    assert operator_norm(integrate_scalar(phi, e) - np.diag([1.0, 4.0, 9.0])) < 1e-12
+    assert schatten_norm(integrate_scalar(phi, e) - np.diag([1.0, 4.0, 9.0]), INF) < 1e-12
 
 
 def test_integrate_rejects_wrong_length():
@@ -80,7 +80,7 @@ def test_integrate_vector_table_stacks_scalar_integrals():
     ops = integrate_scalar(table, e)
     assert ops.shape == (3, 5, 5)
     for k in range(3):
-        assert operator_norm(ops[k] - integrate_scalar(table[:, k], e)) < 1e-12
+        assert schatten_norm(ops[k] - integrate_scalar(table[:, k], e), INF) < 1e-12
     with pytest.raises(ValueError):
         integrate_scalar(np.ones((e.n_atoms + 1, 3)), e)
     with pytest.raises(ValueError):
@@ -94,9 +94,10 @@ def test_integrate_linear_and_multiplicative():
     phi = rng.standard_normal(e.n_atoms) + 1j * rng.standard_normal(e.n_atoms)
     psi = rng.standard_normal(e.n_atoms) + 1j * rng.standard_normal(e.n_atoms)
     lin = integrate_scalar(2.0 * phi + psi, e)
-    assert operator_norm(lin - 2.0 * integrate_scalar(phi, e) - integrate_scalar(psi, e)) < 1e-10
+    gap = lin - 2.0 * integrate_scalar(phi, e) - integrate_scalar(psi, e)
+    assert schatten_norm(gap, INF) < 1e-10
     prod = integrate_scalar(phi * psi, e)
-    assert operator_norm(prod - integrate_scalar(phi, e) @ integrate_scalar(psi, e)) < 1e-10
+    assert schatten_norm(prod - integrate_scalar(phi, e) @ integrate_scalar(psi, e), INF) < 1e-10
 
 
 def test_from_hermitian_merges_clusters():
@@ -119,7 +120,7 @@ def test_from_hermitian_reconstructs():
     e = from_hermitian(h, merge_tol=1e-8)
     assert_valid_measure(e)
     rebuilt = sum(x * p for x, p in zip(e.points, e.projections))
-    assert operator_norm(rebuilt - h) <= 1e-9 * operator_norm(h)
+    assert schatten_norm(rebuilt - h, INF) <= 1e-9 * schatten_norm(h, INF)
 
 
 def test_from_hermitian_round_trip_projections():
@@ -133,7 +134,7 @@ def test_from_hermitian_round_trip_projections():
     assert e2.n_atoms == e.n_atoms
     for x, p in zip(e.points, e.projections):
         match = min(range(e2.n_atoms), key=lambda i: abs(e2.points[i] - x))
-        assert operator_norm(e2.projections[match] - p) < 1e-8
+        assert schatten_norm(e2.projections[match] - p, INF) < 1e-8
 
 
 def test_from_hermitian_rejects_non_hermitian():
@@ -146,7 +147,7 @@ def test_cyclic_model_trivial():
     assert fourier.n_atoms == position.n_atoms == 1
     assert np.allclose(characters[0], [1.0])
     b0 = integrate_scalar(characters[0], position)
-    assert operator_norm(b0 - np.eye(1)) < 1e-12
+    assert schatten_norm(b0 - np.eye(1), INF) < 1e-12
 
 
 def test_cyclic_model_rejects_zero():
@@ -172,10 +173,10 @@ def test_cyclic_shift_group_law(n):
     eye = np.eye(n)
     for j in range(n):
         # unitary with operator norm exactly 1
-        assert operator_norm(shifts[j] @ shifts[j].conj().T - eye) < 1e-12
-        assert abs(operator_norm(shifts[j]) - 1.0) < 1e-12
+        assert schatten_norm(shifts[j] @ shifts[j].conj().T - eye, INF) < 1e-12
+        assert abs(schatten_norm(shifts[j], INF) - 1.0) < 1e-12
         for k in range(n):
-            assert operator_norm(shifts[j] @ shifts[k] - shifts[(j + k) % n]) < 1e-12
+            assert schatten_norm(shifts[j] @ shifts[k] - shifts[(j + k) % n], INF) < 1e-12
         # B_j e_k = e_{(j+k) mod n}
         for k in range(n):
             expected = eye[:, (j + k) % n]
@@ -200,7 +201,7 @@ def test_sup_norm_accessors():
 
 
 def _random_projections(seed, dim, sizes):
-    u = random_unitary(np.random.default_rng(seed), dim)
+    u = haar_unitaries(random_complex(np.random.default_rng(seed), (dim, dim)))
     out, start = [], 0
     for size in sizes:
         cols = u[:, start : start + size]
@@ -210,13 +211,13 @@ def _random_projections(seed, dim, sizes):
 
 
 def test_from_basis_projections_are_column_blocks():
-    u = random_unitary(np.random.default_rng(21), 5)
+    u = haar_unitaries(random_complex(np.random.default_rng(21), (5, 5)))
     labels = np.array([1, 0, 1, 2, 0])
     e = FiniteSpectralMeasure.from_basis(u, labels, (0.0, 1.0, 2.0))
     assert e.dim == 5 and e.n_atoms == 3
     for i in range(3):
         cols = u[:, labels == i]
-        assert operator_norm(e.projections[i] - cols @ cols.conj().T) < 1e-14
+        assert schatten_norm(e.projections[i] - cols @ cols.conj().T, INF) < 1e-14
     assert_valid_measure(e)
 
 
@@ -247,11 +248,11 @@ def test_projection_measure_factors_into_its_eigenbasis():
     projs = _random_projections(22, 6, (2, 1, 3))
     e = FiniteSpectralMeasure(6, (0.0, 1.0, 2.0), tuple(projs))
     u, labels = e.basis, e.labels
-    assert operator_norm(u.conj().T @ u - np.eye(6)) < 1e-12
+    assert schatten_norm(u.conj().T @ u - np.eye(6), INF) < 1e-12
     assert sorted(np.bincount(labels, minlength=3)) == [1, 2, 3]
     for i, p in enumerate(projs):
         cols = u[:, labels == i]
-        assert operator_norm(cols @ cols.conj().T - p) < 1e-12
+        assert schatten_norm(cols @ cols.conj().T - p, INF) < 1e-12
 
 
 def test_factoring_accepts_zero_rank_atom():
@@ -293,13 +294,13 @@ def test_explicit_measure_keeps_the_given_projections():
 
 def test_from_basis_atom_without_columns_is_zero():
     e = FiniteSpectralMeasure.from_basis(np.eye(2), np.array([0, 0]), (0.0, 1.0))
-    assert operator_norm(e.projections[0] - np.eye(2)) == 0.0
+    assert schatten_norm(e.projections[0] - np.eye(2), INF) == 0.0
     assert not np.any(e.projections[1])
 
 
 def test_from_bases_equals_from_basis_one_at_a_time():
     rng = np.random.default_rng(26)
-    bases = np.stack([random_unitary(rng, 4) for _ in range(3)])
+    bases = np.stack([haar_unitaries(random_complex(rng, (4, 4))) for _ in range(3)])
     labels = [np.array([0, 0, 1, 2]), np.array([1, 0, 1, 0]), np.zeros(4, dtype=int)]
     points = [(0.0, 1.0, 2.0), (5.0, 6.0), (7.0,)]
     measures = FiniteSpectralMeasure.from_bases(bases, labels, points)
