@@ -15,14 +15,23 @@ a two-operand einsum, and a moved operator multiplies S in place, MOVE_BLOCK
 columns at a time, so that S is held once. The plan, made once per signature
 of labels, is the sweep (left to right, or right to left on the transpose,
 with the first table, diagonal in r, applied after 0..m-1 of the others) that
-holds the fewest bonds at once: one, for every class. No step mixes two rows
-r of the first basis, so C is contracted a slice of rows at a time, with as
-many rows as keep every state, 16 d w bytes per row for the widest table axis
-w, within STATE_BUDGET, rounded down to a multiple of ROW_ALIGN and never
-fewer than ROW_ALIGN, so that the slices give C bit for bit as one slice
-does. The column tables, expanded to basis columns, are not bounded by
-STATE_BUDGET. The two-factor Schur multiplier of a dense table psi is the
-chain with head psi and tail the identity.
+holds the fewest bonds at once: one, for every class. An end table pins its
+bond when it has one bond, of width 2 or more, and at most one nonzero entry
+per atom row, as the delta head and tail of the extremal families do: each
+row r of its basis then fixes the bond at b[r] with value v[r]. The plan
+starts from that table, whose step scales the start by v, and no state ever
+opens the bond; a later table on it is read, per slice, at c and at the b of
+each row, as a (c, r, other bonds) table that multiplies S or opens or closes
+its other bond. Neither kind of table is expanded to basis columns. So the
+extremal chains, all of whose tables are on one pinned bond, cost a few d x d
+matmuls, d^3 rather than d^4. No step mixes two rows r of the first basis, so
+C is contracted a slice of rows at a time, with as many rows as keep every
+state, 16 d w bytes per row for the widest table axis w other than a pinned
+bond (1 if there is none), within STATE_BUDGET, rounded down to a multiple of
+ROW_ALIGN and never fewer than ROW_ALIGN, so that the slices give C bit for
+bit as one slice does. The column tables, expanded to basis columns, are not
+bounded by STATE_BUDGET. The two-factor Schur multiplier of a dense table psi
+is the chain with head psi and tail the identity.
 
 Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
 over the projections (capped), with Psi formed densely from the per-atom
@@ -226,21 +235,25 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
     tables[k], whose bond letters are labels[k], against measures[k], and
     operators[k] sits between factors k and k + 1; each probe in turn fills
     the gap whose operator is None. The frame (bases, plan, tables expanded
-    to basis columns, rows per slice, moved operators) is made once.
+    to basis columns, the pinned bond and its values, rows per slice, moved
+    operators) is made once; a table on a pinned bond is gathered per slice.
 
     No step mixes two rows r of the first basis (columns of C, for a reversed
     plan, which sweeps from the last basis), so C is contracted a slice of
     rows at a time, and the slices are joined: each slice cuts the starting
     operator and the table diagonal in r to its rows. A state S[c, r, open
     bond] holds one bond at a time (see _plan), so with w the widest axis of
-    any table it takes at most 16 d w bytes per row; a slice takes as many
-    rows as fit STATE_BUDGET, or all d when w is 0, rounded down to a
-    multiple of ROW_ALIGN and at least ROW_ALIGN. The basis change is applied
-    once, to the whole C. Each slice starts from a C-ordered copy of its rows
-    of the C-ordered starting operator, so that every state is C-ordered and
-    a move's flat view of S is S itself."""
+    any table, a pinned bond aside (1 if there is no other), it takes at
+    most 16 d w bytes per row, as does a table read at the pinned bond; a
+    slice takes as many rows as fit STATE_BUDGET, or all d when w is 0,
+    rounded down to a multiple of ROW_ALIGN and at least ROW_ALIGN. The
+    basis change is applied once, to the whole C. Each slice starts from a
+    C-ordered copy of its rows of the C-ordered starting operator, so that
+    every state is C-ordered and a move's flat view of S is S itself."""
     dim = measures[0].dim
-    reverse, steps, _ = _plan(tuple(labels))
+    pins = (_pin(labels[0], tables[0]), _pin(labels[-1], tables[-1]))
+    reverse, steps, _ = _plan(tuple(labels), pins)
+    pin = pins[reverse]  # the bond that the first table of the sweep pins, or ""
     bases = [e.basis for e in measures]
 
     def move(k, t):  # T_k' = U_k^* T_k U_{k+1}, as the sweep reads it
@@ -251,21 +264,51 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
 
     moved = [t if t is None else move(k, t) for k, t in enumerate(operators)]
     gaps = [k for k, t in enumerate(operators) if t is None]
-    cols = [t.take(e.labels, axis=0) for t, e in zip(tables, measures)]  # one per basis column
-    cols = cols[::-1] if reverse else cols
+    factors = list(zip(tables, measures, labels))
+    factors = factors[::-1] if reverse else factors
+    # one column table per basis column, but none for a table on the pinned bond
+    cols = [None if pin and pin in b else t.take(e.labels, axis=0) for t, e, b in factors]
     width = max(max(t.shape[1:]) for t in tables)
+    if pin:  # the first table's nonzero column, and its value, at each basis column
+        t, e, _ = factors[0]
+        bond = np.argmax(t != 0, axis=1)[e.labels]
+        cols[0] = t[e.labels, bond]
+        widths = [w for t, _, b in factors for a, w in zip(b, t.shape[1:]) if a != pin]
+        width = max(widths, default=1)
     rows = STATE_BUDGET // (16 * dim * width) if width else dim
     rows = max(rows - rows % ROW_ALIGN, ROW_ALIGN)
+
+    def sliced(r):  # the column tables of rows r, a table on the pinned bond read at their b
+        if not pin:
+            return [cols[0][r], *cols[1:]]
+        at = bond[r][None, :]
+        return [cols[0][r]] + [
+            t[(e.labels[:, None], *(at if a == pin else slice(None) for a in b))]
+            if col is None
+            else col
+            for col, (t, e, b) in zip(cols[1:], factors[1:])
+        ]
+
     for probe in probes:
         for k in gaps:
             moved[k] = move(k, probe)
         start, *rest = moved[::-1] if reverse else moved
         start = moved[-1 if reverse else 0] = np.ascontiguousarray(start)
         parts = [
-            _contract(steps, [np.ascontiguousarray(start[:, r]), *rest], [cols[0][r], *cols[1:]])
+            _contract(steps, [np.ascontiguousarray(start[:, r]), *rest], sliced(r))
             for r in (slice(j, j + rows) for j in range(0, dim, rows))
         ]
         yield bases[0] @ np.concatenate(parts, axis=int(reverse)) @ adjoint(bases[-1])
+
+
+def _pin(bonds: str, t: np.ndarray) -> str:
+    """The bond that a table pins, or "": its one bond, if of width 2 or more
+    and the table has at most one nonzero entry in each atom row, so that
+    each basis column of its measure fixes the bond. The first count rejects
+    a dense table at once."""
+    if len(bonds) == 1 and t.shape[1] >= 2 and np.count_nonzero(t) <= len(t):
+        return bonds if (np.count_nonzero(t, axis=1) <= 1).all() else ""
+    return ""
 
 
 def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
@@ -275,7 +318,8 @@ def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
     state and a moved copy of it never coexist. Every other step writes a
     new C-ordered state or multiplies the state in place. The first step
     always writes a new state, so moved[0] and the column tables are read,
-    never written."""
+    never written. A pinned plan's cols are the first table's values v[r]
+    and the tables on the pinned bond read at c and r (see _sweep)."""
     state = moved[0]
     for kind, k, arg in steps:
         if kind == "move":
@@ -294,45 +338,63 @@ def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _plan(labels: tuple) -> tuple:
-    """(reverse, steps, states) for one signature of bond labels:
-    of the sweeps left to right and then right to left, each with the end
-    table applied after 0..m-1 of the others, the first whose states hold the
-    fewest bonds at once. Each class has a sweep that holds one bond at a
-    time; its peak, the widest bond, is the least any sweep can reach,
-    whatever the widths, so the plan depends on the labels alone."""
+def _plan(labels: tuple, pins: tuple = ("", "")) -> tuple:
+    """(reverse, steps, states) for one signature of bond labels and of
+    the bonds that the end tables pin (see _pin): of the sweeps left to right
+    and then right to left, each with the end table applied after 0..m-1 of
+    the others, the first whose states hold the fewest bonds at once. Each
+    class has a sweep that holds one bond at a time; its peak, the widest
+    bond, is the least any sweep can reach, whatever the widths, so the plan
+    depends on the labels alone. If an end table pins, the sweep starts from
+    it instead, in that sweep's direction (the planned one, if both ends
+    pin), and no state holds the pinned bond."""
     candidates = (
         _candidate(labels[::-1] if reverse else labels, place, reverse)
         for reverse in (False, True)
         for place in range(len(labels))
     )
-    return min(candidates, key=lambda plan: max(map(len, plan[2])))
+    plan = min(candidates, key=lambda plan: max(map(len, plan[2])))
+    if not any(pins):
+        return plan
+    reverse = plan[0] if all(pins) else bool(pins[1])
+    return _candidate(labels[::-1] if reverse else labels, 0, reverse, pins[reverse])
 
 
-def _candidate(order: tuple, place: int, reverse: bool) -> tuple:
+def _candidate(order: tuple, place: int, reverse: bool, pin: str = "") -> tuple:
     """(reverse, steps, states) of one sweep over the tables in `order`,
     whose state S[c, r, open bonds] holds column c of the current basis and
     row r of the first. Table 0 is diagonal in r, so it may wait for `place`
     of the others. Steps are (kind, index in sweep order, argument); states
-    are the open bonds after each table."""
+    are the open bonds after each table.
+
+    A table 0 that pins its bond `pin` (at place 0) fixes it at each row r,
+    as b[r] with value v[r]: it scales the start by v, the bond never opens,
+    and a later table on it is read at c and at the b of each row, as a
+    (c, r, other bonds) table."""
     c, r = [a for a in "cx" + string.ascii_letters if a not in "".join(order)][:2]
     events = [(k, c) for k in range(1, len(order))]
     events.insert(place, (0, r))
     remaining = Counter("".join(order))  # appearances in tables not yet applied
     open_, steps, states = [], [], []
-    for k, axis in events:
+    for i, (k, axis) in enumerate(events):
         bonds = order[k]
         remaining.subtract(bonds)
+        on_pin = bool(pin) and pin in bonds  # read at each row's pinned bond
+        bonds = bonds.replace(pin, "") if on_pin else bonds
+        final = i == len(events) - 1
         close = [b for b in bonds if b in open_ and not remaining[b]]
         opening = [b for b in bonds if b not in open_ and remaining[b]]
         after = [b for b in open_ if b not in close] + opening
-        if list(bonds) == open_ and not close:  # every bond passes through
-            steps.append(("mul", k, (slice(None), None) if axis == c else None))
+        # every bond passes through; the first step writes a new state, and the
+        # last one, even of no bonds, orders C
+        if list(bonds) == open_ and not close and 0 < i and not final:
+            steps.append(("mul", k, () if on_pin else (slice(None), None) if axis == c else None))
         elif axis == c and len(bonds) == 2 and close == open_ and len(opening) == 1:
             steps.append(("matmul", k, bonds[0] != close[0]))
         else:
-            out = c + r + "".join(after) if after else (c + r if reverse else r + c)
-            steps.append(("einsum", k, f"{c}{r}{''.join(open_)},{axis}{bonds}->{out}"))
+            out = c + r + "".join(after) if not final else (c + r if reverse else r + c)
+            operand = (c + r if on_pin and k else axis) + bonds
+            steps.append(("einsum", k, f"{c}{r}{''.join(open_)},{operand}->{out}"))
         if axis == c and k < len(order) - 1:
             steps.append(("move", k, None))
         open_ = after

@@ -186,18 +186,32 @@ def _has_bool(obj, a: np.ndarray) -> bool:
     return bool in map(type, map(getitem, map(rows.__getitem__, r.tolist()), c.tolist()))
 
 
-def _array_walk(obj, ndim: int) -> np.ndarray:
+def _array_walk(obj, ndim: int, depth: int = 0) -> np.ndarray:
     """Leaf-by-leaf parse: decides mixed leaves, integers beyond int64 and
-    malformed input, which one `np.asarray` cannot."""
+    malformed input, which one `np.asarray` cannot. `depth` counts the axes
+    above `obj`; a leaf that holds more axes is refused by its depth."""
     if ndim == 0:
+        extra = _axes(obj)
+        if extra:
+            raise ValueError(f"expected depth {depth}, got {depth + extra}")
         return np.asarray(complex_from_json(obj))
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"expected a non-empty array of depth {ndim}: {_shown(obj)}")
-    parts = [_array_walk(sub, ndim - 1) for sub in obj]
+    parts = [_array_walk(sub, ndim - 1, depth + 1) for sub in obj]
     shapes = {p.shape for p in parts}
     if len(shapes) != 1:
         raise ValueError("ragged array")
     return np.stack(parts)
+
+
+def _axes(obj) -> int:
+    """The axes a value holds down its first entries, an [re, im] pair (two
+    entries, neither a list) being a leaf: 0 for a number or a pair."""
+    axes = 0
+    while isinstance(obj, list) and (len(obj) != 2 or any(isinstance(x, list) for x in obj)):
+        axes += 1
+        obj = obj[0] if obj else None
+    return axes
 
 
 def exponent_to_json(p: float):

@@ -22,12 +22,13 @@ from .spectral import cyclic_model
 REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 
 # Largest n for which full matrices are materialized; sweeps beyond this use
-# the diagonal closed form only. The cap is set by time: the construction's
-# (n, n, n) sweep state is contracted a slice of rows at a time under
-# evaluate.STATE_BUDGET, so its memory stays bounded (`moilab sweep` peaks at
-# 28 MiB at n = 256, arity 4), but its n^4 work takes about 2 s at n = 256
-# and would take about 40 s at n = 512.
-BUILD_CAP = 256
+# the diagonal closed form only. The cap is set by time and memory: the delta
+# head and tail pin the chain's bond in the sweep (see evaluate), so the
+# cross-check is a few n x n matmuls, n^3 work. At n = 1024, arity 4, one
+# BLAS thread: 0.5 s to build, 1.8 s to contract, 2.7 s for the SVDs of the
+# check's scale; `moilab sweep` peaks at 256 MiB (tracemalloc), some twenty
+# n x n matrices. n = 2048 would take about 8 times as long and 1 GiB.
+BUILD_CAP = 1024
 SWEEP_CAP = 8192
 
 

@@ -650,6 +650,10 @@ _MIDDLE = "middles[0] must be an (n, L, L') list of depth 3 or {\"diagonal\": <(
                      f"unknown exponent string {_CUT}", id="long-exponent"),
         pytest.param("chain", _set("integrand", "haagerup", "middles", 0), {_LONG: 1},
                      _MIDDLE + f"got an object with keys [{_CUT}]", id="long-middle-key"),
+        # the README CI example's middle of four axes is refused by its depth
+        pytest.param("chain", _set("integrand"),
+                     {"haagerup": {"head": [[1]], "middles": [[[[[1]]]]], "tail": [[1]]}},
+                     _MIDDLE + "expected depth 3, got 4", id="deep-middle"),
     ],
 )
 def test_eval_refusal_names_the_field(tmp_path, cls, mutate, value, line):

@@ -1057,11 +1057,12 @@ def _sweep_peak(inst):
 
 
 # tracemalloc peak of the arity-4 both-large construction at the 2 MiB
-# STATE_BUDGET (at 32 MiB: 4.95, 34.8 and 42.0 MiB). Each slice's state is
-# ROW_ALIGN rows or more: 2 MiB at n = 64 (32 rows) and n = 128 (8 rows), and
-# 8 MiB at n = 256, where one row is 1 MiB; the rest is the column tables,
-# the moved operators and the slices of C, 1 MiB each at n = 256
-SWEEP_PEAKS = {64: (3.01, 3.5), 128: (5.01, 6.0), 256: (18.0, 20.0)}  # MiB: measured, bound
+# STATE_BUDGET. Its delta head and tail pin its one bond, so no state holds a
+# bond and every row fits one slice: the peak is about eight n x n matrices,
+# the moved operators, C and its basis change (3.01, 5.01 and 18.0 MiB before
+# the pin, when each state held the width-n bond; 4.95, 34.8 and 42.0 MiB at
+# a 32 MiB budget)
+SWEEP_PEAKS = {64: (0.51, 0.75), 128: (2.01, 2.5), 256: (8.01, 9.5)}  # MiB: measured, bound
 
 
 @pytest.mark.parametrize("n", sorted(SWEEP_PEAKS))
@@ -1092,3 +1093,156 @@ def test_sweep_slices_bound_a_second_wide_bond(monkeypatch):
     tol = 1e-12 * moi_scale(inst)
     assert np.abs(w - whole).max() <= tol
     assert np.abs(w - eval_oracle(inst)).max() <= tol
+
+
+# --- pinned bonds --------------------------------------------------------------
+
+
+def _selection(rng, n_atoms, width):
+    """A scaled selection: each atom row holds at most one nonzero entry. Row
+    0 is zero and rows 1 and 2 select the same column."""
+    targets = rng.integers(0, width, n_atoms)
+    targets[2] = targets[1]
+    values = crandom(rng, n_atoms)
+    values[0] = 0
+    t = np.zeros((n_atoms, width), dtype=np.complex128)
+    t[np.arange(n_atoms), targets] = values
+    return t
+
+
+# (class, which ends are selections): a pinned head, tail or both, diagonal
+# middles (a one-bond table on the pinned bond), a bond of width 0 after the
+# pinned one, and the chain-like ends, whose other end has two bonds
+PIN_CASES = [
+    ("chain", "head"),
+    ("chain", "tail"),
+    ("chain", "both"),
+    ("diagonal", "both"),
+    ("zero-width", "head"),
+    ("like-first", "head"),
+    ("like-second", "tail"),
+]
+
+
+def _pinned_instance(cls, ends, arity, dim=6, atoms=4, width=3):
+    """A seeded instance on measures of `atoms` atoms in dimension `dim` (so
+    some atoms have rank 2 or more) whose end tables named by `ends` are
+    scaled selections of `width` columns."""
+    rng = rng_for(94, PIN_CASES.index((cls, ends)), arity)
+    measures = tuple(random_measure(rng, dim, atoms) for _ in range(arity))
+    counts = [atoms] * arity
+    if cls == "zero-width":  # head A of width 3, middles A -> B of width 0, tail B
+        middles = (np.zeros((atoms, width, 0)),) + (np.zeros((atoms, 0)),) * (arity - 3)
+        rep = HaagerupChainRep(_selection(rng, atoms, width), middles, np.zeros((atoms, 0)))
+    elif cls == "diagonal":
+        rep = _diagonal_chain(rng, measures, width)
+    elif cls == "chain":
+        rep = random_chain_rep(rng, counts, [width] + [2] * (arity - 3) + [width])
+    else:
+        rep = random_like_rep(rng, cls.split("-")[1], counts, [width] * (arity - 1))
+    if cls in ("chain", "diagonal"):
+        head, tail = (_selection(rng, atoms, width) for _ in range(2))
+        rep = HaagerupChainRep(
+            head if ends != "tail" else rep.head,
+            rep.middles,
+            tail if ends != "head" else rep.tail,
+        )
+    elif cls.startswith("like"):
+        k = 0 if ends == "head" else arity - 1
+        tables = list(rep.tables)
+        tables[k] = _selection(rng, atoms, width)
+        rep = HaagerupLikeRep(rep.kind, tuple(tables))
+    return MoiInstance(measures, _operators(rng, dim, arity - 1), rep)
+
+
+def _planned(run):
+    """run() under a watch on _plan: its value, and the (labels, pins) of the
+    one plan it asked for."""
+    with mock.patch.object(evaluate, "_plan", wraps=evaluate._plan) as plan:
+        value = run()
+    [(args, _)] = plan.call_args_list
+    return value, args
+
+
+@pytest.mark.parametrize("arity", [3, 4])
+@pytest.mark.parametrize("cls, ends", PIN_CASES)
+def test_pinned_sweep_matches_oracle_and_unpinned_sweep(monkeypatch, cls, ends, arity):
+    inst = _pinned_instance(cls, ends, arity)
+    w, (labels, pins) = _planned(lambda: eval_moi(inst))
+    assert tuple(map(bool, pins)) == (ends != "tail", ends != "head")
+    reverse, _, states = evaluate._plan(labels, pins)
+    assert reverse == (ends == "tail")  # both ends: the unpinned plan's direction
+    pin = labels[-1 if reverse else 0]
+    assert len(pin) == 1 and not any(pin in state for state in states)
+    with mock.patch.object(evaluate, "_pin", return_value=""):
+        unpinned, (_, unpinned_pins) = _planned(lambda: eval_moi(inst))
+    assert unpinned_pins == ("", "")
+    tol = 1e-12 * moi_scale(inst)
+    assert np.abs(w - unpinned).max() <= tol
+    assert np.abs(w - eval_oracle(inst)).max() <= TOL * moi_scale(inst)
+    _force_slices(monkeypatch, 16 * inst.dim)  # one row per slice, each gathered alone
+    with mock.patch.object(evaluate, "_contract", wraps=evaluate._contract) as contract:
+        sliced = eval_moi(inst)
+    # states of a bond of width 0 hold nothing, so they take every row at once
+    assert contract.call_count == (1 if cls == "zero-width" else inst.dim)
+    assert np.abs(sliced - w).max() <= tol
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("arity", [3, 4])
+def test_pinned_duality_matches_unpinned_duality(kind, arity):
+    """The duality functional sweeps the chain-like network along its cyclic
+    path, whose end table the selection pins."""
+    inst = _pinned_instance(f"like-{kind}", "head" if kind == "first" else "tail", arity)
+    rng = rng_for(95, arity)
+    qs = [crandom(rng, (inst.dim, inst.dim)) for _ in range(3)]
+    values, (_, pins) = _planned(lambda: duality_functionals(inst, qs))
+    assert any(pins)
+    with mock.patch.object(evaluate, "_pin", return_value=""):
+        unpinned = duality_functionals(inst, qs)
+    w = eval_haagerup_like(inst)
+    for q, value, other in zip(qs, values, unpinned):
+        bound = TOL * moi_scale(inst) * schatten_norm(q, 1)
+        assert abs(value - other) <= bound
+        assert abs(complex(np.trace(w @ q)) - value) <= bound
+
+
+def test_only_a_selection_of_width_two_or_more_pins():
+    rng = rng_for(96)
+    selection = _selection(rng, 5, 3)
+    assert evaluate._pin("A", selection) == "A"
+    assert evaluate._pin("A", np.zeros((5, 2))) == "A"  # every row zero
+    assert not evaluate._pin("AB", selection[:, :, None])  # two bonds
+    assert not evaluate._pin("A", np.zeros((5, 0)))  # width 0: no argmax
+    assert not evaluate._pin("A", crandom(rng, (5, 1)))  # width 1: nothing to save
+    assert not evaluate._pin("A", np.ones((5, 1)))
+    assert not evaluate._pin("A", crandom(rng, (5, 3)))  # dense
+    one_more = selection.copy()
+    one_more[3, (np.flatnonzero(one_more[3])[0] + 1) % 3] = 1e-300  # a second nonzero entry
+    assert not evaluate._pin("A", one_more)
+
+
+RANDOM_CLASSES = ("chain", "like-first", "like-second", "projective")
+
+
+@pytest.mark.parametrize("cls", RANDOM_CLASSES)
+@pytest.mark.parametrize("width_range", [(1, 1), (2, 3)])
+def test_dense_and_width_one_tables_never_pin(cls, width_range):
+    """Random dense tables, and the width-1 chains and one-term projective
+    tables of verify, keep the unpinned plan."""
+    rng = rng_for(97, RANDOM_CLASSES.index(cls), width_range[0])
+    for _ in range(4):
+        inst = random_instance(rng, cls, dim_range=(4, 6), width_range=width_range)
+        _, (_, pins) = _planned(lambda: eval_moi(inst))
+        assert pins == ("", "")
+
+
+def test_construction_plan_holds_no_bond():
+    """The extremal chains' delta head and tail pin: no state holds a bond,
+    and the table that closes the bond multiplies it away."""
+    inst = build_construction(default_case(4, "both-large", 4.0, 4.0, 16)).instance
+    _, (labels, pins) = _planned(lambda: eval_moi(inst))
+    assert (labels, pins) == (("A",) * 4, ("A", "A"))
+    reverse, steps, states = evaluate._plan(labels, pins)
+    assert not reverse and states == ("",) * 4
+    assert [kind for kind, _, _ in steps] == ["einsum", "mul", "move", "mul", "move", "einsum"]

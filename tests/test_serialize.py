@@ -152,12 +152,21 @@ def _reference_complex(obj):
     raise ValueError(f"not a complex scalar (number or [re, im]): {_reference_shown(obj)}")
 
 
-def _reference_parse(obj, ndim):
+def _reference_extra_axes(obj):
+    """Axes below a leaf position: a list that is not a pair of non-lists."""
+    if not isinstance(obj, list) or (len(obj) == 2 and not any(isinstance(x, list) for x in obj)):
+        return 0
+    return 1 + (_reference_extra_axes(obj[0]) if obj else 0)
+
+
+def _reference_parse(obj, ndim, above=0):
     if ndim == 0:
+        if _reference_extra_axes(obj):
+            raise ValueError(f"expected depth {above}, got {above + _reference_extra_axes(obj)}")
         return np.asarray(_reference_complex(obj))
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"expected a non-empty array of depth {ndim}: {_reference_shown(obj)}")
-    parts = [_reference_parse(sub, ndim - 1) for sub in obj]
+    parts = [_reference_parse(sub, ndim - 1, above + 1) for sub in obj]
     shapes = {p.shape for p in parts}
     if len(shapes) != 1:
         raise ValueError("ragged array")

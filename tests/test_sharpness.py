@@ -1,5 +1,8 @@
 """Extremal families: closed forms, construction fidelity, and growth sweeps."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -288,6 +291,22 @@ def test_construction_fidelity_at_build_cap(arity, regime, p1, pm1):
     built = build_construction(default_case(arity, regime, p1, pm1, BUILD_CAP))
     err = np.abs(eval_haagerup(built.instance) - expected_output(built.case)).max()
     assert err <= 1e-10 * moi_scale(built.instance)
+
+
+def test_cross_check_peak_at_n_1024():
+    """The arity-4 both-large cross-check at n = 1024 runs, and its
+    tracemalloc peak stays within 24 complex n x n matrices (384 MiB): the
+    construction's tables, measures and operators, the moved operators and
+    C, with the pinned sweep's (n, rows) states beside them."""
+    tracemalloc.start()
+    try:
+        with mock.patch.object(sharpness, "eval_haagerup", wraps=eval_haagerup) as check:
+            growth_sweep(4, "both-large", 4, 4, [1024], [sharp_r(4, 4)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.call_count == 1
+    assert peak <= 24 * 16 * 1024**2, f"peak {peak / 2**20:.0f} MiB"
 
 
 @pytest.mark.parametrize("perturb", [lambda w: w + 1e-6, lambda w: w * np.nan])
