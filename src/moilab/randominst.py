@@ -120,12 +120,3 @@ def random_instance(
         raise ValueError(f"unknown representation class {rep_class!r}")
     return MoiInstance(measures, operators, rep)
 
-
-def random_row_blocks(
-    rng: np.random.Generator, dim: int, count: int
-) -> list[np.ndarray]:
-    """Random blocks normalized so that ||sum A_j* A_j|| = 1."""
-    blocks = [random_complex(rng, (dim, dim)) for _ in range(count)]
-    gram = sum(b.conj().T @ b for b in blocks)
-    scale = np.sqrt(np.linalg.norm(gram, 2))
-    return [b / scale for b in blocks]

@@ -109,11 +109,6 @@ def _field(owner: str, obj: dict, key: str):
     return obj[key]
 
 
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def complex_from_json(obj) -> complex:
     if _is_real(obj):
         return _in_range("complex scalar", complex, obj)

@@ -6,10 +6,18 @@ whose value is exactly diagonal in the frequency basis, with closed-form
 diagonal entries c_j d_j (or d_j^2 in the rank-one-only regime). Sweeping n
 shows the ratio ||W||_s / (norms of the operators) bounded at s = r and
 unbounded for s < r.
+
+One rule builds the family of every arity m from 3 to MAX_ARITY: the measures
+are (Fourier, m - 2 position measures, Fourier), the operators (first, m - 3
+rank-one projections p0, last), and the diagonal middles (first middle,
+m - 4 tables of ones, last middle), the one middle at m = 3 being the large
+end's. A table of ones integrates to the identity and p0 has operator norm 1,
+so the closed form does not depend on m.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +35,13 @@ REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 # cross-check is a few n x n matmuls, n^3 work. At n = 1024, arity 4, one
 # BLAS thread: 0.5 s to build, 1.8 s to contract, 2.7 s for the SVDs of the
 # check's scale; `moilab sweep` peaks at 256 MiB (tracemalloc), some twenty
-# n x n matrices. n = 2048 would take about 8 times as long and 1 GiB.
+# n x n matrices. n = 2048 would take about 8 times as long and 1 GiB. Each
+# factor beyond 4 adds one moved n x n operator, 16 MiB, and about 1.5 s at
+# n = 1024 (its move and its SVD in the check's scale), so MAX_ARITY = 10
+# peaks near 368 MiB.
 BUILD_CAP = 1024
 SWEEP_CAP = 8192
+MAX_ARITY = 10
 
 
 class ConstructionCheckError(RuntimeError):
@@ -41,10 +53,21 @@ def sharp_r(p_first, p_last) -> float:
     return harmonic_exponent([sharp(p_first), sharp(p_last)])
 
 
+def _integer(what: str, value, low: int, high=None) -> int:
+    """value as an int in [low, high]; a bool or a non-integral number is refused."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral and low <= value and (high is None or value <= high):
+        return int(value)
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+    raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConstructionCase:
-    """Parameters of one extremal family: arity 3 or 4, exponent regime for
-    the first and last operators, truncation n, and the two real sequences."""
+    """Parameters of one extremal family: an integer arity m in [3, MAX_ARITY]
+    (the number of spectral measures, as in the module's rule), exponent
+    regime for the first and last operators, an integer truncation n >= 1,
+    and the two real sequences."""
 
     arity: int
     regime: str
@@ -55,8 +78,8 @@ class ConstructionCase:
     d: np.ndarray
 
     def __post_init__(self):
-        if self.arity not in (3, 4):
-            raise ValueError(f"arity must be 3 or 4, got {self.arity}")
+        object.__setattr__(self, "arity", _integer("arity", self.arity, 3, MAX_ARITY))
+        object.__setattr__(self, "n", _integer("truncation n", self.n, 1))
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; one of {REGIMES}")
         p1 = check_exponent(self.p_first)
@@ -68,8 +91,6 @@ class ConstructionCase:
             raise ValueError(f"regime {self.regime} is inconsistent with p_first = {p1}")
         if bad_last:
             raise ValueError(f"regime {self.regime} is inconsistent with p_last = {pm}")
-        if self.n < 1:
-            raise ValueError("truncation n must be >= 1")
         c = np.asarray(self.c, dtype=float)
         d = np.asarray(self.d, dtype=float)
         if c.shape != (self.n,) or d.shape != (self.n,):
@@ -105,10 +126,8 @@ def default_sequences(regime: str, p_first, p_last, n: int):
     the decay.
     """
     if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    j = np.arange(n, dtype=float)
+        raise ValueError(f"unknown regime {regime!r}; one of {REGIMES}")
+    j = np.arange(_integer("truncation n", n, 1), dtype=float)
 
     def witness(a: float) -> np.ndarray:
         return (j + 1.0) ** (-1.0 / a) * np.log(j + 2.0) ** (-2.0 / a)
@@ -150,28 +169,26 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
     head and tail on the frequency measure, unimodular diagonal (n, n)
     middles on the position measure. The cyclic shifts keep every identity
     exact, and the compressions P_j . P_j make the value exactly diagonal.
+    Every arity m follows the module's rule: the first middle is the
+    characters when the first operator is large, the last one their
+    conjugates when the last operator is, and any other middle is ones.
+    Only the arity-3 both-large family, whose two large ends would share its
+    one middle, is a single constant term.
     """
-    n = case.n
+    n, m = case.n, case.arity
     if n > BUILD_CAP:
         raise ValueError(
             f"n = {n} exceeds the materialization cap {BUILD_CAP}; "
             "use the diagonal closed form for large n"
         )
     fourier, position, characters = cyclic_model(n)
-    # char_values[i, j] = value of the j-th character at position atom i
-    char_values = np.stack([characters[j] for j in range(n)], axis=1)
-    ones = np.ones((n, n), dtype=np.complex128)
     diag_c = np.diag(case.c.astype(np.complex128))
     diag_d = np.diag(case.d.astype(np.complex128))
-    p0 = np.zeros((n, n), dtype=np.complex128)
-    p0[0, 0] = 1.0
 
-    if case.arity == 3 and case.regime == "both-large":
+    if m == 3 and case.regime == "both-large":
         # single constant term; the value is the plain product of the
         # diagonal operators
-        chain = HaagerupChainRep(
-            np.ones((n, 1)), (np.ones((n, 1)),), np.ones((n, 1))
-        )
+        chain = HaagerupChainRep(np.ones((n, 1)), (np.ones((n, 1)),), np.ones((n, 1)))
         inst = MoiInstance((fourier, position, fourier), (diag_c, diag_d), chain)
         return SharpnessInstance(inst, expected_output(case), case)
 
@@ -183,21 +200,19 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
     if not last_large:
         last = np.zeros((n, n), dtype=np.complex128)
         last[0, :] = case.d  # real, so this row is its own conjugate
-    mids = (
-        char_values if first_large else ones,
-        np.conj(char_values) if last_large else ones,
-    )
-    if case.arity == 3:
-        mid_vals = (mids[last_large],)
-        ops = (first, last)
-        measures = (fourier, position, fourier)
-    else:
-        mid_vals = mids
-        ops = (first, p0, last)
-        measures = (fourier, position, position, fourier)
-    delta = np.eye(n, dtype=np.complex128)  # alpha_j(m) = 1 if j = m else 0
-    chain = HaagerupChainRep(delta, mid_vals, delta)
-    inst = MoiInstance(measures, ops, chain)
+    p0 = np.zeros((n, n), dtype=np.complex128)
+    p0[0, 0] = 1.0
+    middles = [np.ones((n, n), dtype=np.complex128)] * (m - 2)
+    # char_values[i, j] = value of the j-th character at position atom i
+    char_values = np.stack([characters[j] for j in range(n)], axis=1)
+    if first_large:
+        middles[0] = char_values
+    if last_large:
+        middles[-1] = np.conj(char_values)
+    delta = np.eye(n, dtype=np.complex128)  # alpha_j(x) = 1 if j = x else 0
+    chain = HaagerupChainRep(delta, tuple(middles), delta)
+    measures = (fourier, *[position] * (m - 2), fourier)
+    inst = MoiInstance(measures, (first, *[p0] * (m - 3), last), chain)
     return SharpnessInstance(inst, expected_output(case), case)
 
 
@@ -233,7 +248,7 @@ def growth_sweep(arity: int, regime: str, p_first, p_last, dims, s_values) -> li
     ConstructionCheckError. Deterministic; dims must be ascending.
     """
     s_values = [check_exponent(s) for s in s_values]
-    dims = [int(n) for n in dims]
+    dims = list(dims)  # each n an integer, which ConstructionCase checks
     if not dims:
         raise ValueError("need at least one truncation dimension")
     if any(b <= a for a, b in zip(dims, dims[1:])):
@@ -270,17 +285,6 @@ def sweep_csv(rows) -> str:
 
     lines = ["n,s,p1,pm1,lhs,rhs,ratio"]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    fmt(row.s),
-                    fmt(row.p_first),
-                    fmt(row.p_last),
-                    fmt(row.lhs),
-                    fmt(row.rhs),
-                    fmt(row.ratio),
-                ]
-            )
-        )
+        values = (row.s, row.p_first, row.p_last, row.lhs, row.rhs, row.ratio)
+        lines.append(",".join([str(row.n), *map(fmt, values)]))
     return "\n".join(lines) + "\n"

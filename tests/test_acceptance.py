@@ -31,7 +31,7 @@ from moilab.integrands import (
     eval_pointwise,
 )
 from moilab.linalg import INF, adjoint, haar_unitaries, random_complex, schatten_norm
-from moilab.randominst import random_instance, random_row_blocks, rng_for
+from moilab.randominst import random_instance, rng_for
 from moilab.serialize import instance_to_json
 from moilab.sharpness import build_construction, default_case, growth_sweep, sharp_r
 from moilab.spectral import FiniteSpectralMeasure
@@ -47,6 +47,14 @@ FROZEN_GROWTH_FACTORS = {
     (3, "both-small", 2.0, 2.0): 1.23605194865,
     (4, "both-large", 4.0, 4.0): 1.11177873188,
 }
+
+
+def random_row_blocks(rng, dim, count):
+    """Random blocks normalized so that ||sum A_j* A_j|| = 1."""
+    blocks = [random_complex(rng, (dim, dim)) for _ in range(count)]
+    gram = sum(b.conj().T @ b for b in blocks)
+    scale = np.sqrt(np.linalg.norm(gram, 2))
+    return [b / scale for b in blocks]
 
 
 def _passed(number, label):

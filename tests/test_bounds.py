@@ -20,18 +20,21 @@ from moilab.evaluate import (
     eval_haagerup_like,
 )
 from moilab.integrands import HaagerupChainRep, ProjectiveRep, rep_norm_bound
-from moilab.linalg import INF, adjoint, schatten_norm
-from moilab.randominst import (
-    random_instance,
-    random_measure,
-    random_row_blocks,
-    rng_for,
-)
+from moilab.linalg import INF, adjoint, random_complex, schatten_norm
+from moilab.randominst import random_instance, random_measure, rng_for
 from moilab.spectral import FiniteSpectralMeasure
 
 
 def crandom(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_row_blocks(rng, dim, count):
+    """Random blocks normalized so that ||sum A_j* A_j|| = 1."""
+    blocks = [random_complex(rng, (dim, dim)) for _ in range(count)]
+    gram = sum(b.conj().T @ b for b in blocks)
+    scale = np.sqrt(np.linalg.norm(gram, 2))
+    return [b / scale for b in blocks]
 
 
 def constant_chain_instance(dim, t, r):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from moilab.randominst import random_instance, rng_for
 from moilab.serialize import array_to_json, instance_to_json
+from moilab.sharpness import MAX_ARITY
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -1270,9 +1271,9 @@ def test_verify_out_of_memory_exits_three(monkeypatch, capsys, tmp_path, message
 @pytest.mark.parametrize("argv, line", [
     (["verify", "--trials", "1.5"],
      "moilab verify: error: argument --trials: invalid int value: '1.5'"),
-    (["sweep", "--regime", "both-large", "--arity", "5", "--p1", "4", "--pm1", "4",
+    (["sweep", "--regime", "both-large", "--arity", "4.5", "--p1", "4", "--pm1", "4",
       "--s", "r", "--dims", "16"],
-     "moilab sweep: error: argument --arity: invalid choice: "),
+     "moilab sweep: error: argument --arity: invalid int value: '4.5'"),
     (["eval"], "moilab eval: error: the following arguments are required: --instance"),
     (["frobnicate"], "moilab: error: argument command: invalid choice: "),
 ])
@@ -1284,6 +1285,19 @@ def test_bad_command_line_prints_one_line(capsys, argv, line):
     captured = capsys.readouterr()
     assert info.value.code == 2 and captured.out == ""
     assert captured.err.startswith(line) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("arity", [2, MAX_ARITY + 1])
+def test_sweep_refuses_an_arity_out_of_range_in_one_line(capsys, arity):
+    from moilab import cli
+
+    code = cli.main(["sweep", "--regime", "both-large", "--arity", str(arity), "--p1", "4",
+                     "--pm1", "4", "--s", "r", "--dims", "16"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"sweep: invalid case: arity must be an integer in [3, {MAX_ARITY}], got {arity}\n"
+    )
 
 
 def test_help_still_prints_the_usage(capsys):

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from moilab import sharpness
+from moilab.bounds import check_haagerup_main
 from moilab.evaluate import eval_haagerup, eval_oracle, moi_scale
 from moilab.integrands import rep_norm_bound
 from moilab.linalg import INF, schatten_norm, sequence_norm
 from moilab.sharpness import (
     BUILD_CAP,
+    MAX_ARITY,
     REGIMES,
     ConstructionCase,
     ConstructionCheckError,
@@ -36,6 +38,14 @@ ALL_CASES = [
     (4, "both-small", 1.5, 2.0),
     (4, "mixed-large-small", 4.0, 1.5),
     (4, "mixed-small-large", 2.0, 3.0),
+    (5, "both-large", 4.0, 3.0),
+    (5, "both-small", 1.5, 1.0),
+    (5, "mixed-large-small", 3.0, 1.0),
+    (5, "mixed-small-large", 1.5, 4.0),
+    (6, "both-large", 2.0, 4.0),
+    (6, "both-small", 2.0, 1.5),
+    (6, "mixed-large-small", 4.0, 2.0),
+    (6, "mixed-small-large", 1.0, 6.0),
 ]
 
 # sum_{j < inf} 1/((j+1) log^2(j+2)): numerical partial sum to 1e6 plus the
@@ -92,10 +102,32 @@ def test_case_validation():
         default_case(3, "mixed-large-small", 4, 3, 4)
     with pytest.raises(ValueError, match="regime"):
         default_case(3, "sideways", 2, 2, 4)
-    with pytest.raises(ValueError):
-        default_case(5, "both-large", 2, 2, 4)
+    for arity in (2, MAX_ARITY + 1):
+        with pytest.raises(ValueError, match=rf"arity must be an integer in \[3, {MAX_ARITY}\]"):
+            default_case(arity, "both-large", 2, 2, 4)
     with pytest.raises(ValueError):
         ConstructionCase(3, "both-large", 2, 2, 3, np.ones(2), np.ones(3))
+
+
+@pytest.mark.parametrize("arity, n, field", [
+    (3, 8.0, "truncation n"),
+    (4, True, "truncation n"),
+    (4.0, 8, "arity"),
+    (True, 8, "arity"),
+    ("4", 8, "arity"),
+    (4, 0, "truncation n"),
+])
+def test_case_refuses_a_non_integral_arity_or_n(arity, n, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ConstructionCase(arity, "both-large", 4, 4, n, np.ones(8), np.ones(8))
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        build_construction(default_case(arity, "both-large", 4, 4, n))
+
+
+def test_case_takes_numpy_integers_as_ints():
+    case = default_case(np.int64(5), "both-large", 4, 4, np.int32(6))
+    assert (type(case.arity), type(case.n)) == (int, int)
+    assert (case.arity, case.n) == (5, 6)
 
 
 def test_expected_output_both_small_single_mass():
@@ -135,6 +167,41 @@ def test_construction_matches_atomwise_oracle(arity, regime, p1, pm1):
     built = build_construction(default_case(arity, regime, p1, pm1, 4))
     w = eval_oracle(built.instance)
     assert schatten_norm(w - built.expected, INF) <= 1e-10 * moi_scale(built.instance)
+
+
+@pytest.mark.parametrize("arity,regime,p1,pm1", ALL_CASES)
+def test_construction_attains_the_main_chain_bound(arity, regime, p1, pm1):
+    # the families are the bound's equality cases at p = max(p1, 2), q = max(pm1, 2)
+    built = build_construction(default_case(arity, regime, p1, pm1, 16))
+    report = check_haagerup_main(built.instance, max(p1, 2.0), max(pm1, 2.0))
+    assert report.holds
+    assert abs(report.ratio - 1.0) <= 1e-12
+
+
+def test_construction_rule_at_every_arity():
+    # (Fourier, m - 2 position measures, Fourier); first, m - 3 copies of p0,
+    # last; the first middle, m - 4 tables of ones, the last middle
+    for m in range(4, MAX_ARITY + 1):
+        inst = build_construction(default_case(m, "both-large", 4, 4, 5)).instance
+        fourier, position = inst.measures[:2]
+        assert inst.measures == (fourier, *[position] * (m - 2), fourier)
+        p0 = np.zeros((5, 5))
+        p0[0, 0] = 1.0
+        assert all(np.array_equal(t, p0) for t in inst.operators[1:-1])
+        assert len(inst.operators) == m - 1
+        middles = inst.integrand.middles
+        assert len(middles) == m - 2
+        assert all(np.array_equal(mid, np.ones((5, 5))) for mid in middles[1:-1])
+        assert np.array_equal(middles[-1], np.conj(middles[0]))
+
+
+def test_growth_sweep_rows_do_not_depend_on_arity():
+    # the CSV is the closed form, the same for every arity
+    for regime, p1, pm1 in [("both-large", 4, 4), ("both-small", 1, 1.5),
+                            ("mixed-large-small", 3, 1), ("mixed-small-large", 1, 6)]:
+        r = sharp_r(p1, pm1)
+        rows = [growth_sweep(m, regime, p1, pm1, [16, 64], [r, 0.8 * r]) for m in (3, 4, 5, 6)]
+        assert rows[1:] == rows[:1] * 3
 
 
 def test_both_small_paper_identity():
@@ -257,6 +324,8 @@ def test_growth_sweep_validation():
         growth_sweep(3, "both-small", 2, 2, [16384], [1.0])
     with pytest.raises(ValueError):
         growth_sweep(3, "both-small", 2, 2, [], [1.0])
+    with pytest.raises(ValueError, match="truncation n must be an integer >= 1, got 8.5"):
+        growth_sweep(3, "both-small", 2, 2, [8.5], [1.0])  # not truncated to 8
 
 
 def test_growth_sweep_cross_check_runs():
