@@ -2,8 +2,9 @@
 sum over atoms of Psi(x_1..x_m) P_1 T_1 P_2 T_2 ... T_{m-1} P_m
 by several independent computational paths.
 
-Production: one sweep engine evaluates every class from its bond labels
-(integrands._bonds) in the measures' eigenbases. Integrating a table
+Production: one sweep engine evaluates every class from the bond network
+that its integrand stores (labels and tables, see integrands) in the
+measures' eigenbases. Integrating a table
 against a measure with basis U is U diag(table[labels]) U^*, so each value is
 U_1 C U_m^*, with C the same finite sum over the tables expanded to basis
 columns and the moved operators T_i' = U_i^* T_i U_{i+1}; no projection is
@@ -64,7 +65,6 @@ from .integrands import (
     HaagerupChainRep,
     HaagerupLikeRep,
     Integrand,
-    _bonds,
     rep_norm_bound,
 )
 from .linalg import INF, adjoint, as_matrix, schatten_norms
@@ -132,15 +132,17 @@ class MoiInstance:
             raise ValueError(
                 f"integrand arity {self.integrand.arity} != {len(measures)} measures"
             )
-        counts = self.integrand.atom_counts()
-        if counts is not None:
-            for i, (c, e) in enumerate(zip(counts, measures)):
-                if c != e.n_atoms:
-                    raise ValueError(
-                        f"factor {i + 1} table has {c} atoms, measure has {e.n_atoms}"
-                    )
+        for k, (t, e) in enumerate(zip(self.integrand.tables, measures), 1):
+            if len(t) != e.n_atoms:
+                raise ValueError(f"factor {k} table has {len(t)} atoms, measure has {e.n_atoms}")
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "operators", operators)
+
+    def network(self) -> tuple:
+        """The integrand's (labels, tables), with width-0 tables sized by the
+        measures for a projective integrand without terms, which has none."""
+        zeros = (np.zeros((e.n_atoms, 0), dtype=np.complex128) for e in self.measures)
+        return self.integrand.labels, self.integrand.tables or tuple(zeros)
 
     @property
     def dim(self) -> int:
@@ -186,7 +188,7 @@ def eval_oracle(inst: MoiInstance, cap: int = DEFAULT_TUPLE_CAP) -> np.ndarray:
     m, dim = inst.arity, inst.dim
     if m > 26:
         raise CapExceededError(f"arity {m} exceeds the oracle's 26 atom axes")
-    labels, tables = _bonds(inst.integrand, counts)
+    labels, tables = inst.network()
     atoms = string.ascii_lowercase[:m]  # Psi's axes, one per factor
     spec = ",".join(a + b for a, b in zip(atoms, labels)) + "->" + atoms
     last = inst.measures[-1].projection_stack().reshape(counts[-1], dim * dim)
@@ -481,7 +483,7 @@ def duality_functionals(inst: MoiInstance, qs) -> list:
     for q in qs:
         if q.shape != (inst.dim, inst.dim):
             raise ValueError(f"Q shape {q.shape} != ({inst.dim}, {inst.dim})")
-    labels, tables = _bonds(rep, None)
+    labels, tables = rep.labels, rep.tables
     path = _cyclic_path(rep.kind, rep.arity)
     gaps = [*inst.operators, None]  # gaps[k] sits between factors k and k + 1, cyclically
     ws = _sweep(
@@ -511,6 +513,5 @@ def _cyclic_path(kind: str, arity: int) -> list:
 
 def eval_moi(inst: MoiInstance) -> np.ndarray:
     """Production evaluation: the sweep, which every representation class shares."""
-    counts = [e.n_atoms for e in inst.measures]
-    [value] = _sweep(inst.measures, inst.operators, *_bonds(inst.integrand, counts))
+    [value] = _sweep(inst.measures, inst.operators, *inst.network())
     return value

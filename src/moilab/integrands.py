@@ -12,6 +12,11 @@ Three classes, all with finite index families:
 Tables are numpy arrays with the atom axis first: scalar (n,), vector (n, L),
 matrix (n, L, L'), and a diagonal chain middle (n, L) whose per-atom matrix
 is diag(table[x]). A width-0 chain denotes the zero integrand.
+
+Each class builds and checks its bond network once and keeps it as `labels`
+(the bond letters of each factor's table) and `tables` (one per factor, atom
+axis first): Psi(x_1..x_m) sums the product of tables[i][x_i] over every
+bond letter. The norm bound, Psi at a point and every evaluation read them.
 """
 
 from __future__ import annotations
@@ -54,10 +59,32 @@ def _width_clash(labels, tables) -> None:
                 )
 
 
+# chain bond letters: one per link, an einsum letter each
+_LINKS = string.ascii_uppercase + string.ascii_lowercase
+
+
+class _Network:
+    """What the three classes share: the bond network (labels, tables), set
+    and checked once, and the atom counts read from it."""
+
+    def _set_network(self, labels, tables) -> None:
+        labels, tables = tuple(labels), tuple(tables)
+        _width_clash(labels, tables)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "tables", tables)
+
+    def atom_counts(self):
+        """Each factor's atom count; None for a projective integrand without terms."""
+        return tuple(t.shape[0] for t in self.tables) if self.tables else None
+
+
 @dataclass(frozen=True)
-class ProjectiveRep:
+class ProjectiveRep(_Network):
     """Psi(x_1..x_m) = sum_n prod_i phi_{n,i}(x_i); terms[n][i] is the scalar
-    table of phi_{n,i}. An empty term list is the zero integrand."""
+    table of phi_{n,i}. Its network is one bond Z through every factor, over
+    the terms stacked as (n_i, terms) tables. An empty term list, which has
+    no tables, is the zero integrand: {"projective": {"arity": m, "terms": []}}
+    in a file."""
 
     arity: int
     terms: tuple = field(default=())
@@ -77,15 +104,11 @@ class ProjectiveRep:
                 if term[i].shape != fixed[0][i].shape:
                     raise ValueError("terms disagree on atom counts")
         object.__setattr__(self, "terms", tuple(fixed))
-
-    def atom_counts(self):
-        if not self.terms:
-            return None
-        return tuple(t.shape[0] for t in self.terms[0])
+        self._set_network(("Z",) * self.arity, [np.array(f).T for f in zip(*fixed)])
 
 
 @dataclass(frozen=True)
-class HaagerupChainRep:
+class HaagerupChainRep(_Network):
     """Psi = sum over chain indices of head_j(x_1) middle_{jk}(x_2) ... tail(x_m).
 
     head: (n_1, L_1); middles[i]: (n_{i+2}, L_{i+1}, L_{i+2}), or the diagonal
@@ -93,7 +116,10 @@ class HaagerupChainRep:
     L_{i+2} = L_{i+1}; tail: (n_m, L_{m-1}). The array's rank selects the form.
     Every table is checked as the chain-like ones are: its rank, at least one
     atom and finite entries (_table), and one width per bond (_width_clash);
-    a refusal names the table by its factor, 1 to m.
+    a refusal names the table by its factor, 1 to m. Its labels link the
+    tables (head, *middles, tail) by A, AB, BC, ..., a diagonal middle reusing
+    its incoming letter. A width-0 bond, the zero integrand, has no file form
+    as a chain: instance_to_json refuses it.
     """
 
     head: np.ndarray
@@ -108,20 +134,19 @@ class HaagerupChainRep:
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "middles", middles)
         object.__setattr__(self, "tail", tail)
-        _width_clash(*_bonds(self, None))
+        if self.arity > len(_LINKS) - 1:  # two einsum letters stay free for the sweep
+            raise ValueError(f"chain arity {self.arity} exceeds {len(_LINKS) - 1}")
+        labels, link = ["A"], 0
+        for mid in middles:  # a dense middle opens the next link, a diagonal one passes it on
+            labels.append(_LINKS[link : link + mid.ndim - 1])
+            link += mid.ndim - 2
+        labels.append(_LINKS[link])
+        self._set_network(labels, (head, *middles, tail))
 
     @property
     def arity(self) -> int:
         return 2 + len(self.middles)
 
-    def atom_counts(self):
-        return (self.head.shape[0],) + tuple(m.shape[0] for m in self.middles) + (
-            self.tail.shape[0],
-        )
-
-
-# chain bond letters: one per link, an einsum letter each
-_LINKS = string.ascii_uppercase + string.ascii_lowercase
 
 # the links of the chain-like classes' chain, one bond letter per gap
 _LIKE_LINKS = string.ascii_uppercase[9:]  # J, K, ..., Z
@@ -150,13 +175,16 @@ def _like_bonds(kind: str, arity: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class HaagerupLikeRep:
+class HaagerupLikeRep(_Network):
     """A chain-like integrand, whose integral is defined by trace duality:
     Psi(x_1..x_m) sums the product of tables[i][x_i] over the bond letters of
-    _like_bonds(kind, m). For example
+    _like_bonds(kind, m), its labels. For example
 
     kind "first", arity 4:  Psi = sum_{jkl} a_l(x1) b_j(x2) g_{jk}(x3) d_{kl}(x4)
     kind "second", arity 4: Psi = sum_{jkl} a_{jk}(x1) b_{kl}(x2) g_l(x3) d_j(x4)
+
+    A width-0 axis, the zero integrand, has no file form as a chain-like
+    one: instance_to_json refuses it.
     """
 
     kind: str
@@ -164,55 +192,16 @@ class HaagerupLikeRep:
 
     def __post_init__(self):
         labels = _like_bonds(self.kind, len(self.tables))
-        tabs = tuple(
-            _table(t, 1 + len(bonds), f"factor {i + 1}")
-            for i, (t, bonds) in enumerate(zip(self.tables, labels))
-        )
-        _width_clash(labels, tabs)
-        object.__setattr__(self, "tables", tabs)
+        pairs = zip(self.tables, labels)
+        tables = (_table(t, 1 + len(b), f"factor {i + 1}") for i, (t, b) in enumerate(pairs))
+        self._set_network(labels, tables)
 
     @property
     def arity(self) -> int:
         return len(self.tables)
 
-    def atom_counts(self):
-        return tuple(t.shape[0] for t in self.tables)
-
 
 Integrand = ProjectiveRep | HaagerupChainRep | HaagerupLikeRep
-
-
-def _bonds(rep: Integrand, counts: Sequence[int]) -> tuple[tuple, list]:
-    """The integrand as one index pattern: (labels, tables), one table per
-    factor with its atom axis first and labels[i] the bond letters of its
-    other axes, so that Psi(x_1..x_m) sums the product of tables[i][x_i] over
-    every bond letter. A chain links its factors by A, AB, BC, ..., with a
-    diagonal middle reusing its incoming letter; the projective terms are one
-    bond Z, stacked as (n, terms) tables of width 0 for no terms (`counts`
-    gives their atom counts); a chain-like class uses _like_bonds."""
-    if isinstance(rep, ProjectiveRep):
-        tables = [
-            np.array([term[i] for term in rep.terms]).T
-            if rep.terms
-            else np.zeros((n, 0), dtype=np.complex128)
-            for i, n in enumerate(counts)
-        ]
-        return ("Z",) * rep.arity, tables
-    if isinstance(rep, HaagerupChainRep):
-        if rep.arity > len(_LINKS) - 1:  # two einsum letters stay free for the sweep
-            raise ValueError(f"chain arity {rep.arity} exceeds {len(_LINKS) - 1}")
-        labels, link = ["A"], 0
-        for mid in rep.middles:
-            if mid.ndim == 3:
-                labels.append(_LINKS[link : link + 2])
-                link += 1
-            else:
-                labels.append(_LINKS[link])
-        labels.append(_LINKS[link])
-        return tuple(labels), [rep.head, *rep.middles, rep.tail]
-    if isinstance(rep, HaagerupLikeRep):
-        return _like_bonds(rep.kind, rep.arity), list(rep.tables)
-    raise TypeError(f"not an integrand representation: {type(rep)!r}")
 
 
 def rep_norm_bound(rep: Integrand) -> float:
@@ -224,11 +213,10 @@ def rep_norm_bound(rep: Integrand) -> float:
     diagonal chain middle, whose bond passes through, gives its largest entry
     modulus.
     """
-    if isinstance(rep, ProjectiveRep):
-        return float(
-            sum(np.prod([scalar_sup(f) for f in term]) for term in rep.terms)
-        )
-    labels, tables = _bonds(rep, None)
+    labels, tables = rep.labels, rep.tables
+    if isinstance(rep, ProjectiveRep):  # the sum over the one bond, a term per column
+        sups = [np.abs(t).max(axis=0) for t in tables]
+        return float(sum(np.prod(term) for term in zip(*sups)))
     sups = []
     for i, (bonds, t) in enumerate(zip(labels, tables)):
         through = 0 < i < len(labels) - 1 and bonds in labels[i - 1] and bonds in labels[i + 1]
@@ -243,22 +231,19 @@ def rep_norm_bound(rep: Integrand) -> float:
 def eval_pointwise(rep: Integrand, atoms: Sequence[int]) -> complex:
     """Value of Psi at one atom index per factor (the defining finite sum)."""
     atoms = tuple(atoms)
+    if len(atoms) != rep.arity:
+        raise ValueError(f"expected {rep.arity} atom indices, got {len(atoms)}")
     counts = rep.atom_counts()
     if counts is None:  # a projective integrand without terms
         return 0j
-    if len(atoms) != len(counts):
-        raise ValueError(f"expected {len(counts)} atom indices, got {len(atoms)}")
     for a, n in zip(atoms, counts):
         if not 0 <= a < n:
             raise IndexError(f"atom index {a} out of range [0, {n})")
-    labels, tables = _bonds(rep, counts)
-    spec = ",".join(labels) + "->"
-    return complex(np.einsum(spec, *(t[a] for t, a in zip(tables, atoms))))
+    spec = ",".join(rep.labels) + "->"
+    return complex(np.einsum(spec, *(t[a] for t, a in zip(rep.tables, atoms))))
 
 
-def embed_projective_in_haagerup(
-    rep: ProjectiveRep, atom_counts: Sequence[int] | None = None
-) -> HaagerupChainRep:
+def embed_projective_in_haagerup(rep: ProjectiveRep) -> HaagerupChainRep:
     """Rewrite a projective sum as a chain with diagonal (n, terms) middles,
     one chain index per term.
 
@@ -266,12 +251,11 @@ def embed_projective_in_haagerup(
     the sup-norms) is split as sqrt(w) on the head and tail columns, leaving
     the middles unimodular-bounded. This keeps the chain representation norm
     at most the projective one. Identically-zero terms become zero columns.
+    A projective integrand without terms has no atom counts, and is refused.
     """
-    counts = rep.atom_counts() or (tuple(atom_counts) if atom_counts else None)
+    counts = rep.atom_counts()
     if counts is None:
-        raise ValueError("atom_counts required to embed a zero integrand")
-    if len(counts) != rep.arity:
-        raise ValueError(f"need {rep.arity} atom counts, got {len(counts)}")
+        raise ValueError("cannot embed a projective integrand without terms: it has no atom counts")
     width = len(rep.terms)
     head = np.zeros((counts[0], width), dtype=np.complex128)
     middles = [

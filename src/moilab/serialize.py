@@ -257,6 +257,8 @@ def measure_from_json(obj) -> FiniteSpectralMeasure:
 
 
 def integrand_to_json(rep) -> dict:
+    """The file form of an integrand. A chain or chain-like table with a
+    width-0 axis is refused: no JSON list holds its shape."""
     if isinstance(rep, ProjectiveRep):
         return {
             "projective": {
@@ -264,6 +266,15 @@ def integrand_to_json(rep) -> dict:
                 "terms": [[array_to_json(f) for f in term] for term in rep.terms],
             }
         }
+    if not isinstance(rep, (HaagerupChainRep, HaagerupLikeRep)):
+        raise TypeError(f"not an integrand: {type(rep)!r}")
+    for i, t in enumerate(rep.tables):
+        if not t.size:
+            raise ValueError(
+                f"factor {i + 1} table has shape {t.shape}, a width-0 axis that a JSON list cannot"
+                f' hold; write the zero integrand as {{"projective": {{"arity": {rep.arity},'
+                ' "terms": []}}'
+            )
     if isinstance(rep, HaagerupChainRep):
         return {
             "haagerup": {
@@ -275,14 +286,7 @@ def integrand_to_json(rep) -> dict:
                 "tail": array_to_json(rep.tail),
             }
         }
-    if isinstance(rep, HaagerupLikeRep):
-        return {
-            "haagerup_like": {
-                "kind": rep.kind,
-                "tables": [array_to_json(t) for t in rep.tables],
-            }
-        }
-    raise TypeError(f"not an integrand: {type(rep)!r}")
+    return {"haagerup_like": {"kind": rep.kind, "tables": [array_to_json(t) for t in rep.tables]}}
 
 
 def integrand_from_json(obj, arity: int | None = None):

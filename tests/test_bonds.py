@@ -1,8 +1,13 @@
-"""The bond-label description of the integrands and the sweep engine built on it.
+"""The bond network of the integrands and the sweep engine built on it.
 
-Psi, its norm bound and its integral are all derived from integrands._bonds;
-these tests pin them to the per-class code they replaced and to the
-atomwise oracle.
+Each integrand stores its network, built and checked once: `labels` (the
+bond letters of each factor's table) and `tables` (one per factor, atom axis
+first); a projective integrand without terms stores none, and
+MoiInstance.network gives it width-0 tables sized by the measures. Psi, its
+norm bound and its integral are all read from that network; these tests pin
+the network to each class's literal pattern and inputs, and Psi, the bound
+and the integral to the per-class code they replaced and to the atomwise
+oracle.
 """
 
 import itertools
@@ -10,20 +15,30 @@ from math import prod
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moilab import evaluate
-from moilab.evaluate import MoiInstance, _cyclic_path, _plan, eval_moi, eval_oracle, moi_scale
+from moilab import evaluate, integrands
+from moilab.evaluate import (
+    MoiInstance,
+    _cyclic_path,
+    _plan,
+    duality_functionals,
+    eval_moi,
+    eval_oracle,
+    moi_scale,
+)
 from moilab.integrands import (
     HaagerupChainRep,
+    HaagerupLikeRep,
     ProjectiveRep,
-    _bonds,
     _like_bonds,
     eval_pointwise,
     rep_norm_bound,
 )
 from moilab.randominst import (
+    random_instance,
     random_like_rep,
     random_measure,
     random_operator,
@@ -155,12 +170,128 @@ def test_engine_matches_the_oracle(inst):
     assert gap <= TOL * moi_scale(inst)
 
 
+# --- the stored network ---------------------------------------------------------
+
+# Each class's bond letters, written out. Projective: the one bond Z through
+# every factor. Chain, keyed by its middles (D dense, d diagonal): the links
+# A, AB, BC, ..., a diagonal middle reusing its incoming letter. Chain-like:
+# the chain J, JK, KL, ..., with its last factor moved to the front (first
+# kind) or its first moved to the end (second kind); at arity 3 the chain is
+# written (K, JK, J).
+_PROJECTIVE_LABELS = {
+    2: ("Z", "Z"),
+    3: ("Z", "Z", "Z"),
+    4: ("Z", "Z", "Z", "Z"),
+    5: ("Z", "Z", "Z", "Z", "Z"),
+    6: ("Z", "Z", "Z", "Z", "Z", "Z"),
+}
+_CHAIN_LABELS = {
+    "": ("A", "A"),
+    "D": ("A", "AB", "B"),
+    "d": ("A", "A", "A"),
+    "DD": ("A", "AB", "BC", "C"),
+    "dD": ("A", "A", "AB", "B"),
+    "Dd": ("A", "AB", "B", "B"),
+    "DDD": ("A", "AB", "BC", "CD", "D"),
+    "dDd": ("A", "A", "AB", "B", "B"),
+    "DDDD": ("A", "AB", "BC", "CD", "DE", "E"),
+    "dDdD": ("A", "A", "AB", "B", "BC", "C"),
+    "dddd": ("A", "A", "A", "A", "A", "A"),
+}
+_LIKE_LABELS = {
+    ("first", 3): ("J", "K", "JK"),
+    ("second", 3): ("JK", "J", "K"),
+    ("first", 4): ("L", "J", "JK", "KL"),
+    ("second", 4): ("JK", "KL", "L", "J"),
+    ("first", 5): ("M", "J", "JK", "KL", "LM"),
+    ("second", 5): ("JK", "KL", "LM", "M", "J"),
+    ("first", 6): ("N", "J", "JK", "KL", "LM", "MN"),
+    ("second", 6): ("JK", "KL", "LM", "MN", "N", "J"),
+}
+
+
+@pytest.mark.parametrize("arity", sorted(_PROJECTIVE_LABELS))
+def test_projective_network_stacks_the_terms_on_one_bond(arity):
+    rng = rng_for(85, arity)
+    counts = [int(n) for n in rng.integers(1, 5, size=arity)]
+    terms = [[crandom(rng, (n,)) for n in counts] for _ in range(3)]
+    rep = ProjectiveRep(arity, terms)
+    assert rep.labels == _PROJECTIVE_LABELS[arity]
+    assert len(rep.tables) == arity and rep.atom_counts() == tuple(counts)
+    for i, table in enumerate(rep.tables):
+        assert table.shape == (counts[i], len(terms))
+        for n, term in enumerate(terms):
+            assert np.array_equal(table[:, n], term[i])
+    zero = ProjectiveRep(arity)
+    assert zero.labels == _PROJECTIVE_LABELS[arity]
+    assert zero.tables == () and zero.atom_counts() is None
+
+
+def test_instance_gives_the_zero_integrand_width_zero_tables():
+    rng = rng_for(86)
+    measures = tuple(random_measure(rng, 4) for _ in range(3))
+    ops = tuple(random_operator(rng, 4) for _ in range(2))
+    inst = MoiInstance(measures, ops, ProjectiveRep(3))
+    labels, tables = inst.network()
+    assert labels == ("Z", "Z", "Z")
+    assert [t.shape for t in tables] == [(e.n_atoms, 0) for e in measures]
+    assert not eval_moi(inst).any() and not eval_oracle(inst).any()
+
+
+@pytest.mark.parametrize("forms", sorted(_CHAIN_LABELS))
+def test_chain_network_links_head_middles_and_tail(forms):
+    rng = rng_for(87, sorted(_CHAIN_LABELS).index(forms))
+    width, inputs = 2, []
+    for n, form in zip(rng.integers(1, 4, size=len(forms) + 2), " " + forms + " "):
+        if form == "D":  # a dense middle opens a wider bond
+            inputs.append(crandom(rng, (n, width, width + 1)))
+            width += 1
+        else:
+            inputs.append(crandom(rng, (n, width)))
+    rep = HaagerupChainRep(inputs[0], tuple(inputs[1:-1]), inputs[-1])
+    assert rep.labels == _CHAIN_LABELS[forms]
+    assert rep.tables == (rep.head, *rep.middles, rep.tail)
+    assert all(np.array_equal(t, a) for t, a in zip(rep.tables, inputs, strict=True))
+    assert rep.atom_counts() == tuple(len(a) for a in inputs)
+
+
+@pytest.mark.parametrize("kind, arity", sorted(_LIKE_LABELS))
+def test_like_network_is_the_rotated_chain(kind, arity):
+    rng = rng_for(88, arity, kind == "second")
+    width = dict(zip("JKLMN", (2, 3, 1, 2, 3)))
+    labels = _LIKE_LABELS[(kind, arity)]
+    inputs = [crandom(rng, (2 + i % 2, *(width[b] for b in bonds))) for i, bonds in enumerate(labels)]
+    rep = HaagerupLikeRep(kind, tuple(inputs))
+    assert rep.labels == labels
+    assert all(np.array_equal(t, a) for t, a in zip(rep.tables, inputs, strict=True))
+    assert rep.atom_counts() == tuple(len(a) for a in inputs)
+
+
+@pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
+def test_readers_take_the_stored_network(cls):
+    """Evaluating an integrand neither derives nor checks its network again:
+    the sweep gets the very tables the integrand stores."""
+    inst = random_instance(rng_for(89, len(cls)), cls, dim_range=(2, 4))
+    rep = inst.integrand
+    with mock.patch.object(integrands, "_like_bonds", side_effect=AssertionError), \
+            mock.patch.object(integrands, "_width_clash", side_effect=AssertionError), \
+            mock.patch.object(evaluate, "_sweep", wraps=evaluate._sweep) as sweep:
+        eval_moi(inst)
+        eval_oracle(inst)
+        rep_norm_bound(rep)
+        eval_pointwise(rep, (0,) * inst.arity)
+        if cls.startswith("like"):
+            duality_functionals(inst, [np.eye(inst.dim)])
+    _, _, labels, tables = sweep.call_args_list[0].args
+    assert labels is rep.labels and tables is rep.tables
+
+
 # --- the plan ----------------------------------------------------------------
 
 
 def _peak(inst):
     """The largest open-bond size of the planned sweep's states."""
-    labels, tables = _bonds(inst.integrand, [e.n_atoms for e in inst.measures])
+    labels, tables = inst.network()
     width = {b: w for bonds, t in zip(labels, tables) for b, w in zip(bonds, t.shape[1:])}
     return max(prod(width[b] for b in state) for state in _plan(labels)[2])
 
@@ -181,7 +312,7 @@ def _hand_peak(rep):
 @given(instances())
 def test_plan_peak_equals_the_hand_paths(inst):
     # a bond of width 0 makes the integrand zero and the states holding it empty
-    if all(t.size for t in _bonds(inst.integrand, [e.n_atoms for e in inst.measures])[1]):
+    if all(t.size for t in inst.network()[1]):
         assert _peak(inst) == _hand_peak(inst.integrand)
 
 

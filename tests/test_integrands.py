@@ -182,6 +182,14 @@ def test_eval_pointwise_index_errors():
         eval_pointwise(rep, (0, 0, 0))
 
 
+def test_eval_pointwise_checks_the_atom_count_without_terms():
+    # the term-less projective integrand is zero, but a tuple of the wrong length is refused
+    rep = ProjectiveRep(3)
+    with pytest.raises(ValueError, match="^expected 3 atom indices, got 1$"):
+        eval_pointwise(rep, [99])
+    assert eval_pointwise(rep, (0, 1, 2)) == 0j
+
+
 def test_chain_width_mismatch_rejected():
     with pytest.raises(ValueError):
         HaagerupChainRep(np.ones((2, 2)), (np.ones((2, 3, 2)),), np.ones((2, 2)))
@@ -252,11 +260,14 @@ def test_embed_exhaustive_pointwise_equality():
 
 
 def test_embed_zero_integrand():
-    rep = ProjectiveRep(3)
-    chain = embed_projective_in_haagerup(rep, atom_counts=(2, 2, 2))
+    # the zero integrand's chain is any chain with a width-0 bond, built directly
+    chain = HaagerupChainRep(np.zeros((2, 0)), (np.zeros((2, 0)),), np.zeros((2, 0)))
     assert chain.head.shape == (2, 0)
     assert eval_pointwise(chain, (0, 0, 0)) == 0.0
     assert rep_norm_bound(chain) == 0.0
+    # a projective integrand without terms has no atom counts to embed with
+    with pytest.raises(ValueError, match="^cannot embed a projective integrand without terms"):
+        embed_projective_in_haagerup(ProjectiveRep(3))
 
 
 def test_embed_norm_does_not_exceed_projective_norm():

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import reprlib
 
 import numpy as np
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from moilab.evaluate import eval_moi, moi_scale
+from moilab.evaluate import MoiInstance, eval_moi, moi_scale
 from moilab.integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
 from moilab.linalg import INF, schatten_norm
-from moilab.randominst import random_instance, rng_for
+from moilab.randominst import random_instance, random_measure, rng_for
 from moilab.serialize import (
     array_from_json,
     array_to_json,
@@ -360,6 +361,49 @@ def test_like_instance_round_trip_beyond_arity_four(kind, arity):
     again = instance_to_json(back)
     assert again["operators"] == payload["operators"]
     assert again["integrand"] == payload["integrand"]
+    gap = schatten_norm(eval_moi(inst) - eval_moi(back), INF)
+    assert gap <= 1e-12 * moi_scale(inst)
+
+
+# a width-0 bond makes the zero integrand, whose chain and chain-like tables
+# have (n, 0, ...) shapes that no JSON list holds: the writer refuses them
+_WIDTH_ZERO = [
+    (HaagerupChainRep(np.zeros((1, 0)), (np.zeros((1, 0, 3)),), np.zeros((1, 3))), 1, (1, 0)),
+    (HaagerupChainRep(np.ones((2, 2)), (np.ones((2, 2, 0)),), np.ones((2, 0))), 2, (2, 2, 0)),
+    (HaagerupLikeRep("first", (np.ones((2, 1)), np.ones((2, 0)), np.ones((2, 1, 0)))), 2, (2, 0)),
+]
+
+
+@pytest.mark.parametrize("rep, factor, shape", _WIDTH_ZERO)
+def test_writer_refuses_a_width_zero_table(rep, factor, shape):
+    rng = rng_for(67, factor)
+    measures = tuple(random_measure(rng, 3, n) for n in rep.atom_counts())
+    inst = MoiInstance(measures, tuple(np.eye(3) for _ in measures[1:]), rep)
+    assert not eval_moi(inst).any()
+    message = (
+        f"factor {factor} table has shape {shape}, a width-0 axis that a JSON list cannot hold;"
+        f' write the zero integrand as {{"projective": {{"arity": {rep.arity}, "terms": []}}}}'
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        instance_to_json(inst)
+
+
+@pytest.mark.parametrize("cls", _CLASSES)
+@pytest.mark.parametrize("seed", range(6))
+def test_written_instance_loads_back(cls, seed):
+    """A seeded instance of widths 0 to 3 either loads back from the file
+    instance_to_json writes, with the same integrand and value, or, when a
+    chain or chain-like table has a width-0 axis, is refused by the writer."""
+    inst = random_instance(rng_for(68, seed), cls, dim_range=(2, 5), width_range=(0, 3))
+    rep = inst.integrand
+    if not all(t.size for t in rep.tables):  # a projective integrand has none of width 0
+        with pytest.raises(ValueError, match="width-0 axis"):
+            instance_to_json(inst)
+        return
+    payload = instance_to_json(inst)
+    back, _ = load_instance(io.StringIO(json.dumps(payload)))
+    assert instance_to_json(back)["integrand"] == payload["integrand"]
+    assert back.integrand.labels == rep.labels
     gap = schatten_norm(eval_moi(inst) - eval_moi(back), INF)
     assert gap <= 1e-12 * moi_scale(inst)
 
