@@ -8,9 +8,11 @@ measures' eigenbases. Integrating a table
 against a measure with basis U is U diag(table[labels]) U^*, so each value is
 U_1 C U_m^*, with C the same finite sum over the tables expanded to basis
 columns and the moved operators T_i' = U_i^* T_i U_{i+1}; no projection is
-ever formed. The sweep's state S[c, r, open bonds] holds column c of the
-current basis, row r of the first, and the bonds a later table still closes.
-A table that closes one bond and opens one is a batched matmul over c, a
+ever formed, and a basis that is exactly the identity (the Fourier measure of
+the extremal families) is not multiplied at all. The sweep's state
+S[c, r, open bonds] holds column c of the current basis, row r of the first,
+and the bonds a later table still closes. A table that closes one bond and
+opens one is a batched matmul over c, a
 table whose bonds all pass through multiplies S in place, any other table is
 a two-operand einsum, and a moved operator multiplies S in place, MOVE_BLOCK
 columns at a time, so that S is held once. The plan, made once per signature
@@ -100,7 +102,7 @@ class CapExceededError(RuntimeError):
     """The requested evaluation would exceed a configured resource cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoiInstance:
     """One operator integral: m spectral measures on a common space,
     m-1 operators, and an integrand bound to the measures in order."""
@@ -249,17 +251,20 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
     most 16 d w bytes per row, as does a table read at the pinned bond; a
     slice takes as many rows as fit STATE_BUDGET, or all d when w is 0,
     rounded down to a multiple of ROW_ALIGN and at least ROW_ALIGN. The
-    basis change is applied once, to the whole C. Each slice starts from a
-    C-ordered copy of its rows of the C-ordered starting operator, so that
-    every state is C-ordered and a move's flat view of S is S itself."""
+    basis change is applied once, to the whole C. Neither a move nor the
+    basis change multiplies by a basis that is exactly the identity
+    (_is_identity), which changes no nonzero bit (see _product). Each slice
+    starts from a C-ordered copy of its rows of the C-ordered starting
+    operator, so that every state is C-ordered and a move's flat view of S
+    is S itself."""
     dim = measures[0].dim
     pins = (_pin(labels[0], tables[0]), _pin(labels[-1], tables[-1]))
     reverse, steps, _ = _plan(tuple(labels), pins)
     pin = pins[reverse]  # the bond that the first table of the sweep pins, or ""
-    bases = [e.basis for e in measures]
+    bases = [None if _is_identity(e.basis) else e.basis for e in measures]
 
     def move(k, t):  # T_k' = U_k^* T_k U_{k+1}, as the sweep reads it
-        t = adjoint(bases[k]) @ t @ bases[k + 1]
+        t = _product(_adjoint(bases[k]), t, bases[k + 1])
         # a reversed plan sweeps C^T = ... T_2'^T T_1'^T; else S[c, r] = T_1'[r, c],
         # and each move multiplies S by T_k'^T from the left
         return t if reverse else t.T
@@ -300,7 +305,27 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
             _contract(steps, [np.ascontiguousarray(start[:, r]), *rest], sliced(r))
             for r in (slice(j, j + rows) for j in range(0, dim, rows))
         ]
-        yield bases[0] @ np.concatenate(parts, axis=int(reverse)) @ adjoint(bases[-1])
+        yield _product(bases[0], np.concatenate(parts, axis=int(reverse)), _adjoint(bases[-1]))
+
+
+def _is_identity(u: np.ndarray) -> bool:
+    """Whether a basis is exactly the identity, so that a basis change skips
+    it. A corner entry other than 1, as almost every unitary has, refuses it
+    at once."""
+    return u[0, 0] == 1 and bool((u.diagonal() == 1).all()) and np.count_nonzero(u) == len(u)
+
+
+def _adjoint(u):
+    return None if u is None else adjoint(u)
+
+
+def _product(a, t: np.ndarray, b) -> np.ndarray:
+    """a @ t @ b, where a factor of None is an identity basis, skipped. The
+    identity product returns t's entries bit for bit, but for the sign of an
+    exact zero, which it sets as the BLAS kernel sums it; so a value's nonzero
+    entries keep their bits, and an exact zero may change its sign."""
+    t = t if a is None else a @ t
+    return t if b is None else t @ b
 
 
 def _pin(bonds: str, t: np.ndarray) -> str:

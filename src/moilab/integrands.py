@@ -65,7 +65,8 @@ _LINKS = string.ascii_uppercase + string.ascii_lowercase
 
 class _Network:
     """What the three classes share: the bond network (labels, tables), set
-    and checked once, and the atom counts read from it."""
+    and checked once, and the atom counts read from it. They hold arrays, so
+    they compare and hash by identity (eq=False)."""
 
     def _set_network(self, labels, tables) -> None:
         labels, tables = tuple(labels), tuple(tables)
@@ -78,7 +79,7 @@ class _Network:
         return tuple(t.shape[0] for t in self.tables) if self.tables else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectiveRep(_Network):
     """Psi(x_1..x_m) = sum_n prod_i phi_{n,i}(x_i); terms[n][i] is the scalar
     table of phi_{n,i}. Its network is one bond Z through every factor, over
@@ -107,7 +108,7 @@ class ProjectiveRep(_Network):
         self._set_network(("Z",) * self.arity, [np.array(f).T for f in zip(*fixed)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaagerupChainRep(_Network):
     """Psi = sum over chain indices of head_j(x_1) middle_{jk}(x_2) ... tail(x_m).
 
@@ -174,7 +175,7 @@ def _like_bonds(kind: str, arity: int) -> tuple:
     return tuple(chain[-1:] + chain[:-1] if kind == "first" else chain[1:] + chain[:1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HaagerupLikeRep(_Network):
     """A chain-like integrand, whose integral is defined by trace duality:
     Psi(x_1..x_m) sums the product of tables[i][x_i] over the bond letters of

@@ -105,9 +105,11 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sequence_norm(x, p) -> float:
-    """l^p (quasi)norm of a 1-d sequence; max(|x|) for p = inf."""
+    """l^p (quasi)norm of a 1-d sequence; max(|x|) for p = inf. A real
+    sequence's moduli are taken as they are: |x + 0j| is exactly |x|."""
     p = check_exponent(p)
-    ax = np.abs(np.asarray(x, dtype=np.complex128))
+    x = np.asarray(x)
+    ax = np.abs(x.astype(float if x.dtype.kind in "biuf" else np.complex128, copy=False))
     if ax.size == 0:
         return 0.0
     if p == INF:

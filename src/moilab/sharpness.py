@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluate import MoiInstance, _scale, eval_haagerup
+from .evaluate import MoiInstance, eval_haagerup
 from .integrands import HaagerupChainRep, rep_norm_bound
-from .linalg import check_exponent, harmonic_exponent, sequence_norm, sharp
+from .linalg import INF, check_exponent, harmonic_exponent, sequence_norm, sharp
 from .spectral import cyclic_model
 
 REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
@@ -32,13 +32,14 @@ REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 # Largest n for which full matrices are materialized; sweeps beyond this use
 # the diagonal closed form only. The cap is set by time and memory: the delta
 # head and tail pin the chain's bond in the sweep (see evaluate), so the
-# cross-check is a few n x n matmuls, n^3 work. At n = 1024, arity 4, one
-# BLAS thread: 0.5 s to build, 1.8 s to contract, 2.7 s for the SVDs of the
-# check's scale; `moilab sweep` peaks at 256 MiB (tracemalloc), some twenty
-# n x n matrices. n = 2048 would take about 8 times as long and 1 GiB. Each
-# factor beyond 4 adds one moved n x n operator, 16 MiB, and about 1.5 s at
-# n = 1024 (its move and its SVD in the check's scale), so MAX_ARITY = 10
-# peaks near 368 MiB.
+# cross-check is a few n x n matmuls, n^3 work, and its scale is a closed form
+# (_rhs_norms), not SVDs. At n = 1024, arity 4, one BLAS thread: 0.5 s to
+# build, 1.3 s to contract; `moilab sweep` peaks at 224 MiB (tracemalloc),
+# some fourteen n x n matrices. n = 2048 would take about 8 times as long and
+# 1 GiB. Each factor beyond 4 adds one moved n x n operator, about 20 MiB of
+# peak, and 0.55 s at n = 1024 (its move through the position basis), so
+# MAX_ARITY = 10 peaks near 342 MiB, under the 384 MiB that tests allow at
+# arity 4.
 BUILD_CAP = 1024
 SWEEP_CAP = 8192
 MAX_ARITY = 10
@@ -62,7 +63,7 @@ def _integer(what: str, value, low: int, high=None) -> int:
     raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstructionCase:
     """Parameters of one extremal family: an integer arity m in [3, MAX_ARITY]
     (the number of spectral measures, as in the module's rule), exponent
@@ -155,7 +156,7 @@ def expected_output(case: ConstructionCase) -> np.ndarray:
     return np.diag(expected_diag(case).astype(np.complex128))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharpnessInstance:
     instance: MoiInstance
     expected: np.ndarray
@@ -216,15 +217,17 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
     return SharpnessInstance(inst, expected_output(case), case)
 
 
-def _rhs_norms(case: ConstructionCase) -> float:
+def _rhs_norms(case: ConstructionCase, large=None) -> float:
     """Product of the operator norms entering the bound: the Schatten norms
     of the first and last operators (interior rank-one projections have
-    operator norm 1): a diagonal end in its own exponent, a rank-one end,
-    whose Schatten norms all equal its l^2 norm, in 2."""
+    operator norm 1): a diagonal end in its own exponent, or in `large` if
+    given, a rank-one end, whose Schatten norms all equal its l^2 norm, in 2.
+    With large = INF it is the product of operator norms, max|c| for a
+    diagonal end, which scales the cross-check's tolerance."""
     first_large, last_large = case.large_ends
     first = case.c if first_large or last_large else case.d
-    p_first = case.p_first if first_large else 2
-    p_last = case.p_last if last_large else 2
+    p_first = (case.p_first if large is None else large) if first_large else 2
+    p_last = (case.p_last if large is None else large) if last_large else 2
     return sequence_norm(first, p_first) * sequence_norm(case.d, p_last)
 
 
@@ -244,8 +247,10 @@ def growth_sweep(arity: int, regime: str, p_first, p_last, dims, s_values) -> li
     diagonal closed form, rhs = the product of operator norms, ratio = lhs / rhs.
 
     The smallest materializable n is cross-checked once against the full
-    chain evaluation, which does not depend on s; a mismatch raises
-    ConstructionCheckError. Deterministic; dims must be ascending.
+    chain evaluation, which does not depend on s; an error above 1e-10 times
+    the representation norm times the operator norms, read from the case
+    (_rhs_norms at INF) rather than from SVDs, raises ConstructionCheckError.
+    Deterministic; dims must be ascending.
     """
     s_values = [check_exponent(s) for s in s_values]
     dims = list(dims)  # each n an integer, which ConstructionCase checks
@@ -262,15 +267,16 @@ def growth_sweep(arity: int, regime: str, p_first, p_last, dims, s_values) -> li
             raise ConstructionCheckError(f"construction norm {bound} != 1")
         w = eval_haagerup(built.instance)
         err = np.abs(w - built.expected).max()
-        if not err <= 1e-10 * _scale(bound, built.instance.operators):  # a NaN fails too
+        if not err <= 1e-10 * bound * _rhs_norms(built.case, INF):  # a NaN fails too
             raise ConstructionCheckError(
                 f"construction cross-check failed at n = {dims[0]}: error {err:.3e}"
             )
     cases = [default_case(arity, regime, p_first, p_last, n) for n in dims]
+    closed = [(case, expected_diag(case), _rhs_norms(case)) for case in cases]
     rows = []
     for s in s_values:
-        for case in cases:
-            lhs, rhs = sequence_norm(expected_diag(case), s), _rhs_norms(case)
+        for case, diag, rhs in closed:
+            lhs = sequence_norm(diag, s)
             rows.append(SweepRow(case.n, s, case.p_first, case.p_last, lhs, rhs, lhs / rhs))
     return rows
 

@@ -40,6 +40,7 @@ from moilab.randominst import (
     random_instance,
     random_like_rep,
     random_measure,
+    random_measures,
     random_operator,
     random_projective_rep,
     rng_for,
@@ -1246,3 +1247,105 @@ def test_construction_plan_holds_no_bond():
     reverse, steps, states = evaluate._plan(labels, pins)
     assert not reverse and states == ("",) * 4
     assert [kind for kind, _, _ in steps] == ["einsum", "mul", "move", "mul", "move", "einsum"]
+
+
+# --- bases that are exactly the identity ---------------------------------------
+
+FAMILY_EXPONENTS = {
+    "both-large": (4.0, 4.0),
+    "both-small": (1.5, 2.0),
+    "mixed-large-small": (4.0, 1.5),
+    "mixed-small-large": (2.0, 3.0),
+}
+
+
+def test_is_identity_takes_only_the_exact_identity():
+    rng = rng_for(103)
+    assert evaluate._is_identity(np.eye(1, dtype=np.complex128))
+    assert evaluate._is_identity(np.eye(5, dtype=np.complex128))
+    assert not evaluate._is_identity(haar_unitaries(random_complex(rng, (5, 5))))
+    phases = np.diag(np.exp(1j * np.arange(5)))  # diagonal, but not the identity
+    assert not evaluate._is_identity(phases)
+    swap = np.eye(5, dtype=np.complex128)[:, [0, 2, 1, 3, 4]]  # its corner is 1
+    assert not evaluate._is_identity(swap)
+    nearly = np.eye(5, dtype=np.complex128)
+    nearly[4, 3] = 1e-300
+    assert not evaluate._is_identity(nearly)
+
+
+def test_identity_skip_keeps_the_families_bits(monkeypatch):
+    """The extremal families' Fourier measure has the identity basis, which the
+    sweep skips: their values are the bits of the full basis change."""
+    instances = [
+        build_construction(default_case(m, regime, *FAMILY_EXPONENTS[regime], 64)).instance
+        for m in (3, 4)
+        for regime in FAMILY_EXPONENTS
+    ]
+    assert all(evaluate._is_identity(inst.measures[0].basis) for inst in instances)
+    skipped = [eval_moi(inst).tobytes() for inst in instances]
+    monkeypatch.setattr(evaluate, "_is_identity", lambda u: False)
+    assert [eval_moi(inst).tobytes() for inst in instances] == skipped
+
+
+def _identity_measure(rng, dim):
+    """A measure whose basis is exactly the identity: the trivial measure, or
+    one of drawn atoms."""
+    n = int(rng.integers(1, dim + 1))
+    if n == 1:
+        return FiniteSpectralMeasure.trivial(dim)
+    labels = np.repeat(np.arange(n), rng.multinomial(dim - n, [1.0 / n] * n) + 1)
+    return FiniteSpectralMeasure.from_basis(np.eye(dim), labels, range(n))
+
+
+def _instance_with_identity_bases(rng, cls, arity, zeros=False):
+    """A random instance of a class, some of whose measures (at least one)
+    have the identity basis; with `zeros`, its operators hold -0 and +0
+    entries, among them a zero row and a zero column."""
+    dim = int(rng.integers(2, 7))
+    measures = list(random_measures(rng, dim, arity))
+    for k in rng.choice(arity, size=int(rng.integers(1, arity + 1)), replace=False):
+        measures[k] = _identity_measure(rng, dim)
+    operators = [random_operator(rng, dim) for _ in range(arity - 1)]
+    for t in operators if zeros else ():
+        t[rng.random(t.shape) < 0.3] = complex(-0.0, -0.0)
+        t[int(rng.integers(dim))] = t[:, int(rng.integers(dim))] = 0.0
+    counts = [e.n_atoms for e in measures]
+    widths = [int(w) for w in rng.integers(1, 4, size=arity - 1)]
+    if cls == "projective":
+        rep = random_projective_rep(rng, counts, int(rng.integers(1, 4)))
+    elif cls == "chain":
+        rep = random_chain_rep(rng, counts, widths)
+    else:
+        rep = random_like_rep(rng, cls.split("-")[1], counts, widths)
+    return MoiInstance(measures, operators, rep)
+
+
+def _identity_skip_outputs(cls, instances, probes):
+    """Each sweep's value, and each duality probe's of a chain-like class."""
+    values = [eval_moi(inst) for inst in instances]
+    if cls.startswith("like"):
+        values += [np.array(duality_functionals(i, qs)) for i, qs in zip(instances, probes)]
+    return values
+
+
+@pytest.mark.parametrize("cls", RANDOM_CLASSES)
+@pytest.mark.parametrize("zeros", [False, True])
+def test_identity_skip_keeps_every_bit(monkeypatch, cls, zeros):
+    """With the identity skip forced off, every sweep, and each duality probe
+    of a chain-like class, gives the same bytes. Where the operators hold
+    exact zeros, an exact zero of a value may change its sign (see
+    evaluate._product), and every value is still equal."""
+    rng = rng_for(107, RANDOM_CLASSES.index(cls), zeros)
+    arities = [3, 4, 5] if cls.startswith("like") else [2, 3, 4, 5]
+    instances = [
+        _instance_with_identity_bases(rng, cls, m, zeros) for m in arities for _ in range(6)
+    ]
+    # a transposed probe is F-ordered, and a skipped product leaves it so
+    probes = [[random_operator(rng, i.dim), random_operator(rng, i.dim).T] for i in instances]
+    skipped = _identity_skip_outputs(cls, instances, probes)
+    monkeypatch.setattr(evaluate, "_is_identity", lambda u: False)
+    full = _identity_skip_outputs(cls, instances, probes)
+    if zeros:
+        assert all(np.array_equal(a, b) for a, b in zip(skipped, full))
+    else:
+        assert [a.tobytes() for a in skipped] == [b.tobytes() for b in full]

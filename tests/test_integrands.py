@@ -13,6 +13,9 @@ from moilab.integrands import (
     eval_pointwise,
     rep_norm_bound,
 )
+from moilab.evaluate import MoiInstance
+from moilab.sharpness import ConstructionCase, build_construction, default_case
+from moilab.spectral import FiniteSpectralMeasure
 
 
 def crandom(rng, shape):
@@ -296,3 +299,28 @@ def test_embed_drops_zero_terms_without_changing_values():
     assert chain.head.shape[1] == 2
     for atoms in itertools.product(range(2), repeat=3):
         assert abs(eval_pointwise(chain, atoms) - eval_pointwise(rep, atoms)) < 1e-12
+
+
+def _trivial_instance():
+    trivial = FiniteSpectralMeasure.trivial(2)
+    return MoiInstance((trivial, trivial), (np.eye(2),), ProjectiveRep(2, ((np.ones(1),) * 2,)))
+
+
+# each array-holding class, built twice from equal contents
+ARRAY_HOLDERS = {
+    "projective": lambda: ProjectiveRep(3, ((np.ones(2),) * 3,)),
+    "chain": lambda: HaagerupChainRep(np.ones((2, 2)), (), np.ones((2, 2))),
+    "like": lambda: HaagerupLikeRep("first", (np.ones((2, 1)),) * 2 + (np.ones((2, 1, 1)),)),
+    "instance": _trivial_instance,
+    "case": lambda: ConstructionCase(3, "both-large", 4, 4, 2, np.ones(2), np.ones(2)),
+    "construction": lambda: build_construction(default_case(3, "both-large", 4, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity(make):
+    # the generated == would compare arrays, which raises, and hash fails
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2

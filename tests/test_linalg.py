@@ -14,6 +14,7 @@ from moilab.linalg import (
     random_complex,
     schatten_norm,
     schatten_norms,
+    sequence_norm,
     sharp,
 )
 
@@ -206,3 +207,16 @@ def test_stacked_schatten_norms_refuse_bad_stacks():
         schatten_norms([good], [0.0])
     with pytest.raises(ValueError):  # three matrices, two exponents
         schatten_norms([good] * 3, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("p", [0.5, 1, 1.5, 2, 3, math.inf])
+def test_real_sequence_norm_equals_its_complex_cast_bit_for_bit(p):
+    # a real sequence's moduli are taken directly; |x + 0j| is exactly |x|
+    rng = np.random.default_rng(109)
+    for n in (1, 7, 64, 1000):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.1] = -0.0
+        real, cast = sequence_norm(x, p), sequence_norm(x.astype(np.complex128), p)
+        assert np.float64(real).tobytes() == np.float64(cast).tobytes()
+    assert sequence_norm([-3, 0, 4], 2) == sequence_norm(np.array([-3, 0, 4], complex), 2) == 5.0

@@ -8,7 +8,7 @@ import pytest
 
 from moilab import sharpness
 from moilab.bounds import check_haagerup_main
-from moilab.evaluate import eval_haagerup, eval_oracle, moi_scale
+from moilab.evaluate import _scale, eval_haagerup, eval_oracle, moi_scale
 from moilab.integrands import rep_norm_bound
 from moilab.linalg import INF, schatten_norm, sequence_norm
 from moilab.sharpness import (
@@ -326,6 +326,27 @@ def test_growth_sweep_validation():
         growth_sweep(3, "both-small", 2, 2, [], [1.0])
     with pytest.raises(ValueError, match="truncation n must be an integer >= 1, got 8.5"):
         growth_sweep(3, "both-small", 2, 2, [8.5], [1.0])  # not truncated to 8
+
+
+@pytest.mark.parametrize("arity, regime, p1, pm1", ALL_CASES)
+@pytest.mark.parametrize("n", [8, 64])
+def test_cross_check_scale_is_the_operator_norms(arity, regime, p1, pm1, n):
+    # the cross-check's tolerance reads the operator norms from the case; it
+    # is the scale that SVDs of the operators give, so no looser
+    built = build_construction(default_case(arity, regime, p1, pm1, n))
+    bound = rep_norm_bound(built.instance.integrand)
+    closed = bound * sharpness._rhs_norms(built.case, INF)
+    by_svd = _scale(bound, built.instance.operators)
+    assert abs(closed - by_svd) <= 1e-12 * by_svd
+
+
+def test_cross_check_takes_no_svd(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cross-check took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for arity, regime, p1, pm1 in ALL_CASES:
+        growth_sweep(arity, regime, p1, pm1, [16, 64], [sharp_r(p1, pm1)])
 
 
 def test_growth_sweep_cross_check_runs():
