@@ -9,13 +9,19 @@ against a measure with basis U is U diag(table[labels]) U^*, so each value is
 U_1 C U_m^*, with C the same finite sum over the tables expanded to basis
 columns and the moved operators T_i' = U_i^* T_i U_{i+1}; no projection is
 ever formed, and a basis that is exactly the identity (the Fourier measure of
-the extremal families) is not multiplied at all. The sweep's state
+the extremal families) is not multiplied at all. An operator whose nonzero
+entries lie in at most d/8 rows, or in at most d/8 columns (the rank-one ends
+and projections p0 of the extremal families), moves as a thin pair (A, B),
+T_i' = A B through the smaller side of its support, never as a dense T_i';
+one count of its nonzero entries, which such an operator passes, refuses a
+dense one first. The sweep's state
 S[c, r, open bonds] holds column c of the current basis, row r of the first,
 and the bonds a later table still closes. A table that closes one bond and
 opens one is a batched matmul over c, a
 table whose bonds all pass through multiplies S in place, any other table is
 a two-operand einsum, and a moved operator multiplies S in place, MOVE_BLOCK
-columns at a time, so that S is held once. The plan, made once per signature
+columns at a time, so that S is held once, a pair as A (B S). The plan, made
+once per signature
 of labels, is the sweep (left to right, or right to left on the transpose,
 with the first table, diagonal in r, applied after 0..m-1 of the others) that
 holds the fewest bonds at once: one, for every class. An end table pins its
@@ -27,7 +33,8 @@ opens the bond; a later table on it is read, per slice, at c and at the b of
 each row, as a (c, r, other bonds) table that multiplies S or opens or closes
 its other bond. Neither kind of table is expanded to basis columns. So the
 extremal chains, all of whose tables are on one pinned bond, cost a few d x d
-matmuls, d^3 rather than d^4. No step mixes two rows r of the first basis, so
+matmuls, d^3 rather than d^4, and each p0 between them d^2. No step mixes two
+rows r of the first basis, so
 C is contracted a slice of rows at a time, with as many rows as keep every
 state, 16 d w bytes per row for the widest table axis w other than a pinned
 bond (1 if there is none), within STATE_BUDGET, rounded down to a multiple of
@@ -241,6 +248,10 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
     the gap whose operator is None. The frame (bases, plan, tables expanded
     to basis columns, the pinned bond and its values, rows per slice, moved
     operators) is made once; a table on a pinned bond is gathered per slice.
+    An operator, or a probe, whose support _thin finds thin moves as a pair
+    (A, B) that a move step applies as A (B S); a pair never starts a sweep
+    unmultiplied: the starting operator, cut to each slice's rows, is
+    multiplied out once, as A B.
 
     No step mixes two rows r of the first basis (columns of C, for a reversed
     plan, which sweeps from the last basis), so C is contracted a slice of
@@ -263,10 +274,13 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
     pin = pins[reverse]  # the bond that the first table of the sweep pins, or ""
     bases = [None if _is_identity(e.basis) else e.basis for e in measures]
 
-    def move(k, t):  # T_k' = U_k^* T_k U_{k+1}, as the sweep reads it
-        t = _product(_adjoint(bases[k]), t, bases[k + 1])
+    def move(k, t):  # T_k' = U_k^* T_k U_{k+1}, as the sweep reads it, or a pair
         # a reversed plan sweeps C^T = ... T_2'^T T_1'^T; else S[c, r] = T_1'[r, c],
-        # and each move multiplies S by T_k'^T from the left
+        # and each move multiplies S by T_k'^T = B^T A^T from the left
+        pair = _thin(t, bases[k], bases[k + 1])
+        if pair is not None:
+            return pair if reverse else (pair[1].T, pair[0].T)
+        t = _product(_adjoint(bases[k]), t, bases[k + 1])
         return t if reverse else t.T
 
     moved = [t if t is None else move(k, t) for k, t in enumerate(operators)]
@@ -299,8 +313,11 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
     for probe in probes:
         for k in gaps:
             moved[k] = move(k, probe)
+        first = -1 if reverse else 0
+        if isinstance(moved[first], tuple):  # a pair starts the sweep multiplied out
+            moved[first] = np.matmul(*moved[first])
         start, *rest = moved[::-1] if reverse else moved
-        start = moved[-1 if reverse else 0] = np.ascontiguousarray(start)
+        start = moved[first] = np.ascontiguousarray(start)
         parts = [
             _contract(steps, [np.ascontiguousarray(start[:, r]), *rest], sliced(r))
             for r in (slice(j, j + rows) for j in range(0, dim, rows))
@@ -328,6 +345,34 @@ def _product(a, t: np.ndarray, b) -> np.ndarray:
     return t if b is None else t @ b
 
 
+def _thin(t: np.ndarray, u, v):
+    """U^* T V as a pair (A, B) with A B = U^* T V, through the smaller side of
+    T's support, or None: T's nonzero entries lie in rows R and columns C, and
+    if at most d/8 columns hold them, A = U^*[:, R] T[R, C] and B = V[C, :];
+    else if at most d/8 rows do, A = U^*[:, R] and B = T[R, C] V[C, :].
+    U^*[:, R] is the adjoint of U's rows R, and an identity basis (None)
+    gives its rows as a selection. The first count, which any such T passes,
+    refuses a dense T at once."""
+    d = len(t)
+    if np.count_nonzero(t) * 8 > d * d:
+        return None
+    rows, cols = np.flatnonzero(t.any(axis=1)), np.flatnonzero(t.any(axis=0))
+    if min(len(rows), len(cols)) * 8 > d:
+        return None
+    left, right = adjoint(_basis_rows(u, rows, d)), _basis_rows(v, cols, d)
+    core = t[np.ix_(rows, cols)]
+    return (left @ core, right) if len(cols) <= len(rows) else (left, core @ right)
+
+
+def _basis_rows(u, idx: np.ndarray, d: int) -> np.ndarray:
+    """Rows idx of a basis; of an identity basis (None), the selection."""
+    if u is not None:
+        return u[idx]
+    selection = np.zeros((len(idx), d), dtype=np.complex128)
+    selection[np.arange(len(idx)), idx] = 1
+    return selection
+
+
 def _pin(bonds: str, t: np.ndarray) -> str:
     """The bond that a table pins, or "": its one bond, if of width 2 or more
     and the table has at most one nonzero entry in each atom row, so that
@@ -342,18 +387,21 @@ def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
     """The rows of C that moved[0] holds (its columns, for a reversed plan),
     from the plan's steps. A move multiplies the state in place, MOVE_BLOCK
     columns of its flattened (c, r bonds) form at a time, so that the old
-    state and a moved copy of it never coexist. Every other step writes a
-    new C-ordered state or multiplies the state in place. The first step
-    always writes a new state, so moved[0] and the column tables are read,
-    never written. A pinned plan's cols are the first table's values v[r]
-    and the tables on the pinned bond read at c and r (see _sweep)."""
+    state and a moved copy of it never coexist; a thin pair (A, B) (see
+    _thin) multiplies each block as A (B block), through its inner side.
+    Every other step writes a new C-ordered state or multiplies the state in
+    place. The first step always writes a new state, so moved[0], always
+    dense, and the column tables are read, never written. A pinned plan's
+    cols are the first table's values v[r] and the tables on the pinned bond
+    read at c and r (see _sweep)."""
     state = moved[0]
     for kind, k, arg in steps:
         if kind == "move":
             flat = state.reshape(len(state), -1)
+            op = moved[k]
             for j in range(0, flat.shape[1], MOVE_BLOCK):
                 block = flat[:, j : j + MOVE_BLOCK]
-                block[...] = moved[k] @ block
+                block[...] = op[0] @ (op[1] @ block) if isinstance(op, tuple) else op @ block
             state = flat.reshape(state.shape)
         elif kind == "mul":
             state *= cols[k][arg]

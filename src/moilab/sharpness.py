@@ -34,12 +34,14 @@ REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 # head and tail pin the chain's bond in the sweep (see evaluate), so the
 # cross-check is a few n x n matmuls, n^3 work, and its scale is a closed form
 # (_rhs_norms), not SVDs. At n = 1024, arity 4, one BLAS thread: 0.5 s to
-# build, 1.3 s to contract; `moilab sweep` peaks at 224 MiB (tracemalloc),
-# some fourteen n x n matrices. n = 2048 would take about 8 times as long and
-# 1 GiB. Each factor beyond 4 adds one moved n x n operator, about 20 MiB of
-# peak, and 0.55 s at n = 1024 (its move through the position basis), so
-# MAX_ARITY = 10 peaks near 342 MiB, under the 384 MiB that tests allow at
-# arity 4.
+# build, 0.95 s to contract; `moilab sweep` peaks at 208 MiB (tracemalloc),
+# some thirteen n x n matrices. n = 2048 would take about 8 times as long and
+# 1 GiB. Each factor beyond 4 adds a rank-one p0, which moves as a pair of
+# n-vectors (see evaluate._thin), so it adds 2 to 4 MiB of peak (its table,
+# read per row slice) and a few hundredths of a second at n = 1024: MAX_ARITY
+# = 10 peaks at 230 MiB. The 384 MiB that tests allow at arity 4 and at
+# MAX_ARITY would hold every arity up to 51, the most a chain's bond letters
+# name (314 MiB); MAX_ARITY stays 10, the arity that CI runs at n = 1024.
 BUILD_CAP = 1024
 SWEEP_CAP = 8192
 MAX_ARITY = 10

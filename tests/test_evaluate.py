@@ -1349,3 +1349,126 @@ def test_identity_skip_keeps_every_bit(monkeypatch, cls, zeros):
         assert all(np.array_equal(a, b) for a, b in zip(skipped, full))
     else:
         assert [a.tobytes() for a in skipped] == [b.tobytes() for b in full]
+
+
+# --- thin factor pairs ---------------------------------------------------------
+
+THIN_DIM = 16  # d / 8 = 2 rows or columns
+THIN_SUPPORTS = ("rows", "cols", "both", "zero")
+# (class, pinned end) of arity 4: forward and reversed plans, unpinned and pinned
+THIN_PLANS = [("chain", None), ("like-second", None), ("chain", "head"), ("chain", "tail")]
+# H a Haar basis, I the identity, for the four measures: each operator meets
+# every pair of sides in one pattern or another
+THIN_BASES = ("HHHH", "IHIH", "HIHI", "IIII")
+
+
+def _thin_operator(rng, support, dim=THIN_DIM):
+    """A random operator whose nonzero entries lie in d/8 rows ("rows"), in
+    d/8 columns ("cols"), in d/8 of each ("both"), or nowhere ("zero")."""
+    t = np.zeros((dim, dim), dtype=np.complex128)
+    if support == "zero":
+        return t
+    every = np.arange(dim)
+    rows = rng.choice(dim, dim // 8, replace=False) if support != "cols" else every
+    cols = rng.choice(dim, dim // 8, replace=False) if support != "rows" else every
+    t[np.ix_(rows, cols)] = crandom(rng, (len(rows), len(cols)))
+    return t
+
+
+def _thin_measure(rng, basis):
+    if basis == "H":
+        return random_measure(rng, THIN_DIM, 3)
+    return FiniteSpectralMeasure.from_basis(
+        np.eye(THIN_DIM), rng.permutation(np.arange(THIN_DIM) % 3), range(3)
+    )
+
+
+def _thin_instance(plan, support, pattern):
+    """An arity-4 instance of the plan's class whose three operators all
+    have the given support, on measures of 3 atoms with the pattern's bases."""
+    cls, end = plan
+    rng = rng_for(
+        108, THIN_PLANS.index(plan), THIN_SUPPORTS.index(support), THIN_BASES.index(pattern)
+    )
+    measures = [_thin_measure(rng, basis) for basis in pattern]
+    if cls == "chain":
+        rep = random_chain_rep(rng, [3] * 4, [3, 2, 3])
+        if end:
+            ends = {"head": rep.head, "tail": rep.tail, end: _selection(rng, 3, 3)}
+            rep = HaagerupChainRep(ends["head"], rep.middles, ends["tail"])
+    else:
+        rep = random_like_rep(rng, "second", [3] * 4, [2, 2, 2])
+    return MoiInstance(measures, [_thin_operator(rng, support) for _ in range(3)], rep)
+
+
+def _thin_calls(run):
+    """run()'s value, and what each of its calls to evaluate._thin returned."""
+    thin, results = evaluate._thin, []
+
+    def spy(*args):
+        results.append(thin(*args))
+        return results[-1]
+
+    with mock.patch.object(evaluate, "_thin", spy):
+        value = run()
+    return value, results
+
+
+@pytest.mark.parametrize("pattern", THIN_BASES)
+@pytest.mark.parametrize("support", THIN_SUPPORTS)
+@pytest.mark.parametrize("plan", THIN_PLANS)
+def test_thin_pairs_match_oracle(plan, support, pattern):
+    """Each operator moves as a pair through its smaller side, whether it
+    starts the sweep or is moved, on either plan, pinned or not, and the
+    value matches the oracle and the dense moves. The zero operator's pair
+    is empty, and its value has the dense path's bytes, signs of zero too."""
+    inst = _thin_instance(plan, support, pattern)
+    (w, results), (labels, pins) = _planned(lambda: _thin_calls(lambda: eval_moi(inst)))
+    assert evaluate._plan(labels, pins)[0] == (plan in (("like-second", None), ("chain", "tail")))
+    assert any(pins) == bool(plan[1])
+    inner = 0 if support == "zero" else THIN_DIM // 8
+    assert [(a.shape, b.shape) for a, b in results] == [((16, inner), (inner, 16))] * 3
+    assert np.abs(w - eval_oracle(inst)).max() <= TOL * moi_scale(inst)
+    with mock.patch.object(evaluate, "_thin", return_value=None):
+        dense = eval_moi(inst)
+    assert np.abs(w - dense).max() <= 1e-12 * moi_scale(inst)
+    if support == "zero":
+        assert w.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("arity", [3, 4])
+def test_sparse_probe_moves_as_a_pair(kind, arity):
+    """A probe in the duality functional's gap goes through the same move:
+    each sparse probe, and no dense operator or probe, moves as a pair."""
+    rng = rng_for(109, kind == "first", arity)
+    measures = [_thin_measure(rng, "IH"[k % 2]) for k in range(arity)]
+    rep = random_like_rep(rng, kind, [3] * arity, [2] * (arity - 1))
+    inst = MoiInstance(measures, _operators(rng, THIN_DIM, arity - 1), rep)
+    qs = [_thin_operator(rng, support) for support in THIN_SUPPORTS]
+    qs.append(crandom(rng, (THIN_DIM, THIN_DIM)))
+    values, results = _thin_calls(lambda: duality_functionals(inst, qs))
+    assert [r is not None for r in results] == [False] * (arity - 2) + [True] * 4 + [False]
+    w = eval_haagerup_like(inst)
+    for q, value in zip(qs, values):
+        bound = TOL * moi_scale(inst) * schatten_norm(q, 1)
+        assert abs(complex(np.trace(w @ q)) - value) <= bound
+
+
+def test_a_dense_operator_is_refused_by_one_count():
+    rng = rng_for(110)
+    u = haar_unitaries(random_complex(rng, (THIN_DIM, THIN_DIM)))
+    dense = random_operator(rng, THIN_DIM)
+    with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as count, mock.patch.object(
+        np, "flatnonzero", side_effect=AssertionError("the support was taken")
+    ):
+        assert evaluate._thin(dense, u, None) is None
+    assert count.call_count == 1
+    # a diagonal passes the count, d of d^2 entries, and its d rows and columns refuse it
+    assert evaluate._thin(np.diag(crandom(rng, THIN_DIM)), u, None) is None
+    # random instances, up to the d = 16 where a pair could take 2 rows, keep the dense path
+    for cls in RANDOM_CLASSES:
+        for _ in range(3):
+            inst = random_instance(rng, cls, dim_range=(2, 16), width_range=(1, 3))
+            _, results = _thin_calls(lambda: eval_moi(inst))
+            assert len(results) == inst.arity - 1 and not any(r is not None for r in results)

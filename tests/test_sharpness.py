@@ -378,25 +378,45 @@ def test_regimes_tuple_stable():
     [(3, "mixed-large-small", 4.0, 2.0), (4, "both-large", 4.0, 4.0)],
 )
 def test_construction_fidelity_at_build_cap(arity, regime, p1, pm1):
+    # scaled by the operator norms read from the case, which equal the SVDs'
+    # within 1e-12 (test_cross_check_scale_is_the_operator_norms)
     built = build_construction(default_case(arity, regime, p1, pm1, BUILD_CAP))
     err = np.abs(eval_haagerup(built.instance) - expected_output(built.case)).max()
-    assert err <= 1e-10 * moi_scale(built.instance)
+    scale = rep_norm_bound(built.instance.integrand) * sharpness._rhs_norms(built.case, INF)
+    assert err <= 1e-10 * scale
 
 
-def test_cross_check_peak_at_n_1024():
-    """The arity-4 both-large cross-check at n = 1024 runs, and its
-    tracemalloc peak stays within 24 complex n x n matrices (384 MiB): the
-    construction's tables, measures and operators, the moved operators and
-    C, with the pinned sweep's (n, rows) states beside them."""
+def _cross_check_peak(arity, n):
+    """The tracemalloc peak of the both-large growth sweep's one cross-check
+    at truncation n."""
     tracemalloc.start()
     try:
         with mock.patch.object(sharpness, "eval_haagerup", wraps=eval_haagerup) as check:
-            growth_sweep(4, "both-large", 4, 4, [1024], [sharp_r(4, 4)])
+            growth_sweep(arity, "both-large", 4, 4, [n], [sharp_r(4, 4)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert check.call_count == 1
+    return peak
+
+
+@pytest.mark.parametrize("arity", [4, MAX_ARITY])
+def test_cross_check_peak_at_n_1024(arity):
+    """The both-large cross-check at n = 1024 runs, at arity 4 and at
+    MAX_ARITY, and its tracemalloc peak stays within 24 complex n x n
+    matrices (384 MiB): the construction's tables, measures and operators,
+    the moved diagonal ends and C, with the pinned sweep's (n, rows) states
+    beside them; each p0 moves as a pair of n-vectors."""
+    peak = _cross_check_peak(arity, 1024)
     assert peak <= 24 * 16 * 1024**2, f"peak {peak / 2**20:.0f} MiB"
+
+
+def test_cross_check_holds_no_dense_p0():
+    """At arity 10 and n = 256, the seven p0 move as pairs of n-vectors
+    rather than as dense n x n matrices (1 MiB each): 23.1 MiB of peak, where
+    dense moves took 30.0 MiB."""
+    peak = _cross_check_peak(10, 256)
+    assert peak <= 26 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("perturb", [lambda w: w + 1e-6, lambda w: w * np.nan])
