@@ -95,6 +95,17 @@ def _report(tag: str, exponents: dict, lhs: float, rhs: float, tol: float) -> Bo
     return BoundReport(tag, exponents, lhs, rhs, ratio, ratio <= 1.0 + tol, tol)
 
 
+def _bound_report(
+    tag: str, exponents: dict, inst: MoiInstance, value, operator_exps, tol: float
+) -> BoundReport:
+    """The report of ||W||_r <= rep_norm * prod ||T_i||_{p_i}, with W the
+    value, r = exponents["r"] and p_i the operators' exponents, all in factor
+    order: one SVD call for all the norms, the product taken left to right."""
+    lhs, *norms = schatten_norms([value, *inst.operators], [exponents["r"], *operator_exps])
+    rhs = math.prod([rep_norm_bound(inst.integrand), *norms])
+    return _report(tag, exponents, lhs, rhs, tol)
+
+
 def check_projective(
     inst: MoiInstance, exponents: Sequence[float], tol: float = DEFAULT_TOL
 ) -> BoundReport:
@@ -115,11 +126,9 @@ def check_projective(
         )
     finite = sum(1 for p in exps if p != INF)
     tag = "proj-op-norm" if finite == 0 else ("proj-sp" if finite == 1 else "proj-pq")
-    lhs, *norms = schatten_norms([eval_moi(inst), *inst.operators], [r, *exps])
-    rhs = math.prod([rep_norm_bound(rep), *norms])
     expd = {f"p{i + 1}": p for i, p in enumerate(exps)}
     expd["r"] = r
-    return _report(tag, expd, lhs, rhs, tol)
+    return _bound_report(tag, expd, inst, eval_moi(inst), exps, tol)
 
 
 def check_haagerup_main(
@@ -139,11 +148,9 @@ def check_haagerup_main(
         raise RangeError(f"p = {p} < 2; the bound requires p, q in [2, inf]")
     if q < 2.0:
         raise RangeError(f"q = {q} < 2; the bound requires p, q in [2, inf]")
-    r = harmonic_exponent([p, q])
+    expd = {"p": p, "q": q, "r": harmonic_exponent([p, q])}
     inner = [INF] * (inst.arity - 3)  # the interior operators in operator norm
-    lhs, *norms = schatten_norms([eval_haagerup(inst), *inst.operators], [r, p, *inner, q])
-    rhs = math.prod([rep_norm_bound(rep), *norms])
-    return _report("haagerup-main", {"p": p, "q": q, "r": r}, lhs, rhs, tol)
+    return _bound_report("haagerup-main", expd, inst, eval_haagerup(inst), [p, *inner, q], tol)
 
 
 def check_lemma_row(
@@ -176,9 +183,9 @@ def check_haagerup_like(
     """Chain-like bound: ||W||_r <= rep_norm * ||T||_p * ||R||_q for the two
     Schatten-classed operators, with 1/r = 1/p + 1/q in [1/2, 1].
 
-    First kind requires q >= 2, second kind p >= 2. The Schatten pair is
-    (T_1, T_2) for the first kind and (T_1, T_{m-1}) for the second; every
-    other operator enters the rhs in operator norm.
+    First kind requires q >= 2, second kind p >= 2. The operators enter the
+    rhs in factor order: T_1 in p, T_2 (first kind) or T_{m-1} (second kind)
+    in q, and every other operator in operator norm.
     """
     rep = inst.integrand
     if not isinstance(rep, HaagerupLikeRep):
@@ -195,13 +202,9 @@ def check_haagerup_like(
         raise RangeError(
             f"1/p + 1/q = {inv:.6g} outside [1/2, 1]; r must lie in [1, 2]"
         )
-    b = 1 if rep.kind == "first" else rep.arity - 2  # T_1 takes p, T_{b+1} takes q
-    ops = inst.operators
-    others = ops[1:b] + ops[b + 1 :]  # in operator norm
-    lhs, *norms = schatten_norms(
-        [eval_haagerup_like(inst), ops[0], ops[b], *others], [r, p, q, *[INF] * len(others)]
-    )
-    rhs = math.prod([rep_norm_bound(rep), *norms])
+    exps = [p, *[INF] * (rep.arity - 2)]
+    exps[1 if rep.kind == "first" else rep.arity - 2] = q
     derived = f"hlike-m{rep.arity}-{1 if rep.kind == 'first' else 2}"
     tag = LIKE_TAGS.get((rep.kind, rep.arity), derived)
-    return _report(tag, {"p": p, "q": q, "r": r}, lhs, rhs, tol)
+    expd = {"p": p, "q": q, "r": r}
+    return _bound_report(tag, expd, inst, eval_haagerup_like(inst), exps, tol)

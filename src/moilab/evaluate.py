@@ -120,14 +120,14 @@ class MoiInstance:
 
     def __post_init__(self):
         measures = tuple(self.measures)
-        if not measures:
+        if len(measures) < 2:
             raise ValueError("need at least two spectral measures")
-        dim = measures[0].dim
-        for e in measures:
+        for e in measures:  # the type first, so a non-measure's dim is never read
             if not isinstance(e, FiniteSpectralMeasure):
                 raise TypeError("measures must be FiniteSpectralMeasure instances")
-            if e.dim != dim:
+            if e.dim != measures[0].dim:
                 raise ValueError("all measures must share the ambient dimension")
+        dim = measures[0].dim
         operators = tuple(as_matrix(t) for t in self.operators)
         if len(operators) != len(measures) - 1:
             raise ValueError(
@@ -164,12 +164,8 @@ class MoiInstance:
 
 def moi_scale(inst: MoiInstance) -> float:
     """rep_norm_bound * prod of operator norms, floored away from zero."""
-    return _scale(rep_norm_bound(inst.integrand), inst.operators)
-
-
-def _scale(bound: float, operators) -> float:
-    """moi_scale from an already computed rep_norm_bound."""
-    return max(prod([bound, *schatten_norms(operators, [INF] * len(operators))]), SCALE_FLOOR)
+    norms = schatten_norms(inst.operators, [INF] * len(inst.operators))
+    return max(prod([rep_norm_bound(inst.integrand), *norms]), SCALE_FLOOR)
 
 
 def eval_oracle(inst: MoiInstance, cap: int = DEFAULT_TUPLE_CAP) -> np.ndarray:
@@ -567,12 +563,6 @@ def duality_functionals(inst: MoiInstance, qs) -> list:
         qs,
     )
     partner = gaps[path[0] - 1]
-    # The second kind at arity 4 keeps its old trace order, so that its values
-    # stay bit-identical: trace(w @ partner) agrees only up to rounding (a few
-    # 1e-15 relative) and changes the last bits of many of them, among them
-    # the worst duality error that `moilab verify --seed 42` prints.
-    if (rep.kind, rep.arity) == ("second", 4):
-        return [complex(np.trace(partner @ w)) for w in ws]
     return [complex(np.trace(w @ partner)) for w in ws]
 
 

@@ -209,10 +209,10 @@ def rep_norm_bound(rep: Integrand) -> float:
     """Norm of the given representation, an upper bound for the tensor norm.
 
     Projective: sum over terms of the product of factor sup-norms.
-    Chain and chain-like: product of the component norms, l2-sup for a table
-    with one bond and operator-norm-sup for one with two, except that a
-    diagonal chain middle, whose bond passes through, gives its largest entry
-    modulus.
+    Chain and chain-like: product of the component norms, in factor order,
+    l2-sup for a table with one bond and operator-norm-sup for one with two,
+    except that a diagonal chain middle, whose bond passes through, gives its
+    largest entry modulus.
     """
     labels, tables = rep.labels, rep.tables
     if isinstance(rep, ProjectiveRep):  # the sum over the one bond, a term per column
@@ -224,8 +224,6 @@ def rep_norm_bound(rep: Integrand) -> float:
         sups.append(
             matrix_sup(t) if len(bonds) == 2 else scalar_sup(t) if through else vector_sup(t)
         )
-    if isinstance(rep, HaagerupChainRep):  # head and tail first: this order fixes the rounding
-        sups[1:] = sups[-1:] + sups[1:-1]
     return float(math.prod(sups))
 
 

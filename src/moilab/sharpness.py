@@ -10,9 +10,9 @@ unbounded for s < r.
 One rule builds the family of every arity m from 3 to MAX_ARITY: the measures
 are (Fourier, m - 2 position measures, Fourier), the operators (first, m - 3
 rank-one projections p0, last), and the diagonal middles (first middle,
-m - 4 tables of ones, last middle), the one middle at m = 3 being the large
-end's. A table of ones integrates to the identity and p0 has operator norm 1,
-so the closed form does not depend on m.
+m - 4 tables of ones, last middle), the one middle at m = 3 being the product
+of the two. A table of ones integrates to the identity and p0 has operator
+norm 1, so the closed form does not depend on m.
 """
 
 from __future__ import annotations
@@ -168,15 +168,15 @@ class SharpnessInstance:
 def build_construction(case: ConstructionCase) -> SharpnessInstance:
     """Materialize the extremal family at truncation n = ambient dimension.
 
-    The integrand is a chain of representation norm exactly 1: delta-system
+    The integrand is a chain of representation norm 1: delta-system
     head and tail on the frequency measure, unimodular diagonal (n, n)
     middles on the position measure. The cyclic shifts keep every identity
     exact, and the compressions P_j . P_j make the value exactly diagonal.
-    Every arity m follows the module's rule: the first middle is the
-    characters when the first operator is large, the last one their
-    conjugates when the last operator is, and any other middle is ones.
-    Only the arity-3 both-large family, whose two large ends would share its
-    one middle, is a single constant term.
+    Every arity m follows the module's rule: the middles are ones, but the
+    first is the characters when the first operator is large, and the last is
+    multiplied by their conjugates when the last operator is. That product is
+    by exact ones, but for the arity-3 both-large family, whose one middle
+    becomes chars . conj(chars), 1 up to rounding.
     """
     n, m = case.n, case.arity
     if n > BUILD_CAP:
@@ -185,18 +185,9 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
             "use the diagonal closed form for large n"
         )
     fourier, position, characters = cyclic_model(n)
-    diag_c = np.diag(case.c.astype(np.complex128))
-    diag_d = np.diag(case.d.astype(np.complex128))
-
-    if m == 3 and case.regime == "both-large":
-        # single constant term; the value is the plain product of the
-        # diagonal operators
-        chain = HaagerupChainRep(np.ones((n, 1)), (np.ones((n, 1)),), np.ones((n, 1)))
-        inst = MoiInstance((fourier, position, fourier), (diag_c, diag_d), chain)
-        return SharpnessInstance(inst, expected_output(case), case)
-
     first_large, last_large = case.large_ends
-    first, last = diag_c, diag_d
+    first = np.diag(case.c.astype(np.complex128))
+    last = np.diag(case.d.astype(np.complex128))
     if not first_large:  # rank one; in the rank-one-only regime d carries both ends
         first = np.zeros((n, n), dtype=np.complex128)
         first[:, 0] = case.c if last_large else case.d
@@ -210,8 +201,8 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
     char_values = np.stack([characters[j] for j in range(n)], axis=1)
     if first_large:
         middles[0] = char_values
-    if last_large:
-        middles[-1] = np.conj(char_values)
+    if last_large:  # at m = 3 the one middle takes both: chars . conj(chars)
+        middles[-1] = middles[-1] * np.conj(char_values)
     delta = np.eye(n, dtype=np.complex128)  # alpha_j(x) = 1 if j = x else 0
     chain = HaagerupChainRep(delta, tuple(middles), delta)
     measures = (fourier, *[position] * (m - 2), fourier)

@@ -95,11 +95,11 @@ def _ladder_bound(rep):
     """rep_norm_bound, one branch per class."""
     if isinstance(rep, ProjectiveRep):
         return float(sum(np.prod([scalar_sup(f) for f in term]) for term in rep.terms))
-    if isinstance(rep, HaagerupChainRep):
-        bound = vector_sup(rep.head) * vector_sup(rep.tail)
+    if isinstance(rep, HaagerupChainRep):  # in factor order: head, middles, tail
+        bound = vector_sup(rep.head)
         for m in rep.middles:
             bound *= matrix_sup(m) if m.ndim == 3 else scalar_sup(m)
-        return float(bound)
+        return float(bound * vector_sup(rep.tail))
     bound = 1.0
     for t, r in zip(rep.tables, _LADDER_RANKS[(rep.kind, rep.arity)]):
         bound *= vector_sup(t) if r == 1 else matrix_sup(t)

@@ -258,16 +258,18 @@ def test_like_campaign(arity):
 @pytest.mark.parametrize("kind, arity", [(k, m) for k in ("first", "second") for m in range(3, 7)])
 def test_like_operator_roles(kind, arity):
     """T_a takes p and T_b takes q, with (a, b) = (0, 1) for the first kind
-    and (0, m-2) for the second; every other operator is in operator norm."""
-    inst = random_instance(rng_for(49, arity), f"like-{kind}", dim_range=(4, 4), arity=arity)
+    and (0, m-2) for the second; every other operator is in operator norm.
+    The rhs multiplies the norms in factor order, bit for bit: 12 draws, on
+    some of which another order rounds differently."""
     p, q = (2, 4) if kind == "first" else (4, 2)
     a, b = 0, 1 if kind == "first" else arity - 2
-    ops = inst.operators
-    rhs = rep_norm_bound(inst.integrand) * schatten_norm(ops[a], p) * schatten_norm(ops[b], q)
-    for k, op in enumerate(ops):
-        if k not in (a, b):
-            rhs *= schatten_norm(op, INF)
-    assert check_haagerup_like(inst, p, q).rhs == rhs
+    for seed in range(12):
+        rng = rng_for(49, arity, seed)
+        inst = random_instance(rng, f"like-{kind}", dim_range=(4, 4), arity=arity)
+        rhs = rep_norm_bound(inst.integrand)
+        for k, op in enumerate(inst.operators):
+            rhs *= schatten_norm(op, p if k == a else q if k == b else INF)
+        assert check_haagerup_like(inst, p, q).rhs == rhs
 
 
 def test_like_tags_beyond_arity_four_are_derived():

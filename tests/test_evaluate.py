@@ -16,7 +16,6 @@ from moilab import evaluate
 from moilab.evaluate import (
     CapExceededError,
     MoiInstance,
-    _scale,
     duality_functional,
     duality_functionals,
     eval_haagerup,
@@ -68,6 +67,22 @@ def double_schur(psi, e1, e2, t):
 
 def constant_projective(arity, counts):
     return ProjectiveRep(arity, (tuple(np.ones(n) for n in counts),))
+
+
+def test_instance_needs_two_measures():
+    # one measure is refused as too few, not by the integrand's arity
+    e = FiniteSpectralMeasure.trivial(2)
+    for measures in ((), (e,)):
+        with pytest.raises(ValueError, match="^need at least two spectral measures$"):
+            MoiInstance(measures, (), ProjectiveRep(2))
+
+
+def test_instance_refuses_a_first_measure_of_another_type():
+    # the type is checked before any measure's dimension is read
+    e = FiniteSpectralMeasure.trivial(2)
+    for first in (np.eye(2), "measure", None):
+        with pytest.raises(TypeError, match="FiniteSpectralMeasure"):
+            MoiInstance((first, e), (np.eye(2),), ProjectiveRep(2))
 
 
 def test_oracle_constant_integrand_collapses_to_product():
@@ -669,14 +684,6 @@ def test_production_paths_never_form_projections(monkeypatch):
     monkeypatch.setattr(FiniteSpectralMeasure, "projection_stack", refuse)
     for inst, ref in zip(instances, references):
         assert np.abs(eval_moi(inst) - ref).max() <= TOL * moi_scale(inst)
-
-
-@pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
-def test_scale_from_bound_equals_moi_scale(cls):
-    # the sweep cross-check forms its tolerance from a bound it already has
-    for k in range(5):
-        inst = random_instance(rng_for(21, k), cls, dim_range=(2, 5))
-        assert _scale(rep_norm_bound(inst.integrand), inst.operators) == moi_scale(inst)
 
 
 # --- the blocked atomwise oracle ---------------------------------------------

@@ -1,5 +1,6 @@
 """Extremal families: closed forms, construction fidelity, and growth sweeps."""
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 
 from moilab import sharpness
 from moilab.bounds import check_haagerup_main
-from moilab.evaluate import _scale, eval_haagerup, eval_oracle, moi_scale
+from moilab.evaluate import eval_haagerup, eval_oracle, moi_scale
 from moilab.integrands import rep_norm_bound
 from moilab.linalg import INF, schatten_norm, sequence_norm
 from moilab.sharpness import (
@@ -180,19 +181,37 @@ def test_construction_attains_the_main_chain_bound(arity, regime, p1, pm1):
 
 def test_construction_rule_at_every_arity():
     # (Fourier, m - 2 position measures, Fourier); first, m - 3 copies of p0,
-    # last; the first middle, m - 4 tables of ones, the last middle
-    for m in range(4, MAX_ARITY + 1):
-        inst = build_construction(default_case(m, "both-large", 4, 4, 5)).instance
+    # last; delta head and tail; the first middle (the characters if the
+    # first operator is large), m - 4 tables of ones, the last middle (their
+    # conjugates if the last operator is large); at m = 3 one middle, the
+    # product of the two
+    n = 5
+    _, _, characters = cyclic_model(n)
+    chars = np.stack([characters[j] for j in range(n)], axis=1)
+    ones = np.ones((n, n))
+    p0 = np.zeros((n, n))
+    p0[0, 0] = 1.0
+    families = [("both-large", 4, 4), ("both-small", 1, 1.5), ("mixed-large-small", 3, 1),
+                ("mixed-small-large", 1, 6)]
+    for (regime, p1, pm1), m in itertools.product(families, range(3, MAX_ARITY + 1)):
+        case = default_case(m, regime, p1, pm1, n)
+        first_large, last_large = case.large_ends
+        head = chars if first_large else ones
+        tail = np.conj(chars) if last_large else ones
+        inst = build_construction(case).instance
         fourier, position = inst.measures[:2]
         assert inst.measures == (fourier, *[position] * (m - 2), fourier)
-        p0 = np.zeros((5, 5))
-        p0[0, 0] = 1.0
-        assert all(np.array_equal(t, p0) for t in inst.operators[1:-1])
         assert len(inst.operators) == m - 1
-        middles = inst.integrand.middles
-        assert len(middles) == m - 2
-        assert all(np.array_equal(mid, np.ones((5, 5))) for mid in middles[1:-1])
-        assert np.array_equal(middles[-1], np.conj(middles[0]))
+        assert all(np.array_equal(t, p0) for t in inst.operators[1:-1])
+        rep = inst.integrand
+        assert np.array_equal(rep.head, np.eye(n)) and np.array_equal(rep.tail, np.eye(n))
+        expected = [head * tail] if m == 3 else [head, *[ones] * (m - 4), tail]
+        assert len(rep.middles) == len(expected)
+        assert all(np.array_equal(mid, e) for mid, e in zip(rep.middles, expected))
+    # the both-large middle at m = 3 is chars . conj(chars), 1 up to rounding
+    [middle] = build_construction(default_case(3, "both-large", 4, 4, n)).instance.integrand.middles
+    assert np.array_equal(middle, chars * np.conj(chars))
+    assert np.abs(middle - 1).max() <= 1e-15
 
 
 def test_growth_sweep_rows_do_not_depend_on_arity():
@@ -334,9 +353,8 @@ def test_cross_check_scale_is_the_operator_norms(arity, regime, p1, pm1, n):
     # the cross-check's tolerance reads the operator norms from the case; it
     # is the scale that SVDs of the operators give, so no looser
     built = build_construction(default_case(arity, regime, p1, pm1, n))
-    bound = rep_norm_bound(built.instance.integrand)
-    closed = bound * sharpness._rhs_norms(built.case, INF)
-    by_svd = _scale(bound, built.instance.operators)
+    closed = rep_norm_bound(built.instance.integrand) * sharpness._rhs_norms(built.case, INF)
+    by_svd = moi_scale(built.instance)
     assert abs(closed - by_svd) <= 1e-12 * by_svd
 
 
@@ -375,15 +393,17 @@ def test_regimes_tuple_stable():
 
 @pytest.mark.parametrize(
     "arity, regime, p1, pm1",
-    [(3, "mixed-large-small", 4.0, 2.0), (4, "both-large", 4.0, 4.0)],
+    [(3, "mixed-large-small", 4.0, 2.0), (3, "both-large", 4.0, 4.0), (4, "both-large", 4.0, 4.0)],
 )
 def test_construction_fidelity_at_build_cap(arity, regime, p1, pm1):
-    # scaled by the operator norms read from the case, which equal the SVDs'
-    # within 1e-12 (test_cross_check_scale_is_the_operator_norms)
+    # the norm gate and the cross-check of growth_sweep; the scale is the
+    # operator norms read from the case, which equal the SVDs' within 1e-12
+    # (test_cross_check_scale_is_the_operator_norms)
     built = build_construction(default_case(arity, regime, p1, pm1, BUILD_CAP))
+    bound = rep_norm_bound(built.instance.integrand)
+    assert abs(bound - 1.0) <= 1e-12
     err = np.abs(eval_haagerup(built.instance) - expected_output(built.case)).max()
-    scale = rep_norm_bound(built.instance.integrand) * sharpness._rhs_norms(built.case, INF)
-    assert err <= 1e-10 * scale
+    assert err <= 1e-10 * bound * sharpness._rhs_norms(built.case, INF)
 
 
 def _cross_check_peak(arity, n):
