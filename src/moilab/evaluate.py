@@ -299,10 +299,13 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
         if not pin:
             return [cols[0][r], *cols[1:]]
         at = bond[r][None, :]
+        gathered = {}  # one gather per table, measure and bonds: the tables are only read
+        for t, e, b in factors[1:]:
+            if pin in b and (id(t), id(e), b) not in gathered:
+                index = (e.labels[:, None], *(at if a == pin else slice(None) for a in b))
+                gathered[id(t), id(e), b] = t[index]
         return [cols[0][r]] + [
-            t[(e.labels[:, None], *(at if a == pin else slice(None) for a in b))]
-            if col is None
-            else col
+            gathered[id(t), id(e), b] if col is None else col
             for col, (t, e, b) in zip(cols[1:], factors[1:])
         ]
 

@@ -24,18 +24,29 @@ array's nested lists are alive at a time next to the file text, not the
 whole tree. Files keep their measures first, so the operators and tables
 that follow are read as before. A converted array is shown as the list it
 came from, so a file it refuses gets the plain reading's error, word for
-word. `array_to_json_text` writes an array's `indent=2` JSON form without
+word. Each array is flattened to one list of its leaves and converted by
+one `np.asarray`. A regular UTF-8 file is mapped read-only and decoded from
+the mapping, so its bytes are not copied to the heap beside the text; a
+pipe, a `StringIO` or a file that holds a carriage return (which text mode
+translates, and a parse error's position counts) is read as text. A file
+truncated by another process while it is decoded can end the process with
+SIGBUS, as any mapped read can; a file replaced by a rename is safe.
+`array_to_json_text` writes an array's `indent=2` JSON form without
 Python's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import cmath
+import codecs
+import io
 import json
 import math
+import mmap
+import os
 import reprlib
+import stat
 from itertools import chain
-from operator import getitem
 from typing import NamedTuple
 
 import numpy as np
@@ -156,29 +167,35 @@ def array_from_json(obj, ndim: int) -> np.ndarray:
 
 def _fast_array(obj, ndim: int) -> np.ndarray | None:
     """The array of a full nested list of numbers, or of [re, im] pairs, read
-    with one `np.asarray`; None for anything else, which `_array_walk` decides."""
+    in one pass: the lists are flattened a level at a time, each level of
+    one nonzero length, and the leaves converted by one `np.asarray`; None
+    for anything else, which `_array_walk` decides. A string or an object
+    among the lists flattens to strings, which `np.asarray` reads as text."""
+    shape, leaves = [], [obj]
+    for _ in range(ndim + 1):
+        try:
+            lengths = set(map(len, leaves))
+        except TypeError:  # a number, a boolean or null: the leaves are reached
+            break
+        if len(lengths) != 1 or 0 in lengths:  # ragged or empty
+            return None
+        shape += lengths
+        leaves = list(chain.from_iterable(leaves))
     try:
-        a = np.asarray(obj)  # no dtype=: float would read the string "1" as 1.0
-    except ValueError:  # ragged
+        a = np.asarray(leaves)  # no dtype=: float would read the string "1" as 1.0
+    except ValueError:  # a list among the leaves
         return None
-    if a.dtype.kind in "iuf" and 0 not in a.shape and not _has_bool(obj, a):
-        if a.ndim == ndim:
-            return a.astype(np.complex128)
-        if a.ndim == ndim + 1 and a.shape[-1] == 2:
-            # complex128 is laid out as [re, im]; the view keeps every bit
-            return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+    if a.ndim != 1 or a.dtype.kind not in "iuf":
+        return None
+    # a JSON boolean reads as 0 or 1 among numbers: look those leaves up
+    if bool in map(type, map(leaves.__getitem__, np.flatnonzero((a == 0) | (a == 1)).tolist())):
+        return None
+    if len(shape) == ndim:
+        return a.astype(np.complex128).reshape(shape)
+    if len(shape) == ndim + 1 and shape[-1] == 2:
+        # complex128 is laid out as [re, im]; the view keeps every bit
+        return a.astype(np.float64, copy=False).view(np.complex128).reshape(shape[:-1])
     return None
-
-
-def _has_bool(obj, a: np.ndarray) -> bool:
-    """Whether a leaf is a JSON boolean, which `np.asarray` reads as 0 or 1
-    among numbers: the leaves read as 0 or 1 are looked up in one flat list
-    of the innermost lists, without a Python loop over the leaves."""
-    rows = [[obj]]
-    for _ in range(a.ndim):
-        rows = list(chain.from_iterable(rows))
-    r, c = np.nonzero(((a == 0) | (a == 1)).reshape(len(rows), -1))
-    return bool in map(type, map(getitem, map(rows.__getitem__, r.tolist()), c.tolist()))
 
 
 def _array_walk(obj, ndim: int, depth: int = 0) -> np.ndarray:
@@ -381,8 +398,34 @@ def _decode_object(pairs: list) -> dict:
 
 def load_instance(fh) -> tuple[MoiInstance, dict | None]:
     """`instance_from_json(json.load(fh))`, converting the measure arrays as
-    the decoder closes them."""
-    text = fh.read()
+    the decoder closes them.
+
+    A regular, non-empty file opened as strict UTF-8 and not yet read from
+    is mapped read-only and decoded from the mapping in one step, so its
+    bytes are not first copied to the heap; the mapping is closed before
+    the text is parsed, and `fh` is left at its start. Any other handle (a
+    pipe, a `StringIO`, another encoding or error mode, one read from
+    already) is read with `fh.read()`, and so is a file that holds a
+    carriage return, which text mode translates to a newline and a parse
+    error's position counts as one. A file truncated by another process
+    during the decode may end the process with SIGBUS, as under any mapped
+    read; a file replaced by a rename, as `eval --out` writes one, is safe.
+    """
+    text = None
+    if (
+        isinstance(fh, io.TextIOWrapper)
+        and codecs.lookup(fh.encoding).name == "utf-8"
+        and fh.errors == "strict"
+        and fh.seekable()
+        and fh.tell() == 0
+    ):
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapping:
+                if mapping.find(b"\r") < 0:
+                    text = str(mapping, "utf-8")
+    if text is None:
+        text = fh.read()
     try:
         obj = json.loads(text, object_pairs_hook=_decode_object)
     except RecursionError:  # the hook's frame can cross the limit the plain decoder stays under

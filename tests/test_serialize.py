@@ -3,8 +3,13 @@
 import io
 import json
 import math
+import mmap
+import random
 import re
 import reprlib
+from itertools import chain
+from operator import getitem
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -558,8 +563,13 @@ def _load_outcome(load, payload):
     """What `load` makes of the file: every measure's points, basis and
     labels, the operators and the integrand's tables, bit for bit; or the
     class and message of its refusal."""
+    return _handle_outcome(load, io.StringIO(json.dumps(payload)))
+
+
+def _handle_outcome(load, fh):
+    """`_load_outcome` of what `load` reads from the handle `fh`."""
     try:
-        inst, exponents = load(io.StringIO(json.dumps(payload)))
+        inst, exponents = load(fh)
     except Exception as exc:
         return type(exc), str(exc)
     rep = inst.integrand
@@ -639,6 +649,164 @@ def _broken_payload(draw):
 @given(_broken_payload())
 def test_loader_refuses_as_the_plain_reading_does(payload):
     assert _load_outcome(load_instance, payload) == _load_outcome(_plain_load, payload)
+
+
+# --- the mapped read ------------------------------------------------------------
+
+
+def _instance_text():
+    """A small chain instance, written by `instance_to_json` with indent=2."""
+    inst = random_instance(rng_for(74), "chain", dim_range=(3, 3))
+    return json.dumps(instance_to_json(inst, {"p": 2.0, "q": math.inf}), indent=2)
+
+
+def _crlf_cut_on_line_three():
+    return "\r\n".join(_instance_text().split("\n")[:3])[:-2].encode()
+
+
+_FILES = {
+    "plain": lambda: _instance_text().encode(),
+    "crlf": lambda: _instance_text().replace("\n", "\r\n").encode(),
+    "lone-cr": lambda: _instance_text().replace("\n", "\r").encode(),
+    "crlf-cut-on-line-3": _crlf_cut_on_line_three,
+    "empty": lambda: b"",
+    "bom": lambda: b"\xef\xbb\xbf" + _instance_text().encode(),
+    "invalid-start-byte": lambda: b'{"measures": \xff}',
+    "truncated-multibyte": lambda: b'{"measures": "\xc3',
+    "latin-1-text": lambda: '{"measures": "\xe9"}'.encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILES))
+@pytest.mark.parametrize(
+    "opening",
+    [
+        lambda path: open(path, encoding="utf-8"),
+        lambda path: open(path, encoding="UTF8", newline=""),
+        lambda path: open(path, encoding="latin-1"),
+        lambda path: open(path, encoding="utf-8", errors="replace"),
+        lambda path: io.StringIO(path.read_bytes().decode("utf-8", "replace")),
+    ],
+    ids=["utf-8", "utf-8-untranslated", "latin-1", "utf-8-replace", "stringio"],
+)
+@pytest.mark.parametrize("ahead", [0, 1], ids=["at-start", "one-read"])
+def test_loader_reads_a_handle_as_the_plain_reading_does(tmp_path, name, opening, ahead):
+    path = tmp_path / "instance.json"
+    path.write_bytes(_FILES[name]())
+    outcomes = []
+    for load in (load_instance, _plain_load):
+
+        def read_ahead_then_load(fh, load=load):  # the read ahead may refuse too
+            fh.read(ahead)
+            return load(fh)
+
+        with opening(path) as fh:
+            outcomes.append(_handle_outcome(read_ahead_then_load, fh))
+    assert outcomes[0] == outcomes[1]
+    if (name, ahead) in (("plain", 0), ("crlf", 0), ("lone-cr", 0)):
+        assert not issubclass(outcomes[0][0], Exception)
+
+
+@pytest.mark.parametrize(
+    "name, opening, mapped",
+    [
+        ("plain", lambda path: open(path, encoding="utf-8"), True),
+        ("crlf", lambda path: open(path, encoding="utf-8"), False),
+        ("lone-cr", lambda path: open(path, encoding="utf-8"), False),
+        ("plain", lambda path: io.StringIO(path.read_text(encoding="utf-8")), False),
+    ],
+)
+def test_loader_maps_a_plain_file_and_reads_the_rest(tmp_path, name, opening, mapped):
+    # a file with a \r is mapped to find the \r, then read through the handle,
+    # whose newline translation the parse error positions count
+    path = tmp_path / "instance.json"
+    path.write_bytes(_FILES[name]())
+    with opening(path) as fh:
+        with mock.patch("mmap.mmap", wraps=mmap.mmap) as mapping, mock.patch.object(
+            fh, "read", wraps=fh.read
+        ) as read:
+            load_instance(fh)
+    assert read.call_count == (0 if mapped else 1)
+    assert mapping.call_count == (0 if isinstance(fh, io.StringIO) else 1)
+
+
+# --- the one-pass array conversion against the nested one ---------------------
+
+
+def _reference_fast_array(obj, ndim):
+    """The conversion the one-pass `_fast_array` replaced: one nested
+    `np.asarray`, then a walk of the innermost lists for booleans."""
+    try:
+        a = np.asarray(obj)
+    except ValueError:
+        return None
+    if a.dtype.kind in "iuf" and 0 not in a.shape:
+        rows = [[obj]]
+        for _ in range(a.ndim):
+            rows = list(chain.from_iterable(rows))
+        r, c = np.nonzero(((a == 0) | (a == 1)).reshape(len(rows), -1))
+        if bool in map(type, map(getitem, map(rows.__getitem__, r.tolist()), c.tolist())):
+            return None
+        if a.ndim == ndim:
+            return a.astype(np.complex128)
+        if a.ndim == ndim + 1 and a.shape[-1] == 2:
+            return np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+    return None
+
+
+# every leaf kind numpy reads alike or apart: booleans among numbers, int64's
+# and uint64's ends and past them, a number beyond float range, signed zeros,
+# strings numpy could read as numbers, null, objects, lists of other lengths;
+# a string or an object of two entries, which `len` takes for a pair
+_ODD_LEAVES = [
+    True, False, 0, 1, -0.0, 0.0, 1.0, 2**63, 2**64, -(2**63), -(2**63) - 1, 10**400,
+    float("nan"), float("inf"), "1", "x", "12", "", None, {"re": 1.0}, {"re": 1.0, "im": 2.0},
+    [], [1.0], [1.0, 2.0, 3.0], [True, 1.0],
+]
+
+
+def _random_nested(rng):
+    """(nested list, ndim): a full array of depth ndim or ndim + 1, axes
+    1-3 long, of small numbers, sometimes broken at one place: an odd leaf,
+    a ragged row, an empty row, or a leaf one deeper."""
+    ndim = rng.randint(1, 3)
+    shape = [rng.randint(1, 3) for _ in range(ndim + rng.randint(0, 1))]
+    numbers = [lambda: rng.randint(-1, 2), lambda: rng.choice([-1.5, 0.0, 1.0, 2.0])][rng.randint(0, 1)]
+
+    def build(axes):
+        return numbers() if not axes else [build(axes[1:]) for _ in range(axes[0])]
+
+    obj = build(shape)
+    rows, row = [], obj
+    while isinstance(row, list):
+        rows.append(row)
+        row = row[rng.randrange(len(row))] if row else None
+    how = rng.choice(["none", "leaf", "leaf", "ragged", "empty", "deeper"])
+    row = rng.choice(rows)
+    i = rng.randrange(len(row))
+    if how == "leaf":
+        rows[-1][rng.randrange(len(rows[-1]))] = rng.choice(_ODD_LEAVES)
+    elif how == "ragged":
+        row.append(row[i])
+    elif how == "empty":
+        row[i] = []
+    elif how == "deeper":
+        row[i] = [row[i]]
+    return obj, ndim
+
+
+def test_one_pass_conversion_matches_the_nested_one():
+    from moilab.serialize import _fast_array
+
+    rng = random.Random(75)
+    for _ in range(20_000):
+        obj, ndim = _random_nested(rng)
+        for n in {ndim - 1, ndim, ndim + 1} - {0}:
+            new, old = _fast_array(obj, n), _reference_fast_array(obj, n)
+            assert (new is None) == (old is None), (obj, n)
+            if new is not None:
+                assert (new.dtype, new.shape) == (old.dtype, old.shape)
+                assert new.tobytes() == np.ascontiguousarray(old).tobytes(), (obj, n)
 
 
 @pytest.mark.parametrize("leaf", [[1.0, 0.0], 1.0])

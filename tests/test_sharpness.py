@@ -426,17 +426,26 @@ def test_cross_check_peak_at_n_1024(arity):
     MAX_ARITY, and its tracemalloc peak stays within 24 complex n x n
     matrices (384 MiB): the construction's tables, measures and operators,
     the moved diagonal ends and C, with the pinned sweep's (n, rows) states
-    beside them; each p0 moves as a pair of n-vectors."""
+    beside them; each p0 moves as a pair of n-vectors. It reads 208.2 MiB
+    at arity 4 and 224.4 MiB at arity 10."""
     peak = _cross_check_peak(arity, 1024)
     assert peak <= 24 * 16 * 1024**2, f"peak {peak / 2**20:.0f} MiB"
 
 
 def test_cross_check_holds_no_dense_p0():
     """At arity 10 and n = 256, the seven p0 move as pairs of n-vectors
-    rather than as dense n x n matrices (1 MiB each): 23.1 MiB of peak, where
+    rather than as dense n x n matrices (1 MiB each): 18.1 MiB of peak, where
     dense moves took 30.0 MiB."""
     peak = _cross_check_peak(10, 256)
     assert peak <= 26 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_cross_check_peak_does_not_grow_with_the_interior_middles():
+    """The interior middles of ones are one table on one measure, gathered
+    once per row slice: at n = 256 the arity-10 cross-check peaks within
+    3 MiB of the arity-4 one (2.0 MiB above it; 7.0 MiB when each middle was
+    gathered on its own)."""
+    assert _cross_check_peak(10, 256) <= _cross_check_peak(4, 256) + 3 * 2**20
 
 
 @pytest.mark.parametrize("perturb", [lambda w: w + 1e-6, lambda w: w * np.nan])
