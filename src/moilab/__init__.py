@@ -43,12 +43,10 @@ from .linalg import (
 from .sharpness import (
     ConstructionCase,
     ConstructionCheckError,
-    SharpnessInstance,
     build_construction,
     default_case,
     default_sequences,
     expected_diag,
-    expected_output,
     growth_sweep,
     sharp_r,
     sweep_csv,
@@ -74,7 +72,6 @@ __all__ = [
     "MoiInstance",
     "ProjectiveRep",
     "RangeError",
-    "SharpnessInstance",
     "build_construction",
     "check_haagerup_like",
     "check_haagerup_main",
@@ -92,7 +89,6 @@ __all__ = [
     "eval_oracle",
     "eval_pointwise",
     "expected_diag",
-    "expected_output",
     "from_hermitian",
     "growth_sweep",
     "harmonic_exponent",

@@ -137,6 +137,10 @@ class MoiInstance:
         for t in operators:
             if t.shape != (dim, dim):
                 raise ValueError(f"operator shape {t.shape} != ({dim}, {dim})")
+        if not isinstance(self.integrand, Integrand):  # before its arity is read
+            raise TypeError(
+                "integrand must be a ProjectiveRep, HaagerupChainRep or HaagerupLikeRep"
+            )
         if self.integrand.arity != len(measures):
             raise ValueError(
                 f"integrand arity {self.integrand.arity} != {len(measures)} measures"

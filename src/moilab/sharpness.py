@@ -33,15 +33,15 @@ REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 # the diagonal closed form only. The cap is set by time and memory: the delta
 # head and tail pin the chain's bond in the sweep (see evaluate), so the
 # cross-check is a few n x n matmuls, n^3 work, and its scale is a closed form
-# (_rhs_norms), not SVDs. At n = 1024, arity 4, one BLAS thread: 0.5 s to
-# build, 0.95 s to contract; `moilab sweep` peaks at 208 MiB (tracemalloc),
-# some thirteen n x n matrices. n = 2048 would take about 8 times as long and
-# 1 GiB. Each factor beyond 4 adds a rank-one p0, which moves as a pair of
-# n-vectors (see evaluate._thin), so it adds 2 to 4 MiB of peak (its table,
-# read per row slice) and a few hundredths of a second at n = 1024: MAX_ARITY
-# = 10 peaks at 230 MiB. The 384 MiB that tests allow at arity 4 and at
-# MAX_ARITY would hold every arity up to 51, the most a chain's bond letters
-# name (314 MiB); MAX_ARITY stays 10, the arity that CI runs at n = 1024.
+# (_rhs_norms), not SVDs. At n = 1024, arity 4, one BLAS thread: 0.08 s to
+# build, 0.6 s to contract; `moilab sweep` peaks at 192 MiB (tracemalloc),
+# some twelve n x n matrices. n = 2048 would take about 8 times as long and
+# 0.8 GiB. Each factor beyond 4 adds a rank-one p0, which moves as a pair of
+# n-vectors (see evaluate._thin), and a middle of ones, one table shared by
+# them all: arity 5 peaks at 208 MiB, and MAX_ARITY = 10 at 208.4 MiB.
+# The 384 MiB that tests allow at arity 4 and at MAX_ARITY would hold every
+# arity up to 51, the most a chain's bond letters name, which peaks at
+# 210 MiB; MAX_ARITY stays 10, the arity that CI runs at n = 1024.
 BUILD_CAP = 1024
 SWEEP_CAP = 8192
 MAX_ARITY = 10
@@ -153,25 +153,14 @@ def expected_diag(case: ConstructionCase) -> np.ndarray:
     return case.c * case.d
 
 
-def expected_output(case: ConstructionCase) -> np.ndarray:
-    """The value as a full matrix (diagonal in the frequency basis)."""
-    return np.diag(expected_diag(case).astype(np.complex128))
-
-
-@dataclass(frozen=True, eq=False)
-class SharpnessInstance:
-    instance: MoiInstance
-    expected: np.ndarray
-    case: ConstructionCase
-
-
-def build_construction(case: ConstructionCase) -> SharpnessInstance:
+def build_construction(case: ConstructionCase) -> MoiInstance:
     """Materialize the extremal family at truncation n = ambient dimension.
 
     The integrand is a chain of representation norm 1: delta-system
     head and tail on the frequency measure, unimodular diagonal (n, n)
     middles on the position measure. The cyclic shifts keep every identity
-    exact, and the compressions P_j . P_j make the value exactly diagonal.
+    exact, and the compressions P_j . P_j make the value exactly diagonal,
+    with diagonal expected_diag(case).
     Every arity m follows the module's rule: the middles are ones, but the
     first is the characters when the first operator is large, and the last is
     multiplied by their conjugates when the last operator is. That product is
@@ -184,6 +173,7 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
             f"n = {n} exceeds the materialization cap {BUILD_CAP}; "
             "use the diagonal closed form for large n"
         )
+    # characters[i, j] = value of the j-th character at position atom i
     fourier, position, characters = cyclic_model(n)
     first_large, last_large = case.large_ends
     first = np.diag(case.c.astype(np.complex128))
@@ -197,17 +187,14 @@ def build_construction(case: ConstructionCase) -> SharpnessInstance:
     p0 = np.zeros((n, n), dtype=np.complex128)
     p0[0, 0] = 1.0
     middles = [np.ones((n, n), dtype=np.complex128)] * (m - 2)
-    # char_values[i, j] = value of the j-th character at position atom i
-    char_values = np.stack([characters[j] for j in range(n)], axis=1)
     if first_large:
-        middles[0] = char_values
+        middles[0] = characters
     if last_large:  # at m = 3 the one middle takes both: chars . conj(chars)
-        middles[-1] = middles[-1] * np.conj(char_values)
+        middles[-1] = middles[-1] * np.conj(characters)
     delta = np.eye(n, dtype=np.complex128)  # alpha_j(x) = 1 if j = x else 0
     chain = HaagerupChainRep(delta, tuple(middles), delta)
     measures = (fourier, *[position] * (m - 2), fourier)
-    inst = MoiInstance(measures, (first, *[p0] * (m - 3), last), chain)
-    return SharpnessInstance(inst, expected_output(case), case)
+    return MoiInstance(measures, (first, *[p0] * (m - 3), last), chain)
 
 
 def _rhs_norms(case: ConstructionCase, large=None) -> float:
@@ -254,13 +241,15 @@ def growth_sweep(arity: int, regime: str, p_first, p_last, dims, s_values) -> li
     if dims[-1] > SWEEP_CAP:
         raise ValueError(f"n = {dims[-1]} exceeds the sweep cap {SWEEP_CAP}")
     if dims[0] <= BUILD_CAP:  # before the closed forms, which its peak need not hold
-        built = build_construction(default_case(arity, regime, p_first, p_last, dims[0]))
-        bound = rep_norm_bound(built.instance.integrand)
+        case = default_case(arity, regime, p_first, p_last, dims[0])
+        inst = build_construction(case)
+        bound = rep_norm_bound(inst.integrand)
         if not abs(bound - 1.0) <= 1e-12:
             raise ConstructionCheckError(f"construction norm {bound} != 1")
-        w = eval_haagerup(built.instance)
-        err = np.abs(w - built.expected).max()
-        if not err <= 1e-10 * bound * _rhs_norms(built.case, INF):  # a NaN fails too
+        w = eval_haagerup(inst)
+        w[np.diag_indices_from(w)] -= expected_diag(case)  # the closed form, in place
+        err = np.abs(w).max()
+        if not err <= 1e-10 * bound * _rhs_norms(case, INF):  # a NaN fails too
             raise ConstructionCheckError(
                 f"construction cross-check failed at n = {dims[0]}: error {err:.3e}"
             )

@@ -187,11 +187,14 @@ def cyclic_model(n: int):
       - fourier_measure: rank-one projections onto the standard (frequency)
         basis e_0..e_{n-1}, atom labels 0..n-1;
       - position_measure: rank-one projections onto the position basis
-        u_m[j] = exp(-2 pi i j m / n) / sqrt(n), atom labels the n-th roots
-        of unity zeta_m = exp(2 pi i m / n);
-      - characters: dict j -> per-atom values zeta^j on the position measure.
+        u_m[j] = conj(zeta_m^j) / sqrt(n), atom labels the n-th roots of
+        unity zeta_m = exp(2 pi i m / n);
+      - characters: the symmetric (n, n) table characters[j, m] = zeta_m^j,
+        so that characters[j] holds character j on the position atoms.
         Integrating characters[j] against position_measure gives the cyclic
         shift B_j with B_j e_k = e_{(j+k) mod n}.
+    Every entry is read from the n roots by zeta_m^j = zeta_{jm mod n}, so
+    each is within an ulp or so of its exact value, at every n.
     """
     if n < 1:
         raise ValueError("cyclic model needs n >= 1")
@@ -199,11 +202,10 @@ def cyclic_model(n: int):
     fourier = FiniteSpectralMeasure.from_basis(
         np.eye(n, dtype=np.complex128), grid, range(n)
     )
-    # u[:, m] is the position vector for the root of unity zeta_m
-    u = np.exp(-2j * np.pi * np.outer(grid, grid) / n) / np.sqrt(n)
     roots = np.exp(2j * np.pi * grid / n)
-    position = FiniteSpectralMeasure.from_basis(u, grid, roots)
-    characters = {j: roots**j for j in range(n)}
+    characters = roots[np.outer(grid, grid) % n]
+    # u[:, m] is the position vector for the root of unity zeta_m
+    position = FiniteSpectralMeasure.from_basis(np.conj(characters) / np.sqrt(n), grid, roots)
     return fourier, position, characters
 
 

@@ -33,7 +33,13 @@ from moilab.integrands import (
 from moilab.linalg import INF, adjoint, haar_unitaries, random_complex, schatten_norm
 from moilab.randominst import random_instance, rng_for
 from moilab.serialize import instance_to_json
-from moilab.sharpness import build_construction, default_case, growth_sweep, sharp_r
+from moilab.sharpness import (
+    build_construction,
+    default_case,
+    expected_diag,
+    growth_sweep,
+    sharp_r,
+)
 from moilab.spectral import FiniteSpectralMeasure
 
 MASTER_SEED = 20240901
@@ -210,38 +216,39 @@ def test_criterion_7_construction_fidelity():
     ]
     n = 64
     for arity, regime, p1, pm1 in cases:
-        built = build_construction(default_case(arity, regime, p1, pm1, n))
-        w = eval_haagerup(built.instance)
-        err = schatten_norm(w - built.expected, INF)
-        assert err <= 1e-10 * moi_scale(built.instance), f"{regime} m={arity}: {err:.3e}"
+        case = default_case(arity, regime, p1, pm1, n)
+        inst = build_construction(case)
+        err = schatten_norm(eval_haagerup(inst) - np.diag(expected_diag(case)), INF)
+        assert err <= 1e-10 * moi_scale(inst), f"{regime} m={arity}: {err:.3e}"
 
     eye = np.eye(n)
     # shift identity: the first middle of the mixed family moves e_0 to e_j
     mixed = build_construction(default_case(3, "mixed-large-small", 4, 2, n))
-    mid_table = mixed.instance.integrand.middles[0]
-    projs = mixed.instance.measures[1].projection_stack()
+    mid_table = mixed.integrand.middles[0]
+    projs = mixed.measures[1].projection_stack()
     for j in (0, 1, 5, n - 1):
         b_j = np.einsum("i,iab->ab", mid_table[:, j], projs)
         assert np.linalg.norm(b_j @ eye[:, 0] - eye[:, j]) < 1e-12
     # second middle of the arity-4 families: unitary in the two-sided case,
     # identity in the mixed case
     m4 = build_construction(default_case(4, "both-large", 4, 4, n))
-    gamma_table = m4.instance.integrand.middles[1]
-    projs4 = m4.instance.measures[2].projection_stack()
+    gamma_table = m4.integrand.middles[1]
+    projs4 = m4.measures[2].projection_stack()
     for j in (1, 3):
         g_j = np.einsum("i,iab->ab", gamma_table[:, j], projs4)
         assert schatten_norm(g_j @ g_j.conj().T - eye, INF) < 1e-12
     m4_mixed = build_construction(default_case(4, "mixed-large-small", 4, 1.5, n))
-    gamma_mixed = m4_mixed.instance.integrand.middles[1]
+    gamma_mixed = m4_mixed.integrand.middles[1]
     for j in (0, 2):
         g_j = np.einsum("i,iab->ab", gamma_mixed[:, j], projs4)
         assert schatten_norm(g_j - eye, INF) < 1e-12
     # rank-one family: P_j T1 T2 P_j e_j = d_j^2 e_j
-    small = build_construction(default_case(3, "both-small", 2, 2, n))
-    t1, t2 = small.instance.operators
-    d = small.case.d
+    small_case = default_case(3, "both-small", 2, 2, n)
+    small = build_construction(small_case)
+    t1, t2 = small.operators
+    d = small_case.d
     for j in (0, 1, 7, n - 1):
-        p = small.instance.measures[0].projections[j]
+        p = small.measures[0].projections[j]
         got = p @ t1 @ t2 @ p @ eye[:, j]
         assert np.linalg.norm(got - d[j] ** 2 * eye[:, j]) < 1e-12
     _passed(7, "construction fidelity at n = 64, all regimes and identities")

@@ -45,7 +45,7 @@ from moilab.randominst import (
     rng_for,
 )
 from moilab.serialize import measure_from_json, measure_to_json
-from moilab.sharpness import build_construction, default_case
+from moilab.sharpness import build_construction, default_case, expected_diag
 from moilab.spectral import FiniteSpectralMeasure, from_hermitian, integrate_scalar
 
 TOL = 1e-10
@@ -83,6 +83,14 @@ def test_instance_refuses_a_first_measure_of_another_type():
     for first in (np.eye(2), "measure", None):
         with pytest.raises(TypeError, match="FiniteSpectralMeasure"):
             MoiInstance((first, e), (np.eye(2),), ProjectiveRep(2))
+
+
+def test_instance_refuses_an_integrand_of_another_type():
+    # the type is checked before the integrand's arity is read
+    e = FiniteSpectralMeasure.trivial(2)
+    for integrand in ("x", None, np.ones((2, 2))):
+        with pytest.raises(TypeError, match="integrand must be"):
+            MoiInstance((e, e), (np.eye(2),), integrand)
 
 
 def test_oracle_constant_integrand_collapses_to_product():
@@ -548,7 +556,8 @@ def test_eigenbasis_chain_width_zero(widths):
 
 
 def test_chain_path_never_forms_projections(monkeypatch):
-    built = build_construction(default_case(4, "both-large", 4.0, 4.0, 64))
+    case = default_case(4, "both-large", 4.0, 4.0, 64)
+    inst = build_construction(case)
 
     def refuse(self):
         raise AssertionError("the chain path formed a projection stack")
@@ -556,12 +565,12 @@ def test_chain_path_never_forms_projections(monkeypatch):
     monkeypatch.setattr(FiniteSpectralMeasure, "projection_stack", refuse)
     tracemalloc.start()
     try:
-        w = eval_haagerup(built.instance)
+        w = eval_haagerup(inst)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
-    assert np.abs(w - built.expected).max() <= TOL * moi_scale(built.instance)
+    assert np.abs(w - np.diag(expected_diag(case))).max() <= TOL * moi_scale(inst)
 
 
 # --- the eigenbasis projective, chain-like and double-Schur paths ----------
@@ -1039,7 +1048,7 @@ def test_default_budget_slices_bit_for_bit_as_one_slice(cls, arity):
     "arity, regime, p1, pm1", [(4, "both-large", 4.0, 4.0), (3, "mixed-large-small", 3.0, 1.0)]
 )
 def test_default_budget_sweeps_constructions_bit_for_bit_as_one_slice(arity, regime, p1, pm1):
-    inst = build_construction(default_case(arity, regime, p1, pm1, 128)).instance
+    inst = build_construction(default_case(arity, regime, p1, pm1, 128))
     sliced = eval_moi(inst)
     with mock.patch.object(evaluate, "STATE_BUDGET", ONE_SLICE_BUDGET):
         assert eval_moi(inst).tobytes() == sliced.tobytes()
@@ -1075,10 +1084,11 @@ SWEEP_PEAKS = {64: (0.51, 0.75), 128: (2.01, 2.5), 256: (8.01, 9.5)}  # MiB: mea
 
 @pytest.mark.parametrize("n", sorted(SWEEP_PEAKS))
 def test_sweep_peak_stays_near_its_slices(n):
-    built = build_construction(default_case(4, "both-large", 4.0, 4.0, n))
-    w, peak = _sweep_peak(built.instance)
+    case = default_case(4, "both-large", 4.0, 4.0, n)
+    inst = build_construction(case)
+    w, peak = _sweep_peak(inst)
     assert peak <= SWEEP_PEAKS[n][1] * 2**20, f"peak {peak / 2**20:.2f} MiB"
-    assert np.abs(w - built.expected).max() <= TOL * moi_scale(built.instance)
+    assert np.abs(w - np.diag(expected_diag(case))).max() <= TOL * moi_scale(inst)
 
 
 def test_sweep_slices_bound_a_second_wide_bond(monkeypatch):
@@ -1248,7 +1258,7 @@ def test_dense_and_width_one_tables_never_pin(cls, width_range):
 def test_construction_plan_holds_no_bond():
     """The extremal chains' delta head and tail pin: no state holds a bond,
     and the table that closes the bond multiplies it away."""
-    inst = build_construction(default_case(4, "both-large", 4.0, 4.0, 16)).instance
+    inst = build_construction(default_case(4, "both-large", 4.0, 4.0, 16))
     _, (labels, pins) = _planned(lambda: eval_moi(inst))
     assert (labels, pins) == (("A",) * 4, ("A", "A"))
     reverse, steps, states = evaluate._plan(labels, pins)
@@ -1284,7 +1294,7 @@ def test_identity_skip_keeps_the_families_bits(monkeypatch):
     """The extremal families' Fourier measure has the identity basis, which the
     sweep skips: their values are the bits of the full basis change."""
     instances = [
-        build_construction(default_case(m, regime, *FAMILY_EXPONENTS[regime], 64)).instance
+        build_construction(default_case(m, regime, *FAMILY_EXPONENTS[regime], 64))
         for m in (3, 4)
         for regime in FAMILY_EXPONENTS
     ]
