@@ -124,9 +124,11 @@ def _tuple_cap() -> int:
 
 
 def _check_dir(path: str, what: str) -> None:
-    """Refuse a missing directory before any work is done."""
+    """Refuse a missing directory, or a path that is not a directory, before
+    any work is done."""
     if not os.path.isdir(path):
-        raise ValueError(f"{what} directory {path!r} does not exist")
+        state = "exists but is not a directory" if os.path.exists(path) else "does not exist"
+        raise ValueError(f"{what} directory {path!r} {state}")
 
 
 def _check_out_path(path: str | None) -> None:

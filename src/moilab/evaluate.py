@@ -83,15 +83,15 @@ DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_BLOCK_CAP = 4096
 ORACLE_BLOCK = 16  # dim x dim matrices in the oracle's accumulator
 SCALE_FLOOR = 1e-12
-# Bytes of a sweep state, which set the rows per slice: one core's L2 cache on
-# the 2-vCPU OpenBLAS (Haswell kernels) machine it was measured on, so that a
-# slice's state stays in cache from step to step. Arity-4 both-large
-# construction, 32 MiB -> 2 MiB, tracemalloc peak of eval_haagerup (of
-# `moilab sweep ... --dims n`), time of the sweep command, one BLAS thread:
-#   n =  64:  4.95 -> 3.01 MiB ( 5.8 ->  3.8 MiB), time unchanged
-#   n = 128: 34.8  -> 5.01 MiB (37.3 ->  7.6 MiB), time unchanged or lower
-#   n = 256: 42.0  -> 18.0 MiB (52.1 -> 28.1 MiB), time unchanged (8-row slices)
-# A 1 MiB budget would save another 1 MiB at n = 64, and cost time at n = 256.
+# Bytes of a sweep state, which set the rows per slice. Arity-4 both-large
+# construction, whose pinned sweep holds 16 n bytes per row, tracemalloc peak
+# and time of eval_haagerup, one BLAS thread, 2-vCPU OpenBLAS machine:
+#   n <= 256: one slice of every row (1 MiB at n = 256), peak 0.45, 1.76 and
+#             7.02 MiB at n = 64, 128 and 256 at a 1, 2 or 32 MiB budget;
+#             n = 256 takes 16-24 ms with numpy's huge-page advice or without
+#   n = 1024: eight slices of 128 rows, peak 64.1 MiB and 0.58-0.62 s; one
+#             16 MiB slice (a 32 MiB budget) peaks at 112.1 MiB in 0.56 s,
+#             sixteen 1 MiB slices at 64.1 MiB in 0.59 s
 STATE_BUDGET = 2 * 2**20
 MOVE_BLOCK = 512  # state columns per matmul of an in-place move
 # Rows per slice are a multiple of ROW_ALIGN, and at least ROW_ALIGN. A BLAS
@@ -99,9 +99,10 @@ MOVE_BLOCK = 512  # state columns per matmul of an in-place move
 # OpenBLAS's zgemm) in its edge kernel, differently from the rest; aligned
 # slices leave the same rows and columns to the edge kernels as one slice
 # does, so C is bit-identical however it is sliced (unaligned, 53 of 98 sliced
-# random instances differed in their last bits). The floor also keeps each
-# n = 256 state at 8 MiB, above numpy's 4 MiB huge-page threshold: its 2-row,
-# 2 MiB states took the cross-check from 2.6 to 3.0 s.
+# random instances differed in their last bits). The floor binds only a wide
+# unpinned network, whose row takes more than STATE_BUDGET / ROW_ALIGN: the
+# d = 128 chain of widths (160, 150) gets 8 rows for the budget's 6 (2.5 MiB
+# states), the d = 64 projective integrand of 512 terms 8 for 4 (4 MiB).
 ROW_ALIGN = 8
 
 
@@ -277,7 +278,7 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
     def move(k, t):  # T_k' = U_k^* T_k U_{k+1}, as the sweep reads it, or a pair
         # a reversed plan sweeps C^T = ... T_2'^T T_1'^T; else S[c, r] = T_1'[r, c],
         # and each move multiplies S by T_k'^T = B^T A^T from the left
-        pair = _thin(t, bases[k], bases[k + 1])
+        pair = _thin(t, measures[k].basis, measures[k + 1].basis)
         if pair is not None:
             return pair if reverse else (pair[1].T, pair[0].T)
         t = _product(_adjoint(bases[k]), t, bases[k + 1])
@@ -289,13 +290,12 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
     factors = factors[::-1] if reverse else factors
     # one column table per basis column, but none for a table on the pinned bond
     cols = [None if pin and pin in b else t.take(e.labels, axis=0) for t, e, b in factors]
-    width = max(max(t.shape[1:]) for t in tables)
     if pin:  # the first table's nonzero column, and its value, at each basis column
         t, e, _ = factors[0]
         bond = np.argmax(t != 0, axis=1)[e.labels]
         cols[0] = t[e.labels, bond]
-        widths = [w for t, _, b in factors for a, w in zip(b, t.shape[1:]) if a != pin]
-        width = max(widths, default=1)
+    widths = [w for t, _, b in factors for a, w in zip(b, t.shape[1:]) if a != pin]
+    width = max(widths, default=1)
     rows = STATE_BUDGET // (16 * dim * width) if width else dim
     rows = max(rows - rows % ROW_ALIGN, ROW_ALIGN)
 
@@ -348,13 +348,13 @@ def _product(a, t: np.ndarray, b) -> np.ndarray:
     return t if b is None else t @ b
 
 
-def _thin(t: np.ndarray, u, v):
+def _thin(t: np.ndarray, u: np.ndarray, v: np.ndarray):
     """U^* T V as a pair (A, B) with A B = U^* T V, through the smaller side of
     T's support, or None: T's nonzero entries lie in rows R and columns C, and
     if at most d/8 columns hold them, A = U^*[:, R] T[R, C] and B = V[C, :];
     else if at most d/8 rows do, A = U^*[:, R] and B = T[R, C] V[C, :].
-    U^*[:, R] is the adjoint of U's rows R, and an identity basis (None)
-    gives its rows as a selection. The first count, which any such T passes,
+    U^*[:, R] is the adjoint of U's rows R, read from the measure's own basis
+    even when it is the identity. The first count, which any such T passes,
     refuses a dense T at once."""
     d = len(t)
     if np.count_nonzero(t) * 8 > d * d:
@@ -362,18 +362,9 @@ def _thin(t: np.ndarray, u, v):
     rows, cols = np.flatnonzero(t.any(axis=1)), np.flatnonzero(t.any(axis=0))
     if min(len(rows), len(cols)) * 8 > d:
         return None
-    left, right = adjoint(_basis_rows(u, rows, d)), _basis_rows(v, cols, d)
+    left, right = adjoint(u[rows]), v[cols]
     core = t[np.ix_(rows, cols)]
     return (left @ core, right) if len(cols) <= len(rows) else (left, core @ right)
-
-
-def _basis_rows(u, idx: np.ndarray, d: int) -> np.ndarray:
-    """Rows idx of a basis; of an identity basis (None), the selection."""
-    if u is not None:
-        return u[idx]
-    selection = np.zeros((len(idx), d), dtype=np.complex128)
-    selection[np.arange(len(idx)), idx] = 1
-    return selection
 
 
 def _pin(bonds: str, t: np.ndarray) -> str:

@@ -106,7 +106,8 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 def sequence_norm(x, p) -> float:
     """l^p (quasi)norm of a 1-d sequence; max(|x|) for p = inf. A real
-    sequence's moduli are taken as they are: |x + 0j| is exactly |x|."""
+    sequence's moduli are taken as they are: |x + 0j| is exactly |x|. A norm
+    beyond float range is inf, without a warning."""
     p = check_exponent(p)
     x = np.asarray(x)
     ax = np.abs(x.astype(float if x.dtype.kind in "biuf" else np.complex128, copy=False))
@@ -114,7 +115,8 @@ def sequence_norm(x, p) -> float:
         return 0.0
     if p == INF:
         return float(ax.max())
-    return float(np.sum(ax**p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        return float(np.sum(ax**p) ** (1.0 / p))
 
 
 def haar_unitaries(z: np.ndarray) -> np.ndarray:

@@ -17,17 +17,18 @@ entries are refused where the arrays are used. A refusal shows a list or an
 object by its kind and length (`a list of 64`, `an object of 1 keys`) and
 any other value by a repr cut short (`got 5`, `got 'abc'`).
 
-`load_instance` reads an instance file as `instance_from_json(json.load(fh))`
-does, holding less: the measure arrays, most of a file's bytes, are
-converted inside the decoder as each atom or measure object closes, so one
+`load_instance` reads an instance file as
+`instance_from_json(json.load(fh))` does, holding less: the measure arrays,
+most of a file's bytes, are converted inside the decoder as each atom or
+measure object closes, and the tree holds each as the array itself, so one
 array's nested lists are alive at a time next to the file text, not the
 whole tree. Files keep their measures first, so the operators and tables
 that follow are read as before. A converted array is shown as the list it
 came from, so a file it refuses gets the plain reading's error, word for
-word. Each array is flattened to one list of its leaves and converted by
-one `np.asarray`. A regular UTF-8 file is mapped read-only and decoded from
-the mapping, so its bytes are not copied to the heap beside the text; a
-pipe, a `StringIO` or a file that holds a carriage return (which text mode
+word. Each array is flattened to one list of its leaves and converted by one
+`np.asarray`. A regular UTF-8 file is mapped read-only and decoded from the
+mapping, so its bytes are not copied to the heap beside the text; a pipe, a
+`StringIO` or a file that holds a carriage return (which text mode
 translates, and a parse error's position counts) is read as text. A file
 truncated by another process while it is decoded can end the process with
 SIGBUS, as any mapped read can; a file replaced by a rename is safe.
@@ -47,7 +48,6 @@ import os
 import reprlib
 import stat
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,8 @@ def _shown(obj) -> str:
     """A file value as a refusal shows it: a list, or the array the decoder
     converted from one, and an object by kind and length, so no message
     holds a whole array; anything else by a repr cut short."""
-    if isinstance(obj, (list, _Parsed)):
-        return f"a list of {len(obj.array if isinstance(obj, _Parsed) else obj)}"
+    if isinstance(obj, (list, np.ndarray)):
+        return f"a list of {len(obj)}"
     if isinstance(obj, dict):
         return f"an object of {len(obj)} keys"
     return reprlib.repr(obj)
@@ -158,9 +158,11 @@ def _layout(shape: tuple, level: int) -> str:
 
 def array_from_json(obj, ndim: int) -> np.ndarray:
     """Parse a nested list of depth `ndim`, as `json.load` returns it, whose
-    leaves are real numbers or [re, im] pairs, into a complex128 array."""
-    if isinstance(obj, _Parsed):
-        return obj.array
+    leaves are real numbers or [re, im] pairs, into a complex128 array. An
+    array, which only `load_instance`'s decoder puts in a tree, is returned
+    as it is."""
+    if isinstance(obj, np.ndarray):
+        return obj
     a = _fast_array(obj, ndim)
     return _array_walk(obj, ndim) if a is None else a
 
@@ -372,27 +374,21 @@ def instance_to_json(inst: MoiInstance, exponents: dict | None = None) -> dict:
     return out
 
 
-class _Parsed(NamedTuple):
-    """A measure array that `load_instance`'s decoder has converted already."""
-
-    array: np.ndarray
-
-
 # the keys whose value, in an atom or a measure, is one depth-2 array
 _MEASURE_ARRAYS = {"projection": 2, "hermitian": 2}
 
 
 def _decode_object(pairs: list) -> dict:
     """`json.load`'s object hook: a measure array of the object that just
-    closed is converted now and its lists dropped. It never raises: a value
-    the fast path does not take stays a list, for `instance_from_json` to
-    refuse in schema order."""
+    closed is converted now, to the complex128 array itself, and its lists
+    dropped. It never raises: a value the fast path does not take stays a
+    list, for `instance_from_json` to refuse in schema order."""
     for i, (key, value) in enumerate(pairs):
         ndim = _MEASURE_ARRAYS.get(key)
         if ndim is not None and isinstance(value, list):
             a = _fast_array(value, ndim)
             if a is not None:
-                pairs[i] = key, _Parsed(a)
+                pairs[i] = key, a
     return dict(pairs)
 
 

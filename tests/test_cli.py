@@ -170,6 +170,19 @@ def test_sweep_increasing_below_critical(tmp_path):
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
+def test_sweep_writes_inf_beyond_float_range_without_a_warning():
+    # ||d||_s at s = 0.01 overflows a float from n = 4096 on: the row reads inf,
+    # and the command, which succeeds, writes nothing to stderr
+    proc = run_cli(
+        "sweep", "--regime", "mixed-large-small", "--p1", "4", "--pm1", "2",
+        "--s", "0.01", "--dims", "64,256,1024,4096",
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *finite, last = [line.split(",") for line in proc.stdout.strip().split("\n")[1:]]
+    assert len(finite) == 3 and all(float(row[4]) < float("inf") for row in finite)
+    assert last[0] == "4096" and (last[4], last[6]) == ("inf", "inf")
+
+
 def test_sweep_deterministic_bytes(tmp_path):
     args = (
         "sweep", "--regime", "both-small", "--p1", "2", "--pm1", "2",
@@ -1189,6 +1202,9 @@ REFUSALS = [
      "eval: invalid configuration: output directory '{tmp}/no' does not exist"),
     (["eval", "--instance", "{tmp}/instance.json", "--out", "{tmp}"],
      "eval: invalid configuration: output path '{tmp}' is a directory"),
+    (["eval", "--instance", "{tmp}/instance.json", "--out", "{tmp}/instance.json/r.json"],
+     "eval: invalid configuration: output directory '{tmp}/instance.json'"
+     " exists but is not a directory"),
     (["verify", "--seed", "-1"], _CONFIG + "seed must be >= 0, got -1"),
     (["verify", "--trials", "0"], _CONFIG + "trials must be >= 1, got 0"),
     (["verify", "--dims", "0-3"], _CONFIG + "dims and widths must be >= 1"),
@@ -1199,6 +1215,8 @@ REFUSALS = [
      " the extremal sweep explores that range instead"),
     (["verify", "--tol", "nan"], _CONFIG + "tolerance must be finite and >= 0, got nan"),
     (["verify", "--repro-dir", "{tmp}/no"], _CONFIG + "repro directory '{tmp}/no' does not exist"),
+    (["verify", "--repro-dir", "{tmp}/instance.json"],
+     _CONFIG + "repro directory '{tmp}/instance.json' exists but is not a directory"),
     ([*_SWEEP, "--regime", "tiny", "--dims", "16"],
      _CASE + f"unknown regime 'tiny'; one of {_REGIMES}"),
     ([*_SWEEP[:-1], "r/0", "--regime", "both-large", "--dims", "16"],
@@ -1211,6 +1229,8 @@ REFUSALS = [
      _CASE + "regime both-small is inconsistent with p_first = 4.0"),
     ([*_SWEEP, "--regime", "both-large", "--dims", "16", "--out", "{tmp}/no/s.csv"],
      _CASE + "output directory '{tmp}/no' does not exist"),
+    ([*_SWEEP, "--regime", "both-large", "--dims", "16", "--out", "{tmp}/instance.json/s.csv"],
+     _CASE + "output directory '{tmp}/instance.json' exists but is not a directory"),
 ]
 
 

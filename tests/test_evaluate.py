@@ -1064,10 +1064,10 @@ def test_chunked_sweep_of_zero_terms_is_the_zero_matrix(monkeypatch):
 
 
 def _sweep_peak(inst):
-    """tracemalloc peak of eval_haagerup."""
+    """tracemalloc peak of the sweep."""
     tracemalloc.start()
     try:
-        w = eval_haagerup(inst)
+        w = eval_moi(inst)
         return w, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1111,6 +1111,21 @@ def test_sweep_slices_bound_a_second_wide_bond(monkeypatch):
     tol = 1e-12 * moi_scale(inst)
     assert np.abs(w - whole).max() <= tol
     assert np.abs(w - eval_oracle(inst)).max() <= tol
+
+
+def test_move_holds_the_state_once():
+    # a d = 64 arity-4 projective instance of 512 terms, swept in 8-row slices
+    # (the ROW_ALIGN floor): each state is 64 x 8 x 512 complex entries, 4 MiB,
+    # and a move spans eight MOVE_BLOCK-column blocks of it. Multiplied in
+    # place a block at a time, the peak is 6.76 MiB; a move that wrote a moved
+    # copy of the whole state would reach 10.26 MiB
+    rng = rng_for(5)
+    measures = random_measures(rng, 64, 4, n_atoms=8)
+    operators = _operators(rng, 64, 3)
+    inst = MoiInstance(measures, operators, random_projective_rep(rng, [8] * 4, 512))
+    w, peak = _sweep_peak(inst)
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert np.abs(w - eval_oracle(inst)).max() <= TOL * moi_scale(inst)
 
 
 # --- pinned bonds --------------------------------------------------------------

@@ -811,11 +811,12 @@ def test_one_pass_conversion_matches_the_nested_one():
 
 @pytest.mark.parametrize("leaf", [[1.0, 0.0], 1.0])
 def test_a_converted_array_is_shown_as_the_list_it_came_from(leaf):
-    from moilab.serialize import _decode_object, _Parsed, _shown
+    from moilab.serialize import _decode_object, _shown
 
     rows = [[leaf] * 3] * 4
     converted = json.loads(json.dumps({"projection": rows}), object_pairs_hook=_decode_object)
-    assert isinstance(converted["projection"], _Parsed)
+    assert isinstance(converted["projection"], np.ndarray)
+    assert array_from_json(converted["projection"], 2) is converted["projection"]
     assert _shown(converted["projection"]) == _shown(rows) == "a list of 4"
     assert _shown(converted) == _shown({"projection": rows}) == "an object of 1 keys"
 

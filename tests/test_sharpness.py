@@ -290,6 +290,13 @@ def test_growth_sweep_strictly_increasing_below_critical():
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
+def test_growth_sweep_lhs_beyond_float_range_is_inf():
+    # no cross-check above BUILD_CAP; the suite turns a RuntimeWarning into an error
+    [row] = growth_sweep(3, "mixed-large-small", 4, 2, [4096], [0.01])
+    assert (row.lhs, row.ratio) == (np.inf, np.inf)
+    assert np.isfinite(row.rhs)
+
+
 def test_growth_sweep_half_critical_doubles():
     # computed beforehand from the closed-form diagonals: the factor is about
     # 6.28 for this family, far above the doubling threshold
