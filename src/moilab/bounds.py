@@ -33,6 +33,7 @@ from .linalg import (
     schatten_norm,
     schatten_norms,
 )
+from .serialize import exponent_to_json
 
 DEFAULT_TOL = 1e-9
 # Slack for float accumulation in harmonic-sum interval gates only; the
@@ -69,11 +70,8 @@ class BoundReport:
     tol: float
 
     def to_json(self) -> dict:
-        def enc(x):
-            return "inf" if x == INF else x
-
         out = {"tag": self.tag}
-        out.update({k: enc(v) for k, v in self.exponents.items()})
+        out.update({k: exponent_to_json(v) for k, v in self.exponents.items()})
         out.update(
             {
                 "lhs": self.lhs,

@@ -2,62 +2,26 @@
 sum over atoms of Psi(x_1..x_m) P_1 T_1 P_2 T_2 ... T_{m-1} P_m
 by several independent computational paths.
 
-Production: one sweep engine evaluates every class from the bond network
-that its integrand stores (labels and tables, see integrands) in the
-measures' eigenbases. Integrating a table
-against a measure with basis U is U diag(table[labels]) U^*, so each value is
+Production, eval_moi: one sweep engine, _sweep, evaluates every class from
+the bond network that its integrand stores (labels and tables, see
+integrands) in the measures' eigenbases. Integrating a table against a
+measure with basis U is U diag(table[labels]) U^*, so each value is
 U_1 C U_m^*, with C the same finite sum over the tables expanded to basis
 columns and the moved operators T_i' = U_i^* T_i U_{i+1}; no projection is
-ever formed, and a basis that is exactly the identity (the Fourier measure of
-the extremal families) is not multiplied at all. An operator whose nonzero
-entries lie in at most d/8 rows, or in at most d/8 columns (the rank-one ends
-and projections p0 of the extremal families), moves as a thin pair (A, B),
-T_i' = A B through the smaller side of its support, never as a dense T_i';
-one count of its nonzero entries, which such an operator passes, refuses a
-dense one first. The sweep's state
-S[c, r, open bonds] holds column c of the current basis, row r of the first,
-and the bonds a later table still closes. A table that closes one bond and
-opens one is a batched matmul over c, a
-table whose bonds all pass through multiplies S in place, any other table is
-a two-operand einsum, and a moved operator multiplies S in place, MOVE_BLOCK
-columns at a time, so that S is held once, a pair as A (B S). The plan, made
-once per signature
-of labels, is the sweep (left to right, or right to left on the transpose,
-with the first table, diagonal in r, applied after 0..m-1 of the others) that
-holds the fewest bonds at once: one, for every class. An end table pins its
-bond when it has one bond, of width 2 or more, and at most one nonzero entry
-per atom row, as the delta head and tail of the extremal families do: each
-row r of its basis then fixes the bond at b[r] with value v[r]. The plan
-starts from that table, whose step scales the start by v, and no state ever
-opens the bond; a later table on it is read, per slice, at c and at the b of
-each row, as a (c, r, other bonds) table that multiplies S or opens or closes
-its other bond. Neither kind of table is expanded to basis columns. So the
-extremal chains, all of whose tables are on one pinned bond, cost a few d x d
-matmuls, d^3 rather than d^4, and each p0 between them d^2. No step mixes two
-rows r of the first basis, so
-C is contracted a slice of rows at a time, with as many rows as keep every
-state, 16 d w bytes per row for the widest table axis w other than a pinned
-bond (1 if there is none), within STATE_BUDGET, rounded down to a multiple of
-ROW_ALIGN and never fewer than ROW_ALIGN, so that the slices give C bit for
-bit as one slice does. The column tables, expanded to basis columns, are not
-bounded by STATE_BUDGET. The two-factor Schur multiplier of a dense table psi
-is the chain with head psi and tail the identity.
+ever formed. _plan orders the tables (_candidate), _pin finds an end table
+that fixes its bond at each basis column, _thin an operator that moves as a
+thin pair, and _contract runs the plan on one slice of rows of C. The
+two-factor Schur multiplier of a dense table psi is the chain with head psi
+and tail the identity.
 
 Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
-over the projections (capped), with Psi formed densely from the per-atom
-tables one block of atom tuples at a time and contracted right to left with
-the projection stacks, one matmul per factor; eval_haagerup_block, the
-row/block/column operator matrices materialized from the projections and
-multiplied in the enlarged space; duality_functional, the defining
-functional of a chain-like integral: the class's bond network
-(integrands._like_bonds) swept with its factors in the order of the chain
-that the class rotates (_cyclic_path), with Q in the gap between factors m
-and 1, traced against the operator in the gap where that chain closes. It
-shares the sweep, not the order of the factors; one frame of the sweep
-serves many probes Q, each moved and swept on its own.
+over the projections (capped); eval_haagerup_block, the row/block/column
+operator matrices materialized from the projections and multiplied in the
+enlarged space; duality_functionals, the defining functional of a chain-like
+integral, which shares the sweep but cuts the chain open at another factor.
 
 All paths compute the same finite sum; agreement is relative to
-scale = rep_norm_bound * prod of operator norms.
+moi_scale = rep_norm_bound * prod of operator norms.
 """
 
 from __future__ import annotations
@@ -242,13 +206,15 @@ def eval_haagerup(inst: MoiInstance) -> np.ndarray:
     return eval_moi(inst)
 
 
-def _sweep(measures, operators, labels, tables, probes=(None,)):
-    """U_1 C U_m^* of one bond network, once per probe: factor k integrates
-    tables[k], whose bond letters are labels[k], against measures[k], and
-    operators[k] sits between factors k and k + 1; each probe in turn fills
-    the gap whose operator is None. The frame (bases, plan, tables expanded
-    to basis columns, the pinned bond and its values, rows per slice, moved
-    operators) is made once; a table on a pinned bond is gathered per slice.
+def _sweep(inst: MoiInstance, start: int = 0, probes=(None,)):
+    """U_1 C U_m^* of the instance's bond network cut open before factor
+    `start`, once per probe: the factors start, ..., m-1, 0, ..., start-1 in
+    that order, each integrating its table against its measure, with the
+    instance's operators in the gaps between them and each probe in turn in
+    the gap between factor m and factor 1. The frame (bases, plan, tables
+    expanded to basis columns, the pinned bond and its values, rows per
+    slice, moved operators) is made once; a table on a pinned bond is
+    gathered per slice.
     An operator, or a probe, whose support _thin finds thin moves as a pair
     (A, B) that a move step applies as A (B S); a pair never starts a sweep
     unmultiplied: the starting operator, cut to each slice's rows, is
@@ -262,16 +228,22 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
     any table, a pinned bond aside (1 if there is no other), it takes at
     most 16 d w bytes per row, as does a table read at the pinned bond; a
     slice takes as many rows as fit STATE_BUDGET, or all d when w is 0,
-    rounded down to a multiple of ROW_ALIGN and at least ROW_ALIGN. The
-    basis change is applied once, to the whole C. Neither a move nor the
+    rounded down to a multiple of ROW_ALIGN and at least ROW_ALIGN; the
+    column tables are not bounded by STATE_BUDGET. The basis change is
+    applied once, to the whole C. Neither a move nor the
     basis change multiplies by a basis that is exactly the identity
     (_is_identity), which changes no nonzero bit (see _product). Each slice
     starts from a C-ordered copy of its rows of the C-ordered starting
     operator, so that every state is C-ordered and a move's flat view of S
     is S itself."""
-    dim = measures[0].dim
+    # each factor, and the gap after it, in the order start, ..., m-1, 0, ..., start-1
+    measures, labels, tables, gaps = (
+        x[start:] + x[:start] for x in (inst.measures, *inst.network(), (*inst.operators, None))
+    )
+    operators = gaps[:-1]  # the gap between factors m and 1 holds None, the probes' slot
+    dim = inst.dim
     pins = (_pin(labels[0], tables[0]), _pin(labels[-1], tables[-1]))
-    reverse, steps, _ = _plan(tuple(labels), pins)
+    reverse, steps, _ = _plan(labels, pins)
     pin = pins[reverse]  # the bond that the first table of the sweep pins, or ""
     bases = [None if _is_identity(e.basis) else e.basis for e in measures]
 
@@ -285,7 +257,7 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
         return t if reverse else t.T
 
     moved = [t if t is None else move(k, t) for k, t in enumerate(operators)]
-    gaps = [k for k, t in enumerate(operators) if t is None]
+    slots = [k for k, t in enumerate(operators) if t is None]  # the probes' gap, if cut
     factors = list(zip(tables, measures, labels))
     factors = factors[::-1] if reverse else factors
     # one column table per basis column, but none for a table on the pinned bond
@@ -314,15 +286,15 @@ def _sweep(measures, operators, labels, tables, probes=(None,)):
         ]
 
     for probe in probes:
-        for k in gaps:
+        for k in slots:
             moved[k] = move(k, probe)
         first = -1 if reverse else 0
         if isinstance(moved[first], tuple):  # a pair starts the sweep multiplied out
             moved[first] = np.matmul(*moved[first])
-        start, *rest = moved[::-1] if reverse else moved
-        start = moved[first] = np.ascontiguousarray(start)
+        head, *rest = moved[::-1] if reverse else moved
+        head = moved[first] = np.ascontiguousarray(head)
         parts = [
-            _contract(steps, [np.ascontiguousarray(start[:, r]), *rest], sliced(r))
+            _contract(steps, [np.ascontiguousarray(head[:, r]), *rest], sliced(r))
             for r in (slice(j, j + rows) for j in range(0, dim, rows))
         ]
         yield _product(bases[0], np.concatenate(parts, axis=int(reverse)), _adjoint(bases[-1]))
@@ -371,7 +343,9 @@ def _pin(bonds: str, t: np.ndarray) -> str:
     """The bond that a table pins, or "": its one bond, if of width 2 or more
     and the table has at most one nonzero entry in each atom row, so that
     each basis column of its measure fixes the bond. The first count rejects
-    a dense table at once."""
+    a dense table at once. So the extremal chains, all of whose tables are on
+    the bond that their delta head or tail pins, cost a few d x d matmuls,
+    d^3 rather than d^4."""
     if len(bonds) == 1 and t.shape[1] >= 2 and np.count_nonzero(t) <= len(t):
         return bonds if (np.count_nonzero(t, axis=1) <= 1).all() else ""
     return ""
@@ -539,40 +513,23 @@ def duality_functional(inst: MoiInstance, q) -> complex:
 
 def duality_functionals(inst: MoiInstance, qs) -> list:
     """The defining linear functional of a chain-like integral at each Q of
-    qs: the ordinary chain over the factors along _cyclic_path, with Q in the
-    gap between factors m and 1, traced against the operator in the gap where
-    the path closes. That chain is the class's own bond network, swept in
-    path order, with one frame for all of qs (see _sweep)."""
-    rep = inst.integrand
-    if not isinstance(rep, HaagerupLikeRep):
+    qs: the ordinary chain cut open before the one factor whose bond label,
+    and whose cyclic predecessor's, each hold one letter, with Q in the gap
+    between factors m and 1, traced against the operator in the gap where the
+    cut chain closes. One frame of the sweep serves all of qs (see _sweep)."""
+    if not isinstance(inst.integrand, HaagerupLikeRep):
         raise TypeError("instance does not carry a chain-like representation")
     qs = [as_matrix(q) for q in qs]
     for q in qs:
         if q.shape != (inst.dim, inst.dim):
             raise ValueError(f"Q shape {q.shape} != ({inst.dim}, {inst.dim})")
-    labels, tables = rep.labels, rep.tables
-    path = _cyclic_path(rep.kind, rep.arity)
-    gaps = [*inst.operators, None]  # gaps[k] sits between factors k and k + 1, cyclically
-    ws = _sweep(
-        [inst.measures[k] for k in path],
-        [gaps[k] for k in path[:-1]],
-        [labels[k] for k in path],
-        [tables[k] for k in path],
-        qs,
-    )
-    partner = gaps[path[0] - 1]
-    return [complex(np.trace(w @ partner)) for w in ws]
-
-
-def _cyclic_path(kind: str, arity: int) -> list:
-    """The factors of a chain-like class in the order of its cycled chain,
-    s, ..., m-1, 0, ..., s-1: the chain that _like_bonds rotates starts at
-    s = 1 for the first kind and at s = m - 1 for the second."""
-    s = 1 if kind == "first" else arity - 1
-    return [*range(s, arity), *range(s)]
+    labels = inst.integrand.labels
+    [start] = [k for k in range(inst.arity) if len(labels[k]) == len(labels[k - 1]) == 1]
+    partner = inst.operators[start - 1]
+    return [complex(np.trace(w @ partner)) for w in _sweep(inst, start, qs)]
 
 
 def eval_moi(inst: MoiInstance) -> np.ndarray:
     """Production evaluation: the sweep, which every representation class shares."""
-    [value] = _sweep(inst.measures, inst.operators, *inst.network())
+    [value] = _sweep(inst)
     return value

@@ -83,7 +83,6 @@ def schatten_norm(m, p) -> float:
 
     For p < 1 this is only a quasinorm (no triangle inequality).
     """
-    p = check_exponent(p)
     return schatten_norms(as_matrix(m)[None], [p])[0]
 
 

@@ -26,14 +26,9 @@ whole tree. Files keep their measures first, so the operators and tables
 that follow are read as before. A converted array is shown as the list it
 came from, so a file it refuses gets the plain reading's error, word for
 word. Each array is flattened to one list of its leaves and converted by one
-`np.asarray`. A regular UTF-8 file is mapped read-only and decoded from the
-mapping, so its bytes are not copied to the heap beside the text; a pipe, a
-`StringIO` or a file that holds a carriage return (which text mode
-translates, and a parse error's position counts) is read as text. A file
-truncated by another process while it is decoded can end the process with
-SIGBUS, as any mapped read can; a file replaced by a rename is safe.
-`array_to_json_text` writes an array's `indent=2` JSON form without
-Python's pure-Python encoder.
+`np.asarray`. `load_instance`'s docstring says which handles it maps
+read-only and which it reads as text. `array_to_json_text` writes an
+array's `indent=2` JSON form without Python's pure-Python encoder.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ class FiniteSpectralMeasure:
     caller's projections as its stack. `from_basis` builds a measure from its
     eigenbasis directly, and `from_bases` one per basis of a stack, and each
     derives the projections on first use.
-    `projections` and `projection_stack()` are cached read-only views.
+    `projection_stack()` is cached and read-only; `projections` are its views.
     """
 
     def __init__(self, dim: int, points, projections):
@@ -105,7 +105,7 @@ class FiniteSpectralMeasure:
     def _assemble(self, dim, points, basis, labels, stack):
         """Set every field of a validated measure, its arrays read-only; a
         stack of None is derived from the basis on first use."""
-        self.dim, self.points, self._projections = dim, points, None
+        self.dim, self.points = dim, points
         self.basis, self.labels = _read_only(basis), _read_only(labels)
         self._stack = None if stack is None else _read_only(stack)
         return self
@@ -116,19 +116,13 @@ class FiniteSpectralMeasure:
 
     @property
     def projections(self) -> tuple:
-        if self._projections is None:
-            self._projections = tuple(self.projection_stack())
-        return self._projections
+        return tuple(self.projection_stack())
 
     def projection_stack(self) -> np.ndarray:
         """All projections as one (n_atoms, dim, dim) array."""
         if self._stack is None:
             self._stack = _read_only(_projectors(self.basis, self.labels, self.n_atoms))
         return self._stack
-
-    @classmethod
-    def trivial(cls, dim: int) -> "FiniteSpectralMeasure":
-        return cls.from_basis(np.eye(dim, dtype=np.complex128), np.zeros(dim, np.intp), (0.0,))
 
 
 def _projectors(u: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:

@@ -40,7 +40,8 @@ from moilab.sharpness import (
     growth_sweep,
     sharp_r,
 )
-from moilab.spectral import FiniteSpectralMeasure
+
+from helpers import trivial_measure
 
 MASTER_SEED = 20240901
 REL_TOL = 1e-9
@@ -139,7 +140,7 @@ def test_criterion_3_main_chain_bound():
         worst = max(worst, report.ratio)
     # equality case: constant integrand, aligned positive diagonals, p = q = 2
     t = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    e = FiniteSpectralMeasure.trivial(3)
+    e = trivial_measure(3)
     rep = HaagerupChainRep(np.ones((1, 1)), (np.ones((1, 1, 1)),), np.ones((1, 1)))
     equality = check_haagerup_main(MoiInstance((e, e, e), (t, t), rep), 2, 2)
     assert abs(equality.ratio - 1.0) <= 1e-10

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from moilab import evaluate, integrands
 from moilab.evaluate import (
     MoiInstance,
-    _cyclic_path,
     _plan,
     duality_functionals,
     eval_moi,
@@ -37,6 +36,7 @@ from moilab.integrands import (
     eval_pointwise,
     rep_norm_bound,
 )
+from moilab.linalg import schatten_norm
 from moilab.randominst import (
     random_instance,
     random_like_rep,
@@ -270,20 +270,26 @@ def test_like_network_is_the_rotated_chain(kind, arity):
 @pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
 def test_readers_take_the_stored_network(cls):
     """Evaluating an integrand neither derives nor checks its network again:
-    the sweep gets the very tables the integrand stores."""
+    the sweep gets the instance itself and reads the very tables, with their
+    labels, that the integrand stores."""
     inst = random_instance(rng_for(89, len(cls)), cls, dim_range=(2, 4))
     rep = inst.integrand
     with mock.patch.object(integrands, "_like_bonds", side_effect=AssertionError), \
             mock.patch.object(integrands, "_width_clash", side_effect=AssertionError), \
-            mock.patch.object(evaluate, "_sweep", wraps=evaluate._sweep) as sweep:
+            mock.patch.object(evaluate, "_sweep", wraps=evaluate._sweep) as sweep, \
+            mock.patch.object(evaluate, "_pin", wraps=evaluate._pin) as pin:
         eval_moi(inst)
         eval_oracle(inst)
         rep_norm_bound(rep)
         eval_pointwise(rep, (0,) * inst.arity)
         if cls.startswith("like"):
             duality_functionals(inst, [np.eye(inst.dim)])
-    _, _, labels, tables = sweep.call_args_list[0].args
-    assert labels is rep.labels and tables is rep.tables
+    assert sweep.call_count == 1 + cls.startswith("like")
+    assert all(call.args[0] is inst for call in sweep.call_args_list)
+    # the sweep asks _pin of its two end tables
+    stored = {(bonds, id(t)) for bonds, t in zip(rep.labels, rep.tables, strict=True)}
+    assert pin.call_count == 2 * sweep.call_count
+    assert all((bonds, id(t)) in stored for bonds, t in (call.args for call in pin.call_args_list))
 
 
 # --- the plan ----------------------------------------------------------------
@@ -336,29 +342,30 @@ def test_only_like_second_from_arity_four_sweeps_right_to_left():
 
 
 def test_like_labels_give_one_cyclic_path():
-    """duality_functional's chain starts at the one factor whose label and
-    whose cyclic predecessor's label each hold one letter, visits every
-    factor once in cyclic order, and links consecutive tables by a letter."""
+    """duality_functionals cuts the chain before the one factor whose label
+    and whose cyclic predecessor's label each hold one letter: factor 1 for
+    the first kind and factor m - 1 for the second, where the chain that
+    _like_bonds rotates starts. From there the factors in cyclic order link
+    consecutive tables by a letter."""
     for kind, arity in _LIKE_KEYS:
         labels = _like_bonds(kind, arity)
         m = len(labels)
         starts = [k for k in range(m) if len(labels[k]) == len(labels[k - 1]) == 1]
-        path = _cyclic_path(kind, arity)
-        assert len(starts) == 1 and path[0] == starts[0]
-        assert sorted(path) == list(range(m))
-        assert all(b == (a + 1) % m for a, b in zip(path, path[1:]))
+        assert starts == [1 if kind == "first" else m - 1]
+        path = [*range(starts[0], m), *range(starts[0])]
         assert all(set(labels[a]) & set(labels[b]) for a, b in zip(path, path[1:]))
 
 
 def test_duality_sweeps_the_like_network_in_path_order():
-    """duality_functional hands the sweep the class's own bond network, its
-    factors and gaps taken along _cyclic_path, with Q as the one probe of
-    the gap left open, and builds no instance."""
+    """duality_functional hands the sweep the instance itself, cut open at
+    the start that its labels give, with Q as the one probe of the gap left
+    open, builds no instance, and traces each value against the operator in
+    the gap where the cut chain closes."""
     seen = []
 
-    def sweep(measures, operators, labels, tables, probes):
-        seen.append((measures, operators, labels, tables, probes))
-        return [np.zeros((measures[0].dim,) * 2, dtype=np.complex128) for _ in probes]
+    def sweep(inst, start, probes):
+        seen.append((inst, start, probes))
+        return [np.eye(inst.dim, dtype=np.complex128) for _ in probes]
 
     for kind, arity in _LIKE_KEYS:
         rng = rng_for(84, arity, kind == "second")
@@ -369,15 +376,35 @@ def test_duality_sweeps_the_like_network_in_path_order():
         seen.clear()
         with mock.patch.object(evaluate, "MoiInstance", side_effect=AssertionError), \
                 mock.patch.object(evaluate, "_sweep", sweep):
-            evaluate.duality_functional(inst, q)
-        [(got_measures, got_ops, labels, tables, [got_q])] = seen
-        path, gaps = _cyclic_path(kind, arity), [*ops, None]
-        assert list(labels) == [_like_bonds(kind, arity)[k] for k in path]
-        assert all(a is rep.tables[k] for a, k in zip(tables, path))
-        assert all(a is measures[k] for a, k in zip(got_measures, path))
-        assert [a is None for a in got_ops] == [gaps[k] is None for k in path[:-1]]
-        assert all(np.array_equal(a, gaps[k]) for a, k in zip(got_ops, path[:-1]) if a is not None)
+            value = evaluate.duality_functional(inst, q)
+        [(got, start, [got_q])] = seen
+        assert got is inst and start == (1 if kind == "first" else arity - 1)
         assert np.array_equal(got_q, q)
+        assert value == complex(np.trace(inst.operators[start - 1]))  # the trace of I T
+
+
+# every class at arities 2-5, the chain-like ones from 3, where they start
+_CUT_CASES = [
+    (cls, arity)
+    for cls in ("projective", "chain", "like-first", "like-second")
+    for arity in range(3 if cls.startswith("like") else 2, 6)
+]
+
+
+@pytest.mark.parametrize("cls, arity", _CUT_CASES)
+def test_a_cut_at_any_start_gives_the_functional(cls, arity):
+    """The sweep cut open before any factor s >= 1, with Q in the gap between
+    factors m and 1, traced against the operator in gap s - 1 where the cut
+    chain closes, gives trace(W Q), by the cyclicity of the trace."""
+    rng = rng_for(90, arity, len(cls))
+    for _ in range(3):
+        inst = random_instance(rng, cls, dim_range=(2, 5), arity=arity)
+        w, scale = eval_moi(inst), moi_scale(inst)
+        for s in range(1, arity):
+            q = random_operator(rng, inst.dim)
+            [cut] = evaluate._sweep(inst, s, [q])
+            got = complex(np.trace(cut @ inst.operators[s - 1]))
+            assert abs(got - complex(np.trace(w @ q))) <= TOL * scale * schatten_norm(q, 1)
 
 
 def test_repeated_signature_does_not_plan_again():

@@ -22,7 +22,8 @@ from moilab.evaluate import (
 from moilab.integrands import HaagerupChainRep, ProjectiveRep, rep_norm_bound
 from moilab.linalg import INF, adjoint, random_complex, schatten_norm
 from moilab.randominst import random_instance, random_measure, rng_for
-from moilab.spectral import FiniteSpectralMeasure
+
+from helpers import trivial_measure
 
 
 def crandom(rng, shape):
@@ -38,13 +39,13 @@ def random_row_blocks(rng, dim, count):
 
 
 def constant_chain_instance(dim, t, r):
-    e = FiniteSpectralMeasure.trivial(dim)
+    e = trivial_measure(dim)
     rep = HaagerupChainRep(np.ones((1, 1)), (np.ones((1, 1, 1)),), np.ones((1, 1)))
     return MoiInstance((e, e, e), (t, r), rep)
 
 
 def test_projective_equality_case():
-    e = FiniteSpectralMeasure.trivial(2)
+    e = trivial_measure(2)
     rep = ProjectiveRep(3, ((np.ones(1), np.ones(1), np.ones(1)),))
     inst = MoiInstance((e, e, e), (np.eye(2), np.eye(2)), rep)
     report = check_projective(inst, (2, 2))
@@ -289,7 +290,7 @@ def test_report_json_round_trip_fields():
 
 
 def test_zero_instance_ratio_convention():
-    e = FiniteSpectralMeasure.trivial(2)
+    e = trivial_measure(2)
     rep = ProjectiveRep(3)
     inst = MoiInstance((e, e, e), (np.eye(2), np.eye(2)), rep)
     report = check_projective(inst, (2, 2))

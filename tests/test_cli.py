@@ -19,6 +19,8 @@ from moilab.randominst import random_instance, rng_for
 from moilab.serialize import array_to_json, instance_to_json
 from moilab.sharpness import MAX_ARITY
 
+from helpers import trivial_measure
+
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = dict(os.environ)
@@ -42,12 +44,11 @@ def write_instance(path, cls="chain", seed=100, arity=3):
 def test_eval_constant_integrand(tmp_path):
     from moilab.evaluate import MoiInstance
     from moilab.integrands import ProjectiveRep
-    from moilab.spectral import FiniteSpectralMeasure
 
     rng = np.random.default_rng(7)
     t = rng.standard_normal((3, 3))
     r = rng.standard_normal((3, 3))
-    e = FiniteSpectralMeasure.trivial(3)
+    e = trivial_measure(3)
     rep = ProjectiveRep(3, ((np.ones(1), np.ones(1), np.ones(1)),))
     inst = MoiInstance((e, e, e), (t, r), rep)
     path = tmp_path / "instance.json"
@@ -223,12 +224,11 @@ def _one_measure_instance(tmp_path, measure_json, term_first):
     measure replaced by `measure_json` and its table by `term_first`."""
     from moilab.evaluate import MoiInstance
     from moilab.integrands import ProjectiveRep
-    from moilab.spectral import FiniteSpectralMeasure
 
     rng = np.random.default_rng(8)
     t = rng.standard_normal((3, 3))
     r = rng.standard_normal((3, 3))
-    e = FiniteSpectralMeasure.trivial(3)
+    e = trivial_measure(3)
     rep = ProjectiveRep(3, ((np.ones(1), np.ones(1), np.ones(1)),))
     payload = instance_to_json(MoiInstance((e, e, e), (t, r), rep))
     payload["measures"][0] = measure_json

@@ -48,6 +48,8 @@ from moilab.serialize import measure_from_json, measure_to_json
 from moilab.sharpness import build_construction, default_case, expected_diag
 from moilab.spectral import FiniteSpectralMeasure, from_hermitian, integrate_scalar
 
+from helpers import trivial_measure
+
 TOL = 1e-10
 # a state budget that holds every state below d = 128 in one slice (the
 # default before 2 MiB)
@@ -71,7 +73,7 @@ def constant_projective(arity, counts):
 
 def test_instance_needs_two_measures():
     # one measure is refused as too few, not by the integrand's arity
-    e = FiniteSpectralMeasure.trivial(2)
+    e = trivial_measure(2)
     for measures in ((), (e,)):
         with pytest.raises(ValueError, match="^need at least two spectral measures$"):
             MoiInstance(measures, (), ProjectiveRep(2))
@@ -79,7 +81,7 @@ def test_instance_needs_two_measures():
 
 def test_instance_refuses_a_first_measure_of_another_type():
     # the type is checked before any measure's dimension is read
-    e = FiniteSpectralMeasure.trivial(2)
+    e = trivial_measure(2)
     for first in (np.eye(2), "measure", None):
         with pytest.raises(TypeError, match="FiniteSpectralMeasure"):
             MoiInstance((first, e), (np.eye(2),), ProjectiveRep(2))
@@ -87,7 +89,7 @@ def test_instance_refuses_a_first_measure_of_another_type():
 
 def test_instance_refuses_an_integrand_of_another_type():
     # the type is checked before the integrand's arity is read
-    e = FiniteSpectralMeasure.trivial(2)
+    e = trivial_measure(2)
     for integrand in ("x", None, np.ones((2, 2))):
         with pytest.raises(TypeError, match="integrand must be"):
             MoiInstance((e, e), (np.eye(2),), integrand)
@@ -106,7 +108,7 @@ def test_oracle_constant_integrand_collapses_to_product():
 def test_oracle_single_atom_measures():
     rng = rng_for(2)
     dim = 3
-    e = FiniteSpectralMeasure.trivial(dim)
+    e = trivial_measure(dim)
     t = crandom(rng, (dim, dim))
     value = 0.7 - 0.2j
     rep = ProjectiveRep(2, ((np.array([value]), np.array([1.0])),))
@@ -196,7 +198,7 @@ def test_haagerup_matches_oracle(arity, seed):
 
 def test_haagerup_zero_width_chain():
     dim = 3
-    e = FiniteSpectralMeasure.trivial(dim)
+    e = trivial_measure(dim)
     rep = HaagerupChainRep(np.zeros((1, 0)), (np.zeros((1, 0, 0)),), np.zeros((1, 0)))
     inst = MoiInstance((e, e, e), (np.eye(dim), np.eye(dim)), rep)
     assert schatten_norm(eval_haagerup(inst), INF) == 0.0
@@ -841,7 +843,7 @@ def test_oracle_peak_memory_small():
 
 
 def test_oracle_refuses_arity_beyond_its_einsum_letters():
-    e = FiniteSpectralMeasure.trivial(1)
+    e = trivial_measure(1)
     rep = constant_projective(27, [1] * 27)
     inst = MoiInstance((e,) * 27, (np.eye(1),) * 26, rep)
     with pytest.raises(CapExceededError, match="arity 27"):
@@ -1324,7 +1326,7 @@ def _identity_measure(rng, dim):
     one of drawn atoms."""
     n = int(rng.integers(1, dim + 1))
     if n == 1:
-        return FiniteSpectralMeasure.trivial(dim)
+        return trivial_measure(dim)
     labels = np.repeat(np.arange(n), rng.multinomial(dim - n, [1.0 / n] * n) + 1)
     return FiniteSpectralMeasure.from_basis(np.eye(dim), labels, range(n))
 

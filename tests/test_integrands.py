@@ -15,7 +15,8 @@ from moilab.integrands import (
 )
 from moilab.evaluate import MoiInstance
 from moilab.sharpness import ConstructionCase, build_construction, default_case
-from moilab.spectral import FiniteSpectralMeasure
+
+from helpers import trivial_measure
 
 
 def crandom(rng, shape):
@@ -302,7 +303,7 @@ def test_embed_drops_zero_terms_without_changing_values():
 
 
 def _trivial_instance():
-    trivial = FiniteSpectralMeasure.trivial(2)
+    trivial = trivial_measure(2)
     return MoiInstance((trivial, trivial), (np.eye(2),), ProjectiveRep(2, ((np.ones(1),) * 2,)))
 
 

@@ -9,6 +9,7 @@ import re
 import reprlib
 from itertools import chain
 from operator import getitem
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from moilab import serialize
 from moilab.evaluate import MoiInstance, eval_moi, moi_scale
 from moilab.integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep
 from moilab.linalg import INF, schatten_norm
@@ -728,6 +730,22 @@ def test_loader_maps_a_plain_file_and_reads_the_rest(tmp_path, name, opening, ma
             load_instance(fh)
     assert read.call_count == (0 if mapped else 1)
     assert mapping.call_count == (0 if isinstance(fh, io.StringIO) else 1)
+
+
+def test_loader_falls_back_to_the_plain_decoder_past_the_recursion_limit(tmp_path):
+    # the hook's frame can take the decode past the recursion limit that the
+    # plain decoder stays under; the file then loads through the plain one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Instance file format\n", 1)[1]
+    path = tmp_path / "instance.json"
+    path.write_text(re.findall(r"```json\n(.*?)```", section, re.DOTALL)[0], encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        want = _handle_outcome(load_instance, fh)
+    hook = mock.Mock(side_effect=RecursionError)
+    with mock.patch.object(serialize, "_decode_object", hook), open(path, encoding="utf-8") as fh:
+        got = _handle_outcome(load_instance, fh)
+    assert hook.called
+    assert got == want and not issubclass(got[0], Exception)
 
 
 # --- the one-pass array conversion against the nested one ---------------------

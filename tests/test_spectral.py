@@ -15,6 +15,8 @@ from moilab.spectral import (
     vector_sup,
 )
 
+from helpers import trivial_measure
+
 
 def assert_valid_measure(e):
     """A unitary basis within MEASURE_TOL, each projection the product of
@@ -28,7 +30,7 @@ def assert_valid_measure(e):
 
 
 def test_validate_trivial_measure():
-    assert_valid_measure(FiniteSpectralMeasure.trivial(3))
+    assert_valid_measure(trivial_measure(3))
 
 
 def test_validate_fourier_projections():
@@ -67,7 +69,7 @@ def test_integrate_square_function():
 
 
 def test_integrate_rejects_wrong_length():
-    e = FiniteSpectralMeasure.trivial(2)
+    e = trivial_measure(2)
     with pytest.raises(ValueError):
         integrate_scalar(np.ones(3), e)
 
@@ -247,8 +249,8 @@ def test_projection_views_are_cached_and_read_only():
     e = from_hermitian(np.diag([1.0, 1.0, 2.0]))
     stack = e.projection_stack()
     assert e.projection_stack() is stack
-    assert e.projections is e.projections
-    assert np.shares_memory(e.projections[0], stack)
+    # projections are views of the one cached stack, not a second cache
+    assert all(np.shares_memory(p, stack) for p in e.projections)
     with pytest.raises(ValueError):
         stack[0, 0, 0] = 5.0
 
