@@ -53,6 +53,7 @@ from .serialize import array_to_json_text, instance_to_json, load_instance
 from .sharpness import (
     MAX_ARITY,
     REGIMES,
+    SWEEP_CAP,
     ConstructionCheckError,
     growth_sweep,
     sharp_r,
@@ -74,16 +75,21 @@ PROJECTIVE_EXPONENTS = {
 }
 
 
-def _parse_int_list(text: str) -> list[int]:
-    """Accept '2,3,4' or a range '2-6' or a single integer."""
+def _parse_int_list(flag: str, text: str, cap: int, cap_name: str) -> list[int] | range:
+    """Accept '2,3,4' or a range '2-6' or a single integer, each at most
+    cap; a range is returned as a `range`, which holds only its ends."""
     text = text.strip()
     if "-" in text and not text.startswith("-"):
-        lo, hi = text.split("-", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = (int(end) for end in text.split("-", 1))
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        values, top = range(lo, hi + 1), hi
+    else:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+        top = max(values, default=cap)
+    if top > cap:
+        raise ValueError(f"{flag} value {top} exceeds the {cap_name} cap {cap}")
+    return values
 
 
 def _parse_exponent(tok: str) -> float:
@@ -304,11 +310,15 @@ def cmd_verify(args) -> int:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
         if args.trials < 1:
             raise ValueError(f"trials must be >= 1, got {args.trials}")
-        dims = _parse_int_list(args.dims)
-        widths = _parse_int_list(args.widths)
+        side = math.isqrt(np.iinfo(np.intp).max // 16)  # numpy's largest complex128 matrix
+        dims = _parse_int_list("--dims", args.dims, side, "array side")
+        widths = _parse_int_list("--widths", args.widths, side, "array side")
         if not dims or not widths:
             raise ValueError("dims and widths must be nonempty")
-        if min(dims) < 1 or min(widths) < 1:
+        dims, widths = (  # the least and greatest value: a range's are its ends
+            (v[0], v[-1]) if isinstance(v, range) else (min(v), max(v)) for v in (dims, widths)
+        )
+        if dims[0] < 1 or widths[0] < 1:
             raise ValueError("dims and widths must be >= 1")
         exponents = tuple(_parse_exponent(t) for t in args.exponents.split(",") if t.strip())
         if not exponents:
@@ -326,8 +336,8 @@ def cmd_verify(args) -> int:
         cap = _tuple_cap()
     config = {
         "seed": args.seed,
-        "dim_range": (min(dims), max(dims)),
-        "width_range": (min(widths), max(widths)),
+        "dim_range": dims,
+        "width_range": widths,
         "exponents": exponents,
         "tol": tol,
         "duality_probes": 5,
@@ -369,7 +379,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     with _stage("invalid case"):
         _check_out_path(args.out)
-        dims = _parse_int_list(args.dims)
+        dims = _parse_int_list("--dims", args.dims, SWEEP_CAP, "sweep")
         if not dims:
             raise ValueError("need a nonempty list of truncation dimensions")
         p1 = _parse_exponent(args.p1)

@@ -127,4 +127,7 @@ def haar_unitaries(z: np.ndarray) -> np.ndarray:
 
 
 def random_complex(rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:
-    return rng.standard_normal(tuple(shape)) + 1j * rng.standard_normal(tuple(shape))
+    """One draw of the real parts, then the imaginary parts: `a + 1j * b` of two draws."""
+    z = np.empty(tuple(shape), dtype=np.complex128)
+    z.real, z.imag = rng.standard_normal((2, *z.shape))
+    return z

@@ -27,14 +27,16 @@ that follow are read as before. A converted array is shown as the list it
 came from, so a file it refuses gets the plain reading's error, word for
 word. Each array is flattened to one list of its leaves and converted by one
 `np.asarray`. `load_instance`'s docstring says which handles it maps
-read-only and which it reads as text. `array_to_json_text` writes an
-array's `indent=2` JSON form without Python's pure-Python encoder.
+read-only and which it reads as text, and how it pauses the cyclic garbage
+collector, process-wide, for the decode and restores it. `array_to_json_text`
+writes an array's `indent=2` JSON form without Python's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import cmath
 import codecs
+import gc
 import io
 import json
 import math
@@ -401,6 +403,10 @@ def load_instance(fh) -> tuple[MoiInstance, dict | None]:
     error's position counts as one. A file truncated by another process
     during the decode may end the process with SIGBUS, as under any mapped
     read; a file replaced by a rename, as `eval --out` writes one, is safe.
+    The text is decoded with the cyclic garbage collector paused, after one
+    young collection, and the collector is enabled again, raise or return,
+    only if it was enabled; the pause is process-wide, so a `gc.disable()`
+    another thread makes during a decode is undone when the decode ends.
     """
     text = None
     if (
@@ -417,10 +423,18 @@ def load_instance(fh) -> tuple[MoiInstance, dict | None]:
                     text = str(mapping, "utf-8")
     if text is None:
         text = fh.read()
+    enabled = gc.isenabled()
+    if enabled:
+        gc.collect(0)  # the pause carries no young garbage, such as a dropped parser
+        gc.disable()  # the decoder's lists make no cycle for the collector to find
     try:
-        obj = json.loads(text, object_pairs_hook=_decode_object)
-    except RecursionError:  # the hook's frame can cross the limit the plain decoder stays under
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text, object_pairs_hook=_decode_object)
+        except RecursionError:  # the hook's frame can cross the limit the plain decoder stays under
+            obj = json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
     del text  # the file text is not held while the arrays are checked and factored
     return instance_from_json(obj)
 

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, determinism, reproduction files."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -1208,6 +1209,14 @@ REFUSALS = [
     (["verify", "--seed", "-1"], _CONFIG + "seed must be >= 0, got -1"),
     (["verify", "--trials", "0"], _CONFIG + "trials must be >= 1, got 0"),
     (["verify", "--dims", "0-3"], _CONFIG + "dims and widths must be >= 1"),
+    (["verify", "--dims", "2-99999999999999999999"],
+     _CONFIG + "--dims value 99999999999999999999 exceeds the array side cap 759250124"),
+    (["verify", "--dims", "2-9999999999"],
+     _CONFIG + "--dims value 9999999999 exceeds the array side cap 759250124"),
+    (["verify", "--widths", "99999999999999999999"],
+     _CONFIG + "--widths value 99999999999999999999 exceeds the array side cap 759250124"),
+    (["verify", "--widths", "1,759250125,2"],
+     _CONFIG + "--widths value 759250125 exceeds the array side cap 759250124"),
     (["verify", "--exponents", "0"],
      _CONFIG + "Schatten exponent must lie in (0, inf], got 0.0"),
     (["verify", "--exponents", "2,1"],
@@ -1224,7 +1233,11 @@ REFUSALS = [
     ([*_SWEEP, "--regime", "both-large", "--dims", "64,16"],
      _CASE + "truncation dimensions must be strictly ascending"),
     ([*_SWEEP, "--regime", "both-large", "--dims", "16384"],
-     _CASE + "n = 16384 exceeds the sweep cap 8192"),
+     _CASE + "--dims value 16384 exceeds the sweep cap 8192"),
+    ([*_SWEEP, "--regime", "both-large", "--dims", "64-99999999999999999999"],
+     _CASE + "--dims value 99999999999999999999 exceeds the sweep cap 8192"),
+    ([*_SWEEP, "--regime", "both-large", "--dims", "2-9999999999"],
+     _CASE + "--dims value 9999999999 exceeds the sweep cap 8192"),
     ([*_SWEEP, "--regime", "both-small", "--dims", "16"],
      _CASE + "regime both-small is inconsistent with p_first = 4.0"),
     ([*_SWEEP, "--regime", "both-large", "--dims", "16", "--out", "{tmp}/no/s.csv"],
@@ -1245,6 +1258,17 @@ def test_refusal_prints_one_exact_line(tmp_path, capsys, argv, line):
     code = cli.main([arg.format(tmp=tmp) for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", line.format(tmp=tmp) + "\n")
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1]", '{"measures": []}'])
+def test_refused_eval_leaves_the_collector_enabled(tmp_path, capsys, text):
+    from moilab import cli
+
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    assert gc.isenabled()
+    assert cli.main(["eval", "--instance", str(path)]) == 2
+    assert gc.isenabled()
 
 
 # --- errors raised outside their stage still map to one line and a code -------

@@ -220,3 +220,16 @@ def test_real_sequence_norm_equals_its_complex_cast_bit_for_bit(p):
         real, cast = sequence_norm(x, p), sequence_norm(x.astype(np.complex128), p)
         assert np.float64(real).tobytes() == np.float64(cast).tobytes()
     assert sequence_norm([-3, 0, 4], 2) == sequence_norm(np.array([-3, 0, 4], complex), 2) == 5.0
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (5, 5), (2, 3, 4), (0,), (4, 0, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2024])
+def test_random_complex_is_the_two_draw_form_bit_for_bit(seed, shape):
+    # one draw of real parts then imaginary parts gives the values of the
+    # form it replaced, two draws and a + 1j * b, and leaves the generator
+    # where the two draws left it
+    two, one = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = np.asarray(two.standard_normal(shape) + 1j * two.standard_normal(shape))
+    got = random_complex(one, shape)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert one.bit_generator.state == two.bit_generator.state

@@ -1,5 +1,6 @@
 """JSON round trips for matrices, measures, integrands, and instances."""
 
+import gc
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import mmap
 import random
 import re
 import reprlib
+import weakref
 from itertools import chain
 from operator import getitem
 from pathlib import Path
@@ -732,13 +734,18 @@ def test_loader_maps_a_plain_file_and_reads_the_rest(tmp_path, name, opening, ma
     assert mapping.call_count == (0 if isinstance(fh, io.StringIO) else 1)
 
 
+def _readme_instance() -> str:
+    """The first instance-format example of the README."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Instance file format\n", 1)[1]
+    return re.findall(r"```json\n(.*?)```", section, re.DOTALL)[0]
+
+
 def test_loader_falls_back_to_the_plain_decoder_past_the_recursion_limit(tmp_path):
     # the hook's frame can take the decode past the recursion limit that the
     # plain decoder stays under; the file then loads through the plain one
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Instance file format\n", 1)[1]
     path = tmp_path / "instance.json"
-    path.write_text(re.findall(r"```json\n(.*?)```", section, re.DOTALL)[0], encoding="utf-8")
+    path.write_text(_readme_instance(), encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
         want = _handle_outcome(load_instance, fh)
     hook = mock.Mock(side_effect=RecursionError)
@@ -746,6 +753,62 @@ def test_loader_falls_back_to_the_plain_decoder_past_the_recursion_limit(tmp_pat
         got = _handle_outcome(load_instance, fh)
     assert hook.called
     assert got == want and not issubclass(got[0], Exception)
+
+
+# --- the collector is paused for the decode and restored --------------------
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("case", ["loads", "syntax-error", "schema-refusal", "recursion-fallback"])
+def test_loader_leaves_the_collector_as_it_found_it(enabled, case):
+    refusals = {"syntax-error": "{not json", "schema-refusal": '{"measures": []}'}
+    text = refusals.get(case, _readme_instance())
+    hook = mock.Mock(wraps=serialize._decode_object)
+    if case == "recursion-fallback":
+        hook.side_effect = RecursionError
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(serialize, "_decode_object", hook):
+            outcome = _handle_outcome(load_instance, io.StringIO(text))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    assert hook.called == (case != "syntax-error")
+    assert issubclass(outcome[0], Exception) == (case in refusals)
+
+
+def test_loader_frees_young_cycles_before_it_pauses_the_collector():
+    # the decode runs with the collector off; a cycle left just before the
+    # call (on the command line, the dropped argument parser) is freed first
+    # rather than carried through the decode
+    class Node:
+        pass
+
+    seen = []
+    loads = json.loads
+
+    def spy(*args, **kwargs):
+        seen.append((gc.isenabled(), ref() is None))
+        return loads(*args, **kwargs)
+
+    text = _readme_instance()
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        gc.collect()  # no automatic collection falls between the cycle and the call
+        node = Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+        with mock.patch.object(serialize.json, "loads", spy):
+            load_instance(io.StringIO(text))
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [(False, True)]
+    assert after
 
 
 # --- the one-pass array conversion against the nested one ---------------------
