@@ -18,18 +18,18 @@ object by its kind and length (`a list of 64`, `an object of 1 keys`) and
 any other value by a repr cut short (`got 5`, `got 'abc'`).
 
 `load_instance` reads an instance file as
-`instance_from_json(json.load(fh))` does, holding less: the measure arrays,
-most of a file's bytes, are converted inside the decoder as each atom or
-measure object closes, and the tree holds each as the array itself, so one
-array's nested lists are alive at a time next to the file text, not the
-whole tree. Files keep their measures first, so the operators and tables
-that follow are read as before. A converted array is shown as the list it
-came from, so a file it refuses gets the plain reading's error, word for
-word. Each array is flattened to one list of its leaves and converted by one
-`np.asarray`. `load_instance`'s docstring says which handles it maps
-read-only and which it reads as text, and how it pauses the cyclic garbage
-collector, process-wide, for the decode and restores it. `array_to_json_text`
-writes an array's `indent=2` JSON form without Python's pure-Python encoder.
+`instance_from_json(json.load(fh))` does, holding less: each measure array,
+most of a file's bytes, is converted inside the decoder as its atom or
+measure object closes, and each operator as it closes, and the tree holds
+each as the array itself, so one array's nested lists are alive at a time
+next to the file text, not the whole tree; only the integrand's tables are
+read as before. A converted array is shown as the list it came from, so a
+file it refuses gets the plain reading's error, word for word. Each array
+is flattened to one list of its leaves and converted by one `np.asarray`.
+`load_instance`'s docstring says which handles it maps read-only and which
+it reads as text, and how it pauses the cyclic garbage collector,
+process-wide, for the decode and restores it. `array_to_json_text` writes
+an array's `indent=2` JSON form without Python's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -389,9 +389,38 @@ def _decode_object(pairs: list) -> dict:
     return dict(pairs)
 
 
+class _Decoder(json.JSONDecoder):
+    """Converts each element of a top-level list (an operator) by
+    `_fast_array(value, 2)` as it closes. The stdlib's `JSONObject` and
+    `JSONArray`, which refuse as the C scanner does, parse the top-level
+    object and its lists; the C scanner parses every deeper value."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        deeper, strict = self.scan_once, self.strict
+        hooks = self.object_hook, self.object_pairs_hook  # no closure holds self: no cycle
+
+        def element(s, idx):
+            value, end = deeper(s, idx)
+            a = _fast_array(value, 2) if isinstance(value, list) else None
+            return (value if a is None else a), end
+
+        def member(s, idx):
+            if s.startswith("[", idx):
+                return json.decoder.JSONArray((s, idx + 1), element)
+            return deeper(s, idx)
+
+        def top(s, idx):
+            if s.startswith("{", idx):
+                return json.decoder.JSONObject((s, idx + 1), strict, member, *hooks)
+            return deeper(s, idx)
+
+        self.scan_once = top
+
+
 def load_instance(fh) -> tuple[MoiInstance, dict | None]:
-    """`instance_from_json(json.load(fh))`, converting the measure arrays as
-    the decoder closes them.
+    """`instance_from_json(json.load(fh))`, converting the measure arrays
+    and the operators as the decoder closes them.
 
     A regular, non-empty file opened as strict UTF-8 and not yet read from
     is mapped read-only and decoded from the mapping in one step, so its
@@ -429,8 +458,8 @@ def load_instance(fh) -> tuple[MoiInstance, dict | None]:
         gc.disable()  # the decoder's lists make no cycle for the collector to find
     try:
         try:
-            obj = json.loads(text, object_pairs_hook=_decode_object)
-        except RecursionError:  # the hook's frame can cross the limit the plain decoder stays under
+            obj = json.loads(text, cls=_Decoder, object_pairs_hook=_decode_object)
+        except RecursionError:  # the decoder's frames can cross the limit the plain one stays under
             obj = json.loads(text)
     finally:
         if enabled:

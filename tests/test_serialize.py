@@ -8,6 +8,7 @@ import mmap
 import random
 import re
 import reprlib
+import sys
 import weakref
 from itertools import chain
 from operator import getitem
@@ -753,6 +754,98 @@ def test_loader_falls_back_to_the_plain_decoder_past_the_recursion_limit(tmp_pat
         got = _handle_outcome(load_instance, fh)
     assert hook.called
     assert got == want and not issubclass(got[0], Exception)
+
+
+def _edit(text, old, new):
+    """`text` with its one `old` replaced by `new`."""
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+_FIRST_OPERATOR = '"operators": [[[[1,0],[0,0]],[[0,0],[1,0]]]'
+_OPERATORS = _FIRST_OPERATOR + ", [[[0,0],[1,0]],[[1,0],[0,0]]]],"
+
+
+def _plain_loads(fh):
+    """`_plain_load` at `load_instance`'s stack depth: `json.loads` called
+    straight from the loader, as `load_instance`'s fallback calls it."""
+    return instance_from_json(json.loads(fh.read()))
+
+
+def _decoder_loads(fh):
+    """The loader's own decode of `fh`, at `load_instance`'s stack depth."""
+    return json.loads(fh.read(), cls=serialize._Decoder, object_pairs_hook=serialize._decode_object)
+
+
+def test_loader_falls_back_to_the_plain_decoder_deep_inside_the_operators():
+    # the Python frames that parse the top-level object and its lists sit
+    # above the C scanner, so an operator nested deeply enough reaches the
+    # recursion limit there first; at every depth near the plain decoder's
+    # limit the file loads, or is refused, as the plain reading does
+    def outcome(load, depth):
+        nested = "[" * depth + "1" + "]" * depth
+        text = _edit(_readme_instance(), _FIRST_OPERATOR, '"operators": [' + nested)
+        return _handle_outcome(load, io.StringIO(text))
+
+    lo, hi = 1, 4 * sys.getrecursionlimit()  # the least depth the plain decoder refuses
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if outcome(_plain_loads, mid)[0] is RecursionError else (mid + 1, hi)
+    fell_back = []
+    for depth in range(lo - 16, lo + 2):
+        got = outcome(load_instance, depth)
+        assert got == outcome(_plain_loads, depth), depth
+        assert got[0] is (ValueError if depth < lo else RecursionError)  # an operator's depth
+        fell_back.append(outcome(_decoder_loads, depth)[0] is RecursionError)
+    assert not all(fell_back)
+    if sys.version_info < (3, 12):  # later, the C scanner has a recursion limit of its own
+        assert any(fell_back[:-2])  # at depths the plain decoder takes
+
+
+# the README example broken in the top-level object, in its operator list or
+# in one operator: the levels the loader's decoder parses in Python, and the
+# operators it converts as they close
+_TOP_LEVEL_EDITS = {
+    "trailing-comma": lambda t: _edit(t, _OPERATORS, _OPERATORS[:-2] + ",],"),
+    "missing-comma": lambda t: _edit(t, "]]], [[[", "]]] [[["),
+    "missing-colon": lambda t: _edit(t, '"operators":', '"operators"'),
+    "cut-short": lambda t: t[: t.index('"operators"') + 40],
+    "non-string-key": lambda t: _edit(t, '"operators":', "5:"),
+    "duplicate-list-last": lambda t: _edit(t, '"measures":', '"operators": 5, "measures":'),
+    "duplicate-number-last": lambda t: _edit(t, '"integrand":', '"operators": 5, "integrand":'),
+    "empty-operators": lambda t: _edit(t, _OPERATORS, '"operators": [],'),
+    "top-level-list": lambda t: "[" + t + "]",
+    "top-level-number": lambda t: "5",
+    "nan": lambda t: _edit(t, '"operators": [[[[1,0]', '"operators": [[[[NaN,0]'),
+    "infinity": lambda t: _edit(t, '"operators": [[[[1,0]', '"operators": [[[[Infinity,0]'),
+    "boolean-leaf": lambda t: _edit(t, '"operators": [[[[1,0]', '"operators": [[[[true,0]'),
+    "beyond-int64": lambda t: _edit(t, '"operators": [[[[1,0]', f'"operators": [[[[{2**64},0]'),
+    "ragged": lambda t: _edit(t, '"operators": [[[[1,0],[0,0]]', '"operators": [[[[1,0]]'),
+    "four-deep": lambda t: _edit(t, _FIRST_OPERATOR, '"operators": [[[[[1]]]]'),
+    "measure-list": lambda t: '{"measures": [[[1, 2]]], ' + t[t.index('"operators"'):],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOP_LEVEL_EDITS))
+def test_loader_refuses_the_top_level_as_the_plain_reading_does(name):
+    # a JSONDecodeError's message ends with its position: (char N)
+    text = _TOP_LEVEL_EDITS[name](_readme_instance())
+    got = _handle_outcome(load_instance, io.StringIO(text))
+    assert got == _handle_outcome(_plain_load, io.StringIO(text))
+    assert issubclass(got[0], Exception) == (name not in ("duplicate-list-last", "beyond-int64"))
+    if name == "measure-list":
+        assert got == (ValueError, "measure must be an object, got a list of 1")
+
+
+def test_decoder_converts_each_operator_and_leaves_the_tables_lists():
+    tree = json.loads(
+        _readme_instance(), cls=serialize._Decoder, object_pairs_hook=serialize._decode_object
+    )
+    want = json.loads(_readme_instance())
+    assert all(isinstance(t, np.ndarray) for t in tree["operators"])
+    for got, plain in zip(tree["operators"], want["operators"]):
+        assert got.tobytes() == array_from_json(plain, 2).tobytes()
+    assert tree["integrand"] == want["integrand"]
 
 
 # --- the collector is paused for the decode and restored --------------------
