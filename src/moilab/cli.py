@@ -421,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run seeded verification campaigns")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=50)
-    p_verify.add_argument("--dims", default="2-6", help="ambient dimensions, e.g. 2-6 or 3,4")
-    p_verify.add_argument("--widths", default="1-3", help="index widths, e.g. 1-3")
+    as_range = "; a list (3,8) is read as the range from its least to its greatest value (3-8)"
+    p_verify.add_argument("--dims", default="2-6", help="ambient dimensions, e.g. 2-6" + as_range)
+    p_verify.add_argument("--widths", default="1-3", help="index widths, e.g. 1-3" + as_range)
     p_verify.add_argument(
         "--exponents",
         default="2,3,4,inf",

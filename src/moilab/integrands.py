@@ -16,7 +16,8 @@ is diag(table[x]). A width-0 chain denotes the zero integrand.
 Each class builds and checks its bond network once and keeps it as `labels`
 (the bond letters of each factor's table) and `tables` (one per factor, atom
 axis first): Psi(x_1..x_m) sums the product of tables[i][x_i] over every
-bond letter. The norm bound, Psi at a point and every evaluation read them.
+bond letter. The norm bound, Psi at a point, the projective embedding and
+every evaluation read them.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ _LINKS = string.ascii_uppercase + string.ascii_lowercase
 
 class _Network:
     """What the three classes share: the bond network (labels, tables), set
-    and checked once, and the atom counts read from it. They hold arrays, so
-    they compare and hash by identity (eq=False)."""
+    and checked once. They hold arrays, so they compare and hash by identity
+    (eq=False)."""
 
     def _set_network(self, labels, tables) -> None:
         labels, tables = tuple(labels), tuple(tables)
@@ -74,18 +75,16 @@ class _Network:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "tables", tables)
 
-    def atom_counts(self):
-        """Each factor's atom count; None for a projective integrand without terms."""
-        return tuple(t.shape[0] for t in self.tables) if self.tables else None
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveRep(_Network):
     """Psi(x_1..x_m) = sum_n prod_i phi_{n,i}(x_i); terms[n][i] is the scalar
     table of phi_{n,i}. Its network is one bond Z through every factor, over
-    the terms stacked as (n_i, terms) tables. An empty term list, which has
-    no tables, is the zero integrand: {"projective": {"arity": m, "terms": []}}
-    in a file."""
+    the terms stacked as (n_i, terms) tables. The tables are the one copy of
+    the factors, which the integrand owns: terms[n][i] is a view of column n
+    of tables[i], never an array of the caller's. An empty term list, which
+    has no tables, is the zero integrand: {"projective": {"arity": m,
+    "terms": []}} in a file."""
 
     arity: int
     terms: tuple = field(default=())
@@ -99,13 +98,14 @@ class ProjectiveRep(_Network):
                 raise ValueError(
                     f"term has {len(term)} factors, expected {self.arity}"
                 )
-            fixed.append(tuple(_table(f, 1, "factor") for f in term))
+            fixed.append([_table(f, 1, "factor") for f in term])
         for term in fixed[1:]:
             for i in range(self.arity):
                 if term[i].shape != fixed[0][i].shape:
                     raise ValueError("terms disagree on atom counts")
-        object.__setattr__(self, "terms", tuple(fixed))
-        self._set_network(("Z",) * self.arity, [np.array(f).T for f in zip(*fixed)])
+        tables = [np.array(f).T for f in zip(*fixed)]
+        object.__setattr__(self, "terms", tuple(zip(*(t.T for t in tables))))
+        self._set_network(("Z",) * self.arity, tables)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +205,12 @@ class HaagerupLikeRep(_Network):
 Integrand = ProjectiveRep | HaagerupChainRep | HaagerupLikeRep
 
 
+def _term_weights(rep: ProjectiveRep) -> tuple:
+    """Each factor's column sups, one per term, and each term's weight, their product."""
+    sups = [np.abs(t).max(axis=0) for t in rep.tables]
+    return sups, np.prod(sups, axis=0)
+
+
 def rep_norm_bound(rep: Integrand) -> float:
     """Norm of the given representation, an upper bound for the tensor norm.
 
@@ -216,8 +222,7 @@ def rep_norm_bound(rep: Integrand) -> float:
     """
     labels, tables = rep.labels, rep.tables
     if isinstance(rep, ProjectiveRep):  # the sum over the one bond, a term per column
-        sups = [np.abs(t).max(axis=0) for t in tables]
-        return float(sum(np.prod(term) for term in zip(*sups)))
+        return float(sum(_term_weights(rep)[1])) if tables else 0.0
     sups = []
     for i, (bonds, t) in enumerate(zip(labels, tables)):
         through = 0 < i < len(labels) - 1 and bonds in labels[i - 1] and bonds in labels[i + 1]
@@ -232,44 +237,33 @@ def eval_pointwise(rep: Integrand, atoms: Sequence[int]) -> complex:
     atoms = tuple(atoms)
     if len(atoms) != rep.arity:
         raise ValueError(f"expected {rep.arity} atom indices, got {len(atoms)}")
-    counts = rep.atom_counts()
-    if counts is None:  # a projective integrand without terms
+    if not rep.tables:  # a projective integrand without terms
         return 0j
-    for a, n in zip(atoms, counts):
-        if not 0 <= a < n:
-            raise IndexError(f"atom index {a} out of range [0, {n})")
+    for a, t in zip(atoms, rep.tables):
+        if not 0 <= a < len(t):
+            raise IndexError(f"atom index {a} out of range [0, {len(t)})")
     spec = ",".join(rep.labels) + "->"
     return complex(np.einsum(spec, *(t[a] for t, a in zip(rep.tables, atoms))))
 
 
 def embed_projective_in_haagerup(rep: ProjectiveRep) -> HaagerupChainRep:
     """Rewrite a projective sum as a chain with diagonal (n, terms) middles,
-    one chain index per term.
+    one chain index per term, read from the integrand's stacked tables.
 
-    Each term's factors are sup-normalized; the term weight (the product of
-    the sup-norms) is split as sqrt(w) on the head and tail columns, leaving
-    the middles unimodular-bounded. This keeps the chain representation norm
-    at most the projective one. Identically-zero terms become zero columns.
-    A projective integrand without terms has no atom counts, and is refused.
+    Each term's factors are sup-normalized, column by column; the term weight
+    (the product of the sup-norms) is split as sqrt(w) on the head and tail
+    columns, leaving the middles unimodular-bounded. This keeps the chain
+    representation norm at most the projective one. A term of weight 0 (a
+    zero factor, or a product that underflows) becomes a zero column. A
+    projective integrand without terms has no tables, and is refused.
     """
-    counts = rep.atom_counts()
-    if counts is None:
+    if not rep.tables:
         raise ValueError("cannot embed a projective integrand without terms: it has no atom counts")
-    width = len(rep.terms)
-    head = np.zeros((counts[0], width), dtype=np.complex128)
-    middles = [
-        np.zeros((counts[i], width), dtype=np.complex128)
-        for i in range(1, rep.arity - 1)
-    ]
-    tail = np.zeros((counts[-1], width), dtype=np.complex128)
-    for n, term in enumerate(rep.terms):
-        sups = [scalar_sup(f) for f in term]
-        weight = float(np.prod(sups))
-        if weight == 0.0:
-            continue
-        root = np.sqrt(weight)
-        head[:, n] = term[0] / sups[0] * root
-        for i, mid in enumerate(middles):
-            mid[:, n] = term[i + 1] / sups[i + 1]
-        tail[:, n] = term[-1] / sups[-1] * root
-    return HaagerupChainRep(head, tuple(middles), tail)
+    sups, weights = _term_weights(rep)
+    live = weights != 0
+    head, *middles, tail = (
+        np.divide(t, s, out=np.zeros(t.shape, dtype=np.complex128), where=live)
+        for t, s in zip(rep.tables, sups)
+    )
+    root = np.sqrt(weights)
+    return HaagerupChainRep(head * root, tuple(middles), tail * root)

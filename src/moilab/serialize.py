@@ -10,7 +10,8 @@ does any other value where an object belongs (a measure, an atom, an
 integrand body, `exponents`) or a list belongs (`measures`, `operators`,
 `atoms`, `middles`, `tables`, `terms` and each term), an integer field
 (`dim`, `arity`) that is not integral, a projective `arity` below 2 or one
-that disagrees with its terms, a boolean
+that disagrees with its terms (or, given no terms, with the instance's
+measure count, which is checked before the arity sizes anything), a boolean
 where a number belongs (an array leaf, an atom point), a `merge_tol` that is
 not a finite number >= 0, and an exponent outside (0, inf]; non-finite array
 entries are refused where the arrays are used. A refusal shows a list or an
@@ -319,6 +320,8 @@ def integrand_from_json(obj, arity: int | None = None):
                 raise ValueError(f"projective arity must be >= 2, got {given}")
             if terms and given != m:
                 raise ValueError(f"projective arity {given} disagrees with {m}-factor terms")
+            if not terms and arity is not None and given != arity:  # before it sizes anything
+                raise ValueError(f"integrand arity {given} != {arity} measures")
             m = given
         if m < 2:
             raise ValueError("cannot infer projective arity; provide 'arity'")

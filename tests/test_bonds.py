@@ -217,14 +217,14 @@ def test_projective_network_stacks_the_terms_on_one_bond(arity):
     terms = [[crandom(rng, (n,)) for n in counts] for _ in range(3)]
     rep = ProjectiveRep(arity, terms)
     assert rep.labels == _PROJECTIVE_LABELS[arity]
-    assert len(rep.tables) == arity and rep.atom_counts() == tuple(counts)
+    assert len(rep.tables) == arity and [len(t) for t in rep.tables] == counts
     for i, table in enumerate(rep.tables):
         assert table.shape == (counts[i], len(terms))
         for n, term in enumerate(terms):
             assert np.array_equal(table[:, n], term[i])
     zero = ProjectiveRep(arity)
     assert zero.labels == _PROJECTIVE_LABELS[arity]
-    assert zero.tables == () and zero.atom_counts() is None
+    assert zero.tables == () and zero.terms == ()
 
 
 def test_instance_gives_the_zero_integrand_width_zero_tables():
@@ -252,7 +252,7 @@ def test_chain_network_links_head_middles_and_tail(forms):
     assert rep.labels == _CHAIN_LABELS[forms]
     assert rep.tables == (rep.head, *rep.middles, rep.tail)
     assert all(np.array_equal(t, a) for t, a in zip(rep.tables, inputs, strict=True))
-    assert rep.atom_counts() == tuple(len(a) for a in inputs)
+    assert [len(t) for t in rep.tables] == [len(a) for a in inputs]
 
 
 @pytest.mark.parametrize("kind, arity", sorted(_LIKE_LABELS))
@@ -264,7 +264,7 @@ def test_like_network_is_the_rotated_chain(kind, arity):
     rep = HaagerupLikeRep(kind, tuple(inputs))
     assert rep.labels == labels
     assert all(np.array_equal(t, a) for t, a in zip(rep.tables, inputs, strict=True))
-    assert rep.atom_counts() == tuple(len(a) for a in inputs)
+    assert [len(t) for t in rep.tables] == [len(a) for a in inputs]
 
 
 @pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])

@@ -647,6 +647,9 @@ _MIDDLE = "middles[0] must be an (n, L, L') list of depth 3 or {\"diagonal\": <(
          "projective arity must be >= 2, got 0"),
         ("projective", _set("integrand"), {"projective": {"arity": 1}},
          "projective arity must be >= 2, got 1"),
+        # without terms, a given arity is held to the measure count before it sizes anything
+        ("projective", _set("integrand"), {"projective": {"arity": 10**7, "terms": []}},
+         "integrand arity 10000000 != 3 measures"),
         # a list or an object is shown by kind and length, anything else cut short
         pytest.param("chain", _set("operators", 0, 0, 0), _LONG,
                      f"not a complex scalar (number or [re, im]): {_CUT}", id="operator-leaf"),

@@ -915,7 +915,7 @@ def test_diagonal_middles_match_their_dense_expansion(arity, seed):
     for path in (eval_haagerup, eval_haagerup_block, eval_oracle):
         assert np.abs(path(inst) - reference).max() <= tol, path.__name__
     psi_tol = TOL * max(rep_norm_bound(dense.integrand), evaluate.SCALE_FLOOR)
-    for atoms in itertools.product(*(range(n) for n in rep.atom_counts())):
+    for atoms in itertools.product(*(range(len(t)) for t in rep.tables)):
         gap = abs(eval_pointwise(rep, atoms) - eval_pointwise(dense.integrand, atoms))
         assert gap <= psi_tol
     bound, dense_bound = rep_norm_bound(rep), rep_norm_bound(dense.integrand)

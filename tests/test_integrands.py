@@ -13,7 +13,9 @@ from moilab.integrands import (
     eval_pointwise,
     rep_norm_bound,
 )
-from moilab.evaluate import MoiInstance
+from moilab.evaluate import MoiInstance, eval_moi
+from moilab.randominst import random_measure, random_operator, rng_for
+from moilab.serialize import integrand_to_json
 from moilab.sharpness import ConstructionCase, build_construction, default_case
 
 from helpers import trivial_measure
@@ -231,7 +233,7 @@ def test_like_pointwise_is_the_rotated_chain_product(kind, arity):
     chain.append(crandom(rng, (counts[-1], widths[-1])))
     s = arity - 1 if kind == "first" else 1  # the rep's factor i is the chain's (i + s) mod m
     rep = HaagerupLikeRep(kind, tuple(chain[(i + s) % arity] for i in range(arity)))
-    for atoms in itertools.product(*(range(n) for n in rep.atom_counts())):
+    for atoms in itertools.product(*(range(len(t)) for t in rep.tables)):
         y = [atoms[(k - s) % arity] for k in range(arity)]  # the atoms in chain order
         v = chain[0][y[0]]
         for t, x in zip(chain[1:], y[1:]):
@@ -300,6 +302,83 @@ def test_embed_drops_zero_terms_without_changing_values():
     assert chain.head.shape[1] == 2
     for atoms in itertools.product(range(2), repeat=3):
         assert abs(eval_pointwise(chain, atoms) - eval_pointwise(rep, atoms)) < 1e-12
+
+
+def test_projective_integrand_keeps_its_own_copy_of_the_factors():
+    # a caller who changes a factor after construction changes nothing the
+    # integrand reads or writes: its terms are views of its own tables
+    rng = rng_for(111)
+    a, b = crandom(rng, (3,)), crandom(rng, (2,))
+    rep = ProjectiveRep(2, ((a, b),))
+    inst = MoiInstance((random_measure(rng, 4, 3), random_measure(rng, 4, 2)),
+                       (random_operator(rng, 4),), rep)
+    terms = [[f.copy() for f in term] for term in rep.terms]
+    tables = [t.copy() for t in rep.tables]
+    written, bound, value = integrand_to_json(rep), rep_norm_bound(rep), eval_moi(inst)
+    a[:], b[:] = 100, -7j
+    assert all(np.array_equal(f, g) for term, old in zip(rep.terms, terms) for f, g in zip(term, old))
+    assert all(np.array_equal(t, old) for t, old in zip(rep.tables, tables))
+    assert integrand_to_json(rep) == written
+    assert rep_norm_bound(rep) == bound
+    assert eval_moi(inst).tobytes() == value.tobytes()
+    assert all(np.shares_memory(f, t) for f, t in zip(rep.terms[0], rep.tables))
+    assert not any(np.shares_memory(f, g) for f in rep.terms[0] for g in (a, b))
+
+
+def _embed_by_terms(rep):
+    """The embedding one term at a time, the reference for the stacked one:
+    each live term's factors over their sups, sqrt(weight) on head and tail."""
+    counts = [len(t) for t in rep.tables]
+    width = len(rep.terms)
+    head = np.zeros((counts[0], width), dtype=np.complex128)
+    middles = [np.zeros((n, width), dtype=np.complex128) for n in counts[1:-1]]
+    tail = np.zeros((counts[-1], width), dtype=np.complex128)
+    for n, term in enumerate(rep.terms):
+        sups = [float(np.abs(f).max()) for f in term]
+        weight = float(np.prod(sups))
+        if weight == 0.0:
+            continue
+        root = np.sqrt(weight)
+        head[:, n] = term[0] / sups[0] * root
+        for i, mid in enumerate(middles):
+            mid[:, n] = term[i + 1] / sups[i + 1]
+        tail[:, n] = term[-1] / sups[-1] * root
+    return (head, *middles, tail)
+
+
+def _skewed_projective(rng, n_terms):
+    """A projective integrand of arity 2 to 5 whose terms cycle through plain
+    factors, a zero factor, factors whose weight underflows to 0 and factors
+    spread over 120 decades."""
+    arity = int(rng.integers(2, 6))
+    counts = [int(n) for n in rng.integers(1, 6, size=arity)]
+    terms = []
+    for k in range(n_terms):
+        term = [crandom(rng, (n,)) for n in counts]
+        if k % 4 == 1:
+            i = int(rng.integers(arity))
+            term[i] = np.zeros(counts[i])
+        elif k % 4 == 2:
+            term = [f * 1e-170 for f in term]
+        elif k % 4 == 3:
+            term = [f * 10.0 ** int(rng.integers(-60, 61)) for f in term]
+        terms.append(term)
+    return ProjectiveRep(arity, terms)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_embedding_equals_the_per_term_reference_bit_for_bit(seed):
+    rng = rng_for(112, seed)
+    rep = _skewed_projective(rng, 30 + 3 * seed)
+    sups = [[float(np.abs(f).max()) for f in term] for term in rep.terms]
+    weights = [float(np.prod(s)) for s in sups]
+    assert any(w == 0.0 and min(s) > 0.0 for w, s in zip(weights, sups))  # an underflow
+    assert any(min(s) == 0.0 for s in sups)  # a zero factor
+    chain = embed_projective_in_haagerup(rep)
+    for got, want in zip(chain.tables, _embed_by_terms(rep), strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the bound sums the same weights, term by term
+    assert rep_norm_bound(rep) == float(sum(np.prod(s) for s in sups))
 
 
 def _trivial_instance():

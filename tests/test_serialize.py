@@ -9,6 +9,7 @@ import random
 import re
 import reprlib
 import sys
+import tracemalloc
 import weakref
 from itertools import chain
 from operator import getitem
@@ -387,7 +388,7 @@ _WIDTH_ZERO = [
 @pytest.mark.parametrize("rep, factor, shape", _WIDTH_ZERO)
 def test_writer_refuses_a_width_zero_table(rep, factor, shape):
     rng = rng_for(67, factor)
-    measures = tuple(random_measure(rng, 3, n) for n in rep.atom_counts())
+    measures = tuple(random_measure(rng, 3, len(t)) for t in rep.tables)
     inst = MoiInstance(measures, tuple(np.eye(3) for _ in measures[1:]), rep)
     assert not eval_moi(inst).any()
     message = (
@@ -740,6 +741,25 @@ def _readme_instance() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Instance file format\n", 1)[1]
     return re.findall(r"```json\n(.*?)```", section, re.DOTALL)[0]
+
+
+def test_loader_refuses_a_termless_projective_arity_before_it_sizes_anything(tmp_path):
+    # the README example's three measures with a zero integrand of arity 10^7:
+    # the arity is held to the measure count before the integrand is built
+    payload = json.loads(_readme_instance())
+    assert len(payload["measures"]) == 3
+    payload["integrand"] = {"projective": {"arity": 10**7, "terms": []}}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh, pytest.raises(ValueError) as refusal:
+            load_instance(fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refusal.value) == "integrand arity 10000000 != 3 measures"
+    assert peak < 2**20
 
 
 def test_loader_falls_back_to_the_plain_decoder_past_the_recursion_limit(tmp_path):
