@@ -29,7 +29,7 @@ from __future__ import annotations
 import string
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 
 import numpy as np
@@ -50,12 +50,12 @@ SCALE_FLOOR = 1e-12
 # Bytes of a sweep state, which set the rows per slice. Arity-4 both-large
 # construction, whose pinned sweep holds 16 n bytes per row, tracemalloc peak
 # and time of eval_haagerup, one BLAS thread, 2-vCPU OpenBLAS machine:
-#   n <= 256: one slice of every row (1 MiB at n = 256), peak 0.45, 1.76 and
-#             7.02 MiB at n = 64, 128 and 256 at a 1, 2 or 32 MiB budget;
+#   n <= 256: one slice of every row (1 MiB at n = 256), peak 0.33, 1.26 and
+#             5.02 MiB at n = 64, 128 and 256 at a 1, 2 or 32 MiB budget;
 #             n = 256 takes 16-24 ms with numpy's huge-page advice or without
-#   n = 1024: eight slices of 128 rows, peak 64.1 MiB and 0.58-0.62 s; one
-#             16 MiB slice (a 32 MiB budget) peaks at 112.1 MiB in 0.56 s,
-#             sixteen 1 MiB slices at 64.1 MiB in 0.59 s
+#   n = 1024: eight slices of 128 rows, peak 64.1 MiB and 0.55-0.62 s; one
+#             16 MiB slice (a 32 MiB budget) peaks at 80.1 MiB in 0.53 s,
+#             sixteen 1 MiB slices at 64.1 MiB in 0.6 s
 STATE_BUDGET = 2 * 2**20
 MOVE_BLOCK = 512  # state columns per matmul of an in-place move
 # Rows per slice are a multiple of ROW_ALIGN, and at least ROW_ALIGN. A BLAS
@@ -213,8 +213,8 @@ def _sweep(inst: MoiInstance, start: int = 0, probes=(None,)):
     instance's operators in the gaps between them and each probe in turn in
     the gap between factor m and factor 1. The frame (bases, plan, tables
     expanded to basis columns, the pinned bond and its values, rows per
-    slice, moved operators) is made once; a table on a pinned bond is
-    gathered per slice.
+    slice, moved operators) is made once; a table on the pinned bond is
+    gathered at the step that reads it (see _contract), one at a time.
     An operator, or a probe, whose support _thin finds thin moves as a pair
     (A, B) that a move step applies as A (B S); a pair never starts a sweep
     unmultiplied: the starting operator, cut to each slice's rows, is
@@ -271,19 +271,13 @@ def _sweep(inst: MoiInstance, start: int = 0, probes=(None,)):
     rows = STATE_BUDGET // (16 * dim * width) if width else dim
     rows = max(rows - rows % ROW_ALIGN, ROW_ALIGN)
 
-    def sliced(r):  # the column tables of rows r, a table on the pinned bond read at their b
-        if not pin:
-            return [cols[0][r], *cols[1:]]
-        at = bond[r][None, :]
-        gathered = {}  # one gather per table, measure and bonds: the tables are only read
-        for t, e, b in factors[1:]:
-            if pin in b and (id(t), id(e), b) not in gathered:
-                index = (e.labels[:, None], *(at if a == pin else slice(None) for a in b))
-                gathered[id(t), id(e), b] = t[index]
-        return [cols[0][r]] + [
-            gathered[id(t), id(e), b] if col is None else col
-            for col, (t, e, b) in zip(cols[1:], factors[1:])
-        ]
+    def column(r, k):  # table k for rows r, read by the step that uses it (see _contract)
+        if k == 0:
+            return cols[0][r]
+        if cols[k] is not None:
+            return cols[k]
+        t, e, b = factors[k]  # on the pinned bond: read at c and at the b of each row
+        return t[(e.labels[:, None], *(bond[r][None, :] if a == pin else slice(None) for a in b))]
 
     for probe in probes:
         for k in slots:
@@ -294,7 +288,7 @@ def _sweep(inst: MoiInstance, start: int = 0, probes=(None,)):
         head, *rest = moved[::-1] if reverse else moved
         head = moved[first] = np.ascontiguousarray(head)
         parts = [
-            _contract(steps, [np.ascontiguousarray(head[:, r]), *rest], sliced(r))
+            _contract(steps, [np.ascontiguousarray(head[:, r]), *rest], partial(column, r))
             for r in (slice(j, j + rows) for j in range(0, dim, rows))
         ]
         yield _product(bases[0], np.concatenate(parts, axis=int(reverse)), _adjoint(bases[-1]))
@@ -351,7 +345,7 @@ def _pin(bonds: str, t: np.ndarray) -> str:
     return ""
 
 
-def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
+def _contract(steps: tuple, moved: list, cols) -> np.ndarray:
     """The rows of C that moved[0] holds (its columns, for a reversed plan),
     from the plan's steps. A move multiplies the state in place, MOVE_BLOCK
     columns of its flattened (c, r bonds) form at a time, so that the old
@@ -359,9 +353,9 @@ def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
     _thin) multiplies each block as A (B block), through its inner side.
     Every other step writes a new C-ordered state or multiplies the state in
     place. The first step always writes a new state, so moved[0], always
-    dense, and the column tables are read, never written. A pinned plan's
-    cols are the first table's values v[r] and the tables on the pinned bond
-    read at c and r (see _sweep)."""
+    dense, and the tables are read, never written. cols(k) is table k's
+    column table for the slice's rows, and gathers a table on the pinned
+    bond at c and r when its step calls it, to drop it after (see _sweep)."""
     state = moved[0]
     for kind, k, arg in steps:
         if kind == "move":
@@ -372,11 +366,11 @@ def _contract(steps: tuple, moved: list, cols: list) -> np.ndarray:
                 block[...] = op[0] @ (op[1] @ block) if isinstance(op, tuple) else op @ block
             state = flat.reshape(state.shape)
         elif kind == "mul":
-            state *= cols[k][arg]
+            state *= cols(k)[arg]
         elif kind == "matmul":
-            state = np.matmul(state, cols[k].swapaxes(1, 2) if arg else cols[k])
+            state = np.matmul(state, cols(k).swapaxes(1, 2) if arg else cols(k))
         else:
-            state = np.einsum(arg, state, cols[k])
+            state = np.einsum(arg, state, cols(k))
     return state
 
 

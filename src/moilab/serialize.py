@@ -314,21 +314,20 @@ def integrand_from_json(obj, arity: int | None = None):
     if key == "projective":
         terms = [_list("term", t) for t in _list("terms", body.get("terms", []))]
         m = len(terms[0]) if terms else arity or 0
-        if body.get("arity") is not None:  # a given arity is used as given
-            given = _integer("arity", body["arity"])
-            if given < 2:
-                raise ValueError(f"projective arity must be >= 2, got {given}")
-            if terms and given != m:
-                raise ValueError(f"projective arity {given} disagrees with {m}-factor terms")
-            if not terms and arity is not None and given != arity:  # before it sizes anything
-                raise ValueError(f"integrand arity {given} != {arity} measures")
-            m = given
-        if m < 2:
+        given = body.get("arity")
+        if given is None and not terms and m < 2:
             raise ValueError("cannot infer projective arity; provide 'arity'")
+        given = m if given is None else _integer("arity", given)  # a given arity is used as given
+        if given < 2:
+            raise ValueError(f"projective arity must be >= 2, got {_shown(given)}")
+        if terms and given != m:
+            raise ValueError(f"projective arity {_shown(given)} disagrees with {m}-factor terms")
+        if not terms and arity is not None and given != arity:  # before it sizes anything
+            raise ValueError(f"integrand arity {_shown(given)} != {arity} measures")
         parsed = tuple(
             tuple(array_from_json(f, 1) for f in term) for term in terms
         )
-        return ProjectiveRep(m, parsed)
+        return ProjectiveRep(given, parsed)
     if key == "haagerup":
         head = array_from_json(_field("haagerup integrand", body, "head"), 2)
         middles = _list("middles", body.get("middles", []))

@@ -38,7 +38,9 @@ REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 # some twelve n x n matrices. n = 2048 would take about 8 times as long and
 # 0.8 GiB. Each factor beyond 4 adds a rank-one p0, which moves as a pair of
 # n-vectors (see evaluate._thin), and a middle of ones, one table shared by
-# them all: arity 5 peaks at 208 MiB, and MAX_ARITY = 10 at 208.4 MiB.
+# them all, which saves the instance's memory only: the sweep gathers each
+# table on the pinned bond at the step that reads it, one at a time, shared
+# or not. Arity 5 peaks at 208 MiB, and MAX_ARITY = 10 at 208.4 MiB.
 # The 384 MiB that tests allow at arity 4 and at MAX_ARITY would hold every
 # arity up to 51, the most a chain's bond letters name, which peaks at
 # 210 MiB; MAX_ARITY stays 10, the arity that CI runs at n = 1024.

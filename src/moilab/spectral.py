@@ -9,6 +9,7 @@ checked at construction, and a basis with column labels is valid by form.
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -48,7 +49,7 @@ class FiniteSpectralMeasure:
         projs = tuple(as_matrix(p) for p in projections)
         for p in projs:
             if p.shape != (dim, dim):
-                raise ValueError(f"projection shape {p.shape} != ({dim}, {dim})")
+                raise ValueError(f"projection shape {p.shape} != {reprlib.repr((dim, dim))}")
         n = len(points)
         stack = np.stack(projs)
         # eigenvalue i marks the range of P_i; each column takes its rounded one

@@ -986,6 +986,40 @@ def test_eval_rejects_bad_field_value(tmp_path, mutate, literal, needle, cls):
     _assert_refused(path, needle)
 
 
+def _set_termless_arity(o, value):
+    o["integrand"] = {"projective": {"arity": value}}
+
+
+_HUGE = "1" + "0" * 299  # a 300-digit integer literal
+
+
+@pytest.mark.parametrize(
+    "mutate, literal, needle",
+    [
+        (_set_dim, "1e300", "projection shape (3, 3) != (100000000000000005...63868654594"),
+        (_set_termless_arity, "1e300", "integrand arity 100000000000000005..."),
+        (_set_termless_arity, "-1e300", "projective arity must be >= 2, got -1000000000000"),
+        (_set_termless_arity, _HUGE, "integrand arity 100000000000000000...0000000000000000000 "),
+    ],
+    ids=["dim", "arity", "negative-arity", "300-digit-arity"],
+)
+def test_refusal_cuts_a_huge_integer_short(tmp_path, mutate, literal, needle):
+    """A `dim` or projective `arity` of up to 1e308 is shown as reprlib cuts
+    it, as `_shown` shows any value: one stderr line of under 200 characters
+    (360 to 662 when such an integer was written out in full)."""
+    path = tmp_path / "instance.json"
+    _write_with_literal(path, mutate, literal)
+    code, out, err = _eval_in_process(path)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < 200 and needle in err, err
+
+
+def test_refusal_keeps_an_ordinary_arity_word_for_word(tmp_path):
+    path = tmp_path / "instance.json"
+    _write_with_literal(path, _set_termless_arity, "10000000")
+    assert _eval_in_process(path) == (2, "", _LOAD + "integrand arity 10000000 != 3 measures\n")
+
+
 def _diagonal_chain_payload():
     """A chain instance whose first middle is diagonal, and its JSON."""
     from moilab.evaluate import MoiInstance

@@ -1056,6 +1056,31 @@ def test_default_budget_sweeps_constructions_bit_for_bit_as_one_slice(arity, reg
         assert eval_moi(inst).tobytes() == sliced.tobytes()
 
 
+@pytest.mark.parametrize(
+    "arity, regime, p1, pm1",
+    [
+        (4, "both-large", 4.0, 4.0),
+        (10, "both-large", 4.0, 4.0),
+        (10, "both-small", 1.0, 1.5),
+        (3, "mixed-large-small", 3.0, 1.0),
+    ],
+)
+def test_pinned_constructions_in_sixteen_slices_are_bit_for_bit_one_slice(
+    arity, regime, p1, pm1
+):
+    """At n = 128, a budget of 8 rows cuts C into 16 slices, and each slice
+    gathers its tables on the pinned bond again, at the steps that read them;
+    every bit is as in one slice."""
+    n = 128
+    inst = build_construction(default_case(arity, regime, p1, pm1, n))
+    eight_rows = mock.patch.object(evaluate, "STATE_BUDGET", 16 * n * 8)
+    with eight_rows, mock.patch.object(evaluate, "_contract", wraps=evaluate._contract) as contract:
+        sliced = eval_moi(inst)
+    assert contract.call_count == 16
+    with mock.patch.object(evaluate, "STATE_BUDGET", ONE_SLICE_BUDGET):
+        assert eval_moi(inst).tobytes() == sliced.tobytes()
+
+
 def test_chunked_sweep_of_zero_terms_is_the_zero_matrix(monkeypatch):
     rng = rng_for(92)
     measures = tuple(random_measure(rng, 4, 3) for _ in range(3))
@@ -1077,11 +1102,12 @@ def _sweep_peak(inst):
 
 # tracemalloc peak of the arity-4 both-large construction at the 2 MiB
 # STATE_BUDGET. Its delta head and tail pin its one bond, so no state holds a
-# bond and every row fits one slice: the peak is about eight n x n matrices,
-# the moved operators, C and its basis change (3.01, 5.01 and 18.0 MiB before
-# the pin, when each state held the width-n bond; 4.95, 34.8 and 42.0 MiB at
-# a 32 MiB budget)
-SWEEP_PEAKS = {64: (0.51, 0.75), 128: (2.01, 2.5), 256: (8.01, 9.5)}  # MiB: measured, bound
+# bond and every row fits one slice: the peak is about five n x n matrices,
+# the moved operators, the state, C and its basis change, with one table on
+# the pinned bond gathered at a time (0.45, 1.76 and 7.02 MiB when a slice
+# gathered all three at once; 3.01, 5.01 and 18.0 MiB before the pin, when
+# each state held the width-n bond)
+SWEEP_PEAKS = {64: (0.33, 0.40), 128: (1.26, 1.5), 256: (5.02, 6.0)}  # MiB: measured, bound
 
 
 @pytest.mark.parametrize("n", sorted(SWEEP_PEAKS))
@@ -1091,6 +1117,21 @@ def test_sweep_peak_stays_near_its_slices(n):
     w, peak = _sweep_peak(inst)
     assert peak <= SWEEP_PEAKS[n][1] * 2**20, f"peak {peak / 2**20:.2f} MiB"
     assert np.abs(w - np.diag(expected_diag(case))).max() <= TOL * moi_scale(inst)
+
+
+def test_copied_tables_peak_as_shared_ones():
+    """The arity-10 both-large construction at n = 256 shares one table of
+    ones among its interior middles; given each middle as its own copy, the
+    sweep gives the same bytes at a peak within 0.5 MiB (both 5.07 MiB; 8.08
+    and 13.07 MiB when a slice's tables on the pinned bond were gathered at
+    once, one gather per distinct table)."""
+    inst = build_construction(default_case(10, "both-large", 4.0, 4.0, 256))
+    rep = inst.integrand
+    copies = HaagerupChainRep(rep.head, tuple(m.copy() for m in rep.middles), rep.tail)
+    shared, shared_peak = _sweep_peak(inst)
+    copied, copied_peak = _sweep_peak(MoiInstance(inst.measures, inst.operators, copies))
+    assert copied.tobytes() == shared.tobytes()
+    assert abs(copied_peak - shared_peak) <= 2**19, f"{shared_peak}, {copied_peak} bytes"
 
 
 def test_sweep_slices_bound_a_second_wide_bond(monkeypatch):

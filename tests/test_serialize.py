@@ -762,6 +762,19 @@ def test_loader_refuses_a_termless_projective_arity_before_it_sizes_anything(tmp
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("measures", [None, 3])
+def test_loader_names_the_arity_of_one_factor_terms(measures):
+    # terms of one factor are refused by their arity, as a given arity of 1
+    # is: an 'arity' could not mend them; with no terms and no measure count
+    # there is nothing to infer an arity from
+    with pytest.raises(ValueError) as refusal:
+        integrand_from_json({"projective": {"terms": [[[1, 1]]]}}, arity=measures)
+    assert str(refusal.value) == "projective arity must be >= 2, got 1"
+    with pytest.raises(ValueError) as refusal:
+        integrand_from_json({"projective": {"terms": []}})
+    assert str(refusal.value) == "cannot infer projective arity; provide 'arity'"
+
+
 def test_loader_falls_back_to_the_plain_decoder_past_the_recursion_limit(tmp_path):
     # the hook's frame can take the decode past the recursion limit that the
     # plain decoder stays under; the file then loads through the plain one
