@@ -19,18 +19,19 @@ object by its kind and length (`a list of 64`, `an object of 1 keys`) and
 any other value by a repr cut short (`got 5`, `got 'abc'`).
 
 `load_instance` reads an instance file as
-`instance_from_json(json.load(fh))` does, holding less: each measure array,
-most of a file's bytes, is converted inside the decoder as its atom or
-measure object closes, and each operator as it closes, and the tree holds
-each as the array itself, so one array's nested lists are alive at a time
-next to the file text, not the whole tree; only the integrand's tables are
-read as before. A converted array is shown as the list it came from, so a
-file it refuses gets the plain reading's error, word for word. Each array
-is flattened to one list of its leaves and converted by one `np.asarray`.
-`load_instance`'s docstring says which handles it maps read-only and which
-it reads as text, and how it pauses the cyclic garbage collector,
-process-wide, for the decode and restores it. `array_to_json_text` writes
-an array's `indent=2` JSON form without Python's pure-Python encoder.
+`instance_from_json(json.load(fh))` does, holding less: it walks the file,
+reading each array, key and scalar from a window of about one array's text,
+converts each measure array, most of a file's bytes, as its atom or measure
+closes, and each operator as it closes, and the tree holds each as the
+array itself; only the integrand's tables are read as before. A file the
+walker does not take is decoded whole, and a converted array is shown as
+the list it came from, so a refusal is the plain reading's, word for word.
+Each array is flattened to one list of its leaves and converted by one
+`np.asarray`. `load_instance`'s docstring says which handles it maps
+read-only and which it reads as text, and how it pauses the cyclic garbage
+collector, process-wide, for the decode and restores it.
+`array_to_json_text` writes an array's `indent=2` JSON form without
+Python's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -391,83 +392,148 @@ def _decode_object(pairs: list) -> dict:
     return dict(pairs)
 
 
-class _Decoder(json.JSONDecoder):
-    """Converts each element of a top-level list (an operator) by
-    `_fast_array(value, 2)` as it closes. The stdlib's `JSONObject` and
-    `JSONArray`, which refuse as the C scanner does, parse the top-level
-    object and its lists; the C scanner parses every deeper value."""
+WINDOW = 2**20  # characters in the window of the first array `_Walker` reads
 
-    def __init__(self, **kw):
-        super().__init__(**kw)
-        deeper, strict = self.scan_once, self.strict
-        hooks = self.object_hook, self.object_pairs_hook  # no closure holds self: no cycle
 
-        def element(s, idx):
-            value, end = deeper(s, idx)
-            a = _fast_array(value, 2) if isinstance(value, list) else None
-            return (value if a is None else a), end
+class _Walker:
+    """A walk of a text of `length` characters, `read(a, b)` from a to b, to
+    the tree `json.loads(text, object_pairs_hook=_decode_object)` builds,
+    each list in a top-level member list converted by `_fast_array(value,
+    2)`. Objects, top-level member lists and lists of objects are walked in
+    Python; the C scanner reads each other value from a window taken at it,
+    or from a `window` that holds the whole text. An array's window is
+    WINDOW long at first and then the last array's length and an eighth, a
+    key's or a scalar's 64 characters; a value must end 3 characters inside
+    it, the most a number's scan reads past it ("1e-5" cut as "1e-"), or the
+    window reach the end, else the window doubles. A class, not closures: a
+    closure that calls itself is a cycle, which the paused collector would
+    leave holding the last window."""
 
-        def member(s, idx):
-            if s.startswith("[", idx):
-                return json.decoder.JSONArray((s, idx + 1), element)
-            return deeper(s, idx)
+    def __init__(self, read, length: int, window: str = ""):
+        self.read, self.length, self.base, self.window = read, length, 0, window
+        self.size, self.small = WINDOW, min(WINDOW, 64)
+        self.scan = json.JSONDecoder(object_pairs_hook=_decode_object).scan_once
 
-        def top(s, idx):
-            if s.startswith("{", idx):
-                return json.decoder.JSONObject((s, idx + 1), strict, member, *hooks)
-            return deeper(s, idx)
+    def tree(self):
+        """The tree, or None for a text the walker does not take."""
+        try:
+            pos, c = self.at(0)
+            tree, pos = self.walk(pos, c, 0) if c == "{" else (None, pos)
+            return None if self.at(pos)[1] else tree
+        except (StopIteration, ValueError, RecursionError):
+            return None
 
-        self.scan_once = top
+    def at(self, pos):
+        """(position, character) of the first non-space at or after pos."""
+        while True:
+            i = json.decoder.WHITESPACE.match(self.window, pos - self.base).end()
+            if i < len(self.window) or self.base + i == self.length:
+                return self.base + i, self.window[i : i + 1]  # "" at the end
+            pos = self.base = self.base + i
+            self.window = self.read(pos, pos + self.small)
+
+    def value(self, pos, want):
+        """(value, end) of the value at pos, read by the C scanner."""
+        while True:
+            if pos < self.base or pos + want > self.base + len(self.window) < self.length:
+                self.base, self.window = pos, self.read(pos, pos + want)
+            whole = self.base + len(self.window) == self.length
+            try:
+                obj, end = self.scan(self.window, pos - self.base)
+                if whole or end + 3 <= len(self.window):
+                    return obj, self.base + end
+            except (StopIteration, ValueError):
+                if whole:
+                    raise
+            want = 2 * (self.base + len(self.window) - pos)
+
+    def walk(self, pos, c, depth):
+        """(value, end) of the value at pos, whose first character is c,
+        `depth` containers deep."""
+        if c not in ("{", "[") or c == "[" and depth != 1 and self.at(pos + 1)[1] != "{":
+            obj, end = self.value(pos, self.size if c == "[" else self.small)
+            if c == "[":
+                self.size = end - pos + (end - pos >> 3)
+            return obj, end
+        close, out = "}" if c == "{" else "]", []
+        pos, c = self.at(pos + 1)
+        while out or c != close:
+            if close == "}":
+                key, pos = self.value(pos, self.small)
+                pos, c = self.at(pos)
+                if type(key) is not str or c != ":":
+                    raise ValueError("not a key")
+                obj, pos = self.walk(*self.at(pos + 1), depth + 1)
+                out.append((key, obj))
+            else:
+                obj, pos = self.walk(pos, c, depth + 1)
+                a = _fast_array(obj, 2) if depth == 1 and isinstance(obj, list) else None
+                out.append(obj if a is None else a)
+            pos, c = self.at(pos)
+            if c != ",":
+                break
+            pos, c = self.at(pos + 1)
+        if c != close:
+            raise ValueError("not a comma")
+        return (_decode_object(out) if close == "}" else out), pos + 1
 
 
 def load_instance(fh) -> tuple[MoiInstance, dict | None]:
     """`instance_from_json(json.load(fh))`, converting the measure arrays
-    and the operators as the decoder closes them.
+    and the operators as they close.
 
     A regular, non-empty file opened as strict UTF-8 and not yet read from
-    is mapped read-only and decoded from the mapping in one step, so its
-    bytes are not first copied to the heap; the mapping is closed before
-    the text is parsed, and `fh` is left at its start. Any other handle (a
-    pipe, a `StringIO`, another encoding or error mode, one read from
-    already) is read with `fh.read()`, and so is a file that holds a
-    carriage return, which text mode translates to a newline and a parse
-    error's position counts as one. A file truncated by another process
-    during the decode may end the process with SIGBUS, as under any mapped
-    read; a file replaced by a rename, as `eval --out` writes one, is safe.
-    The text is decoded with the cyclic garbage collector paused, after one
-    young collection, and the collector is enabled again, raise or return,
-    only if it was enabled; the pause is process-wide, so a `gc.disable()`
-    another thread makes during a decode is undone when the decode ends.
+    is mapped read-only and walked by `_Walker`, each window a `str` of an
+    ASCII slice of the mapping, so no more than about one array's text is
+    alive; `fh` is left at its start. Any other handle (a pipe, a
+    `StringIO`, another encoding or error mode, one read from already) is
+    read with `fh.read()` and walked in place, and so is a file that holds
+    a carriage return, which text mode translates to a newline and a parse
+    error's position counts as one. A text the walker does not take (a
+    window that is not ASCII, any JSON error, unexpected punctuation, the
+    recursion limit) is decoded whole by `json.loads`: its tree or refusal,
+    words and `char N`, is the plain reading's. The mapping stays open for
+    the walk: a file truncated by another process meanwhile may end the
+    process with SIGBUS, as under any mapped read; a file replaced by a
+    rename, as `eval --out` writes one, is safe. The file is decoded with
+    the cyclic garbage collector paused, after one young collection, and
+    the collector is enabled again, raise or return, only if it was
+    enabled; the pause is process-wide, so a `gc.disable()` another thread
+    makes during a decode is undone when the decode ends.
     """
-    text = None
-    if (
-        isinstance(fh, io.TextIOWrapper)
-        and codecs.lookup(fh.encoding).name == "utf-8"
-        and fh.errors == "strict"
-        and fh.seekable()
-        and fh.tell() == 0
-    ):
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode) and info.st_size:
-            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapping:
-                if mapping.find(b"\r") < 0:
-                    text = str(mapping, "utf-8")
-    if text is None:
-        text = fh.read()
     enabled = gc.isenabled()
     if enabled:
         gc.collect(0)  # the pause carries no young garbage, such as a dropped parser
         gc.disable()  # the decoder's lists make no cycle for the collector to find
     try:
-        try:
-            obj = json.loads(text, cls=_Decoder, object_pairs_hook=_decode_object)
-        except RecursionError:  # the decoder's frames can cross the limit the plain one stays under
-            obj = json.loads(text)
+        tree = text = None
+        if (
+            isinstance(fh, io.TextIOWrapper)
+            and codecs.lookup(fh.encoding).name == "utf-8"
+            and fh.errors == "strict"
+            and fh.seekable()
+            and fh.tell() == 0
+        ):
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode) and info.st_size:
+                with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapping:
+                    if mapping.find(b"\r") < 0:
+                        with memoryview(mapping) as view:
+                            tree = _Walker(lambda a, b: str(view[a:b], "ascii"), len(view)).tree()
+                        text = "" if tree is not None else str(mapping, "utf-8")
+        if text is None:
+            text = fh.read()
+            tree = _Walker(None, len(text), text).tree()
+        if tree is None:
+            try:
+                tree = json.loads(text, object_pairs_hook=_decode_object)
+            except RecursionError:  # the hook's frames can cross the limit the plain one stays under
+                tree = json.loads(text)
     finally:
         if enabled:
             gc.enable()
     del text  # the file text is not held while the arrays are checked and factored
-    return instance_from_json(obj)
+    return instance_from_json(tree)
 
 
 def instance_from_json(obj) -> tuple[MoiInstance, dict | None]:

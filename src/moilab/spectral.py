@@ -32,10 +32,11 @@ class FiniteSpectralMeasure:
     projections at construction, through the eigenbasis of sum_i i P_i, and
     raises ValueError, naming the first atom that fails, unless they are
     orthogonal projections resolving the identity within MEASURE_TOL (in the
-    Frobenius norm, an upper bound for the operator norm). It keeps the
-    caller's projections as its stack. `from_basis` builds a measure from its
-    eigenbasis directly, and `from_bases` one per basis of a stack, and each
-    derives the projections on first use.
+    Frobenius norm, an upper bound for the operator norm). Each is checked
+    against its atom's factored projector in turn, with no second stack. It
+    keeps the caller's projections as its stack. `from_basis` builds a
+    measure from its eigenbasis directly, and `from_bases` one per basis of
+    a stack, and each derives the projections on first use.
     `projection_stack()` is cached and read-only; `projections` are its views.
     """
 
@@ -60,8 +61,9 @@ class FiniteSpectralMeasure:
                 "projections do not resolve the identity: sum_i i P_i has "
                 f"eigenvalues outside [0, {n - 1}]"
             )
-        for i, p in enumerate(_projectors(u, labels, n)):
-            defect = float(np.linalg.norm(stack[i] - p))
+        for i in range(n):  # one atom's projector at a time, not a second stack
+            cols = u[:, labels == i]
+            defect = float(np.linalg.norm(stack[i] - cols @ adjoint(cols)))
             if not defect <= MEASURE_TOL:
                 raise ValueError(
                     f"atom {i} is not an orthogonal projection of a family resolving "

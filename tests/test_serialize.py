@@ -9,6 +9,7 @@ import random
 import re
 import reprlib
 import sys
+import tempfile
 import tracemalloc
 import weakref
 from itertools import chain
@@ -572,6 +573,25 @@ def _load_outcome(load, payload):
     return _handle_outcome(load, io.StringIO(json.dumps(payload)))
 
 
+def _mapped_outcome(load, text, window):
+    """`_handle_outcome` of `load` reading `text` from a file, which
+    `load_instance` maps and walks with a first window of `window`
+    characters."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "instance.json")
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(serialize, "WINDOW", window), open(path, encoding="utf-8") as fh:
+            return _handle_outcome(load, fh)
+
+
+def _walked_outcome(text, window):
+    """`_mapped_outcome` of `load_instance` on `text`, and whether the walker
+    took it, with no whole-text reading."""
+    with mock.patch.object(serialize.json, "loads", wraps=json.loads) as whole:
+        outcome = _mapped_outcome(load_instance, text, window)
+    return outcome, not whole.called
+
+
 def _handle_outcome(load, fh):
     """`_load_outcome` of what `load` reads from the handle `fh`."""
     try:
@@ -596,11 +616,14 @@ def _handle_outcome(load, fh):
 
 
 @_PROPERTY
-@given(_instance_payload())
-def test_loader_matches_the_plain_reading_on_valid_files(payload):
+@given(_instance_payload(), st.integers(1, 8))
+def test_loader_matches_the_plain_reading_on_valid_files(payload, window):
+    # read from a StringIO, and from a mapped file in windows that cut every
+    # value but the shortest, which the walker takes all the same
     outcome = _load_outcome(load_instance, payload)
     assert outcome == _load_outcome(_plain_load, payload)
     assert not issubclass(outcome[0], Exception)
+    assert _walked_outcome(json.dumps(payload), window) == (outcome, True)
 
 
 def _measure_arrays(payload):
@@ -652,9 +675,11 @@ def _broken_payload(draw):
 
 
 @_PROPERTY
-@given(_broken_payload())
-def test_loader_refuses_as_the_plain_reading_does(payload):
-    assert _load_outcome(load_instance, payload) == _load_outcome(_plain_load, payload)
+@given(_broken_payload(), st.integers(1, 8))
+def test_loader_refuses_as_the_plain_reading_does(payload, window):
+    outcome = _load_outcome(_plain_load, payload)
+    assert _load_outcome(load_instance, payload) == outcome
+    assert _walked_outcome(json.dumps(payload), window) == (outcome, True)
 
 
 # --- the mapped read ------------------------------------------------------------
@@ -805,16 +830,22 @@ def _plain_loads(fh):
     return instance_from_json(json.loads(fh.read()))
 
 
-def _decoder_loads(fh):
-    """The loader's own decode of `fh`, at `load_instance`'s stack depth."""
-    return json.loads(fh.read(), cls=serialize._Decoder, object_pairs_hook=serialize._decode_object)
+def _walker_loads(fh):
+    """The loader's walk of the text of `fh`, at `load_instance`'s stack
+    depth; a RecursionError where the walker leaves a valid text to the
+    whole-text reading."""
+    text = fh.read()
+    tree = serialize._Walker(None, len(text), text).tree()
+    if tree is None:
+        raise RecursionError("the walker does not take the text")
+    return instance_from_json(tree)
 
 
 def test_loader_falls_back_to_the_plain_decoder_deep_inside_the_operators():
-    # the Python frames that parse the top-level object and its lists sit
-    # above the C scanner, so an operator nested deeply enough reaches the
-    # recursion limit there first; at every depth near the plain decoder's
-    # limit the file loads, or is refused, as the plain reading does
+    # the walker's Python frames sit above the C scanner where the plain
+    # decoder's top-level object and list do; at every depth near the plain
+    # decoder's limit the file loads, or is refused, as the plain reading
+    # does, the walker leaving the deepest to the whole-text reading
     def outcome(load, depth):
         nested = "[" * depth + "1" + "]" * depth
         text = _edit(_readme_instance(), _FIRST_OPERATOR, '"operators": [' + nested)
@@ -829,19 +860,21 @@ def test_loader_falls_back_to_the_plain_decoder_deep_inside_the_operators():
         got = outcome(load_instance, depth)
         assert got == outcome(_plain_loads, depth), depth
         assert got[0] is (ValueError if depth < lo else RecursionError)  # an operator's depth
-        fell_back.append(outcome(_decoder_loads, depth)[0] is RecursionError)
+        fell_back.append(outcome(_walker_loads, depth)[0] is RecursionError)
     assert not all(fell_back)
     if sys.version_info < (3, 12):  # later, the C scanner has a recursion limit of its own
-        assert any(fell_back[:-2])  # at depths the plain decoder takes
+        assert all(fell_back[-2:])  # the walker leaves what the plain decoder refuses to it
 
 
 # the README example broken in the top-level object, in its operator list or
-# in one operator: the levels the loader's decoder parses in Python, and the
-# operators it converts as they close
+# in one operator: the levels the loader walks in Python, and the operators
+# it converts as they close
 _TOP_LEVEL_EDITS = {
     "trailing-comma": lambda t: _edit(t, _OPERATORS, _OPERATORS[:-2] + ",],"),
     "missing-comma": lambda t: _edit(t, "]]], [[[", "]]] [[["),
     "missing-colon": lambda t: _edit(t, '"operators":', '"operators"'),
+    "semicolon-for-colon": lambda t: _edit(t, '"operators":', '"operators";'),
+    "bracket-for-last-brace": lambda t: t.rstrip()[:-1] + "]\n",
     "cut-short": lambda t: t[: t.index('"operators"') + 40],
     "non-string-key": lambda t: _edit(t, '"operators":', "5:"),
     "duplicate-list-last": lambda t: _edit(t, '"measures":', '"operators": 5, "measures":'),
@@ -859,44 +892,107 @@ _TOP_LEVEL_EDITS = {
 }
 
 
+@pytest.mark.parametrize("window", [None, 3], ids=["stringio", "mapped"])
 @pytest.mark.parametrize("name", sorted(_TOP_LEVEL_EDITS))
-def test_loader_refuses_the_top_level_as_the_plain_reading_does(name):
+def test_loader_refuses_the_top_level_as_the_plain_reading_does(name, window):
     # a JSONDecodeError's message ends with its position: (char N)
     text = _TOP_LEVEL_EDITS[name](_readme_instance())
-    got = _handle_outcome(load_instance, io.StringIO(text))
+    if window is None:
+        got = _handle_outcome(load_instance, io.StringIO(text))
+    else:
+        got = _mapped_outcome(load_instance, text, window)
     assert got == _handle_outcome(_plain_load, io.StringIO(text))
     assert issubclass(got[0], Exception) == (name not in ("duplicate-list-last", "beyond-int64"))
     if name == "measure-list":
         assert got == (ValueError, "measure must be an object, got a list of 1")
 
 
-def test_decoder_converts_each_operator_and_leaves_the_tables_lists():
-    tree = json.loads(
-        _readme_instance(), cls=serialize._Decoder, object_pairs_hook=serialize._decode_object
-    )
-    want = json.loads(_readme_instance())
+@pytest.mark.parametrize("window", [None, 2, 5], ids=["in-place", "mapped-2", "mapped-5"])
+def test_walker_converts_each_operator_and_leaves_the_tables_lists(window):
+    text = _readme_instance()
+    if window is None:
+        tree = serialize._Walker(None, len(text), text).tree()
+    else:
+        data = memoryview(text.encode())
+        with mock.patch.object(serialize, "WINDOW", window):
+            tree = serialize._Walker(lambda a, b: str(data[a:b], "ascii"), len(data)).tree()
+    want = json.loads(text)
     assert all(isinstance(t, np.ndarray) for t in tree["operators"])
     for got, plain in zip(tree["operators"], want["operators"]):
         assert got.tobytes() == array_from_json(plain, 2).tobytes()
     assert tree["integrand"] == want["integrand"]
+    assert tree["exponents"] == want["exponents"]
+
+
+def test_a_number_that_ends_at_a_window_edge_is_read_whole():
+    # a scan stops where a number's text stops: "1.25e-7" cut as "1.25e-"
+    # reads as 1.25; the walker takes no value that ends near its window's
+    # edge, so across these window sizes each number ends at an edge and
+    # is read whole
+    text = _readme_instance().replace(
+        '"exponents": {"p": 2, "q": "inf"}',
+        '"exponents": {"p": 1.25e-7, "q": 300, "r": 2.5E+2, "s": 1.0, "t": 7}',
+    )
+    ends = {m.end() for m in re.finditer(r"1\.25e-7|300|2\.5E\+2|1\.0|7(?=})", text)}
+    assert len(ends) == 5
+    edges = set()
+    walker = serialize._Walker
+
+    def spy(read, length, window=""):
+        def edge(a, b):
+            edges.add(min(b, length))
+            return read(a, b)
+
+        return walker(edge, length, window)
+
+    want = _handle_outcome(_plain_load, io.StringIO(text))
+    assert want[2] == {"p": 1.25e-7, "q": 300.0, "r": 250.0, "s": 1.0, "t": 7.0}
+    with mock.patch.object(serialize, "_Walker", spy):
+        for window in range(1, 40):
+            assert _mapped_outcome(load_instance, text, window) == want, window
+    assert ends <= edges
+
+
+@pytest.mark.parametrize("window", [2, 7, serialize.WINDOW])
+def test_an_indented_file_is_walked_as_the_plain_reading_reads_it(window):
+    text = _instance_text()
+    assert "\n  " in text
+    outcome = _handle_outcome(_plain_load, io.StringIO(text))
+    assert not issubclass(outcome[0], Exception)
+    assert _walked_outcome(text, window) == (outcome, True)
+
+
+@pytest.mark.parametrize("window", [3, serialize.WINDOW])
+def test_a_non_ascii_file_is_read_whole_as_the_plain_reading_reads_it(window):
+    # a window must be ASCII for its characters to be the file's bytes
+    text = _readme_instance().replace('"exponents"', '"note": "\u00e9t\u00e9", "exponents"')
+    assert not text.isascii()
+    outcome = _handle_outcome(_plain_load, io.StringIO(text))
+    assert not issubclass(outcome[0], Exception)
+    assert _walked_outcome(text, window) == (outcome, False)
 
 
 # --- the collector is paused for the decode and restored --------------------
 
 
+@pytest.mark.parametrize("mapped", [False, True], ids=["stringio", "mapped"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 @pytest.mark.parametrize("case", ["loads", "syntax-error", "schema-refusal", "recursion-fallback"])
-def test_loader_leaves_the_collector_as_it_found_it(enabled, case):
+def test_loader_leaves_the_collector_as_it_found_it(tmp_path, enabled, case, mapped):
     refusals = {"syntax-error": "{not json", "schema-refusal": '{"measures": []}'}
     text = refusals.get(case, _readme_instance())
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8")
     hook = mock.Mock(wraps=serialize._decode_object)
     if case == "recursion-fallback":
         hook.side_effect = RecursionError
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        with mock.patch.object(serialize, "_decode_object", hook):
-            outcome = _handle_outcome(load_instance, io.StringIO(text))
+        with mock.patch.object(serialize, "_decode_object", hook), (
+            open(path, encoding="utf-8") if mapped else io.StringIO(text)
+        ) as fh:
+            outcome = _handle_outcome(load_instance, fh)
         after = gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
@@ -913,11 +1009,11 @@ def test_loader_frees_young_cycles_before_it_pauses_the_collector():
         pass
 
     seen = []
-    loads = json.loads
+    walker = serialize._Walker
 
     def spy(*args, **kwargs):
         seen.append((gc.isenabled(), ref() is None))
-        return loads(*args, **kwargs)
+        return walker(*args, **kwargs)
 
     text = _readme_instance()
     was = gc.isenabled()
@@ -928,7 +1024,7 @@ def test_loader_frees_young_cycles_before_it_pauses_the_collector():
         node.self = node
         ref = weakref.ref(node)
         del node
-        with mock.patch.object(serialize.json, "loads", spy):
+        with mock.patch.object(serialize, "_Walker", spy):
             load_instance(io.StringIO(text))
         after = gc.isenabled()
     finally:

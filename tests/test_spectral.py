@@ -1,5 +1,7 @@
 """Spectral measures, atom tables, and the cyclic model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,30 @@ def test_factoring_rejects_incomplete_family():
     projs = _random_projections(24, 4, (1, 2))
     with pytest.raises(ValueError):
         FiniteSpectralMeasure(4, (0.0, 1.0), tuple(projs))
+
+
+def test_explicit_measure_checks_one_atom_at_a_time():
+    # each projection is checked against its atom's factored projector in
+    # turn, not against a second stack: about 1.40 stack sizes, where the
+    # second stack took 2.26
+    projs = _random_projections(27, 64, (8,) * 8)
+    points = tuple(float(i) for i in range(8))
+    tracemalloc.start()
+    try:
+        FiniteSpectralMeasure(64, points, projs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * np.stack(projs).nbytes
+    # scaling P_3 and P_5 keeps every eigenvector of sum_i i P_i and every
+    # label: only their own checks fail, and the first is named
+    bad = list(projs)
+    bad[3], bad[5] = (1 + 1e-6) * projs[3], (1 + 1e-3) * projs[5]
+    with pytest.raises(ValueError) as refusal:
+        FiniteSpectralMeasure(64, points, bad)
+    message = str(refusal.value)
+    assert message.startswith("atom 3 is not an orthogonal projection of a family resolving")
+    assert 1e-6 * np.sqrt(8) / 2 < float(message.split("defect ")[1].split(" >")[0]) < 1e-5
 
 
 def test_explicit_measure_keeps_the_given_projections():
