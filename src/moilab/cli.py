@@ -9,12 +9,22 @@ Exit codes: 0 success, 1 verification failure, 2 input/config error or a
 non-finite result, 3 resource cap exceeded or out of memory; only `main` and
 the parser choose them, each with one stderr line. The MOI_MAX_TUPLES
 environment variable (an integer >= 1) overrides the atomwise-oracle tuple cap.
+
+The parser, `PARSER`, is built once, when this module is imported, and `main`
+may be called many times in one process: each call parses into a new
+namespace, and a bad command line raises `SystemExit(2)` after its one stderr
+line, leaving the parser as it was. Each subcommand's `cmd_*` function is
+bound as its default when the parser is built, so replacing `cmd_eval` on
+this module after import does not change what `main` dispatches to; the
+names a `cmd_*` function reads when it runs, such as `eval_moi`, may still be
+replaced.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -147,10 +157,16 @@ def _check_out_path(path: str | None) -> None:
 def _write_atomic(path: str, text: str) -> None:
     """Write text to a temporary file in path's directory, then move it into
     place with os.replace: a write that fails midway leaves any old file at
-    path as it was and no temporary file behind."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    path as it was and no temporary file behind. The temporary file is one
+    this call creates, under the first free name: a file left by another
+    write is stepped over, never written or removed."""
+    for n in itertools.count():
+        tmp = f"{path}.{os.getpid()}.{n}.tmp"
+        with contextlib.suppress(FileExistsError):
+            fh = open(tmp, "x", encoding="utf-8")
+            break
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -455,12 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built at import, before any command runs, so no command's peak holds it
+PARSER = build_parser()
+
 # the exit code of each error a command may end with; any other is a defect
 EXIT_CODES = {ValueError: 2, CapExceededError: 3, MemoryError: 3, ConstructionCheckError: 1}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:

@@ -503,7 +503,7 @@ def load_instance(fh) -> tuple[MoiInstance, dict | None]:
     """
     enabled = gc.isenabled()
     if enabled:
-        gc.collect(0)  # the pause carries no young garbage, such as a dropped parser
+        gc.collect(0)  # the pause carries no young garbage a caller left just before
         gc.disable()  # the decoder's lists make no cycle for the collector to find
     try:
         tree = text = None

@@ -958,14 +958,23 @@ def test_atomic_write_replaces_old_file(tmp_path):
 # --- field checks and diagonal middles in instance files ----------------------
 
 
-def _eval_in_process(path, *flags):
-    """`moilab eval --instance path [flags]` in this process: (code, stdout, stderr)."""
+def _main_in_process(argv):
+    """`moilab <argv>` in this process: (code, stdout, stderr), with the exit
+    code of a SystemExit the parser raises."""
     from moilab import cli
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["eval", "--instance", str(path), *flags])
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _eval_in_process(path, *flags):
+    """`moilab eval --instance path [flags]` in this process: (code, stdout, stderr)."""
+    return _main_in_process(["eval", "--instance", str(path), *flags])
 
 
 def _assert_refused(path, *needles):
@@ -1418,3 +1427,95 @@ def test_help_still_prints_the_usage(capsys):
         cli.main(["verify", "--help"])
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: moilab verify [-h]")
+
+
+# --- one parser per process ------------------------------------------------------
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys, tmp_path):
+    from moilab import cli
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    path = tmp_path / "instance.json"
+    write_instance(path)
+    assert cli.main(["eval", "--instance", str(path)]) == 0
+    assert cli.main(["verify", "--trials", "2", "--dims", "2-3",
+                     "--repro-dir", str(tmp_path)]) == 0
+    assert cli.main(["sweep", "--regime", "both-large", "--p1", "4", "--pm1", "4",
+                     "--s", "r", "--dims", "16"]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
+
+
+def test_calls_in_one_process_match_calls_in_their_own(monkeypatch, tmp_path):
+    # no default leaks from one subcommand to the next, and a refused command
+    # line or --help leaves nothing behind for the calls after it
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, in this process and in run_cli's
+    path = tmp_path / "instance.json"
+    write_instance(path)
+    sweep = ["sweep", "--regime", "mixed-large-small", "--p1", "3", "--pm1", "1",
+             "--s", "r,0.8r,r/2", "--dims", "16,64"]
+    out_json, out_csv = tmp_path / "result.json", tmp_path / "sweep.csv"
+    calls = [
+        (sweep, None),
+        (["verify", "--trials", "1.5"], None),
+        (["verify", "--help"], None),
+        (["eval", "--instance", str(path), "--out", str(out_json)], out_json),
+        (["eval", "--instance", str(path)], None),
+        ([*sweep, "--out", str(out_csv)], out_csv),
+    ]
+    in_process = []
+    for argv, out in calls:
+        in_process.append((_main_in_process(argv), out and out.read_bytes()))
+    assert [code for (code, _, _), _ in in_process] == [0, 2, 0, 0, 0, 0]
+    for (argv, out), seen in zip(calls, in_process):
+        if out:
+            out.unlink()
+        proc = run_cli(*argv)
+        assert seen == ((proc.returncode, proc.stdout, proc.stderr), out and out.read_bytes())
+
+
+# --- the temporary file of an atomic write ----------------------------------------
+
+
+def test_out_write_steps_over_a_leftover_temporary_file(capsys, tmp_path):
+    from moilab import cli
+
+    out = tmp_path / "sweep.csv"
+    stale = tmp_path / f"sweep.csv.{os.getpid()}.tmp"
+    stale.write_text("left by another write\n")
+    code = cli.main(["sweep", "--regime", "both-large", "--p1", "4", "--pm1", "4",
+                     "--s", "r", "--dims", "16", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert out.read_text().startswith("n,")
+    assert stale.read_text() == "left by another write\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([stale.name, out.name])
+
+
+def test_atomic_write_removes_only_its_own_temporary_file(monkeypatch, tmp_path):
+    from moilab import cli
+
+    out = tmp_path / "result.json"
+
+    # a write whose move and clean-up never happen leaves its temporary file
+    def no_move(src, dst):
+        raise OSError(5, "Input/output error")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.os, "replace", no_move)
+        m.setattr(cli.os, "remove", lambda tmp: None)
+        with pytest.raises(OSError):
+            cli._write_atomic(str(out), "lost\n")
+    (leftover,) = tmp_path.iterdir()
+    # the next write neither refuses nor removes it
+    cli._write_atomic(str(out), "new\n")
+    assert out.read_text() == "new\n" and leftover.read_text() == "lost\n"
+    # nor does a write that fails midway, which removes its own
+    _fail_writes_midway(monkeypatch)
+    with pytest.raises(OSError):
+        cli._write_atomic(str(out), "newer\n")
+    assert out.read_text() == "new\n" and leftover.read_text() == "lost\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([leftover.name, out.name])

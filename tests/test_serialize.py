@@ -1002,9 +1002,9 @@ def test_loader_leaves_the_collector_as_it_found_it(tmp_path, enabled, case, map
 
 
 def test_loader_frees_young_cycles_before_it_pauses_the_collector():
-    # the decode runs with the collector off; a cycle left just before the
-    # call (on the command line, the dropped argument parser) is freed first
-    # rather than carried through the decode
+    # the decode runs with the collector off; a cycle a library caller left
+    # just before the call is freed first rather than carried through the
+    # decode
     class Node:
         pass
 
