@@ -21,15 +21,15 @@ any other value by a repr cut short (`got 5`, `got 'abc'`).
 `load_instance` reads an instance file as
 `instance_from_json(json.load(fh))` does, holding less: it walks the file,
 reading each array, key and scalar from a window of about one array's text,
-converts each measure array, most of a file's bytes, as its atom or measure
-closes, and each operator as it closes, and the tree holds each as the
-array itself; only the integrand's tables are read as before. A file the
-walker does not take is decoded whole, and a converted array is shown as
-the list it came from, so a refusal is the plain reading's, word for word.
-Each array is flattened to one list of its leaves and converted by one
-`np.asarray`. `load_instance`'s docstring says which handles it maps
-read-only and which it reads as text, and how it pauses the cyclic garbage
-collector, process-wide, for the decode and restores it.
+converts each "projection" and "hermitian" array, most of a file's bytes, as
+it reads the member, and each operator as it reads it, and the tree holds
+each as the array itself; only the integrand's tables are read as before. A
+file no walk takes is read once by the plain `json.loads`, and a converted
+array is shown as the list it came from, so a refusal is the plain
+reading's, word for word. Each array is flattened to one list of its leaves
+and converted by one `np.asarray`. `load_instance`'s docstring says which
+handles it maps read-only and which it reads as text, and how it pauses the
+cyclic garbage collector, process-wide, for the decode and restores it.
 `array_to_json_text` writes an array's `indent=2` JSON form without
 Python's pure-Python encoder.
 """
@@ -65,7 +65,7 @@ def _in_range(what: str, convert, *args):
 
 
 def _shown(obj) -> str:
-    """A file value as a refusal shows it: a list, or the array the decoder
+    """A file value as a refusal shows it: a list, or the array the walker
     converted from one, and an object by kind and length, so no message
     holds a whole array; anything else by a repr cut short."""
     if isinstance(obj, (list, np.ndarray)):
@@ -158,7 +158,7 @@ def _layout(shape: tuple, level: int) -> str:
 def array_from_json(obj, ndim: int) -> np.ndarray:
     """Parse a nested list of depth `ndim`, as `json.load` returns it, whose
     leaves are real numbers or [re, im] pairs, into a complex128 array. An
-    array, which only `load_instance`'s decoder puts in a tree, is returned
+    array, which only `load_instance`'s walker puts in a tree, is returned
     as it is."""
     if isinstance(obj, np.ndarray):
         return obj
@@ -374,45 +374,28 @@ def instance_to_json(inst: MoiInstance, exponents: dict | None = None) -> dict:
     return out
 
 
-# the keys whose value, in an atom or a measure, is one depth-2 array
-_MEASURE_ARRAYS = {"projection": 2, "hermitian": 2}
-
-
-def _decode_object(pairs: list) -> dict:
-    """`json.load`'s object hook: a measure array of the object that just
-    closed is converted now, to the complex128 array itself, and its lists
-    dropped. It never raises: a value the fast path does not take stays a
-    list, for `instance_from_json` to refuse in schema order."""
-    for i, (key, value) in enumerate(pairs):
-        ndim = _MEASURE_ARRAYS.get(key)
-        if ndim is not None and isinstance(value, list):
-            a = _fast_array(value, ndim)
-            if a is not None:
-                pairs[i] = key, a
-    return dict(pairs)
-
-
 WINDOW = 2**20  # characters in the window of the first array `_Walker` reads
 
 
 class _Walker:
     """A walk of a text of `length` characters, `read(a, b)` from a to b, to
-    the tree `json.loads(text, object_pairs_hook=_decode_object)` builds,
-    each list in a top-level member list converted by `_fast_array(value,
-    2)`. Objects, top-level member lists and lists of objects are walked in
-    Python; the C scanner reads each other value from a window taken at it,
-    or from a `window` that holds the whole text. An array's window is
-    WINDOW long at first and then the last array's length and an eighth, a
-    key's or a scalar's 64 characters; a value must end 3 characters inside
-    it, the most a number's scan reads past it ("1e-5" cut as "1e-"), or the
-    window reach the end, else the window doubles. A class, not closures: a
-    closure that calls itself is a cycle, which the paused collector would
-    leave holding the last window."""
+    the tree `json.loads(text)` builds, with each list value of a
+    "projection" or "hermitian" member, and each list in a top-level member
+    list, converted by `_fast_array(value, 2)` as it is read when it is a
+    full array of numbers. Objects, top-level member lists and lists of
+    objects are walked in Python; the C scanner reads each other value from
+    a window taken at it, or from a `window` that holds the whole text. An
+    array's window is WINDOW long at first and then the last array's length
+    and an eighth, a key's or a scalar's 64 characters; a value must end 3
+    characters inside it, the most a number's scan reads past it ("1e-5" cut
+    as "1e-"), or the window reach the end, else the window doubles. A
+    class, not closures: a closure that calls itself is a cycle, which the
+    paused collector would leave holding the last window."""
 
     def __init__(self, read, length: int, window: str = ""):
         self.read, self.length, self.base, self.window = read, length, 0, window
         self.size, self.small = WINDOW, min(WINDOW, 64)
-        self.scan = json.JSONDecoder(object_pairs_hook=_decode_object).scan_once
+        self.scan = json.JSONDecoder().scan_once
 
     def tree(self):
         """The tree, or None for a text the walker does not take."""
@@ -455,7 +438,7 @@ class _Walker:
             if c == "[":
                 self.size = end - pos + (end - pos >> 3)
             return obj, end
-        close, out = "}" if c == "{" else "]", []
+        close, out, key = "}" if c == "{" else "]", [], None
         pos, c = self.at(pos + 1)
         while out or c != close:
             if close == "}":
@@ -463,48 +446,56 @@ class _Walker:
                 pos, c = self.at(pos)
                 if type(key) is not str or c != ":":
                     raise ValueError("not a key")
-                obj, pos = self.walk(*self.at(pos + 1), depth + 1)
-                out.append((key, obj))
-            else:
-                obj, pos = self.walk(pos, c, depth + 1)
-                a = _fast_array(obj, 2) if depth == 1 and isinstance(obj, list) else None
-                out.append(obj if a is None else a)
+                pos, c = self.at(pos + 1)
+            obj, pos = self.walk(pos, c, depth + 1)
+            if key is None and depth == 1 or key in ("projection", "hermitian"):
+                a = _fast_array(obj, 2) if isinstance(obj, list) else None
+                obj = obj if a is None else a
+            out.append(obj if key is None else (key, obj))
             pos, c = self.at(pos)
             if c != ",":
                 break
             pos, c = self.at(pos + 1)
         if c != close:
             raise ValueError("not a comma")
-        return (_decode_object(out) if close == "}" else out), pos + 1
+        return (dict(out) if close == "}" else out), pos + 1
 
 
 def load_instance(fh) -> tuple[MoiInstance, dict | None]:
     """`instance_from_json(json.load(fh))`, converting the measure arrays
-    and the operators as they close.
+    and the operators as they are read.
 
     A regular, non-empty file opened as strict UTF-8 and not yet read from
     is mapped read-only and walked by `_Walker`, each window a `str` of an
     ASCII slice of the mapping, so no more than about one array's text is
-    alive; `fh` is left at its start. Any other handle (a pipe, a
-    `StringIO`, another encoding or error mode, one read from already) is
-    read with `fh.read()` and walked in place, and so is a file that holds
+    alive; a carriage return is whitespace to the walk, as to text mode's
+    newline, and `fh` is left at its start. A walk fails on a window that
+    is not ASCII, any JSON error, unexpected punctuation or the recursion
+    limit. Only after a failed walk is the mapping searched for a carriage
+    return: with none, its text is decoded from the mapping and walked in
+    place if it is not ASCII. Any other handle (a pipe, a `StringIO`,
+    another encoding or error mode, one read from already), and a file with
     a carriage return, which text mode translates to a newline and a parse
-    error's position counts as one. A text the walker does not take (a
-    window that is not ASCII, any JSON error, unexpected punctuation, the
-    recursion limit) is decoded whole by `json.loads`: its tree or refusal,
-    words and `char N`, is the plain reading's. The mapping stays open for
-    the walk: a file truncated by another process meanwhile may end the
-    process with SIGBUS, as under any mapped read; a file replaced by a
-    rename, as `eval --out` writes one, is safe. The file is decoded with
-    the cyclic garbage collector paused, after one young collection, and
-    the collector is enabled again, raise or return, only if it was
-    enabled; the pause is process-wide, so a `gc.disable()` another thread
-    makes during a decode is undone when the decode ends.
+    error's position counts as one, is read with `fh.read()` and walked in
+    place. A text no walk takes is read once by the plain `json.loads`,
+    called from this frame: its tree or refusal, words and `char N`, is the
+    plain reading's. On Python 3.12 and later the C scanner's recursion
+    limit counts its own levels, and each operator reaches it alone, so an
+    operator nested within two levels of that limit is refused by its depth
+    (`expected depth 2, got N`) where the plain reading raises
+    RecursionError; `eval` exits 2 on both. The mapping stays open for the
+    walk: a file truncated by another process meanwhile may end the process
+    with SIGBUS, as under any mapped read; a file replaced by a rename, as
+    `eval --out` writes one, is safe. The file is decoded with the cyclic
+    garbage collector paused, after one young collection, and the collector
+    is enabled again, raise or return, only if it was enabled; the pause is
+    process-wide, so a `gc.disable()` another thread makes during a decode
+    is undone when the decode ends.
     """
     enabled = gc.isenabled()
     if enabled:
         gc.collect(0)  # the pause carries no young garbage a caller left just before
-        gc.disable()  # the decoder's lists make no cycle for the collector to find
+        gc.disable()  # the walker's lists make no cycle for the collector to find
     try:
         tree = text = None
         if (
@@ -517,18 +508,17 @@ def load_instance(fh) -> tuple[MoiInstance, dict | None]:
             info = os.fstat(fh.fileno())
             if stat.S_ISREG(info.st_mode) and info.st_size:
                 with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapping:
-                    if mapping.find(b"\r") < 0:
-                        with memoryview(mapping) as view:
-                            tree = _Walker(lambda a, b: str(view[a:b], "ascii"), len(view)).tree()
-                        text = "" if tree is not None else str(mapping, "utf-8")
-        if text is None:
+                    with memoryview(mapping) as view:
+                        tree = _Walker(lambda a, b: str(view[a:b], "ascii"), len(view)).tree()
+                    if tree is None and mapping.find(b"\r") < 0:
+                        text = str(mapping, "utf-8")  # the text a text-mode read gives
+                if text is not None and not text.isascii():  # an ASCII text failed the walk
+                    tree = _Walker(None, len(text), text).tree()
+        if tree is None and text is None:
             text = fh.read()
             tree = _Walker(None, len(text), text).tree()
         if tree is None:
-            try:
-                tree = json.loads(text, object_pairs_hook=_decode_object)
-            except RecursionError:  # the hook's frames can cross the limit the plain one stays under
-                tree = json.loads(text)
+            tree = json.loads(text)
     finally:
         if enabled:
             gc.enable()

@@ -807,11 +807,11 @@ def _eval_file_payload(cls):
     return payload
 
 
-def _eval_peak(tmp_path, cls):
+def _eval_peak(tmp_path, cls, transform=lambda text: text):
     """The tracemalloc peak of `eval --out` on a `_eval_file_payload(cls)`
-    file, in file sizes."""
+    file, its text passed through `transform`, in file sizes."""
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(_eval_file_payload(cls)))
+    path.write_bytes(transform(json.dumps(_eval_file_payload(cls))).encode())
     tracemalloc.start()
     try:
         code, _, err = _eval_in_process(path, "--out", str(tmp_path / "result.json"))
@@ -851,6 +851,20 @@ def test_eval_does_not_hold_the_file_text(tmp_path, cls):
     # about one array's text, and explicit projections are checked one atom
     # at a time: about 0.74 file sizes, where the whole decoded text took 1.53
     assert _eval_peak(tmp_path, cls) <= 0.9
+
+
+def test_eval_maps_a_crlf_file_as_it_maps_any_other(tmp_path):
+    # a \r is whitespace to the walk of the mapping: about 0.70 file sizes,
+    # where reading a file with a \r through the text handle took 3.00
+    assert _eval_peak(tmp_path, "chain", lambda text: text.replace(", ", ",\r\n")) <= 0.9
+
+
+def test_eval_walks_a_non_ascii_file_from_its_decoded_text(tmp_path):
+    # no ASCII window of the mapping holds the note; the text decoded from
+    # it is walked in place: about 2.00 file sizes, as the whole-text decode
+    # took
+    note = '{"note": "\u00e9t\u00e9", '
+    assert _eval_peak(tmp_path, "chain", lambda text: note + text[1:]) <= 2.1
 
 
 @pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])

@@ -691,15 +691,28 @@ def _instance_text():
     return json.dumps(instance_to_json(inst, {"p": 2.0, "q": math.inf}), indent=2)
 
 
-def _crlf_cut_on_line_three():
-    return "\r\n".join(_instance_text().split("\n")[:3])[:-2].encode()
+def _crlf(text):
+    return text.replace("\n", "\r\n").encode()
+
+
+def _cut_on_line_three(data):
+    """A CRLF file cut two bytes short of the end of its third line."""
+    return b"\r\n".join(data.split(b"\r\n")[:3])[:-2]
+
+
+def _crlf_note():
+    """A CRLF `_instance_text()` with a non-ASCII string on its second line."""
+    note = '{\n  "note": "\u00e9t\u00e9",\n  "measures"'
+    return _crlf(_edit(_instance_text(), '{\n  "measures"', note))
 
 
 _FILES = {
     "plain": lambda: _instance_text().encode(),
-    "crlf": lambda: _instance_text().replace("\n", "\r\n").encode(),
+    "crlf": lambda: _crlf(_instance_text()),
     "lone-cr": lambda: _instance_text().replace("\n", "\r").encode(),
-    "crlf-cut-on-line-3": _crlf_cut_on_line_three,
+    "crlf-cut-on-line-3": lambda: _cut_on_line_three(_crlf(_instance_text())),
+    "crlf-note": _crlf_note,
+    "crlf-note-cut-on-line-3": lambda: _cut_on_line_three(_crlf_note()),
     "empty": lambda: b"",
     "bom": lambda: b"\xef\xbb\xbf" + _instance_text().encode(),
     "invalid-start-byte": lambda: b'{"measures": \xff}',
@@ -734,30 +747,33 @@ def test_loader_reads_a_handle_as_the_plain_reading_does(tmp_path, name, opening
         with opening(path) as fh:
             outcomes.append(_handle_outcome(read_ahead_then_load, fh))
     assert outcomes[0] == outcomes[1]
-    if (name, ahead) in (("plain", 0), ("crlf", 0), ("lone-cr", 0)):
+    if (name, ahead) in (("plain", 0), ("crlf", 0), ("lone-cr", 0), ("crlf-note", 0)):
         assert not issubclass(outcomes[0][0], Exception)
 
 
 @pytest.mark.parametrize(
-    "name, opening, mapped",
+    "name, opening, reads",
     [
-        ("plain", lambda path: open(path, encoding="utf-8"), True),
-        ("crlf", lambda path: open(path, encoding="utf-8"), False),
-        ("lone-cr", lambda path: open(path, encoding="utf-8"), False),
-        ("plain", lambda path: io.StringIO(path.read_text(encoding="utf-8")), False),
+        ("plain", lambda path: open(path, encoding="utf-8"), 0),
+        ("crlf", lambda path: open(path, encoding="utf-8"), 0),
+        ("lone-cr", lambda path: open(path, encoding="utf-8"), 0),
+        ("crlf-cut-on-line-3", lambda path: open(path, encoding="utf-8"), 1),
+        ("crlf-note", lambda path: open(path, encoding="utf-8"), 1),
+        ("plain", lambda path: io.StringIO(path.read_text(encoding="utf-8")), 1),
     ],
 )
-def test_loader_maps_a_plain_file_and_reads_the_rest(tmp_path, name, opening, mapped):
-    # a file with a \r is mapped to find the \r, then read through the handle,
-    # whose newline translation the parse error positions count
+def test_loader_maps_a_plain_file_and_reads_the_rest(tmp_path, name, opening, reads):
+    # a \r is whitespace to the walk of the mapping; a file with a \r that
+    # the walk does not take is then read through the handle, whose newline
+    # translation the parse error positions count
     path = tmp_path / "instance.json"
     path.write_bytes(_FILES[name]())
     with opening(path) as fh:
         with mock.patch("mmap.mmap", wraps=mmap.mmap) as mapping, mock.patch.object(
             fh, "read", wraps=fh.read
         ) as read:
-            load_instance(fh)
-    assert read.call_count == (0 if mapped else 1)
+            _handle_outcome(load_instance, fh)  # a cut file is refused
+    assert read.call_count == reads
     assert mapping.call_count == (0 if isinstance(fh, io.StringIO) else 1)
 
 
@@ -801,16 +817,17 @@ def test_loader_names_the_arity_of_one_factor_terms(measures):
 
 
 def test_loader_falls_back_to_the_plain_decoder_past_the_recursion_limit(tmp_path):
-    # the hook's frame can take the decode past the recursion limit that the
+    # the walker's frames can take the walk past the recursion limit that the
     # plain decoder stays under; the file then loads through the plain one
     path = tmp_path / "instance.json"
     path.write_text(_readme_instance(), encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
         want = _handle_outcome(load_instance, fh)
-    hook = mock.Mock(side_effect=RecursionError)
-    with mock.patch.object(serialize, "_decode_object", hook), open(path, encoding="utf-8") as fh:
+    with mock.patch.object(serialize._Walker, "walk", side_effect=RecursionError) as walk, (
+        mock.patch.object(serialize.json, "loads", wraps=json.loads)
+    ) as whole, open(path, encoding="utf-8") as fh:
         got = _handle_outcome(load_instance, fh)
-    assert hook.called
+    assert walk.called and whole.call_count == 1
     assert got == want and not issubclass(got[0], Exception)
 
 
@@ -963,13 +980,14 @@ def test_an_indented_file_is_walked_as_the_plain_reading_reads_it(window):
 
 
 @pytest.mark.parametrize("window", [3, serialize.WINDOW])
-def test_a_non_ascii_file_is_read_whole_as_the_plain_reading_reads_it(window):
-    # a window must be ASCII for its characters to be the file's bytes
+def test_a_non_ascii_file_is_walked_from_its_decoded_text(window):
+    # a window must be ASCII for its characters to be the file's bytes; the
+    # text decoded from the mapping is walked in place instead
     text = _readme_instance().replace('"exponents"', '"note": "\u00e9t\u00e9", "exponents"')
     assert not text.isascii()
     outcome = _handle_outcome(_plain_load, io.StringIO(text))
     assert not issubclass(outcome[0], Exception)
-    assert _walked_outcome(text, window) == (outcome, False)
+    assert _walked_outcome(text, window) == (outcome, True)
 
 
 # --- the collector is paused for the decode and restored --------------------
@@ -983,13 +1001,19 @@ def test_loader_leaves_the_collector_as_it_found_it(tmp_path, enabled, case, map
     text = refusals.get(case, _readme_instance())
     path = tmp_path / "instance.json"
     path.write_text(text, encoding="utf-8")
-    hook = mock.Mock(wraps=serialize._decode_object)
-    if case == "recursion-fallback":
-        hook.side_effect = RecursionError
+    walked = []
+
+    class Spy(serialize._Walker):
+        def walk(self, *args):
+            walked.append(gc.isenabled())
+            if case == "recursion-fallback":
+                raise RecursionError
+            return super().walk(*args)
+
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        with mock.patch.object(serialize, "_decode_object", hook), (
+        with mock.patch.object(serialize, "_Walker", Spy), (
             open(path, encoding="utf-8") if mapped else io.StringIO(text)
         ) as fh:
             outcome = _handle_outcome(load_instance, fh)
@@ -997,7 +1021,7 @@ def test_loader_leaves_the_collector_as_it_found_it(tmp_path, enabled, case, map
     finally:
         (gc.enable if was else gc.disable)()
     assert after is enabled
-    assert hook.called == (case != "syntax-error")
+    assert walked and not any(walked)  # every walk runs with the collector paused
     assert issubclass(outcome[0], Exception) == (case in refusals)
 
 
@@ -1114,10 +1138,11 @@ def test_one_pass_conversion_matches_the_nested_one():
 
 @pytest.mark.parametrize("leaf", [[1.0, 0.0], 1.0])
 def test_a_converted_array_is_shown_as_the_list_it_came_from(leaf):
-    from moilab.serialize import _decode_object, _shown
+    from moilab.serialize import _shown, _Walker
 
     rows = [[leaf] * 3] * 4
-    converted = json.loads(json.dumps({"projection": rows}), object_pairs_hook=_decode_object)
+    text = json.dumps({"atom": {"projection": rows}})
+    converted = _Walker(None, len(text), text).tree()["atom"]
     assert isinstance(converted["projection"], np.ndarray)
     assert array_from_json(converted["projection"], 2) is converted["projection"]
     assert _shown(converted["projection"]) == _shown(rows) == "a list of 4"
