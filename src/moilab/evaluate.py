@@ -34,12 +34,7 @@ from math import prod
 
 import numpy as np
 
-from .integrands import (
-    HaagerupChainRep,
-    HaagerupLikeRep,
-    Integrand,
-    rep_norm_bound,
-)
+from .integrands import HaagerupChainRep, HaagerupLikeRep, Integrand, rep_norm_bound
 from .linalg import INF, adjoint, as_matrix, schatten_norms
 from .spectral import FiniteSpectralMeasure, integrate_scalar
 
@@ -485,10 +480,11 @@ def eval_haagerup_block(inst: MoiInstance) -> np.ndarray:
 
 def eval_haagerup_like(inst: MoiInstance) -> np.ndarray:
     """Value of the duality-defined integral: the sum over the bond letters of
-    integrands._like_bonds of the tables integrated against their measures,
-    in factor order with T_1, ..., T_{m-1} between them, e.g.
+    integrands._like_bonds, the chain's links rotated by the integrand's cut,
+    of the tables integrated against their measures, in factor order with
+    T_1, ..., T_{m-1} between them, e.g.
 
-    first, m=4:  W = sum_{jkl} A_l T_1 B_j T_2 G_jk T_3 D_kl
+    first, m=4:  W = sum_{abc} P_c T_1 Q_a T_2 R_ab T_3 S_bc
 
     Matches trace duality: trace(W Q) equals the defining functional at Q
     for every Q.
@@ -507,20 +503,18 @@ def duality_functional(inst: MoiInstance, q) -> complex:
 
 def duality_functionals(inst: MoiInstance, qs) -> list:
     """The defining linear functional of a chain-like integral at each Q of
-    qs: the ordinary chain cut open before the one factor whose bond label,
-    and whose cyclic predecessor's, each hold one letter, with Q in the gap
-    between factors m and 1, traced against the operator in the gap where the
-    cut chain closes. One frame of the sweep serves all of qs (see _sweep)."""
+    qs: the ordinary chain cut open before the integrand's cut, the factor
+    that holds the chain's head, with Q in the gap between factors m and 1,
+    traced against the operator in the gap where the cut chain closes. One
+    frame of the sweep serves all of qs (see _sweep)."""
     if not isinstance(inst.integrand, HaagerupLikeRep):
         raise TypeError("instance does not carry a chain-like representation")
     qs = [as_matrix(q) for q in qs]
     for q in qs:
         if q.shape != (inst.dim, inst.dim):
             raise ValueError(f"Q shape {q.shape} != ({inst.dim}, {inst.dim})")
-    labels = inst.integrand.labels
-    [start] = [k for k in range(inst.arity) if len(labels[k]) == len(labels[k - 1]) == 1]
-    partner = inst.operators[start - 1]
-    return [complex(np.trace(w @ partner)) for w in _sweep(inst, start, qs)]
+    cut = inst.integrand.cut
+    return [complex(np.trace(w @ inst.operators[cut - 1])) for w in _sweep(inst, cut, qs)]
 
 
 def eval_moi(inst: MoiInstance) -> np.ndarray:

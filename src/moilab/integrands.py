@@ -5,9 +5,9 @@ Three classes, all with finite index families:
   - HaagerupChainRep: row-vector x matrix x ... x column-vector chain of
     tables (widths L_1, ..., L_{m-1} linking the factors); a middle may be
     diagonal, stored as its (n, L) diagonal, which passes its width through.
-  - HaagerupLikeRep: a chain with one factor rotated to the other end, its
-    last factor moved to the front (first kind) or its first to the end
-    (second kind); see _like_bonds.
+  - HaagerupLikeRep: a chain on the same links, rotated so that its head
+    is factor `cut`: its last factor moved to the front (first kind, cut 1)
+    or its first to the end (second kind, cut m - 1); see _like_bonds.
 
 Tables are numpy arrays with the atom axis first: scalar (n,), vector (n, L),
 matrix (n, L, L'), and a diagonal chain middle (n, L) whose per-atom matrix
@@ -149,40 +149,41 @@ class HaagerupChainRep(_Network):
         return 2 + len(self.middles)
 
 
-# the links of the chain-like classes' chain, one bond letter per gap
-_LIKE_LINKS = string.ascii_uppercase[9:]  # J, K, ..., Z
+def _like_cut(kind: str, arity: int) -> int:
+    """The cut of a chain-like integrand: the factor that holds its chain's head."""
+    return 1 if kind == "first" else arity - 1
 
 
 def _like_bonds(kind: str, arity: int) -> tuple:
-    """The bond letters of each factor's table of a chain-like class. With
-    links J, K, L, ... (one per gap), take the chain (J, JK, KL, ..., L) of
-    `arity` factors; the first kind moves its last factor to the front, the
-    second kind its first factor to the end. At arity 3 the chain is written
-    (K, JK, J), so that the matrix table stays indexed (j, k). An unknown
-    kind, or an arity below 3 or beyond the links, is refused here, before
-    any table is read."""
+    """The bond letters of each factor's table of a chain-like class: the
+    chain (A, AB, BC, ..., last link) of `arity` factors on the chain's own
+    links, rotated so that its head is factor _like_cut(kind, arity). At
+    arity 3 the chain is written (B, AB, A), so that the matrix table stays
+    indexed (A, B). An unknown kind, or an arity outside the chain's, is
+    refused here, before any table is read."""
     if kind not in ("first", "second"):
         raise ValueError(
             f"unknown chain-like kind {reprlib.repr(kind)}; kinds are 'first' and 'second'"
         )
-    if not 3 <= arity <= len(_LIKE_LINKS) + 1:
-        top = len(_LIKE_LINKS) + 1
+    if not 3 <= arity <= len(_LINKS) - 1:
+        top = len(_LINKS) - 1  # as the chain's, two einsum letters stay free
         raise ValueError(f"chain-like arity {arity} is outside [3, {top}], one bond letter per gap")
-    links = _LIKE_LINKS[: arity - 1]
+    links = _LINKS[: arity - 1]
     chain = [links[0], *map(str.__add__, links, links[1:]), links[-1]]
-    if arity == 3:
-        chain.reverse()
-    return tuple(chain[-1:] + chain[:-1] if kind == "first" else chain[1:] + chain[:1])
+    chain = chain[::-1] if arity == 3 else chain
+    cut = _like_cut(kind, arity)
+    return tuple(chain[-cut:] + chain[:-cut])
 
 
 @dataclass(frozen=True, eq=False)
 class HaagerupLikeRep(_Network):
     """A chain-like integrand, whose integral is defined by trace duality:
     Psi(x_1..x_m) sums the product of tables[i][x_i] over the bond letters of
-    _like_bonds(kind, m), its labels. For example
+    _like_bonds(kind, m), its labels, the chain's links rotated by its cut.
+    For example, with a, b, c indexing bonds A, B, C,
 
-    kind "first", arity 4:  Psi = sum_{jkl} a_l(x1) b_j(x2) g_{jk}(x3) d_{kl}(x4)
-    kind "second", arity 4: Psi = sum_{jkl} a_{jk}(x1) b_{kl}(x2) g_l(x3) d_j(x4)
+    kind "first", arity 4:  Psi = sum_{abc} p_c(x1) q_a(x2) r_{ab}(x3) s_{bc}(x4)
+    kind "second", arity 4: Psi = sum_{abc} p_{ab}(x1) q_{bc}(x2) r_c(x3) s_a(x4)
 
     A width-0 axis, the zero integrand, has no file form as a chain-like
     one: instance_to_json refuses it.
@@ -200,6 +201,10 @@ class HaagerupLikeRep(_Network):
     @property
     def arity(self) -> int:
         return len(self.tables)
+
+    @property
+    def cut(self) -> int:
+        return _like_cut(self.kind, self.arity)
 
 
 Integrand = ProjectiveRep | HaagerupChainRep | HaagerupLikeRep

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluate import MoiInstance
-from .integrands import HaagerupChainRep, HaagerupLikeRep, ProjectiveRep, _like_bonds
+from .integrands import _LINKS, HaagerupChainRep, HaagerupLikeRep, ProjectiveRep, _like_bonds
 from .linalg import haar_unitaries, random_complex
 from .spectral import FiniteSpectralMeasure
 
@@ -77,12 +77,12 @@ def random_projective_rep(
 def random_like_rep(
     rng: np.random.Generator, kind: str, atom_counts, widths
 ) -> HaagerupLikeRep:
-    """widths: one per bond letter of _like_bonds(kind, arity), in
-    alphabetical order (J, K, L, ...), one fewer than the factors."""
+    """widths: one per chain link, in order (A, B, C, ...), one fewer than
+    the factors; _like_bonds(kind, arity) places the links on the tables."""
     labels = _like_bonds(kind, len(atom_counts))
     if len(widths) != len(atom_counts) - 1:
         raise ValueError("need one width per bond letter")
-    width = dict(zip(sorted(set("".join(labels))), widths))
+    width = dict(zip(_LINKS, widths))
     shapes = [(n, *(width[b] for b in bonds)) for n, bonds in zip(atom_counts, labels)]
     return HaagerupLikeRep(kind, tuple(random_complex(rng, s) for s in shapes))
 

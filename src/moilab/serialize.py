@@ -471,13 +471,13 @@ def load_instance(fh) -> tuple[MoiInstance, dict | None]:
     alive; a carriage return is whitespace to the walk, as to text mode's
     newline, and `fh` is left at its start. A walk fails on a window that
     is not ASCII, any JSON error, unexpected punctuation or the recursion
-    limit. Only after a failed walk is the mapping searched for a carriage
-    return: with none, its text is decoded from the mapping and walked in
-    place if it is not ASCII. Any other handle (a pipe, a `StringIO`,
-    another encoding or error mode, one read from already), and a file with
-    a carriage return, which text mode translates to a newline and a parse
-    error's position counts as one, is read with `fh.read()` and walked in
-    place. A text no walk takes is read once by the plain `json.loads`,
+    limit. After a failed walk, its text is decoded from the mapping, or
+    read with `fh.read()` if it holds a carriage return (a newline to text
+    mode, and so to a parse error's position), and walked in place only if
+    not ASCII, since an ASCII text fails where the mapping did.
+    Any other handle (a pipe, a `StringIO`, another encoding or error mode,
+    one read from already) is read with `fh.read()` and walked in place.
+    A text no walk takes is read once by the plain `json.loads`,
     called from this frame: its tree or refusal, words and `char N`, is the
     plain reading's. On Python 3.12 and later the C scanner's recursion
     limit counts its own levels, and each operator reaches it alone, so an
@@ -510,8 +510,8 @@ def load_instance(fh) -> tuple[MoiInstance, dict | None]:
                 with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapping:
                     with memoryview(mapping) as view:
                         tree = _Walker(lambda a, b: str(view[a:b], "ascii"), len(view)).tree()
-                    if tree is None and mapping.find(b"\r") < 0:
-                        text = str(mapping, "utf-8")  # the text a text-mode read gives
+                    if tree is None:  # the text a text-mode read gives, which turns \r to \n
+                        text = fh.read() if mapping.find(b"\r") >= 0 else str(mapping, "utf-8")
                 if text is not None and not text.isascii():  # an ASCII text failed the walk
                     tree = _Walker(None, len(text), text).tree()
         if tree is None and text is None:

@@ -29,6 +29,7 @@ from moilab.evaluate import (
     moi_scale,
 )
 from moilab.integrands import (
+    _LINKS,
     HaagerupChainRep,
     HaagerupLikeRep,
     ProjectiveRep,
@@ -41,6 +42,7 @@ from moilab.randominst import (
     random_instance,
     random_like_rep,
     random_measure,
+    random_measures,
     random_operator,
     random_projective_rep,
     rng_for,
@@ -175,9 +177,9 @@ def test_engine_matches_the_oracle(inst):
 # Each class's bond letters, written out. Projective: the one bond Z through
 # every factor. Chain, keyed by its middles (D dense, d diagonal): the links
 # A, AB, BC, ..., a diagonal middle reusing its incoming letter. Chain-like:
-# the chain J, JK, KL, ..., with its last factor moved to the front (first
-# kind) or its first moved to the end (second kind); at arity 3 the chain is
-# written (K, JK, J).
+# the same chain A, AB, BC, ..., with its last factor moved to the front
+# (first kind) or its first moved to the end (second kind); at arity 3 the
+# chain is written (B, AB, A).
 _PROJECTIVE_LABELS = {
     2: ("Z", "Z"),
     3: ("Z", "Z", "Z"),
@@ -199,14 +201,14 @@ _CHAIN_LABELS = {
     "dddd": ("A", "A", "A", "A", "A", "A"),
 }
 _LIKE_LABELS = {
-    ("first", 3): ("J", "K", "JK"),
-    ("second", 3): ("JK", "J", "K"),
-    ("first", 4): ("L", "J", "JK", "KL"),
-    ("second", 4): ("JK", "KL", "L", "J"),
-    ("first", 5): ("M", "J", "JK", "KL", "LM"),
-    ("second", 5): ("JK", "KL", "LM", "M", "J"),
-    ("first", 6): ("N", "J", "JK", "KL", "LM", "MN"),
-    ("second", 6): ("JK", "KL", "LM", "MN", "N", "J"),
+    ("first", 3): ("A", "B", "AB"),
+    ("second", 3): ("AB", "A", "B"),
+    ("first", 4): ("C", "A", "AB", "BC"),
+    ("second", 4): ("AB", "BC", "C", "A"),
+    ("first", 5): ("D", "A", "AB", "BC", "CD"),
+    ("second", 5): ("AB", "BC", "CD", "D", "A"),
+    ("first", 6): ("E", "A", "AB", "BC", "CD", "DE"),
+    ("second", 6): ("AB", "BC", "CD", "DE", "E", "A"),
 }
 
 
@@ -258,7 +260,7 @@ def test_chain_network_links_head_middles_and_tail(forms):
 @pytest.mark.parametrize("kind, arity", sorted(_LIKE_LABELS))
 def test_like_network_is_the_rotated_chain(kind, arity):
     rng = rng_for(88, arity, kind == "second")
-    width = dict(zip("JKLMN", (2, 3, 1, 2, 3)))
+    width = dict(zip("ABCDE", (2, 3, 1, 2, 3)))
     labels = _LIKE_LABELS[(kind, arity)]
     inputs = [crandom(rng, (2 + i % 2, *(width[b] for b in bonds))) for i, bonds in enumerate(labels)]
     rep = HaagerupLikeRep(kind, tuple(inputs))
@@ -327,10 +329,10 @@ _LIKE_KEYS = [(kind, arity) for arity in range(3, 7) for kind in ("first", "seco
 
 
 def test_like_bonds_keep_the_four_old_patterns():
-    assert _like_bonds("first", 3) == ("J", "K", "JK")
-    assert _like_bonds("second", 3) == ("JK", "J", "K")
-    assert _like_bonds("first", 4) == ("L", "J", "JK", "KL")
-    assert _like_bonds("second", 4) == ("JK", "KL", "L", "J")
+    assert _like_bonds("first", 3) == ("A", "B", "AB")
+    assert _like_bonds("second", 3) == ("AB", "A", "B")
+    assert _like_bonds("first", 4) == ("C", "A", "AB", "BC")
+    assert _like_bonds("second", 4) == ("AB", "BC", "C", "A")
 
 
 def test_only_like_second_from_arity_four_sweeps_right_to_left():
@@ -342,11 +344,10 @@ def test_only_like_second_from_arity_four_sweeps_right_to_left():
 
 
 def test_like_labels_give_one_cyclic_path():
-    """duality_functionals cuts the chain before the one factor whose label
-    and whose cyclic predecessor's label each hold one letter: factor 1 for
-    the first kind and factor m - 1 for the second, where the chain that
-    _like_bonds rotates starts. From there the factors in cyclic order link
-    consecutive tables by a letter."""
+    """The one factor whose label and whose cyclic predecessor's label each
+    hold one letter is factor 1 for the first kind and factor m - 1 for the
+    second, where the chain that _like_bonds rotates starts. From there the
+    factors in cyclic order link consecutive tables by a letter."""
     for kind, arity in _LIKE_KEYS:
         labels = _like_bonds(kind, arity)
         m = len(labels)
@@ -356,9 +357,70 @@ def test_like_labels_give_one_cyclic_path():
         assert all(set(labels[a]) & set(labels[b]) for a, b in zip(path, path[1:]))
 
 
+def _label_search(labels) -> int:
+    """The cut as duality_functionals once found it from the labels alone:
+    the one factor whose label, and whose cyclic predecessor's, each hold
+    one letter."""
+    [start] = [k for k in range(len(labels)) if len(labels[k]) == len(labels[k - 1]) == 1]
+    return start
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_the_stated_cut_is_the_factor_the_label_search_finds(kind):
+    """At every arity the chain takes, the cut that the integrand states is
+    the factor that the label search finds, and the labels read from it are
+    the chain's own (reversed at arity 3, to keep the matrix indexed (A, B))."""
+    for arity in range(3, len(_LINKS)):
+        labels = _like_bonds(kind, arity)
+        rep = HaagerupLikeRep(kind, tuple(np.ones((1,) + (1,) * len(b)) for b in labels))
+        assert rep.labels == labels
+        assert rep.cut == _label_search(labels) == (1 if kind == "first" else arity - 1)
+        ones = tuple(np.ones((1, 1, 1)) for _ in range(arity - 2))
+        chain = HaagerupChainRep(np.ones((1, 1)), ones, np.ones((1, 1))).labels
+        assert labels[rep.cut :] + labels[: rep.cut] == (chain[::-1] if arity == 3 else chain)
+
+
+def test_like_arity_cap_is_the_chains():
+    assert len(_LINKS) - 1 == 51
+    for kind in ("first", "second"):
+        for arity in (2, 52):
+            with pytest.raises(ValueError) as refusal:
+                _like_bonds(kind, arity)
+            assert str(refusal.value) == (
+                f"chain-like arity {arity} is outside [3, 51], one bond letter per gap"
+            )
+    with pytest.raises(ValueError, match="^chain arity 52 exceeds 51$"):
+        HaagerupChainRep(np.ones((1, 1)), (np.ones((1, 1, 1)),) * 50, np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+@pytest.mark.parametrize("arity", [20, 51])
+def test_a_long_like_chain_evaluates_and_keeps_duality(kind, arity):
+    """One atom per measure and width-2 bonds. W is the chain's product, read
+    in cyclic order from the cut, times T_1 ... T_{m-1}; at arity 20 it agrees
+    with the oracle (which refuses arity 51: 26 atom axes), and trace(W Q)
+    equals the defining functional at a random Q. |W| is some 1e-19 of
+    moi_scale at arity 51, so the closed form and the functional are held to
+    |W| itself."""
+    rng = rng_for(92, arity, kind == "second")
+    measures = random_measures(rng, 3, arity, n_atoms=1)
+    ops = tuple(random_operator(rng, 3) for _ in range(arity - 1))
+    rep = random_like_rep(rng, kind, [1] * arity, [2] * (arity - 1))
+    inst = MoiInstance(measures, ops, rep)
+    w = eval_moi(inst)
+    psi = np.linalg.multi_dot([rep.tables[(rep.cut + i) % arity][0] for i in range(arity)])
+    size = np.abs(w).max()
+    assert np.abs(w - psi * np.linalg.multi_dot(ops)).max() <= TOL * size
+    if arity <= 26:
+        assert np.abs(w - eval_oracle(inst)).max() <= TOL * moi_scale(inst)
+    q = random_operator(rng, 3)
+    [value] = duality_functionals(inst, [q])
+    assert abs(value - np.trace(w @ q)) <= TOL * size * schatten_norm(q, 1)
+
+
 def test_duality_sweeps_the_like_network_in_path_order():
     """duality_functional hands the sweep the instance itself, cut open at
-    the start that its labels give, with Q as the one probe of the gap left
+    the integrand's cut, with Q as the one probe of the gap left
     open, builds no instance, and traces each value against the operator in
     the gap where the cut chain closes."""
     seen = []

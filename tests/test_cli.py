@@ -1138,8 +1138,8 @@ def test_eval_arity_five_like_agrees_with_the_oracle(tmp_path, kind):
     "kind, count, message",
     [
         ("third", 3, "unknown chain-like kind 'third'; kinds are 'first' and 'second'"),
-        ("first", 2, "chain-like arity 2 is outside [3, 18], one bond letter per gap"),
-        ("second", 19, "chain-like arity 19 is outside [3, 18], one bond letter per gap"),
+        ("first", 2, "chain-like arity 2 is outside [3, 51], one bond letter per gap"),
+        ("second", 52, "chain-like arity 52 is outside [3, 51], one bond letter per gap"),
     ],
 )
 def test_eval_refuses_a_bad_like_kind_or_arity_in_one_line(tmp_path, kind, count, message):

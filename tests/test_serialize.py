@@ -777,6 +777,32 @@ def test_loader_maps_a_plain_file_and_reads_the_rest(tmp_path, name, opening, re
     assert mapping.call_count == (0 if isinstance(fh, io.StringIO) else 1)
 
 
+@pytest.mark.parametrize(
+    "data, walks",
+    [
+        (lambda: _instance_text().encode()[:-2], 1),
+        (lambda: _cut_on_line_three(_crlf(_instance_text())), 1),
+        (lambda: _cut_on_line_three(_crlf_note()), 2),
+    ],
+    ids=["ascii-cut", "ascii-crlf-cut", "crlf-note-cut"],
+)
+def test_loader_walks_an_ascii_text_once_before_it_refuses_it(tmp_path, data, walks):
+    # an ASCII text that failed its mapped walk fails the walk of its text
+    # where the mapping failed, \r or not, so it goes straight to the plain
+    # reading; only a text that no ASCII window held is walked again
+    path = tmp_path / "instance.json"
+    path.write_bytes(data())
+    with open(path, encoding="utf-8") as fh:
+        want = _handle_outcome(_plain_load, fh)
+    tree = serialize._Walker.tree
+    with mock.patch.object(serialize._Walker, "tree", autospec=True, side_effect=tree) as spy, (
+        open(path, encoding="utf-8")
+    ) as fh:
+        got = _handle_outcome(load_instance, fh)
+    assert spy.call_count == walks
+    assert got == want and got[0] is json.JSONDecodeError and "(char " in got[1]
+
+
 def _readme_instance() -> str:
     """The first instance-format example of the README."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
