@@ -22,14 +22,15 @@ any other value by a repr cut short (`got 5`, `got 'abc'`).
 `instance_from_json(json.load(fh))` does, holding less: it walks the file,
 reading each array, key and scalar from a window of about one array's text,
 converts each "projection" and "hermitian" array, most of a file's bytes, as
-it reads the member, and each operator as it reads it, and the tree holds
-each as the array itself; only the integrand's tables are read as before. A
-file no walk takes is read once by the plain `json.loads`, and a converted
-array is shown as the list it came from, so a refusal is the plain
-reading's, word for word. Each array is flattened to one list of its leaves
-and converted by one `np.asarray`. `load_instance`'s docstring says which
-handles it maps read-only and which it reads as text, and how it pauses the
-cyclic garbage collector, process-wide, for the decode and restores it.
+it reads the member, builds each measure as the walk closes it, freeing its
+atoms' arrays, and converts each operator as it reads it; only the
+integrand's tables are read as before. A file no walk takes is read once by
+the plain `json.loads`, and a converted array is shown as the list it came
+from, so a refusal is the plain reading's, word for word and in its order.
+Each array is flattened to one list of its leaves and converted by one
+`np.asarray`. `load_instance`'s docstring says which handles it maps
+read-only and which it reads as text, and how it pauses the cyclic garbage
+collector, process-wide, for the decode and restores it.
 `array_to_json_text` writes an array's `indent=2` JSON form without
 Python's pure-Python encoder.
 """
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import codecs
+import contextlib
 import gc
 import io
 import json
@@ -256,6 +258,9 @@ def measure_to_json(e: FiniteSpectralMeasure) -> dict:
 
 
 def measure_from_json(obj) -> FiniteSpectralMeasure:
+    """The measure of a file object; a measure the walker built, as it is."""
+    if isinstance(obj, FiniteSpectralMeasure):
+        return obj
     _object("measure", obj)
     if "hermitian" in obj:
         merge_tol = _number("merge_tol", obj.get("merge_tol", DEFAULT_MERGE_TOL))
@@ -382,15 +387,18 @@ class _Walker:
     the tree `json.loads(text)` builds, with each list value of a
     "projection" or "hermitian" member, and each list in a top-level member
     list, converted by `_fast_array(value, 2)` as it is read when it is a
-    full array of numbers. Objects, top-level member lists and lists of
-    objects are walked in Python; the C scanner reads each other value from
-    a window taken at it, or from a `window` that holds the whole text. An
-    array's window is WINDOW long at first and then the last array's length
-    and an eighth, a key's or a scalar's 64 characters; a value must end 3
-    characters inside it, the most a number's scan reads past it ("1e-5" cut
-    as "1e-"), or the window reach the end, else the window doubles. A
-    class, not closures: a closure that calls itself is a cycle, which the
-    paused collector would leave holding the last window."""
+    full array of numbers, and each object of the top-level "measures" list
+    built by `measure_from_json` as it closes; one that refuses or warns is
+    left for `instance_from_json` to build in its order. Objects, top-level
+    member lists and lists of objects are walked in Python; the C scanner
+    reads each other value from a window taken at it, or from a `window`
+    that holds the whole text. An array's window is WINDOW long at first and
+    then the last array's length and an eighth, a key's or a scalar's 64
+    characters; a value must end 3 characters inside it, the most a number's
+    scan reads past it ("1e-5" cut as "1e-"), or the window reach the end,
+    else the window doubles. A class, not closures: a closure that calls
+    itself is a cycle, which the paused collector would leave holding the
+    last window."""
 
     def __init__(self, read, length: int, window: str = ""):
         self.read, self.length, self.base, self.window = read, length, 0, window
@@ -430,9 +438,9 @@ class _Walker:
                     raise
             want = 2 * (self.base + len(self.window) - pos)
 
-    def walk(self, pos, c, depth):
+    def walk(self, pos, c, depth, member=None):
         """(value, end) of the value at pos, whose first character is c,
-        `depth` containers deep."""
+        `depth` containers deep, under the key `member` of its object."""
         if c not in ("{", "[") or c == "[" and depth != 1 and self.at(pos + 1)[1] != "{":
             obj, end = self.value(pos, self.size if c == "[" else self.small)
             if c == "[":
@@ -447,8 +455,11 @@ class _Walker:
                 if type(key) is not str or c != ":":
                     raise ValueError("not a key")
                 pos, c = self.at(pos + 1)
-            obj, pos = self.walk(pos, c, depth + 1)
-            if key is None and depth == 1 or key in ("projection", "hermitian"):
+            obj, pos = self.walk(pos, c, depth + 1, key)
+            if key is None and depth == 1 and member == "measures" and type(obj) is dict:
+                with contextlib.suppress(ValueError, FloatingPointError), np.errstate(all="raise"):
+                    obj = measure_from_json(obj)
+            elif key is None and depth == 1 or key in ("projection", "hermitian"):
                 a = _fast_array(obj, 2) if isinstance(obj, list) else None
                 obj = obj if a is None else a
             out.append(obj if key is None else (key, obj))
@@ -463,7 +474,7 @@ class _Walker:
 
 def load_instance(fh) -> tuple[MoiInstance, dict | None]:
     """`instance_from_json(json.load(fh))`, converting the measure arrays
-    and the operators as they are read.
+    and the operators as they are read and building each measure as it closes.
 
     A regular, non-empty file opened as strict UTF-8 and not yet read from
     is mapped read-only and walked by `_Walker`, each window a `str` of an
@@ -527,6 +538,7 @@ def load_instance(fh) -> tuple[MoiInstance, dict | None]:
 
 
 def instance_from_json(obj) -> tuple[MoiInstance, dict | None]:
+    """The instance and exponents of a file's tree, its measures built or not."""
     if not isinstance(obj, dict):
         raise ValueError("instance must be a JSON object")
     for field in ("measures", "operators", "integrand"):

@@ -43,7 +43,7 @@ from moilab.serialize import (
     measure_from_json,
     measure_to_json,
 )
-from moilab.spectral import MEASURE_TOL, from_hermitian
+from moilab.spectral import MEASURE_TOL, FiniteSpectralMeasure, from_hermitian
 
 
 def test_complex_pair_round_trip():
@@ -932,7 +932,34 @@ _TOP_LEVEL_EDITS = {
     "ragged": lambda t: _edit(t, '"operators": [[[[1,0],[0,0]]', '"operators": [[[[1,0]]'),
     "four-deep": lambda t: _edit(t, _FIRST_OPERATOR, '"operators": [[[[[1]]]]'),
     "measure-list": lambda t: '{"measures": [[[1, 2]]], ' + t[t.index('"operators"'):],
+    # a measure the walk refuses, or that warns (here an error), stays an
+    # object: the file is refused where and as the plain reading refuses it,
+    # with no warning, and the last "measures" key is read
+    "refused-measure": lambda t: _refuse_atom_one(t),
+    "refused-measure-no-integrand": lambda t: _edit(_refuse_atom_one(t), '"integrand"', '"x"'),
+    "refused-measure-cut-short": lambda t: _TOP_LEVEL_EDITS["cut-short"](_refuse_atom_one(t)),
+    "refused-measure-duplicate-last": lambda t: '{"measures": [], ' + _refuse_atom_one(t)[1:],
+    "overflowing-measure": lambda t: _overflow(t),
+    "overflowing-measure-no-integrand": lambda t: _edit(_overflow(t), '"integrand"', '"x"'),
+    "refused-measure-duplicate-first": lambda t: (
+        _refuse_atom_one(t).rstrip()[:-1] + ', "measures": '
+        + json.dumps(json.loads(t)["measures"]) + "}"
+    ),
 }
+
+
+def _overflow(text):
+    """The README example with its Hermitian matrix's entries at 1e308, whose
+    symmetrized sum overflows."""
+    old = '{"hermitian": [[[0,0],[1,0]],[[1,0],[0,0]]]'
+    return _edit(text, old, old.replace("[1,0]", "[1e308,0]"))
+
+
+def _refuse_atom_one(text):
+    """The README example with atom 1 of its first measure scaled by 1 + 1e-6,
+    which the measure refuses as no projection."""
+    atom = '{"point": 1, "projection": [[[0,0],[0,0]],[[0,0],[1,0]]]}'
+    return _edit(text, atom, atom.replace("[1,0]", "[1.000001,0]"))
 
 
 @pytest.mark.parametrize("window", [None, 3], ids=["stringio", "mapped"])
@@ -945,20 +972,34 @@ def test_loader_refuses_the_top_level_as_the_plain_reading_does(name, window):
     else:
         got = _mapped_outcome(load_instance, text, window)
     assert got == _handle_outcome(_plain_load, io.StringIO(text))
-    assert issubclass(got[0], Exception) == (name not in ("duplicate-list-last", "beyond-int64"))
+    loads = ("duplicate-list-last", "beyond-int64", "refused-measure-duplicate-first")
+    assert issubclass(got[0], Exception) == (name not in loads)
     if name == "measure-list":
         assert got == (ValueError, "measure must be an object, got a list of 1")
+    if name in ("refused-measure", "refused-measure-duplicate-last"):
+        assert got[1].startswith("atom 1 is not an orthogonal projection")
+    if name == "overflowing-measure":
+        assert got[0] is RuntimeWarning
+    if name in ("refused-measure-no-integrand", "overflowing-measure-no-integrand"):
+        assert got == (ValueError, "instance is missing 'integrand'")
+    if name == "refused-measure-cut-short":
+        assert got[0] is json.JSONDecodeError and re.search(r"\(char \d+\)$", got[1])
+
+
+def _walked_tree(text, window):
+    """The walker's tree of `text`, walked in place for a `window` of None,
+    else from its bytes with a first window of `window` characters."""
+    if window is None:
+        return serialize._Walker(None, len(text), text).tree()
+    data = memoryview(text.encode())
+    with mock.patch.object(serialize, "WINDOW", window):
+        return serialize._Walker(lambda a, b: str(data[a:b], "ascii"), len(data)).tree()
 
 
 @pytest.mark.parametrize("window", [None, 2, 5], ids=["in-place", "mapped-2", "mapped-5"])
 def test_walker_converts_each_operator_and_leaves_the_tables_lists(window):
     text = _readme_instance()
-    if window is None:
-        tree = serialize._Walker(None, len(text), text).tree()
-    else:
-        data = memoryview(text.encode())
-        with mock.patch.object(serialize, "WINDOW", window):
-            tree = serialize._Walker(lambda a, b: str(data[a:b], "ascii"), len(data)).tree()
+    tree = _walked_tree(text, window)
     want = json.loads(text)
     assert all(isinstance(t, np.ndarray) for t in tree["operators"])
     for got, plain in zip(tree["operators"], want["operators"]):
@@ -1014,6 +1055,57 @@ def test_a_non_ascii_file_is_walked_from_its_decoded_text(window):
     outcome = _handle_outcome(_plain_load, io.StringIO(text))
     assert not issubclass(outcome[0], Exception)
     assert _walked_outcome(text, window) == (outcome, True)
+
+
+# --- measures built as the walk closes them -----------------------------------
+
+
+@pytest.mark.parametrize("window", [None, 3], ids=["in-place", "mapped-3"])
+def test_walker_builds_only_the_top_level_measures(window):
+    # measure-shaped objects under any other member, or under a "measures"
+    # key below the top level, stay objects
+    payload = json.loads(_readme_instance())
+    payload["extra"] = payload["measures"]
+    payload["exponents"]["measures"] = payload["measures"]
+    tree = _walked_tree(json.dumps(payload), window)
+    assert all(isinstance(e, FiniteSpectralMeasure) for e in tree["measures"])
+    for held in (tree["extra"], tree["exponents"]["measures"]):
+        assert all(type(e) is dict for e in held)
+        assert isinstance(held[0]["atoms"][0]["projection"], np.ndarray)
+
+
+@pytest.mark.parametrize("mapped", [False, True], ids=["stringio", "mapped"])
+def test_loader_builds_every_measure_before_it_converts_an_operator(tmp_path, mapped):
+    # each measure is built as the walk closes its object, so the tree holds
+    # its stack and not its atoms' arrays beside it; the operators follow
+    inst = random_instance(rng_for(76), "chain", dim_range=(4, 4), arity=3)
+    payload = instance_to_json(inst)
+    h = sum(i * p for i, p in enumerate(inst.measures[1].projections))
+    payload["measures"][1] = {"hermitian": array_to_json(h)}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    operators = {np.asarray(t, dtype=np.complex128).tobytes() for t in inst.operators}
+    events = []
+    build, convert = serialize.measure_from_json, serialize._fast_array
+
+    def built(obj):
+        if isinstance(obj, dict):
+            events.append("measure")
+        return build(obj)
+
+    def converted(obj, ndim):
+        a = convert(obj, ndim)
+        events.append("operator" if a is not None and a.tobytes() in operators else "array")
+        return a
+
+    with mock.patch.object(serialize, "measure_from_json", side_effect=built), mock.patch.object(
+        serialize, "_fast_array", side_effect=converted
+    ), (open(path, encoding="utf-8") if mapped else io.StringIO(path.read_text())) as fh:
+        got = _handle_outcome(load_instance, fh)
+    assert got == _handle_outcome(_plain_load, io.StringIO(path.read_text()))
+    assert events.count("measure") == len(inst.measures)
+    assert events.count("operator") == len(inst.operators)
+    assert events.index("operator") > max(i for i, e in enumerate(events) if e == "measure")
 
 
 # --- the collector is paused for the decode and restored --------------------
