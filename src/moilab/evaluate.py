@@ -10,9 +10,9 @@ U_1 C U_m^*, with C the same finite sum over the tables expanded to basis
 columns and the moved operators T_i' = U_i^* T_i U_{i+1}; no projection is
 ever formed. _plan orders the tables (_candidate), _pin finds an end table
 that fixes its bond at each basis column, _thin an operator that moves as a
-thin pair, and _contract runs the plan on one slice of rows of C. The
-two-factor Schur multiplier of a dense table psi is the chain with head psi
-and tail the identity.
+thin pair or by its diagonal, and _contract runs the plan on one slice of
+rows of C. The two-factor Schur multiplier of a dense table psi is the chain
+with head psi and tail the identity.
 
 Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
 over the projections (capped); eval_haagerup_block, the row/block/column
@@ -213,7 +213,9 @@ def _sweep(inst: MoiInstance, start: int = 0, probes=(None,)):
     An operator, or a probe, whose support _thin finds thin moves as a pair
     (A, B) that a move step applies as A (B S); a pair never starts a sweep
     unmultiplied: the starting operator, cut to each slice's rows, is
-    multiplied out once, as A B.
+    multiplied out once, as A B. A diagonal operator that is no pair, between
+    an identity basis and another, scales the other (D V or U^* D: n^2 work,
+    not n^3, and a real diagonal gives the product's bits).
 
     No step mixes two rows r of the first basis (columns of C, for a reversed
     plan, which sweeps from the last basis), so C is contracted a slice of
@@ -245,10 +247,14 @@ def _sweep(inst: MoiInstance, start: int = 0, probes=(None,)):
     def move(k, t):  # T_k' = U_k^* T_k U_{k+1}, as the sweep reads it, or a pair
         # a reversed plan sweeps C^T = ... T_2'^T T_1'^T; else S[c, r] = T_1'[r, c],
         # and each move multiplies S by T_k'^T = B^T A^T from the left
-        pair = _thin(t, measures[k].basis, measures[k + 1].basis)
-        if pair is not None:
-            return pair if reverse else (pair[1].T, pair[0].T)
-        t = _product(_adjoint(bases[k]), t, bases[k + 1])
+        thin = _thin(t, measures[k].basis, measures[k + 1].basis)
+        if isinstance(thin, tuple):
+            return thin if reverse else (thin[1].T, thin[0].T)
+        u, v = _adjoint(bases[k]), bases[k + 1]
+        if thin is not None and (u is None) != (v is None):  # a diagonal scales the other basis
+            t = thin[:, None] * v if u is None else u * thin
+        else:
+            t = _product(u, t, v)
         return t if reverse else t.T
 
     moved = [t if t is None else move(k, t) for k, t in enumerate(operators)]
@@ -311,18 +317,20 @@ def _product(a, t: np.ndarray, b) -> np.ndarray:
 
 def _thin(t: np.ndarray, u: np.ndarray, v: np.ndarray):
     """U^* T V as a pair (A, B) with A B = U^* T V, through the smaller side of
-    T's support, or None: T's nonzero entries lie in rows R and columns C, and
-    if at most d/8 columns hold them, A = U^*[:, R] T[R, C] and B = V[C, :];
-    else if at most d/8 rows do, A = U^*[:, R] and B = T[R, C] V[C, :].
+    T's support, or T's diagonal, or None: T's nonzero entries lie in rows R
+    and columns C, and if at most d/8 columns hold them, A = U^*[:, R] T[R, C]
+    and B = V[C, :]; else if at most d/8 rows do, A = U^*[:, R] and
+    B = T[R, C] V[C, :]; else if all lie on the diagonal, it is returned.
     U^*[:, R] is the adjoint of U's rows R, read from the measure's own basis
     even when it is the identity. The first count, which any such T passes,
     refuses a dense T at once."""
-    d = len(t)
-    if np.count_nonzero(t) * 8 > d * d:
+    d, count = len(t), np.count_nonzero(t)
+    if count * 8 > d * d:
         return None
     rows, cols = np.flatnonzero(t.any(axis=1)), np.flatnonzero(t.any(axis=0))
     if min(len(rows), len(cols)) * 8 > d:
-        return None
+        diagonal = t.diagonal()
+        return diagonal if np.count_nonzero(diagonal) == count else None
     left, right = adjoint(u[rows]), v[cols]
     core = t[np.ix_(rows, cols)]
     return (left @ core, right) if len(cols) <= len(rows) else (left, core @ right)

@@ -103,19 +103,24 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def sequence_norm(x, p) -> float:
-    """l^p (quasi)norm of a 1-d sequence; max(|x|) for p = inf. A real
-    sequence's moduli are taken as they are: |x + 0j| is exactly |x|. A norm
+def prefix_norms(x, p, ends) -> list[float]:
+    """The l^p (quasi)norm of each prefix x[:n], n in ends, of a sequence;
+    max|x[:n]| for p = inf. |x|^p is taken once, and each prefix summed as an
+    array of its own would be. Real moduli are exact: |x + 0j| is |x|. A norm
     beyond float range is inf, without a warning."""
     p = check_exponent(p)
-    x = np.asarray(x)
+    x = np.asarray(x).reshape(-1)
     ax = np.abs(x.astype(float if x.dtype.kind in "biuf" else np.complex128, copy=False))
-    if ax.size == 0:
-        return 0.0
     if p == INF:
-        return float(ax.max())
+        return [float(ax[:n].max()) if n else 0.0 for n in ends]
     with np.errstate(over="ignore"):
-        return float(np.sum(ax**p) ** (1.0 / p))
+        powers = ax**p
+        return [float(np.sum(powers[:n]) ** (1.0 / p)) for n in ends]
+
+
+def sequence_norm(x, p) -> float:
+    """l^p (quasi)norm of a sequence: prefix_norms of its one whole prefix."""
+    return prefix_norms(x, p, [np.size(x)])[0]
 
 
 def haar_unitaries(z: np.ndarray) -> np.ndarray:

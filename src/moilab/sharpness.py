@@ -24,7 +24,7 @@ import numpy as np
 
 from .evaluate import MoiInstance, eval_haagerup
 from .integrands import HaagerupChainRep, rep_norm_bound
-from .linalg import INF, check_exponent, harmonic_exponent, sequence_norm, sharp
+from .linalg import INF, check_exponent, harmonic_exponent, prefix_norms, sharp
 from .spectral import cyclic_model
 
 REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
@@ -33,17 +33,17 @@ REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 # the diagonal closed form only. The cap is set by time and memory: the delta
 # head and tail pin the chain's bond in the sweep (see evaluate), so the
 # cross-check is a few n x n matmuls, n^3 work, and its scale is a closed form
-# (_rhs_norms), not SVDs. At n = 1024, arity 4, one BLAS thread: 0.08 s to
-# build, 0.6 s to contract; `moilab sweep` peaks at 192 MiB (tracemalloc),
-# some twelve n x n matrices. n = 2048 would take about 8 times as long and
-# 0.8 GiB. Each factor beyond 4 adds a rank-one p0, which moves as a pair of
-# n-vectors (see evaluate._thin), and a middle of ones, one table shared by
-# them all, which saves the instance's memory only: the sweep gathers each
-# table on the pinned bond at the step that reads it, one at a time, shared
-# or not. Arity 5 peaks at 208 MiB, and MAX_ARITY = 10 at 208.4 MiB.
-# The 384 MiB that tests allow at arity 4 and at MAX_ARITY would hold every
-# arity up to 51, the most a chain's bond letters name, which peaks at
-# 210 MiB; MAX_ARITY stays 10, the arity that CI runs at n = 1024.
+# (_rhs_norms), not SVDs. At n = 1024, arity 4, one BLAS thread: 0.05 s to
+# build, 0.25 s to contract (each diagonal end scales the position basis);
+# `moilab sweep` peaks at 176 MiB (tracemalloc), some eleven n x n matrices;
+# n = 2048 would take 8 times as long and 0.7 GiB. Each factor beyond 4 adds
+# a rank-one p0, which moves as a pair of n-vectors (see evaluate._thin), and
+# a middle of ones, one table shared by them all, which saves the instance's
+# memory only: the sweep gathers each table on the pinned bond at the step
+# that reads it, one at a time, shared or not. Arity 5 peaks at 192 MiB, and
+# MAX_ARITY = 10 at 192.4 MiB. The 384 MiB that tests allow at arity 4 and at
+# MAX_ARITY would hold every arity up to 51, the most a chain's bond letters
+# name, which peaks at 194 MiB; MAX_ARITY stays 10, which CI runs at n = 1024.
 BUILD_CAP = 1024
 SWEEP_CAP = 8192
 MAX_ARITY = 10
@@ -193,24 +193,25 @@ def build_construction(case: ConstructionCase) -> MoiInstance:
         middles[0] = characters
     if last_large:  # at m = 3 the one middle takes both: chars . conj(chars)
         middles[-1] = middles[-1] * np.conj(characters)
-    delta = np.eye(n, dtype=np.complex128)  # alpha_j(x) = 1 if j = x else 0
+    delta = fourier.basis  # alpha_j(x) = 1 if j = x else 0: the read-only identity
     chain = HaagerupChainRep(delta, tuple(middles), delta)
     measures = (fourier, *[position] * (m - 2), fourier)
     return MoiInstance(measures, (first, *[p0] * (m - 3), last), chain)
 
 
-def _rhs_norms(case: ConstructionCase, large=None) -> float:
-    """Product of the operator norms entering the bound: the Schatten norms
-    of the first and last operators (interior rank-one projections have
+def _rhs_norms(case: ConstructionCase, ends, large=None) -> list[float]:
+    """Product of the operator norms entering the bound at each n of `ends`,
+    read from prefixes of the case's sequences (n <= case.n): the Schatten
+    norms of the first and last operators (interior rank-one projections have
     operator norm 1): a diagonal end in its own exponent, or in `large` if
     given, a rank-one end, whose Schatten norms all equal its l^2 norm, in 2.
-    With large = INF it is the product of operator norms, max|c| for a
-    diagonal end, which scales the cross-check's tolerance."""
+    With large = INF, the product of operator norms, max|c| for a diagonal end."""
     first_large, last_large = case.large_ends
     first = case.c if first_large or last_large else case.d
     p_first = (case.p_first if large is None else large) if first_large else 2
     p_last = (case.p_last if large is None else large) if last_large else 2
-    return sequence_norm(first, p_first) * sequence_norm(case.d, p_last)
+    firsts, lasts = prefix_norms(first, p_first, ends), prefix_norms(case.d, p_last, ends)
+    return [a * b for a, b in zip(firsts, lasts)]
 
 
 @dataclass(frozen=True)
@@ -232,18 +233,19 @@ def growth_sweep(arity: int, regime: str, p_first, p_last, dims, s_values) -> li
     chain evaluation, which does not depend on s; an error above 1e-10 times
     the representation norm times the operator norms, read from the case
     (_rhs_norms at INF) rather than from SVDs, raises ConstructionCheckError.
-    Deterministic; dims must be ascending.
+    Every row's norms are then read from prefixes of the one case at the
+    largest n, as each n's own case gives them. Deterministic; dims ascending.
     """
     s_values = [check_exponent(s) for s in s_values]
-    dims = list(dims)  # each n an integer, which ConstructionCase checks
+    dims = list(dims)
     if not dims:
         raise ValueError("need at least one truncation dimension")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("truncation dimensions must be strictly ascending")
     if dims[-1] > SWEEP_CAP:
         raise ValueError(f"n = {dims[-1]} exceeds the sweep cap {SWEEP_CAP}")
-    if dims[0] <= BUILD_CAP:  # before the closed forms, which its peak need not hold
-        case = default_case(arity, regime, p_first, p_last, dims[0])
+    case = default_case(arity, regime, p_first, p_last, dims[0])  # checks every parameter
+    if case.n <= BUILD_CAP:  # before the closed forms, which its peak need not hold
         inst = build_construction(case)
         bound = rep_norm_bound(inst.integrand)
         if not abs(bound - 1.0) <= 1e-12:
@@ -251,17 +253,17 @@ def growth_sweep(arity: int, regime: str, p_first, p_last, dims, s_values) -> li
         w = eval_haagerup(inst)
         w[np.diag_indices_from(w)] -= expected_diag(case)  # the closed form, in place
         err = np.abs(w).max()
-        if not err <= 1e-10 * bound * _rhs_norms(case, INF):  # a NaN fails too
+        if not err <= 1e-10 * bound * _rhs_norms(case, [case.n], INF)[0]:  # a NaN fails too
             raise ConstructionCheckError(
                 f"construction cross-check failed at n = {dims[0]}: error {err:.3e}"
             )
-    cases = [default_case(arity, regime, p_first, p_last, n) for n in dims]
-    closed = [(case, expected_diag(case), _rhs_norms(case)) for case in cases]
+    dims = [_integer("truncation n", n, 1) for n in dims]  # as each n's own case checks it
+    case = default_case(arity, regime, p_first, p_last, dims[-1])
+    diag, norms = expected_diag(case), _rhs_norms(case, dims)
     rows = []
     for s in s_values:
-        for case, diag, rhs in closed:
-            lhs = sequence_norm(diag, s)
-            rows.append(SweepRow(case.n, s, case.p_first, case.p_last, lhs, rhs, lhs / rhs))
+        for n, lhs, rhs in zip(dims, prefix_norms(diag, s, dims), norms):
+            rows.append(SweepRow(n, s, case.p_first, case.p_last, lhs, rhs, lhs / rhs))
     return rows
 
 

@@ -822,35 +822,50 @@ def _eval_peak(tmp_path, cls, transform=lambda text: text, hermitian=(0, 2)):
     return peak / path.stat().st_size
 
 
+@pytest.fixture(scope="module")
+def eval_peak(tmp_path_factory):
+    """Each class's `_eval_peak`, taken once per module, as each test that
+    bounds it took it on its own: on a fresh file, with nothing else traced.
+    The four tests below share it, each with its own bound."""
+    peaks = {}
+
+    def peak(cls):
+        if cls not in peaks:
+            peaks[cls] = _eval_peak(tmp_path_factory.mktemp(f"eval-peak-{cls}"), cls)
+        return peaks[cls]
+
+    return peak
+
+
 @pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
-def test_eval_peak_memory_stays_within_two_and_a_half_file_sizes(tmp_path, cls):
+def test_eval_peak_memory_stays_within_two_and_a_half_file_sizes(eval_peak, cls):
     # json.load's whole list tree next to the text measured 4.2 file sizes;
     # converting each measure array and each operator as it closes leaves
     # about 1.5
-    assert _eval_peak(tmp_path, cls) <= 2.5
+    assert eval_peak(cls) <= 2.5
 
 
 @pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
-def test_eval_holds_no_copy_of_the_file_bytes(tmp_path, cls):
+def test_eval_holds_no_copy_of_the_file_bytes(eval_peak, cls):
     # the file is decoded from a read-only mapping, not from a heap copy of
     # its bytes: about 1.53 file sizes, where the copy took 2.01
-    assert _eval_peak(tmp_path, cls) <= 1.85
+    assert eval_peak(cls) <= 1.85
 
 
 @pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
-def test_eval_converts_each_operator_as_the_decoder_closes_it(tmp_path, cls):
+def test_eval_converts_each_operator_as_the_decoder_closes_it(eval_peak, cls):
     # no operator's [re, im] lists outlive the operator: about 1.53 file
     # sizes (1.55 for projective), where converting the operators after the
     # decode took 1.77
-    assert _eval_peak(tmp_path, cls) <= 1.6
+    assert eval_peak(cls) <= 1.6
 
 
 @pytest.mark.parametrize("cls", ["projective", "chain", "like-first", "like-second"])
-def test_eval_does_not_hold_the_file_text(tmp_path, cls):
+def test_eval_does_not_hold_the_file_text(eval_peak, cls):
     # the mapped file is decoded one value at a time, each from a window of
     # about one array's text, and explicit projections are checked one atom
     # at a time: about 0.74 file sizes, where the whole decoded text took 1.53
-    assert _eval_peak(tmp_path, cls) <= 0.9
+    assert eval_peak(cls) <= 0.9
 
 
 def test_eval_builds_each_measure_as_the_walk_closes_it(tmp_path):

@@ -1,23 +1,26 @@
 """Extremal families: closed forms, construction fidelity, and growth sweeps."""
 
+import hashlib
 import itertools
+import re
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from moilab import sharpness
+from moilab import evaluate, sharpness
 from moilab.bounds import check_haagerup_main
 from moilab.evaluate import eval_haagerup, eval_oracle, moi_scale
 from moilab.integrands import rep_norm_bound
-from moilab.linalg import INF, schatten_norm, sequence_norm
+from moilab.linalg import INF, prefix_norms, schatten_norm, sequence_norm
 from moilab.sharpness import (
     BUILD_CAP,
     MAX_ARITY,
     REGIMES,
     ConstructionCase,
     ConstructionCheckError,
+    SweepRow,
     build_construction,
     default_case,
     default_sequences,
@@ -361,7 +364,7 @@ def test_cross_check_scale_is_the_operator_norms(arity, regime, p1, pm1, n):
     # is the scale that SVDs of the operators give, so no looser
     case = default_case(arity, regime, p1, pm1, n)
     inst = build_construction(case)
-    closed = rep_norm_bound(inst.integrand) * sharpness._rhs_norms(case, INF)
+    closed = rep_norm_bound(inst.integrand) * sharpness._rhs_norms(case, [case.n], INF)[0]
     by_svd = moi_scale(inst)
     assert abs(closed - by_svd) <= 1e-12 * by_svd
 
@@ -414,7 +417,7 @@ def test_construction_fidelity_at_build_cap(arity, regime, p1, pm1):
     bound = rep_norm_bound(inst.integrand)
     assert abs(bound - 1.0) <= 1e-15
     err = np.abs(eval_haagerup(inst) - np.diag(expected_diag(case))).max()
-    assert err <= 1e-10 * bound * sharpness._rhs_norms(case, INF)
+    assert err <= 1e-10 * bound * sharpness._rhs_norms(case, [case.n], INF)[0]
 
 
 def _cross_check_peak(arity, n):
@@ -437,20 +440,22 @@ def test_cross_check_peak_at_n_1024(arity):
     MAX_ARITY, and its tracemalloc peak stays within 24 complex n x n
     matrices (384 MiB): the construction's tables, measures and operators,
     the moved diagonal ends and C, with the pinned sweep's (n, rows) states
-    beside them; each p0 moves as a pair of n-vectors. It reads 192.2 MiB
-    at arity 4 and 208.4 MiB at arity 10. At arity 4 it stays within
-    200 MiB: the characters are one table, used as the first middle as they
-    are, and the closed form is subtracted from the value in place (208.2 MiB
-    with a table of powers, its restacked copy and a dense expected matrix)."""
+    beside them; each p0 moves as a pair of n-vectors. It reads 176.2 MiB
+    at arity 4 and 192.4 MiB at arity 10. At arity 4 it stays within
+    184 MiB: the delta head and tail are the Fourier measure's own identity
+    basis (192.2 MiB with an identity of their own), the characters are one
+    table, used as the first middle as they are, and the closed form is
+    subtracted from the value in place (208.2 MiB with a table of powers, its
+    restacked copy and a dense expected matrix)."""
     peak = _cross_check_peak(arity, 1024)
     assert peak <= 24 * 16 * 1024**2, f"peak {peak / 2**20:.0f} MiB"
     if arity == 4:
-        assert peak <= 200 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak <= 184 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_cross_check_holds_no_dense_p0():
     """At arity 10 and n = 256, the seven p0 move as pairs of n-vectors
-    rather than as dense n x n matrices (1 MiB each): 18.1 MiB of peak, where
+    rather than as dense n x n matrices (1 MiB each): 13.1 MiB of peak, where
     dense moves took 30.0 MiB."""
     peak = _cross_check_peak(10, 256)
     assert peak <= 26 * 2**20, f"peak {peak / 2**20:.1f} MiB"
@@ -471,3 +476,114 @@ def test_growth_sweep_cross_check_failure_is_a_domain_error(monkeypatch, perturb
     monkeypatch.setattr(sharpness, "eval_haagerup", lambda inst: perturb(original(inst)))
     with pytest.raises(ConstructionCheckError, match="cross-check"):
         growth_sweep(3, "both-large", 4.0, 4.0, [16], [2.0])
+
+
+# --- the closed forms read as prefixes of the largest n's case ---------------
+
+# each regime at the exponents of the benchmark's families
+REGIME_EXPONENTS = {
+    "both-large": (4.0, 4.0),
+    "both-small": (1.0, 1.5),
+    "mixed-large-small": (3.0, 1.0),
+    "mixed-small-large": (1.0, 6.0),
+}
+PREFIX_DIMS = [[1], [1, 2, 3, 7, 64, 100, 4096, 8192], list(range(64, 8193, 64))]
+
+
+def _s_values(regime):
+    r = sharp_r(*REGIME_EXPONENTS[regime])
+    return [r, 0.8 * r, r / 2, 0.5, 1.0, INF, 0.01]
+
+
+def _rows_case_by_case(arity, regime, p1, pm1, dims, s_values):
+    """growth_sweep's rows as one default_case per n gives them, each n's
+    sequences normed on their own."""
+    cases = [default_case(arity, regime, p1, pm1, n) for n in dims]
+    rows = []
+    for s in s_values:
+        for case in cases:
+            lhs, [rhs] = sequence_norm(expected_diag(case), s), sharpness._rhs_norms(case, [case.n])
+            rows.append(SweepRow(case.n, s, case.p_first, case.p_last, lhs, rhs, lhs / rhs))
+    return rows
+
+
+@pytest.mark.parametrize("dims", PREFIX_DIMS, ids=["one", "spread", "128"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_prefix_norms_equal_each_prefix_sequence_norm(regime, dims):
+    top = default_case(3, regime, *REGIME_EXPONENTS[regime], dims[-1])
+    for s in _s_values(regime):
+        got = prefix_norms(expected_diag(top), s, dims)
+        case_by_case = [
+            sequence_norm(expected_diag(default_case(3, regime, *REGIME_EXPONENTS[regime], n)), s)
+            for n in dims
+        ]
+        assert np.array(got).tobytes() == np.array(case_by_case).tobytes(), s
+    if dims[-1] >= 4096:  # beyond float range at s = 0.01
+        assert got[-1] == INF
+
+
+@pytest.mark.parametrize("dims", PREFIX_DIMS, ids=["one", "spread", "128"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_growth_sweep_rows_equal_one_case_per_n(regime, dims):
+    p1, pm1 = REGIME_EXPONENTS[regime]
+    s_values = _s_values(regime)
+    rows = growth_sweep(4, regime, p1, pm1, dims, s_values)
+    assert rows == _rows_case_by_case(4, regime, p1, pm1, dims, s_values)
+
+
+@pytest.mark.parametrize(
+    "dims, bad, checked", [([1, 2.5, 4], 2.5, 1), ([0, 4], 0, 0), ([True, 4], True, 0)]
+)
+def test_growth_sweep_refuses_each_n_as_its_own_case_did(dims, bad, checked):
+    # every n is checked, not only the largest that the closed forms build,
+    # and at the same point: dims[0] before the cross-check, the rest after it
+    with mock.patch.object(sharpness, "eval_haagerup", wraps=eval_haagerup) as check:
+        with pytest.raises(
+            ValueError, match=re.escape(f"truncation n must be an integer >= 1, got {bad!r}")
+        ):
+            growth_sweep(3, "mixed-large-small", 4, 2, dims, [1.0])
+    assert check.call_count == checked
+
+
+def test_growth_sweep_takes_numpy_integers_as_ints():
+    dims = [np.int64(8), np.int64(16)]
+    rows = growth_sweep(3, "mixed-large-small", 4, 2, dims, [1.0])
+    assert [row.n for row in rows] == [8, 16]
+    assert all(type(row.n) is int for row in rows)
+    assert rows == growth_sweep(3, "mixed-large-small", 4, 2, [8, 16], [1.0])
+
+
+def test_construction_shares_the_fourier_identity():
+    # the delta head and tail are the first and last measures' read-only
+    # basis, the identity, not a copy of it
+    inst = build_construction(default_case(4, "both-large", 4, 4, 16))
+    rep = inst.integrand
+    for table, measure in ((rep.head, inst.measures[0]), (rep.tail, inst.measures[-1])):
+        assert np.shares_memory(table, measure.basis)
+        assert not table.flags.writeable
+    assert np.array_equal(rep.head, np.eye(16))
+
+
+def test_families_keep_their_bits_when_diagonal_ends_scale_a_basis():
+    """The diagonal ends sit beside the identity Fourier basis, so each moves
+    as the position basis scaled by its real diagonal: the families' values
+    at n <= 256 and arities 3, 4, 5 and 10 keep the SHA-256 of the dense
+    moves (evaluate._thin refusing every diagonal)."""
+    thin = evaluate._thin
+    scaled = []
+
+    def dense(*args):
+        result = thin(*args)
+        scaled.append(result is not None and not isinstance(result, tuple))
+        return result if isinstance(result, tuple) else None
+
+    digests = []
+    for moves in (thin, dense):
+        digest = hashlib.sha256()
+        with mock.patch.object(evaluate, "_thin", moves):
+            for n, arity, regime in itertools.product((8, 64, 256), (3, 4, 5, 10), REGIMES):
+                case = default_case(arity, regime, *REGIME_EXPONENTS[regime], n)
+                digest.update(eval_haagerup(build_construction(case)).tobytes())
+        digests.append(digest.hexdigest())
+    assert any(scaled)
+    assert digests[0] == digests[1]
