@@ -9,10 +9,10 @@ measure with basis U is U diag(table[labels]) U^*, so each value is
 U_1 C U_m^*, with C the same finite sum over the tables expanded to basis
 columns and the moved operators T_i' = U_i^* T_i U_{i+1}; no projection is
 ever formed. _plan orders the tables (_candidate), _pin finds an end table
-that fixes its bond at each basis column, _thin an operator that moves as a
-thin pair or by its diagonal, and _contract runs the plan on one slice of
-rows of C. The two-factor Schur multiplier of a dense table psi is the chain
-with head psi and tail the identity.
+that fixes its bond at each basis column, _move makes each moved operator as
+the tuple of factors that a move applies, and _contract runs the plan on one
+slice of rows of C. The two-factor Schur multiplier of a dense table psi is
+the chain with head psi and tail the identity.
 
 Deliberately independent witnesses: eval_oracle, the exhaustive atomwise sum
 over the projections (capped); eval_haagerup_block, the row/block/column
@@ -29,7 +29,7 @@ from __future__ import annotations
 import string
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import prod
 
 import numpy as np
@@ -127,7 +127,12 @@ class MoiInstance:
 
 
 def moi_scale(inst: MoiInstance) -> float:
-    """rep_norm_bound * prod of operator norms, floored away from zero."""
+    """rep_norm_bound * prod of operator norms, floored away from zero.
+
+    It multiplies every factor's sup-norm, so it outgrows a long chain-like
+    value: from about arity 20, |W| can be 1e-7 to 1e-20 of it, and a gate at
+    1e-10 * moi_scale does not resolve W there. verify draws arities of at
+    most 4, where the scale still binds."""
     norms = schatten_norms(inst.operators, [INF] * len(inst.operators))
     return max(prod([rep_norm_bound(inst.integrand), *norms]), SCALE_FLOOR)
 
@@ -210,12 +215,9 @@ def _sweep(inst: MoiInstance, start: int = 0, probes=(None,)):
     expanded to basis columns, the pinned bond and its values, rows per
     slice, moved operators) is made once; a table on the pinned bond is
     gathered at the step that reads it (see _contract), one at a time.
-    An operator, or a probe, whose support _thin finds thin moves as a pair
-    (A, B) that a move step applies as A (B S); a pair never starts a sweep
-    unmultiplied: the starting operator, cut to each slice's rows, is
-    multiplied out once, as A B. A diagonal operator that is no pair, between
-    an identity basis and another, scales the other (D V or U^* D: n^2 work,
-    not n^3, and a real diagonal gives the product's bits).
+    Each operator, and each probe, moves as the factors that _move makes,
+    transposed and in reverse order for a forward plan; the starting
+    operator, cut to each slice's rows, is their product, multiplied out once.
 
     No step mixes two rows r of the first basis (columns of C, for a reversed
     plan, which sweeps from the last basis), so C is contracted a slice of
@@ -242,20 +244,13 @@ def _sweep(inst: MoiInstance, start: int = 0, probes=(None,)):
     pins = (_pin(labels[0], tables[0]), _pin(labels[-1], tables[-1]))
     reverse, steps, _ = _plan(labels, pins)
     pin = pins[reverse]  # the bond that the first table of the sweep pins, or ""
-    bases = [None if _is_identity(e.basis) else e.basis for e in measures]
+    eye = [_is_identity(e.basis) for e in measures]
 
-    def move(k, t):  # T_k' = U_k^* T_k U_{k+1}, as the sweep reads it, or a pair
+    def move(k, t):  # the factors of T_k' = U_k^* T_k U_{k+1}, as the sweep reads them
         # a reversed plan sweeps C^T = ... T_2'^T T_1'^T; else S[c, r] = T_1'[r, c],
-        # and each move multiplies S by T_k'^T = B^T A^T from the left
-        thin = _thin(t, measures[k].basis, measures[k + 1].basis)
-        if isinstance(thin, tuple):
-            return thin if reverse else (thin[1].T, thin[0].T)
-        u, v = _adjoint(bases[k]), bases[k + 1]
-        if thin is not None and (u is None) != (v is None):  # a diagonal scales the other basis
-            t = thin[:, None] * v if u is None else u * thin
-        else:
-            t = _product(u, t, v)
-        return t if reverse else t.T
+        # and each move multiplies S by T_k'^T = ... B^T A^T from the left
+        op = _move(t, measures[k].basis, measures[k + 1].basis, eye[k : k + 2])
+        return op if reverse else tuple(f.T for f in reversed(op))
 
     moved = [t if t is None else move(k, t) for k, t in enumerate(operators)]
     slots = [k for k, t in enumerate(operators) if t is None]  # the probes' gap, if cut
@@ -283,16 +278,16 @@ def _sweep(inst: MoiInstance, start: int = 0, probes=(None,)):
     for probe in probes:
         for k in slots:
             moved[k] = move(k, probe)
-        first = -1 if reverse else 0
-        if isinstance(moved[first], tuple):  # a pair starts the sweep multiplied out
-            moved[first] = np.matmul(*moved[first])
         head, *rest = moved[::-1] if reverse else moved
-        head = moved[first] = np.ascontiguousarray(head)
+        head = np.ascontiguousarray(reduce(np.matmul, head))
+        moved[-1 if reverse else 0] = (head,)  # multiplied out once for every probe
         parts = [
             _contract(steps, [np.ascontiguousarray(head[:, r]), *rest], partial(column, r))
             for r in (slice(j, j + rows) for j in range(0, dim, rows))
         ]
-        yield _product(bases[0], np.concatenate(parts, axis=int(reverse)), _adjoint(bases[-1]))
+        c = np.concatenate(parts, axis=int(reverse))
+        u, v = measures[0].basis, measures[-1].basis
+        yield _product(None if eye[0] else u, c, None if eye[-1] else adjoint(v))
 
 
 def _is_identity(u: np.ndarray) -> bool:
@@ -300,10 +295,6 @@ def _is_identity(u: np.ndarray) -> bool:
     it. A corner entry other than 1, as almost every unitary has, refuses it
     at once."""
     return u[0, 0] == 1 and bool((u.diagonal() == 1).all()) and np.count_nonzero(u) == len(u)
-
-
-def _adjoint(u):
-    return None if u is None else adjoint(u)
 
 
 def _product(a, t: np.ndarray, b) -> np.ndarray:
@@ -315,25 +306,29 @@ def _product(a, t: np.ndarray, b) -> np.ndarray:
     return t if b is None else t @ b
 
 
-def _thin(t: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """U^* T V as a pair (A, B) with A B = U^* T V, through the smaller side of
-    T's support, or T's diagonal, or None: T's nonzero entries lie in rows R
-    and columns C, and if at most d/8 columns hold them, A = U^*[:, R] T[R, C]
-    and B = V[C, :]; else if at most d/8 rows do, A = U^*[:, R] and
-    B = T[R, C] V[C, :]; else if all lie on the diagonal, it is returned.
-    U^*[:, R] is the adjoint of U's rows R, read from the measure's own basis
-    even when it is the identity. The first count, which any such T passes,
-    refuses a dense T at once."""
+def _move(t: np.ndarray, u: np.ndarray, v: np.ndarray, eye) -> tuple:
+    """U^* T V as the factors of a product, applied right to left: T's nonzero
+    entries lie in rows R and columns C, and if at most d/8 columns hold them,
+    the pair (U^*[:, R] T[R, C], V[C, :]); else if at most d/8 rows do,
+    (U^*[:, R], T[R, C] V[C, :]). U^*[:, R] is the adjoint of U's rows R,
+    read from the measure's own basis even when it is the identity. Else one
+    matrix: where eye, a pair of bools, marks exactly one of U and V as the
+    identity (see _is_identity) and T is diagonal, the other basis scaled by
+    T's diagonal (D V or U^* D: n^2 work, not n^3, and a real diagonal gives
+    the product's bits), or else _product of U^*, T and V, skipping an
+    identity. The first count, which any pair or diagonal passes, refuses a
+    dense T at once."""
     d, count = len(t), np.count_nonzero(t)
-    if count * 8 > d * d:
-        return None
-    rows, cols = np.flatnonzero(t.any(axis=1)), np.flatnonzero(t.any(axis=0))
-    if min(len(rows), len(cols)) * 8 > d:
+    if count * 8 <= d * d:
+        rows, cols = np.flatnonzero(t.any(axis=1)), np.flatnonzero(t.any(axis=0))
+        if min(len(rows), len(cols)) * 8 <= d:
+            left, right = adjoint(u[rows]), v[cols]
+            core = t[np.ix_(rows, cols)]
+            return (left @ core, right) if len(cols) <= len(rows) else (left, core @ right)
         diagonal = t.diagonal()
-        return diagonal if np.count_nonzero(diagonal) == count else None
-    left, right = adjoint(u[rows]), v[cols]
-    core = t[np.ix_(rows, cols)]
-    return (left @ core, right) if len(cols) <= len(rows) else (left, core @ right)
+        if eye[0] != eye[1] and np.count_nonzero(diagonal) == count:
+            return (diagonal[:, None] * v if eye[0] else adjoint(u) * diagonal,)
+    return (_product(None if eye[0] else adjoint(u), t, None if eye[1] else v),)
 
 
 def _pin(bonds: str, t: np.ndarray) -> str:
@@ -352,21 +347,21 @@ def _contract(steps: tuple, moved: list, cols) -> np.ndarray:
     """The rows of C that moved[0] holds (its columns, for a reversed plan),
     from the plan's steps. A move multiplies the state in place, MOVE_BLOCK
     columns of its flattened (c, r bonds) form at a time, so that the old
-    state and a moved copy of it never coexist; a thin pair (A, B) (see
-    _thin) multiplies each block as A (B block), through its inner side.
-    Every other step writes a new C-ordered state or multiplies the state in
-    place. The first step always writes a new state, so moved[0], always
-    dense, and the tables are read, never written. cols(k) is table k's
+    state and a moved copy of it never coexist; each of the move's factors
+    (see _move) multiplies the block in turn, the last first, so a pair
+    (A, B) applies as A (B block), through its inner side. Every other step
+    writes a new C-ordered state or multiplies the state in place. The first
+    step always writes a new state, so moved[0], a matrix, and the tables
+    are read, never written. cols(k) is table k's
     column table for the slice's rows, and gathers a table on the pinned
     bond at c and r when its step calls it, to drop it after (see _sweep)."""
     state = moved[0]
     for kind, k, arg in steps:
         if kind == "move":
             flat = state.reshape(len(state), -1)
-            op = moved[k]
             for j in range(0, flat.shape[1], MOVE_BLOCK):
                 block = flat[:, j : j + MOVE_BLOCK]
-                block[...] = op[0] @ (op[1] @ block) if isinstance(op, tuple) else op @ block
+                block[...] = reduce(lambda s, f: f @ s, reversed(moved[k]), block)
             state = flat.reshape(state.shape)
         elif kind == "mul":
             state *= cols(k)[arg]

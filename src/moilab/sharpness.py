@@ -37,7 +37,7 @@ REGIMES = ("both-large", "both-small", "mixed-large-small", "mixed-small-large")
 # build, 0.25 s to contract (each diagonal end scales the position basis);
 # `moilab sweep` peaks at 176 MiB (tracemalloc), some eleven n x n matrices;
 # n = 2048 would take 8 times as long and 0.7 GiB. Each factor beyond 4 adds
-# a rank-one p0, which moves as a pair of n-vectors (see evaluate._thin), and
+# a rank-one p0, which moves as a pair of n-vectors (see evaluate._move), and
 # a middle of ones, one table shared by them all, which saves the instance's
 # memory only: the sweep gathers each table on the pinned bond at the step
 # that reads it, one at a time, shared or not. Arity 5 peaks at 192 MiB, and

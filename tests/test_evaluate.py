@@ -33,7 +33,7 @@ from moilab.integrands import (
     eval_pointwise,
     rep_norm_bound,
 )
-from moilab.linalg import INF, haar_unitaries, random_complex, schatten_norm
+from moilab.linalg import INF, adjoint, haar_unitaries, random_complex, schatten_norm
 from moilab.randominst import (
     random_chain_rep,
     random_instance,
@@ -48,7 +48,7 @@ from moilab.serialize import measure_from_json, measure_to_json
 from moilab.sharpness import build_construction, default_case, expected_diag
 from moilab.spectral import FiniteSpectralMeasure, from_hermitian, integrate_scalar
 
-from helpers import trivial_measure
+from helpers import MOVE, dense_move, trivial_measure
 
 TOL = 1e-10
 # a state budget that holds every state below d = 128 in one slice (the
@@ -1476,15 +1476,16 @@ def _thin_instance(plan, support, pattern):
     return MoiInstance(measures, [_thin_operator(rng, support) for _ in range(3)], rep)
 
 
-def _thin_calls(run):
-    """run()'s value, and what each of its calls to evaluate._thin returned."""
-    thin, results = evaluate._thin, []
+def _move_calls(run):
+    """run()'s value, and the factors that each of its calls to
+    evaluate._move returned."""
+    results = []
 
     def spy(*args):
-        results.append(thin(*args))
+        results.append(MOVE(*args))
         return results[-1]
 
-    with mock.patch.object(evaluate, "_thin", spy):
+    with mock.patch.object(evaluate, "_move", spy):
         value = run()
     return value, results
 
@@ -1498,13 +1499,13 @@ def test_thin_pairs_match_oracle(plan, support, pattern):
     value matches the oracle and the dense moves. The zero operator's pair
     is empty, and its value has the dense path's bytes, signs of zero too."""
     inst = _thin_instance(plan, support, pattern)
-    (w, results), (labels, pins) = _planned(lambda: _thin_calls(lambda: eval_moi(inst)))
+    (w, results), (labels, pins) = _planned(lambda: _move_calls(lambda: eval_moi(inst)))
     assert evaluate._plan(labels, pins)[0] == (plan in (("like-second", None), ("chain", "tail")))
     assert any(pins) == bool(plan[1])
     inner = 0 if support == "zero" else THIN_DIM // 8
     assert [(a.shape, b.shape) for a, b in results] == [((16, inner), (inner, 16))] * 3
     assert np.abs(w - eval_oracle(inst)).max() <= TOL * moi_scale(inst)
-    with mock.patch.object(evaluate, "_thin", return_value=None):
+    with mock.patch.object(evaluate, "_move", dense_move):
         dense = eval_moi(inst)
     assert np.abs(w - dense).max() <= 1e-12 * moi_scale(inst)
     if support == "zero":
@@ -1522,8 +1523,8 @@ def test_sparse_probe_moves_as_a_pair(kind, arity):
     inst = MoiInstance(measures, _operators(rng, THIN_DIM, arity - 1), rep)
     qs = [_thin_operator(rng, support) for support in THIN_SUPPORTS]
     qs.append(crandom(rng, (THIN_DIM, THIN_DIM)))
-    values, results = _thin_calls(lambda: duality_functionals(inst, qs))
-    assert [r is not None for r in results] == [False] * (arity - 2) + [True] * 4 + [False]
+    values, results = _move_calls(lambda: duality_functionals(inst, qs))
+    assert [len(r) == 2 for r in results] == [False] * (arity - 2) + [True] * 4 + [False]
     w = eval_haagerup_like(inst)
     for q, value in zip(qs, values):
         bound = TOL * moi_scale(inst) * schatten_norm(q, 1)
@@ -1533,34 +1534,38 @@ def test_sparse_probe_moves_as_a_pair(kind, arity):
 def test_a_dense_operator_is_refused_by_one_count():
     rng = rng_for(110)
     u = haar_unitaries(random_complex(rng, (THIN_DIM, THIN_DIM)))
+    eye = np.eye(THIN_DIM, dtype=np.complex128)
     dense = random_operator(rng, THIN_DIM)
     with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as count, mock.patch.object(
         np, "flatnonzero", side_effect=AssertionError("the support was taken")
     ):
-        assert evaluate._thin(dense, u, None) is None
+        [moved] = evaluate._move(dense, u, eye, (False, True))
     assert count.call_count == 1
+    assert moved.tobytes() == (adjoint(u) @ dense).tobytes()
     # a diagonal passes the count, d of d^2 entries, and its d rows and columns
-    # refuse it as a pair: it comes back as its diagonal, which a move scales by
+    # refuse it as a pair: it comes back as the other basis scaled by its diagonal
     diagonal = crandom(rng, THIN_DIM)
-    assert evaluate._thin(np.diag(diagonal), u, None).tobytes() == diagonal.tobytes()
-    # random instances, up to the d = 16 where a pair could take 2 rows, keep the dense path
+    with mock.patch.object(evaluate, "_product", wraps=evaluate._product) as product:
+        [moved] = evaluate._move(np.diag(diagonal), u, eye, (False, True))
+    assert moved.tobytes() == (adjoint(u) * diagonal).tobytes() and not product.called
+    # random instances, up to the d = 16 where a pair could take 2 rows, keep
+    # the dense path: one _product per move, and one for the basis change
     for cls in RANDOM_CLASSES:
         for _ in range(3):
             inst = random_instance(rng, cls, dim_range=(2, 16), width_range=(1, 3))
-            _, results = _thin_calls(lambda: eval_moi(inst))
-            assert len(results) == inst.arity - 1 and not any(r is not None for r in results)
+            with mock.patch.object(evaluate, "_product", wraps=evaluate._product) as product:
+                _, results = _move_calls(lambda: eval_moi(inst))
+            assert [len(r) for r in results] == [1] * (inst.arity - 1)
+            assert product.call_count == inst.arity
 
 
 # --- a diagonal operator beside an identity basis ----------------------------
 
-_THIN = evaluate._thin
-
-
-def _thin_without_diagonals(*args):
-    """evaluate._thin with no diagonal returned: a pair or None, so that every
-    other operator moves through _product, as before diagonals scaled a basis."""
-    result = _THIN(*args)
-    return result if isinstance(result, tuple) else None
+def _move_without_diagonals(*args):
+    """evaluate._move with no diagonal scaled: a pair, or else the dense
+    move, as before diagonals scaled a basis."""
+    op = MOVE(*args)
+    return op if len(op) == 2 else dense_move(*args)
 
 
 def _diagonal_instance(seed, real):
@@ -1591,9 +1596,12 @@ def test_a_diagonal_beside_an_identity_basis_scales_the_other(real):
     largest entry, on 300 seeded instances)."""
     for seed in range(40):
         inst = _diagonal_instance(seed, real)
-        w, results = _thin_calls(lambda: eval_moi(inst))
-        assert [type(r) for r in results] == [np.ndarray] * (inst.arity - 1)
-        with mock.patch.object(evaluate, "_thin", _thin_without_diagonals):
+        with mock.patch.object(evaluate, "_product", wraps=evaluate._product) as product:
+            w, results = _move_calls(lambda: eval_moi(inst))
+        # no _product call but the basis change: each move scales a basis
+        assert [len(r) for r in results] == [1] * (inst.arity - 1)
+        assert product.call_count == 1
+        with mock.patch.object(evaluate, "_move", _move_without_diagonals):
             dense = eval_moi(inst)
         if real:
             assert w.tobytes() == dense.tobytes(), seed
@@ -1603,14 +1611,14 @@ def test_a_diagonal_beside_an_identity_basis_scales_the_other(real):
 
 def test_a_dense_operator_never_reaches_the_diagonal_rule():
     """Between an identity basis and another, a dense operator is refused by
-    _thin's count and moves through _product, as does the basis change."""
+    _move's count and moves through _product, as does the basis change."""
     rng = rng_for(112)
     measures = [_thin_measure(rng, basis) for basis in "IHIH"]
     rep = random_chain_rep(rng, [3] * 4, [3, 2, 3])
     inst = MoiInstance(measures, _operators(rng, THIN_DIM, 3), rep)
     with mock.patch.object(evaluate, "_product", wraps=evaluate._product) as product:
-        _, results = _thin_calls(lambda: eval_moi(inst))
-    assert results == [None] * 3
+        _, results = _move_calls(lambda: eval_moi(inst))
+    assert [len(r) for r in results] == [1] * 3
     assert product.call_count == 4
 
 
@@ -1622,7 +1630,31 @@ def test_a_zero_operator_beside_an_identity_basis_moves_as_a_pair():
     rep = random_chain_rep(rng, [3] * 4, [3, 2, 3])
     operators = [_thin_operator(rng, "zero"), *_operators(rng, THIN_DIM, 2)]
     inst = MoiInstance(measures, operators, rep)
-    w, results = _thin_calls(lambda: eval_moi(inst))
+    w, results = _move_calls(lambda: eval_moi(inst))
     assert [(a.shape, b.shape) for a, b in results[:1]] == [((16, 0), (0, 16))]
-    with mock.patch.object(evaluate, "_thin", return_value=None):
+    with mock.patch.object(evaluate, "_move", dense_move):
         assert w.tobytes() == eval_moi(inst).tobytes()
+
+
+def test_pairs_and_scaled_diagonals_keep_their_bits_across_move_blocks(monkeypatch):
+    """The d = 64 arity-4 projective instance of 512 terms, with an identity
+    third basis: its dense first operator starts the sweep, a rank-one
+    operator of one row moves as a pair and a real diagonal as the identity's
+    neighbour scaled, each over eight MOVE_BLOCK-column blocks of the state,
+    or many, or one. The value has the same bytes at every block size."""
+    rng = rng_for(114)
+    measures = list(random_measures(rng, 64, 4, n_atoms=8))
+    labels = rng.permutation(np.arange(64) % 8)
+    measures[2] = FiniteSpectralMeasure.from_basis(np.eye(64), labels, measures[2].points)
+    rank_one = np.zeros((64, 64), dtype=np.complex128)
+    rank_one[int(rng.integers(64))] = crandom(rng, 64)
+    operators = [random_operator(rng, 64), rank_one, np.diag(rng.standard_normal(64))]
+    inst = MoiInstance(measures, operators, random_projective_rep(rng, [8] * 4, 512))
+    w, results = _move_calls(lambda: eval_moi(inst))
+    assert [len(r) for r in results] == [1, 2, 1]
+    assert np.abs(w - eval_oracle(inst)).max() <= TOL * moi_scale(inst)
+    for block in (512, 4, 10**9):
+        monkeypatch.setattr(evaluate, "MOVE_BLOCK", block)
+        with mock.patch.object(evaluate, "_product", wraps=evaluate._product) as product:
+            assert eval_moi(inst).tobytes() == w.tobytes(), block
+        assert product.call_count == 2  # the dense move and the basis change

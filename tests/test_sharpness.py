@@ -31,6 +31,8 @@ from moilab.sharpness import (
 )
 from moilab.spectral import cyclic_model, integrate_scalar
 
+from helpers import MOVE, dense_move
+
 # every (arity, regime) family with representative exponents
 ALL_CASES = [
     (3, "both-large", 4.0, 2.0),
@@ -568,19 +570,19 @@ def test_families_keep_their_bits_when_diagonal_ends_scale_a_basis():
     """The diagonal ends sit beside the identity Fourier basis, so each moves
     as the position basis scaled by its real diagonal: the families' values
     at n <= 256 and arities 3, 4, 5 and 10 keep the SHA-256 of the dense
-    moves (evaluate._thin refusing every diagonal)."""
-    thin = evaluate._thin
+    moves (evaluate._move scaling no diagonal)."""
     scaled = []
 
-    def dense(*args):
-        result = thin(*args)
-        scaled.append(result is not None and not isinstance(result, tuple))
-        return result if isinstance(result, tuple) else None
+    def dense(*args):  # a one-factor move that makes no _product call is scaled
+        with mock.patch.object(evaluate, "_product", wraps=evaluate._product) as product:
+            op = MOVE(*args)
+        scaled.append(len(op) == 1 and not product.called)
+        return op if len(op) == 2 else dense_move(*args)
 
     digests = []
-    for moves in (thin, dense):
+    for moves in (MOVE, dense):
         digest = hashlib.sha256()
-        with mock.patch.object(evaluate, "_thin", moves):
+        with mock.patch.object(evaluate, "_move", moves):
             for n, arity, regime in itertools.product((8, 64, 256), (3, 4, 5, 10), REGIMES):
                 case = default_case(arity, regime, *REGIME_EXPONENTS[regime], n)
                 digest.update(eval_haagerup(build_construction(case)).tobytes())
